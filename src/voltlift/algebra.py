@@ -330,6 +330,12 @@ def load_group(path) -> AbelianGroup | GenericGroup:
         return group_from_json(json.load(fh))
 
 
+def right_translation(group, w: GroupElement) -> np.ndarray:
+    """Right translation by w as an index map: out[i] = index(elements[i] * w)."""
+    return np.fromiter((group.index_of(g * w) for g in group.elements()),
+                       dtype=np.intp, count=group.size)
+
+
 class GroupAlgebraElement:
     """A formal integer combination of group elements.
 

@@ -96,19 +96,28 @@ class Digraph:
     def arc_counter(self) -> Counter:
         return Counter(self.arcs)
 
+    def arc_array(self) -> np.ndarray:
+        """The arcs as an (arc_count, 2) integer array of (tail, head) rows."""
+        return np.array(self.arcs, dtype=np.intp).reshape(-1, 2)
+
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for tail, head in self.arcs:
-            a[tail, head] += 1.0
+        arcs = self.arc_array()
+        np.add.at(a, (arcs[:, 0], arcs[:, 1]), 1.0)
         return a
 
     def universal_matrix(self, coeffs: UniversalCoefficients) -> np.ndarray:
-        """c1*A + c2*D + c3*I + c4*J, with D the out-degree diagonal."""
-        a = self.adjacency_matrix()
-        d = np.diag(a.sum(axis=1))
-        eye = np.eye(self.n)
-        ones = np.ones((self.n, self.n))
-        return coeffs.c1 * a + coeffs.c2 * d + coeffs.c3 * eye + coeffs.c4 * ones
+        """c1*A + c2*D + c3*I + c4*J, with D the out-degree diagonal.
+
+        Built in place in the adjacency array; every entry is rounded in the
+        order of the sum as written, so the result equals it exactly.
+        """
+        u = self.adjacency_matrix()
+        diagonal = coeffs.c1 * u.diagonal() + coeffs.c2 * u.sum(axis=1) + coeffs.c3 + coeffs.c4
+        u *= coeffs.c1
+        u += coeffs.c4
+        np.fill_diagonal(u, diagonal)
+        return u
 
     def to_json(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .algebra import AbelianGroup, GroupElement
+from .algebra import AbelianGroup, GroupElement, right_translation
 from .errors import (
     IdentityInS,
     InvalidGenerators,
@@ -60,12 +60,6 @@ class KSetDecomposition:
         return rep_idx, self.group.elements()[g_idx]
 
 
-def _translation_perms(group) -> list[list[int]]:
-    """perm[g][i] = index of elements[i] * elements[g]."""
-    els = group.elements()
-    return [[group.index_of(a * g) for a in els] for g in els]
-
-
 def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
     """Decompose all k-subsets of the group into free right-translation orbits.
 
@@ -76,7 +70,8 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
     n = group.size
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
-    perms = _translation_perms(group)
+    # perms[g][i] = index of elements[i] * elements[g]
+    perms = [right_translation(group, g).tolist() for g in group.elements()]
     reps: list[tuple[int, ...]] = []
     lookup: dict[tuple[int, ...], tuple[int, int]] = {}
     for subset in combinations(range(n), k):

@@ -1,8 +1,12 @@
 """Dense eigencomputation, spectrum assembly, and closed-form spectra.
 
-Eigenvalues come from LAPACK via numpy: Hermitian inputs (detected within
-1e-12) take the symmetric path and return reals; everything else goes
-through the general complex solver.  Spectra are multisets grouped into
+Eigenvalues come from LAPACK via numpy, with the routine chosen by the
+input's dtype.  Real input (integers included) is solved in float64 and
+complex input in complex128; there is no value-based downcast.  Within
+either type, Hermitian input (symmetric when real, detected within 1e-12)
+takes the symmetric solver and returns reals; everything else goes through
+the general solver of that type, whose non-real eigenvalues of a real
+matrix come in exact conjugate pairs.  Spectra are multisets grouped into
 (value, multiplicity) pairs at an absolute tolerance and sorted by real part
 descending, imaginary part ascending, so output files are reproducible
 bit-for-bit.
@@ -136,8 +140,10 @@ def _fmt_value(v: complex, digits: int = 6) -> str:
     return f"{v.real:.{digits}g}{sign}{abs(v.imag):.{digits}g}i"
 
 
-def _check_square(matrix: np.ndarray) -> np.ndarray:
+def _check_square(matrix) -> np.ndarray:
+    """The input as a square float64 array if real, complex128 otherwise."""
     matrix = np.asarray(matrix)
+    matrix = matrix.astype(float if matrix.dtype.kind in "biuf" else complex, copy=False)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise VoltliftError(f"matrix must be square, got shape {matrix.shape}")
     if matrix.shape[0] > MAX_DIMENSION:
@@ -152,8 +158,12 @@ def _is_hermitian(matrix: np.ndarray) -> bool:
 
 
 def eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues with algebraic multiplicity; real for Hermitian input."""
-    matrix = _check_square(np.asarray(matrix, dtype=complex))
+    """All eigenvalues with algebraic multiplicity; real for Hermitian input.
+
+    Real input takes the real solvers (``eigvalsh`` if symmetric, else
+    ``eigvals``), complex input the complex ones.
+    """
+    matrix = _check_square(matrix)
     try:
         if _is_hermitian(matrix):
             return np.linalg.eigvalsh(matrix)
@@ -163,8 +173,11 @@ def eigenvalues(matrix) -> np.ndarray:
 
 
 def eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvector columns); residuals checked against 1e-8."""
-    matrix = _check_square(np.asarray(matrix, dtype=complex))
+    """(eigenvalues, eigenvector columns); residuals checked against 1e-8.
+
+    The solver follows the input dtype as in :func:`eigenvalues`.
+    """
+    matrix = _check_square(matrix)
     try:
         if _is_hermitian(matrix):
             vals, vecs = np.linalg.eigh(matrix)

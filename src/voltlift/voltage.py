@@ -25,6 +25,7 @@ from .algebra import (
     GroupElement,
     Representation,
     group_from_json,
+    right_translation,
 )
 from .errors import InvalidPairing, LengthMismatch, MismatchedGroups, VoltliftError
 from .graphs import Digraph, Graph, UniversalCoefficients
@@ -142,20 +143,21 @@ class VoltageGraph:
         labels = [
             (label, el.key) for label in self.digraph.labels for el in els
         ]
-        arcs = []
-        for (u, v), w in zip(self.digraph.arcs, self.voltages):
-            w_idx_map = [self.group.index_of(g * w) for g in els]
-            for gi in range(m):
-                arcs.append((u * m + gi, v * m + w_idx_map[gi]))
-        digraph = Digraph(labels, arcs)
+        base = self.digraph.arc_array()
+        volts, which = np.unique(np.array([w.index for w in self.voltages], dtype=np.intp),
+                                 return_inverse=True)
+        translations = np.array([right_translation(self.group, els[w]) for w in volts],
+                                dtype=np.intp).reshape(-1, m)
+        # row a, column g: index(g * w_a); lift arc a*m + g is (u, g) -> (v, g*w_a)
+        shifted = translations[which.reshape(-1)]
+        tails = base[:, :1] * m + np.arange(m)
+        heads = base[:, 1:] * m + shifted
+        digraph = Digraph(labels, zip(tails.ravel().tolist(), heads.ravel().tolist()))
         if not self.undirected:
             return digraph
-        lift_pairing = [0] * len(arcs)
-        for a, ((u, v), w) in enumerate(zip(self.digraph.arcs, self.voltages)):
-            partner = self.pairing[a]
-            for gi, g in enumerate(els):
-                lift_pairing[a * m + gi] = partner * m + self.group.index_of(g * w)
-        return Graph(digraph, lift_pairing)
+        # (u, g) -> (v, g*w) pairs with (v, g*w) -> (u, g) on the partner arc
+        partners = np.asarray(self.pairing, dtype=np.intp)[:, None] * m + shifted
+        return Graph(digraph, partners.ravel().tolist())
 
     def base_matrix(self) -> BaseMatrix:
         """Entry (u, v) sums the voltages of all arcs u -> v."""

@@ -127,11 +127,35 @@ def test_line_graph_rejects_loops():
         line_graph(g)
 
 
-def test_universal_matrix_presets():
-    g = complete_graph(3)
-    a = g.adjacency_matrix()
-    assert np.array_equal(g.universal_matrix(UniversalCoefficients.adjacency()), a)
-    assert np.array_equal(a, np.ones((3, 3)) - np.eye(3))
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(3),
+        Digraph([0, 1, 2], [(0, 1), (0, 1), (1, 1), (1, 1), (2, 0), (1, 2), (2, 2)]),
+        Graph.from_edges([0, 1, 2], [(0, 0), (0, 1), (1, 2), (1, 2)]),
+        Digraph([0, 1, 2], []),
+    ],
+    ids=["k3", "loopy-multi-digraph", "graph-with-loop", "no-arcs"],
+)
+def test_universal_matrix_presets(g):
+    arcs = g.digraph.arcs if isinstance(g, Graph) else g.arcs
+    a = np.zeros((g.n, g.n))
+    degree = np.zeros(g.n)
+    for tail, head in arcs:
+        a[tail, head] += 1.0
+        degree[tail] += 1.0
+    assert np.array_equal(g.adjacency_matrix(), a)
+    presets = [
+        UniversalCoefficients.adjacency(),
+        UniversalCoefficients.laplacian(),
+        UniversalCoefficients.signless_laplacian(),
+        UniversalCoefficients.seidel(),
+        UniversalCoefficients(0.3, -0.7, 1.1, 0.1),
+    ]
+    for c in presets:
+        expected = (c.c1 * a + c.c2 * np.diag(degree) + c.c3 * np.eye(g.n)
+                    + c.c4 * np.ones((g.n, g.n)))
+        assert np.array_equal(g.universal_matrix(c), expected)
     lap = g.universal_matrix(UniversalCoefficients.laplacian())
     assert np.allclose(lap.sum(axis=1), 0)
     with pytest.raises(VoltliftError):

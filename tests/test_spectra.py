@@ -25,6 +25,7 @@ from voltlift import (
     character_spectra,
     complete_graph,
     direct_spectrum,
+    directed_cycle,
     eigenpairs,
     eigenvalues,
     enumerate_characters,
@@ -36,6 +37,7 @@ from voltlift import (
     multiset_equal,
     per_character_rows,
     rep_spectrum,
+    token_digraph,
     token_graph,
 )
 from voltlift.orbits import circulant_linegraph_base
@@ -81,6 +83,32 @@ def test_eigenpairs_residuals():
     m = johnson_base(7, 3).character_matrix(Character(AbelianGroup(7), 1))
     vals, vecs = eigenpairs(m)
     assert np.abs(m @ vecs - vecs * vals).max() < 1e-8
+
+
+def test_real_input_takes_real_solvers():
+    # a real non-symmetric matrix goes through the real general solver, whose
+    # non-real eigenvalues come in exact conjugate pairs; the complex solver
+    # on the same matrix misses the pairing in the last bits
+    for n, k in [(7, 3), (9, 4), (10, 3), (11, 3)]:
+        a = token_digraph(directed_cycle(n), k).adjacency_matrix()
+        vals = eigenvalues(a)
+        nonreal = vals[vals.imag != 0]
+        assert nonreal.size > 0
+        assert np.array_equal(np.sort(nonreal), np.sort(nonreal.conj()))
+        vals, vecs = eigenpairs(a)  # raises if a residual exceeds 1e-8
+        assert len(vals) == len(a)
+    # real and integer symmetric input stays float64 on the symmetric solver
+    sym = token_graph(complete_graph(6), 2).adjacency_matrix()
+    for m in (sym, sym.astype(int)):
+        vals = eigenvalues(m)
+        assert vals.dtype == np.float64
+        assert np.array_equal(vals, np.linalg.eigvalsh(sym))
+    # complex Hermitian input with a nonzero imaginary part keeps eigvalsh
+    h = johnson_base(7, 3).character_matrix(Character(AbelianGroup(7), 1))
+    assert np.abs(h.imag).max() > 0
+    vals = eigenvalues(h)
+    assert vals.dtype == np.float64
+    assert np.array_equal(vals, np.linalg.eigvalsh(h))
 
 
 def test_spectrum_grouping_and_order():

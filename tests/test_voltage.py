@@ -9,12 +9,14 @@ import pytest
 from voltlift import (
     AbelianGroup,
     Character,
+    GenericGroup,
     Graph,
     GroupAlgebraElement,
     InvalidPairing,
     LengthMismatch,
     Representation,
     VoltageGraph,
+    circulant_linegraph_base,
     cycle_graph,
     directed_cycle,
     enumerate_characters,
@@ -58,6 +60,56 @@ def test_c5_base_lifts_to_token_digraph():
     mapped = sorted((image[t], image[h]) for t, h in lifted.arcs)
     direct = sorted((target.labels[t], target.labels[h]) for t, h in target.arcs)
     assert mapped == direct
+
+
+def _dihedral(n):
+    """D_n as a GenericGroup; index i < n is r^i, index n + i is r^i s."""
+    def mul(x, y):  # r^a s^p * r^b s^q = r^(a + (-1)^p b) s^(p + q)
+        p, a = divmod(x, n)
+        q, b = divmod(y, n)
+        return (a + (-b if p else b)) % n + n * ((p + q) % 2)
+
+    return GenericGroup([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)],
+                        name=f"D{n}")
+
+
+def _elementwise_lift(vg):
+    """(labels, arcs, pairing) of the lift, one group product per lift arc."""
+    group = vg.group
+    els = group.elements()
+    m = len(els)
+    labels = [(label, el.key) for label in vg.digraph.labels for el in els]
+    arcs = []
+    for (u, v), w in zip(vg.digraph.arcs, vg.voltages):
+        for gi, g in enumerate(els):
+            arcs.append((u * m + gi, v * m + group.index_of(g * w)))
+    if not vg.undirected:
+        return labels, arcs, None
+    pairing = []
+    for a, w in enumerate(vg.voltages):
+        for g in els:
+            pairing.append(vg.pairing[a] * m + group.index_of(g * w))
+    return labels, arcs, pairing
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: token_base_graph(AbelianGroup(3, 3), [(1, 0), (2, 0), (0, 1), (0, 2)], 2),
+        lambda: circulant_linegraph_base(13, [1, 3, 4]),
+        lambda: token_base_graph(AbelianGroup(7), [(3,)], 3, directed=True),
+        lambda: token_base_graph(_dihedral(7), [1, 6, 3, 4], 3),
+    ],
+    ids=["z3xz3-k2", "circulant-linegraph", "directed-token", "d7-generic"],
+)
+def test_lift_matches_elementwise_reference(make):
+    vg = make()
+    labels, arcs, pairing = _elementwise_lift(vg)
+    lifted = vg.lift()
+    digraph = lifted.digraph if vg.undirected else lifted
+    assert list(lifted.labels) == labels
+    assert list(digraph.arcs) == arcs
+    assert (list(lifted.pairing) if vg.undirected else None) == pairing
 
 
 def test_trivial_group_lift_is_base():
