@@ -61,7 +61,6 @@ from .orbits import (
     circulant_linegraph_base,
     johnson_base,
     k_set_decomposition,
-    necklace_representatives,
     token_base_graph,
     verify_natural_isomorphism,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -178,8 +177,6 @@ class GenericGroup:
     exhaustively up to order 64 and on 10^4 pseudo-random triples above that.
     """
 
-    is_abelian_cached: bool | None
-
     def __init__(self, table: Sequence[Sequence[int]], name: str | None = None):
         table = tuple(tuple(int(x) for x in row) for row in table)
         n = len(table)
@@ -323,11 +320,6 @@ def group_from_json(data: Mapping) -> AbelianGroup | GenericGroup:
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
         return GenericGroup(rows, name=data.get("name"))
     raise VoltliftError("unrecognized group JSON (need 'orders' or 'size'+'table')")
-
-
-def load_group(path) -> AbelianGroup | GenericGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh))
 
 
 def right_translation(group, w: GroupElement) -> np.ndarray:

@@ -27,6 +27,7 @@ from .graphs import (
     complete_graph,
     directed_cycle,
     graph_from_json,
+    line_graph,
 )
 from .orbits import (
     circulant_linegraph_base,
@@ -36,6 +37,7 @@ from .orbits import (
 )
 from .spectra import (
     Spectrum,
+    character_spectra,
     direct_spectrum,
     johnson_spectrum,
     lift_spectrum,
@@ -186,6 +188,29 @@ def _load_source(args):
     raise CliError("no input source given")
 
 
+def _circulant_line_graph(m: int, a) -> Graph:
+    """L(Cay(Z_m; +-a_1, ..., +-a_s)), the brute-force circulant line graph."""
+    gens = sorted({x % m for x in a} | {(-x) % m for x in a})
+    return line_graph(cayley_graph(AbelianGroup(m), gens))
+
+
+def _brute_force_target(args) -> Graph | None:
+    """The graph a constructive base source should lift to, built directly;
+    None for a source read from a file."""
+    if getattr(args, "johnson_base", None):
+        n, k = (int(x) for x in args.johnson_base)
+        return token_graph(complete_graph(n), k)
+    if getattr(args, "circulant_linegraph", None):
+        m = int(args.circulant_linegraph[0])
+        a = [int(x) for x in args.circulant_linegraph[1].split(",")]
+        return _circulant_line_graph(m, a)
+    if getattr(args, "token_cayley", None):
+        group = parse_group(args.token_cayley)
+        gens = parse_generators(group, args.gens)
+        return token_graph(cayley_graph(group, gens), int(args.k))
+    return None
+
+
 def cmd_generate(args) -> int:
     if args.kind == "cayley":
         group = parse_group(args.group)
@@ -279,21 +304,8 @@ def cmd_verify(args) -> int:
         vg = _load_source(args)
         if not isinstance(vg, VoltageGraph):
             raise CliError("verify isomorphism needs a voltage graph source")
-        if getattr(args, "johnson_base", None):
-            n, k = (int(x) for x in args.johnson_base)
-            target = token_graph(complete_graph(n), k)
-        elif getattr(args, "circulant_linegraph", None):
-            from .graphs import line_graph
-
-            m = int(args.circulant_linegraph[0])
-            a = [int(x) for x in args.circulant_linegraph[1].split(",")]
-            gens = sorted({x % m for x in a} | {(-x) % m for x in a})
-            target = line_graph(cayley_graph(AbelianGroup(m), gens))
-        elif getattr(args, "token_cayley", None):
-            group = parse_group(args.token_cayley)
-            gens = parse_generators(group, args.gens)
-            target = token_graph(cayley_graph(group, gens), int(args.k))
-        else:
+        target = _brute_force_target(args)
+        if target is None:
             raise CliError("verify isomorphism needs a constructive source")
         result = verify_natural_isomorphism(vg, target)
         if result.ok:
@@ -310,22 +322,8 @@ def cmd_verify(args) -> int:
         vg = _load_source(args)
         if not isinstance(vg, VoltageGraph):
             raise CliError("verify spectrum-equivalence needs a voltage graph source")
-        if getattr(args, "johnson_base", None):
-            n, k = (int(x) for x in args.johnson_base)
-            oracle = direct_spectrum(token_graph(complete_graph(n), k))
-        elif getattr(args, "circulant_linegraph", None):
-            from .graphs import line_graph
-
-            m = int(args.circulant_linegraph[0])
-            a = [int(x) for x in args.circulant_linegraph[1].split(",")]
-            gens = sorted({x % m for x in a} | {(-x) % m for x in a})
-            oracle = direct_spectrum(line_graph(cayley_graph(AbelianGroup(m), gens)))
-        elif getattr(args, "token_cayley", None):
-            group = parse_group(args.token_cayley)
-            gens = parse_generators(group, args.gens)
-            oracle = direct_spectrum(token_graph(cayley_graph(group, gens), int(args.k)))
-        else:
-            oracle = direct_spectrum(vg.lift())
+        target = _brute_force_target(args)
+        oracle = direct_spectrum(vg.lift() if target is None else target)
         computed = lift_spectrum(vg)
         cmp = multiset_equal(computed, oracle, tol)
         if cmp.equal:
@@ -385,8 +383,6 @@ def cmd_reproduce(args) -> int:
         vg = token_base_graph(group, gens, 2)
         ref = reference.TABLE_T5
         _print("t5: 3x3 character grid of the 2-token base over Z3xZ3")
-        from .spectra import character_spectra
-
         cells = {chi.index: sorted((complex(v) for v in vals),
                                    key=lambda v: (-v.real, v.imag))
                  for chi, vals in character_spectra(vg)}
@@ -417,14 +413,11 @@ def cmd_reproduce(args) -> int:
         _print(line)
         failed = not cmp.equal
     elif table == "s32-examples":
-        from .graphs import line_graph
-
         for m, ref in sorted(reference.S32_EXAMPLES.items()):
             a = ref["generators"]
             vg = circulant_linegraph_base(m, a)
             computed = lift_spectrum(vg)
-            gens = sorted({x % m for x in a} | {(-x) % m for x in a})
-            oracle = direct_spectrum(line_graph(cayley_graph(AbelianGroup(m), gens)))
+            oracle = direct_spectrum(_circulant_line_graph(m, a))
             oracle_cmp = multiset_equal(computed, oracle, 1e-8)
             _print(f"m={m} a={a}: computed {computed}")
             _print(f"  vs oracle line graph: max distance {oracle_cmp.max_distance:.2e} "

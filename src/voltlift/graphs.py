@@ -87,15 +87,6 @@ class Digraph:
             degs[tail] += 1
         return degs
 
-    def in_degrees(self) -> list[int]:
-        degs = [0] * self.n
-        for _, head in self.arcs:
-            degs[head] += 1
-        return degs
-
-    def arc_counter(self) -> Counter:
-        return Counter(self.arcs)
-
     def arc_array(self) -> np.ndarray:
         """The arcs as an (arc_count, 2) integer array of (tail, head) rows."""
         return np.array(self.arcs, dtype=np.intp).reshape(-1, 2)
@@ -225,19 +216,28 @@ class Graph:
         return f"Graph({self.n} vertices, {self.edge_count} edges)"
 
 
-def match_digon_pairing(arcs: Sequence[tuple[int, int]]) -> list[int]:
-    """Match arcs into digons; raises InvalidPairing if impossible."""
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, arc in enumerate(arcs):
-        buckets.setdefault(arc, []).append(i)
+def match_digon_pairing(arcs: Sequence[tuple[int, int]], voltages=None) -> list[int]:
+    """Match arcs into digons; raises InvalidPairing if impossible.
+
+    With voltages (one group element per arc), an arc only pairs with a
+    reversed arc that carries the inverse voltage.
+    """
+    if voltages is None:
+        keys = list(arcs)
+    else:
+        keys = [(tail, head, w.key) for (tail, head), w in zip(arcs, voltages)]
+    buckets: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
     pairing = [-1] * len(arcs)
     for i, (tail, head) in enumerate(arcs):
         if pairing[i] != -1:
             continue
-        rev = buckets.get((head, tail), [])
-        j = next((k for k in rev if pairing[k] == -1 and k != i), None)
+        want = (head, tail) if voltages is None else (head, tail, voltages[i].inverse().key)
+        j = next((k for k in buckets.get(want, []) if pairing[k] == -1 and k != i), None)
         if j is None:
-            raise InvalidPairing(f"arc {i} ({tail}->{head}) has no unmatched reverse")
+            raise InvalidPairing(f"arc {i} {keys[i]} has no unmatched reverse"
+                                 + ("" if voltages is None else " with inverse voltage"))
         pairing[i], pairing[j] = j, i
     return pairing
 
@@ -302,12 +302,9 @@ def directed_cycle(n: int) -> Digraph:
     return Digraph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
-    """Cayley graph of `group` with connection set `gens` (arc g -> g*s).
-
-    Vertices follow the group's canonical enumeration; labels are element
-    keys.  The undirected variant requires an inverse-closed connection set.
-    """
+def _validate_connection_set(group, gens, directed: bool) -> list:
+    """The connection set as group elements: non-empty, no repeats, no
+    identity, and closed under inverses unless directed."""
     gens = [group.element(s) for s in gens]
     if not gens:
         raise VoltliftError("connection set must be non-empty")
@@ -315,10 +312,18 @@ def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
         raise VoltliftError("connection set has repeated generators")
     if any(s.is_identity for s in gens):
         raise IdentityInS("connection set must not contain the identity")
-    if not directed:
-        gen_set = set(gens)
-        if {s.inverse() for s in gens} != gen_set:
-            raise NotInverseClosed("undirected Cayley graph needs S closed under inverses")
+    if not directed and {s.inverse() for s in gens} != set(gens):
+        raise NotInverseClosed("undirected construction needs S closed under inverses")
+    return gens
+
+
+def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
+    """Cayley graph of `group` with connection set `gens` (arc g -> g*s).
+
+    Vertices follow the group's canonical enumeration; labels are element
+    keys.  The undirected variant requires an inverse-closed connection set.
+    """
+    gens = _validate_connection_set(group, gens, directed)
     els = group.elements()
     labels = [el.key for el in els]
     arcs = []

@@ -1,9 +1,13 @@
-"""k-set decompositions, necklace representatives, and base-graph builders.
+"""k-set decompositions, base-graph builders, and the isomorphism certificate.
 
-The right-translation action of a group on its k-subsets partitions them
-into orbits; when the action is free every orbit has |Gamma| elements and
-the C(n,k)/n representatives become the vertices of a base graph whose lift
-is the k-token graph of the corresponding Cayley graph.
+The left-translation action X -> g*X of a group on its k-subsets partitions
+them into orbits; when the action is free every orbit has |Gamma| elements
+and the C(n,k)/n representatives become the vertices of a base graph whose
+lift is the k-token graph of the corresponding Cayley graph.  Left
+translation is the action that matches the lift: Cayley arcs are x -> x*s,
+so X -> h*X is an automorphism of the token graph, and a token move
+rep_u -> g*rep_v translated by h is the lift arc (u, h) -> (v, h*g).  Over
+an abelian group g*X = X*g, so the two conventions agree.
 
 Subsets are handled as sorted tuples of element indices throughout, so the
 same code serves abelian and table-defined groups.
@@ -15,29 +19,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .algebra import AbelianGroup, GroupElement, right_translation
-from .errors import (
-    IdentityInS,
-    InvalidGenerators,
-    KOutOfRange,
-    NotCoprime,
-    NotFreeAction,
-    NotInverseClosed,
-    VoltliftError,
-)
-from .graphs import Digraph, Graph
+from .algebra import AbelianGroup, GroupElement
+from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
+from .graphs import Digraph, Graph, _label_to_json, _validate_connection_set
 from .voltage import VoltageGraph, match_voltage_pairing
 
 
 class KSetDecomposition:
-    """Orbits of right translation on k-subsets, all of size |Gamma|.
+    """Orbits of left translation on k-subsets, all of size |Gamma|.
 
     ``representatives`` holds one sorted index tuple per orbit (the
     lexicographic minimum unless a custom list was supplied) and
     ``orbit_lookup`` maps every k-subset to (representative index, index of
-    the translating element g with rep * g = subset).
+    the translating element g with g * rep = subset).
     """
 
     def __init__(self, group, k, representatives, orbit_lookup):
@@ -55,13 +51,13 @@ class KSetDecomposition:
         return tuple(els[j] for j in self.representatives[i])
 
     def locate(self, subset) -> tuple[int, GroupElement]:
-        """Return (representative index, translator) for a k-subset of indices."""
+        """Return (representative index i, translator g) with g * rep_i = subset."""
         rep_idx, g_idx = self.orbit_lookup[tuple(sorted(subset))]
         return rep_idx, self.group.elements()[g_idx]
 
 
 def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
-    """Decompose all k-subsets of the group into free right-translation orbits.
+    """Decompose all k-subsets of the group into free left-translation orbits.
 
     Raises NotFreeAction (reporting the offending subset) as soon as some
     orbit is smaller than |Gamma|.  A custom representative list (one subset
@@ -70,8 +66,9 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
     n = group.size
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
-    # perms[g][i] = index of elements[i] * elements[g]
-    perms = [right_translation(group, g).tolist() for g in group.elements()]
+    els = group.elements()
+    # perms[g][i] = index of elements[g] * elements[i]
+    perms = [[group.index_of(g * x) for x in els] for g in els]
     reps: list[tuple[int, ...]] = []
     lookup: dict[tuple[int, ...], tuple[int, int]] = {}
     for subset in combinations(range(n), k):
@@ -108,50 +105,15 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
         if old_idx in seen_orbits:
             raise VoltliftError(f"{r} repeats the orbit of representative {seen_orbits[old_idx]}")
         seen_orbits[old_idx] = r
-    els = group.elements()
     new_lookup = {}
     remap = {lookup[r][0]: (new_idx, lookup[r][1]) for new_idx, r in enumerate(user)}
     for subset, (old_idx, g_idx) in lookup.items():
         new_idx, g0 = remap[old_idx]
-        # rep_old * g = subset and rep_old * g0 = rep_new, so
-        # subset = rep_new * (g0^-1 * g)
-        translator = els[g0].inverse() * els[g_idx]
+        # g * rep_old = subset and g0 * rep_old = rep_new, so
+        # subset = (g * g0^-1) * rep_new
+        translator = els[g_idx] * els[g0].inverse()
         new_lookup[subset] = (new_idx, group.index_of(translator))
     return KSetDecomposition(group, k, user, new_lookup)
-
-
-def necklace_representatives(n: int, k: int) -> list[tuple[int, ...]]:
-    """Lexicographically smallest rotation representative of each k-subset
-    of Z_n; requires gcd(n, k) = 1 so every rotation class is aperiodic.
-
-    Canonical-rotation filtering, O(n) per subset; fine at desk scale.
-    """
-    if math.gcd(n, k) != 1:
-        raise NotCoprime(f"gcd({n},{k}) != 1")
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside 1..{n}")
-    reps = []
-    for subset in combinations(range(n), k):
-        rotations = (
-            tuple(sorted((x + t) % n for x in subset)) for t in range(n)
-        )
-        if subset == min(rotations):
-            reps.append(subset)
-    assert len(reps) * n == math.comb(n, k)
-    return reps
-
-
-def _validate_connection_set(group, gens, directed: bool):
-    gens = [group.element(s) for s in gens]
-    if not gens:
-        raise VoltliftError("connection set must be non-empty")
-    if len(set(gens)) != len(gens):
-        raise VoltliftError("connection set has repeated generators")
-    if any(s.is_identity for s in gens):
-        raise IdentityInS("connection set must not contain the identity")
-    if not directed and {s.inverse() for s in gens} != set(gens):
-        raise NotInverseClosed("undirected construction needs S closed under inverses")
-    return gens
 
 
 def token_base_graph(group, gens, k: int, representatives=None,
@@ -160,7 +122,7 @@ def token_base_graph(group, gens, k: int, representatives=None,
 
     Vertices are the decomposition representatives.  For every single-token
     move rep -> rep' (replace one element a by a*s with the target vertex
-    unoccupied), the unique pair (beta, g) with rep' = beta * g yields an arc
+    unoccupied), the unique pair (beta, g) with rep' = g * beta yields an arc
     rep -> beta with voltage g.
     """
     gens = _validate_connection_set(group, gens, directed)
@@ -259,45 +221,28 @@ class IsomorphismResult:
         if not self.ok:
             raise VoltliftError("no certificate for a failed isomorphism check")
         return [
-            {"lift": [_jsonable(b), _jsonable(g)], "target": _jsonable(t)}
+            {"lift": [_label_to_json(b), _label_to_json(g)], "target": _label_to_json(t)}
             for (b, g), t in self.vertex_map
         ]
 
 
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    return x
-
-
-def natural_translation_map(group) -> Callable:
-    """(representative subset, g) -> sorted indices of the translated subset."""
-    els = group.elements()
-
-    def mapper(label, g: GroupElement):
-        return tuple(sorted(group.index_of(els[i] * g) for i in label))
-
-    return mapper
-
-
-def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph,
-                               mapper: Callable | None = None) -> IsomorphismResult:
-    """Check that (rep, g) -> rep * g is an isomorphism from lift(vg) onto target.
+def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph) -> IsomorphismResult:
+    """Check that (rep, g) -> g * rep is an isomorphism from lift(vg) onto target.
 
     Verifies the map is a bijection of vertex sets and preserves the arc
     multiset with multiplicities.  Returns the full vertex bijection as a
     certificate, or the first violating vertex/arc.
     """
-    if mapper is None:
-        mapper = natural_translation_map(vg.group)
-    els = vg.group.elements()
+    group = vg.group
+    els = group.elements()
     m = len(els)
     target_digraph = target.digraph if isinstance(target, Graph) else target
 
-    images = []
-    for label in vg.digraph.labels:
-        for g in els:
-            images.append(mapper(label, g))
+    images = [
+        tuple(sorted(group.index_of(g * els[i]) for i in label))
+        for label in vg.digraph.labels
+        for g in els
+    ]
     if len(images) != target_digraph.n:
         return IsomorphismResult(
             False, detail=f"lift has {len(images)} vertices, target {target_digraph.n}"

@@ -9,19 +9,14 @@ the general solver of that type, whose non-real eigenvalues of a real
 matrix come in exact conjugate pairs.  Spectra are multisets grouped into
 (value, multiplicity) pairs at an absolute tolerance and sorted by real part
 descending, imaginary part ascending, so output files are reproducible
-bit-for-bit.
-
-Per-character eigenproblems are independent; set VOLTLIFT_THREADS > 1 to run
-them on a thread pool (results are merged in character enumeration order, so
-the output does not depend on scheduling).
+bit-for-bit.  Per-character and per-irrep eigenproblems are solved one after
+another, in character enumeration and irrep list order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -191,31 +186,14 @@ def eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("VOLTLIFT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def character_spectra(vg: VoltageGraph,
                       coeffs: UniversalCoefficients | None = None
                       ) -> list[tuple[Character, np.ndarray]]:
     """(character, eigenvalues) in character enumeration order."""
     if not isinstance(vg.group, AbelianGroup):
         raise NonAbelianGroup("character spectra need an abelian group; use rep_spectrum")
-    chars = enumerate_characters(vg.group)
-    spectra = _map_ordered(lambda chi: eigenvalues(vg.character_matrix(chi, coeffs)), chars)
-    return list(zip(chars, spectra))
+    return [(chi, eigenvalues(vg.character_matrix(chi, coeffs)))
+            for chi in enumerate_characters(vg.group)]
 
 
 def lift_spectrum(vg: VoltageGraph,
@@ -242,9 +220,8 @@ def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation],
         )
     base = vg.base_matrix()
     values: list[complex] = []
-    blocks = _map_ordered(lambda rho: eigenvalues(base.apply_representation(rho)),
-                          list(irreps))
-    for rho, vals in zip(irreps, blocks):
+    for rho in irreps:
+        vals = eigenvalues(base.apply_representation(rho))
         for _ in range(rho.dimension):
             values.extend(vals)
     expected = vg.n * vg.group.size

@@ -28,7 +28,15 @@ from .algebra import (
     right_translation,
 )
 from .errors import InvalidPairing, LengthMismatch, MismatchedGroups, VoltliftError
-from .graphs import Digraph, Graph, UniversalCoefficients
+from .graphs import (
+    Digraph,
+    Graph,
+    UniversalCoefficients,
+    _label_from_json,
+    _label_str,
+    _label_to_json,
+    match_digon_pairing,
+)
 
 
 class BaseMatrix:
@@ -84,15 +92,9 @@ class VoltageGraph:
         if len(voltages) != digraph.arc_count:
             raise VoltliftError("need exactly one voltage per arc")
         if pairing is not None:
-            pairing = tuple(int(p) for p in pairing)
+            pairing = Graph(digraph, pairing).pairing
             arcs = digraph.arcs
-            if len(pairing) != len(arcs):
-                raise InvalidPairing("pairing length differs from arc count")
             for i, j in enumerate(pairing):
-                if not 0 <= j < len(arcs) or pairing[j] != i or j == i:
-                    raise InvalidPairing(f"pairing is not an involutive matching at arc {i}")
-                if arcs[j] != (arcs[i][1], arcs[i][0]):
-                    raise InvalidPairing(f"arcs {i} and {j} are not mutually reversed")
                 if voltages[j] != voltages[i].inverse():
                     raise InvalidPairing(
                         f"arcs {i} and {j} carry voltages that are not mutually inverse"
@@ -224,23 +226,9 @@ class VoltageGraph:
         )
 
 
-def match_voltage_pairing(arcs, voltages) -> list[int]:
-    """Pair arcs so opposite arcs carry inverse voltages; InvalidPairing if not."""
-    buckets: dict[tuple, list[int]] = {}
-    for i, ((tail, head), w) in enumerate(zip(arcs, voltages)):
-        buckets.setdefault((tail, head, w.key), []).append(i)
-    pairing = [-1] * len(arcs)
-    for i, ((tail, head), w) in enumerate(zip(arcs, voltages)):
-        if pairing[i] != -1:
-            continue
-        want = (head, tail, w.inverse().key)
-        j = next((k for k in buckets.get(want, []) if pairing[k] == -1 and k != i), None)
-        if j is None:
-            raise InvalidPairing(
-                f"arc {i} ({tail}->{head}, voltage {w.key}) has no reverse with inverse voltage"
-            )
-        pairing[i], pairing[j] = j, i
-    return pairing
+# the public name of the voltage-aware pairing search: called as
+# match_voltage_pairing(arcs, voltages), opposite arcs carry inverse voltages
+match_voltage_pairing = match_digon_pairing
 
 
 def voltage_graph_from_json(data: dict) -> VoltageGraph:
@@ -279,20 +267,3 @@ def lift_eigenvector(vg: VoltageGraph, x, chi: Character) -> np.ndarray:
         raise LengthMismatch(f"vector length {x.shape} != base size {vg.n}")
     return np.kron(x, chi.values())
 
-
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return [_label_to_json(x) for x in label]
-    return label
-
-
-def _label_from_json(label):
-    if isinstance(label, list):
-        return tuple(_label_from_json(x) for x in label)
-    return label
-
-
-def _label_str(label) -> str:
-    if isinstance(label, tuple):
-        return "(" + ",".join(_label_str(x) for x in label) + ")"
-    return str(label)

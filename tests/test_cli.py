@@ -2,7 +2,17 @@
 
 import json
 
+import pytest
+
 from voltlift.cli import main
+
+# constructive sources and the vertex count of the graph each lifts to
+CONSTRUCTIVE_SOURCES = [
+    (["--johnson", "7", "3"], 35),
+    (["--circulant-linegraph", "12", "2,3"], 24),
+    (["--token-cayley", "Z3xZ3", "--gens", "10,01", "--k", "2"], 36),
+]
+SOURCE_IDS = ["johnson", "circulant-linegraph", "token-cayley"]
 
 
 def run(capsys, *argv):
@@ -101,18 +111,19 @@ def test_spectrum_irreps_method(capsys):
     assert out.splitlines()[1:] == ["6,0,1", "1,0,4", "-2,0,5"]
 
 
-def test_verify_isomorphism_johnson(capsys, tmp_path):
+@pytest.mark.parametrize("source, vertices", CONSTRUCTIVE_SOURCES, ids=SOURCE_IDS)
+def test_verify_isomorphism_johnson(capsys, tmp_path, source, vertices):
     cert = tmp_path / "cert.json"
-    code, out, _ = run(capsys, "verify", "isomorphism", "--johnson", "5", "2",
+    code, out, _ = run(capsys, "verify", "isomorphism", *source,
                        "--certificate", str(cert))
     assert code == 0
     assert out.startswith("PASS")
-    assert len(json.loads(cert.read_text())) == 10
+    assert len(json.loads(cert.read_text())) == vertices
 
 
-def test_verify_spectrum_equivalence_token_cayley(capsys):
-    code, out, _ = run(capsys, "verify", "spectrum-equivalence",
-                       "--token-cayley", "Z3xZ3", "--gens", "10,01", "--k", "2")
+@pytest.mark.parametrize("source", [s for s, _ in CONSTRUCTIVE_SOURCES], ids=SOURCE_IDS)
+def test_verify_spectrum_equivalence_token_cayley(capsys, source):
+    code, out, _ = run(capsys, "verify", "spectrum-equivalence", *source)
     assert code == 0
     assert out.startswith("PASS")
 

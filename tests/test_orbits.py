@@ -17,7 +17,6 @@ from voltlift import (
     johnson_base,
     k_set_decomposition,
     line_graph,
-    necklace_representatives,
     token_base_graph,
     token_graph,
     verify_natural_isomorphism,
@@ -82,21 +81,26 @@ def test_custom_representatives_relocate_voltages():
     assert default.num_orbits == reordered.num_orbits
 
 
+def necklaces(n, k):
+    """Representatives of the rotation classes of k-subsets of Z_n."""
+    return list(k_set_decomposition(AbelianGroup(n), k).representatives)
+
+
 def test_necklaces_7_3():
-    reps = necklace_representatives(7, 3)
+    reps = necklaces(7, 3)
     assert reps == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 4)]
 
 
 def test_necklaces_small_counts():
-    assert necklace_representatives(5, 2) == [(0, 1), (0, 2)]
-    assert necklace_representatives(7, 2) == [(0, 1), (0, 2), (0, 3)]
-    with pytest.raises(NotCoprime):
-        necklace_representatives(6, 2)
+    assert necklaces(5, 2) == [(0, 1), (0, 2)]
+    assert necklaces(7, 2) == [(0, 1), (0, 2), (0, 3)]
+    with pytest.raises(NotFreeAction):
+        necklaces(6, 2)
 
 
 def test_necklaces_are_aperiodic():
     for n, k in [(7, 3), (8, 3), (9, 4), (11, 3)]:
-        for rep in necklace_representatives(n, k):
+        for rep in necklaces(n, k):
             stabilizer = [
                 t for t in range(n)
                 if tuple(sorted((x + t) % n for x in rep)) == rep
@@ -105,9 +109,14 @@ def test_necklaces_are_aperiodic():
 
 
 def test_necklaces_agree_with_decomposition():
+    # canonical-rotation filtering: keep each subset that is the
+    # lexicographic minimum of its rotations
     for n, k in [(5, 2), (7, 2), (7, 3), (8, 3)]:
-        dec = k_set_decomposition(AbelianGroup(n), k)
-        assert list(dec.representatives) == necklace_representatives(n, k)
+        minima = [
+            subset for subset in combinations(range(n), k)
+            if subset == min(tuple(sorted((x + t) % n for x in subset)) for t in range(n))
+        ]
+        assert necklaces(n, k) == minima
 
 
 def test_johnson_base_sizes_and_row_sums():

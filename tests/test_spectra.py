@@ -22,7 +22,6 @@ from voltlift import (
     UniversalCoefficients,
     VoltageGraph,
     cayley_graph,
-    character_spectra,
     complete_graph,
     direct_spectrum,
     directed_cycle,
@@ -305,14 +304,6 @@ def test_per_character_rows_grouping():
     assert [r[0] for r in rows] == [((0,),), ((1,), (4,)), ((2,), (3,))]
     assert [v.real for v in rows[0][1]] == pytest.approx([6, -2])
     assert [v.real for v in rows[1][1]] == pytest.approx([1, -2])
-
-
-def test_character_spectra_threaded_matches_serial(monkeypatch):
-    vg = johnson_base(7, 3)
-    serial = [vals.tolist() for _, vals in character_spectra(vg)]
-    monkeypatch.setenv("VOLTLIFT_THREADS", "4")
-    threaded = [vals.tolist() for _, vals in character_spectra(vg)]
-    assert serial == threaded
 
 
 def test_johnson_closed_form_full_sweep():

@@ -1,7 +1,10 @@
 """Voltage graphs: lifts, base matrices, character evaluation, lifting."""
 
+import cmath
 import json
+import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,14 +19,22 @@ from voltlift import (
     LengthMismatch,
     Representation,
     VoltageGraph,
+    cayley_graph,
+    check_representation,
     circulant_linegraph_base,
     cycle_graph,
+    direct_spectrum,
     directed_cycle,
     enumerate_characters,
     johnson_base,
+    k_set_decomposition,
     lift_eigenvector,
+    multiset_equal,
+    rep_spectrum,
     token_base_graph,
     token_digraph,
+    token_graph,
+    verify_natural_isomorphism,
     voltage_graph_from_json,
 )
 
@@ -71,6 +82,58 @@ def _dihedral(n):
 
     return GenericGroup([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)],
                         name=f"D{n}")
+
+
+def _dihedral_irreps(group, n):
+    """Trivial, sign and the (n-1)/2 two-dimensional irreps of D_n, n odd."""
+    els = group.elements()
+    swap = np.array([[0, 1], [1, 0]])
+    irreps = [
+        Representation(group, {g: np.eye(1) for g in els}),
+        Representation(group, {g: np.array([[(-1) ** (g.key // n)]]) for g in els}),
+    ]
+    for h in range(1, (n - 1) // 2 + 1):
+        mats = {}
+        for g in els:
+            w = cmath.exp(2j * math.pi * h * (g.key % n) / n)
+            rot = np.diag([w, w.conjugate()])
+            mats[g] = rot @ swap if g.key // n else rot
+        irreps.append(Representation(group, mats))
+    return irreps
+
+
+@pytest.mark.parametrize(
+    "k, gens",
+    [(5, [1, 6]), (5, [1, 6, 2, 5]), (3, [1, 6, 2, 5])],
+    ids=["k5-r1", "k5-r1-r2", "k3-r1-r2"],
+)
+def test_dihedral_token_base_matches_oracles(k, gens):
+    group = _dihedral(7)
+    irreps = _dihedral_irreps(group, 7)
+    assert all(check_representation(group, rho).passed for rho in irreps)
+    vg = token_base_graph(group, gens, k)
+    target = token_graph(cayley_graph(group, gens), k)
+    cmp = multiset_equal(rep_spectrum(vg, irreps), direct_spectrum(target), 1e-8)
+    assert cmp.equal, cmp.max_distance
+    assert verify_natural_isomorphism(vg, target).ok
+
+
+def test_dihedral_custom_representatives_translate_on_the_left():
+    group = _dihedral(7)
+    els = group.elements()
+    default = k_set_decomposition(group, 3).representatives
+    # move every orbit's representative by a different non-identity element
+    custom = [
+        tuple(sorted(group.index_of(els[(3 * i + 8) % 14] * els[j]) for j in rep))
+        for i, rep in enumerate(default)
+    ]
+    dec = k_set_decomposition(group, 3, representatives=custom)
+    for subset in combinations(range(14), 3):
+        i, g = dec.locate(subset)
+        assert tuple(sorted(group.index_of(g * els[j]) for j in custom[i])) == subset
+    gens = [1, 6, 2, 5]
+    vg = token_base_graph(group, gens, 3, representatives=custom)
+    assert verify_natural_isomorphism(vg, token_graph(cayley_graph(group, gens), 3)).ok
 
 
 def _elementwise_lift(vg):
