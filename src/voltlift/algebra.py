@@ -13,7 +13,6 @@ import cmath
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -469,11 +468,12 @@ class GroupAlgebraElement:
 class Character:
     """A character of an abelian group, indexed by (j1, ..., jr).
 
-    chi(g) = exp(2*pi*i * sum_k j_k g_k / n_k); the phase is accumulated as an
-    exact rational before the single complex exponential.
+    chi(g) = exp(2*pi*i * sum_k j_k g_k / n_k).  With L = lcm(n_1, ..., n_r)
+    the phase is the exact integer p = sum_k j_k g_k (L / n_k) mod L, and one
+    complex exponential of the correctly rounded p / L gives the value.
     """
 
-    __slots__ = ("group", "index", "_values")
+    __slots__ = ("group", "index", "_period", "_values")
 
     def __init__(self, group: AbelianGroup, index):
         if not isinstance(group, AbelianGroup):
@@ -481,6 +481,7 @@ class Character:
         el = group.element(index)  # reuse normalization/validation
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "index", el.key)
+        object.__setattr__(self, "_period", math.lcm(*group.orders))
         object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
@@ -492,13 +493,12 @@ class Character:
 
     def __call__(self, el: GroupElement) -> complex:
         _require_same_group(el.group, self.group)
-        phase = Fraction(0)
-        for j, g, n in zip(self.index, el.key, self.group.orders):
-            phase += Fraction(j * g, n)
-        phase %= 1
+        period = self._period
+        phase = sum(j * g * (period // n)
+                    for j, g, n in zip(self.index, el.key, self.group.orders)) % period
         if phase == 0:
             return complex(1.0)
-        return cmath.exp(2j * math.pi * float(phase))
+        return cmath.exp(2j * math.pi * (phase / period))
 
     def values(self) -> np.ndarray:
         """chi evaluated on all group elements, in enumeration order."""

@@ -66,13 +66,16 @@ class Spectrum:
         """Cluster raw eigenvalues closer than tol into multiplicity groups."""
         ordered = sorted((complex(v) for v in values),
                          key=lambda v: (-v.real, v.imag))
-        clusters: list[list[complex]] = []
+        # running [sum, count] per cluster; the sum adds left to right from
+        # 0 as sum() does, so each mean is the cluster's sum() / len()
+        clusters: list[list] = []
         for v in ordered:
-            if clusters and abs(v - _mean(clusters[-1])) <= tol:
-                clusters[-1].append(v)
+            if clusters and abs(v - clusters[-1][0] / clusters[-1][1]) <= tol:
+                clusters[-1][0] += v
+                clusters[-1][1] += 1
             else:
-                clusters.append([v])
-        return cls([(_mean(c), len(c)) for c in clusters], tol)
+                clusters.append([0 + v, 1])
+        return cls([(total / count, count) for total, count in clusters], tol)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[complex, int]],
@@ -116,10 +119,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-def _mean(values: list[complex]) -> complex:
-    return sum(values) / len(values)
 
 
 def _fmt(x: float) -> str:
@@ -290,24 +289,53 @@ def _expand(values) -> list[complex]:
     return [complex(v) for v in values]
 
 
+def _block_pairing_distance(x: np.ndarray, y: np.ndarray, tol: float) -> float:
+    """Largest distance of the block pairing of two equal-sized arrays.
+
+    Both arrays are pooled and cut wherever the sorted real parts jump by
+    more than tol; no pair within tol can straddle such a cut.  When every
+    block holds as many values of x as of y, each side is sorted by (block,
+    imag, real) and paired position by position.  Otherwise no pairing
+    within tol exists and the result is inf.
+    """
+    n = x.size
+    pooled = np.concatenate([x, y])
+    order = np.argsort(pooled.real, kind="stable")
+    block = np.empty(2 * n, dtype=np.intp)
+    block[order] = np.concatenate(([0], np.cumsum(np.diff(pooled.real[order]) > tol)))
+    bx, by = block[:n], block[n:]
+    blocks = int(block.max()) + 1
+    if not np.array_equal(np.bincount(bx, minlength=blocks),
+                          np.bincount(by, minlength=blocks)):
+        return math.inf
+    px = x[np.lexsort((x.real, x.imag, bx))]
+    py = y[np.lexsort((y.real, y.imag, by))]
+    return float(np.abs(px - py).max())
+
+
 def multiset_equal(a, b, tol: float) -> MultisetComparison:
-    """Compare two eigenvalue multisets: greedy pairing after sorting, with an
-    optimal-assignment fallback for near-ties whose sort order flips."""
+    """Compare two eigenvalue multisets at absolute tolerance tol.
+
+    The first tier is the block pairing of :func:`_block_pairing_distance`:
+    it accepts when that concrete pairing is within tol.  It settles real
+    spectra and conjugate pairs whose real parts differ by rounding noise.
+    Anything else goes to an optimal assignment, whose largest distance
+    decides, so a failure reports that distance.
+    """
     xs, ys = _expand(a), _expand(b)
     if len(xs) != len(ys):
         return MultisetComparison(False, math.inf)
     if not xs:
         return MultisetComparison(True, 0.0)
+    dist = _block_pairing_distance(np.array(xs, dtype=complex),
+                                   np.array(ys, dtype=complex), tol)
+    if dist <= tol:
+        return MultisetComparison(True, dist)
+    from scipy.optimize import linear_sum_assignment
+
     key = lambda v: (v.real, v.imag)
     xs_sorted = sorted(xs, key=key)
     ys_sorted = sorted(ys, key=key)
-    dist = max(abs(x - y) for x, y in zip(xs_sorted, ys_sorted))
-    if dist <= tol:
-        return MultisetComparison(True, dist)
-    # conjugate pairs can swap sort position on ~1e-16 real-part noise; an
-    # optimal assignment settles whether the multisets really differ
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.abs(np.subtract.outer(np.array(xs_sorted), np.array(ys_sorted)))
     rows, cols = linear_sum_assignment(cost)
     dist = float(cost[rows, cols].max())

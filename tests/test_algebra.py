@@ -1,7 +1,9 @@
 """Group arithmetic, group-algebra elements, characters, representations."""
 
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,3 +219,15 @@ def test_s3_irreps_are_valid_and_complete():
         assert check_representation(group, rep).passed
     assert irreps_completeness_defect(group, irreps) == 0
     assert irreps_completeness_defect(group, irreps[:2]) == -4
+
+
+# lcm(orders) < |G| in each group, so the integer phase is not the index sum
+@pytest.mark.parametrize("orders", [(4, 6), (8, 12), (3, 3, 3), (7, 7), (5, 5)])
+def test_character_phase_equals_exact_fraction_reference(orders):
+    group = AbelianGroup(*orders)
+    elements = group.elements()
+    for chi in enumerate_characters(group):
+        for el in elements:
+            phase = sum(Fraction(j * g, n) for j, g, n in zip(chi.index, el.key, orders)) % 1
+            want = complex(1.0) if phase == 0 else cmath.exp(2j * math.pi * float(phase))
+            assert chi(el) == want, (chi.index, el.key)

@@ -1,8 +1,12 @@
 """Eigenvalue kernel, spectrum assembly, closed forms, multiset compare."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from voltlift import (
     multiset_equal,
     per_character_rows,
     rep_spectrum,
+    token_base_graph,
     token_digraph,
     token_graph,
 )
@@ -115,6 +120,43 @@ def test_spectrum_grouping_and_order():
     assert [(round(v.real, 6), m) for v, m in s.pairs] == [(6.0, 1), (1.0, 3), (-2.0, 1)]
     assert s.size == 5
     assert str(s) == "{6, 1^[3], -2}"
+
+
+def _group_with_list_clusters(values, tol):
+    """Spectrum.group as it was written before the running sums: each value
+    is compared with a fresh sum() over the previous cluster."""
+    def mean(cluster):
+        return sum(cluster) / len(cluster)
+
+    ordered = sorted((complex(v) for v in values), key=lambda v: (-v.real, v.imag))
+    clusters = []
+    for v in ordered:
+        if clusters and abs(v - mean(clusters[-1])) <= tol:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    return Spectrum([(mean(c), len(c)) for c in clusters], tol)
+
+
+def test_spectrum_group_running_sums_match_list_clusters():
+    rng = random.Random(3)
+    # one large near-degenerate cluster whose chained noise drifts, a
+    # conjugate pair with real-part noise, negative zeros and singletons
+    values = [complex(2 + rng.uniform(-4e-7, 4e-7), rng.uniform(-4e-7, 4e-7))
+              for _ in range(1500)]
+    values += [complex(0.5 + rng.choice([-1e-16, 1e-16]), s * 1.5)
+               for s in (1, -1) for _ in range(300)]
+    values += [complex(-0.0, -0.0)] * 7 + [rng.gauss(0, 3) for _ in range(200)]
+    rng.shuffle(values)
+    for tol in (1e-6, 1e-9):
+        got = Spectrum.group(values, tol).pairs
+        want = _group_with_list_clusters(values, tol).pairs
+        assert len(got) == len(want)
+        for (v, m), (w, n) in zip(got, want):
+            assert m == n
+            assert (v.real, v.imag) == (w.real, w.imag)
+            assert math.copysign(1, v.real) == math.copysign(1, w.real)
+            assert math.copysign(1, v.imag) == math.copysign(1, w.imag)
 
 
 def test_spectrum_csv_format():
@@ -197,6 +239,89 @@ def test_multiset_equal_conjugate_noise():
     b = [0.5 - 1e-16 + 2j, 0.5 + 1e-16 - 2j]
     cmp = multiset_equal(a, b, 1e-10)
     assert cmp.equal
+
+
+def _directed_cycle_token_spectra(n, k):
+    """(lift, direct) spectra of the k-token digraph of the directed n-cycle."""
+    lift = lift_spectrum(token_base_graph(AbelianGroup(n), [1], k, directed=True))
+    return lift, direct_spectrum(token_digraph(directed_cycle(n), k))
+
+
+def test_multiset_equal_shuffled_token_digraph_lift_vs_direct():
+    lift, direct = _directed_cycle_token_spectra(10, 3)
+    values = lift.expand()
+    random.Random(5).shuffle(values)
+    cmp = multiset_equal(values, direct, 1e-8)
+    assert cmp.equal and cmp.max_distance <= 1e-8
+
+
+def test_multiset_equal_shuffled_conjugate_noise_in_opposite_orders():
+    rng = random.Random(11)
+    centres = [complex(rng.uniform(-3, 3), rng.uniform(0.1, 3)) for _ in range(40)]
+    a, b = [], []
+    for c in centres:
+        # the same pair with the real-part noise on opposite members
+        a += [complex(c.real + 1e-16, c.imag), complex(c.real - 1e-16, -c.imag)]
+        b += [complex(c.real - 1e-16, -c.imag), complex(c.real + 1e-16, c.imag)]
+    rng.shuffle(a)
+    rng.shuffle(b)
+    cmp = multiset_equal(a, b, 1e-10)
+    assert cmp.equal and cmp.max_distance <= 1e-15
+
+
+def _count_assignment_calls(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    original = scipy.optimize.linear_sum_assignment
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return original(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a, b", [
+    # equal per-block counts, but the block pairing is 0.1 apart
+    ([0, 1 + 1j, 1 - 1j], [0, 1 + 1j, 1 - 1.1j]),
+    # unequal per-block counts: 1 - 1j has no partner within tol
+    ([0, 1 + 1j, 1 - 1j], [0, 1 + 1j, 1.1 - 1j]),
+], ids=["pairing-over-tol", "unequal-block-counts"])
+def test_multiset_equal_assignment_fallback_decides(monkeypatch, a, b):
+    calls = _count_assignment_calls(monkeypatch)
+    cmp = multiset_equal(a, b, 1e-3)
+    assert calls == [(3, 3)]
+    assert cmp.equal is False
+    assert cmp.max_distance == pytest.approx(0.1)
+
+
+def test_multiset_equal_block_pairing_needs_no_assignment(monkeypatch):
+    calls = _count_assignment_calls(monkeypatch)
+    lift, direct = _directed_cycle_token_spectra(8, 3)
+    assert multiset_equal(lift, direct, 1e-8).equal
+    assert multiset_equal([3, 1, 2], [1.0005, 2, 3], 1e-3).equal
+    assert calls == []
+
+
+def test_directed_comparison_leaves_scipy_optimize_unimported():
+    # a fresh interpreter: other tests in this process import scipy
+    code = (
+        "import sys\n"
+        "import voltlift as vl\n"
+        "group = vl.AbelianGroup(10)\n"
+        "lift = vl.lift_spectrum(vl.token_base_graph(group, [1], 3, directed=True))\n"
+        "direct = vl.direct_spectrum(vl.token_digraph(vl.directed_cycle(10), 3))\n"
+        "assert vl.multiset_equal(lift, direct, 1e-8).equal\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_lift_spectrum_johnson():
