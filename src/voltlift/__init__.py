@@ -11,7 +11,6 @@ from .algebra import (
     AbelianGroup,
     Character,
     GenericGroup,
-    GroupAlgebraElement,
     GroupElement,
     Representation,
     check_representation,

@@ -1,4 +1,4 @@
-"""Finite groups, group-algebra elements, characters, and unitary representations.
+"""Finite groups, characters, and unitary representations.
 
 Groups come in two flavours: :class:`AbelianGroup` (a direct product of
 cyclic factors, elements stored as normalized residue tuples) and
@@ -42,9 +42,6 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.group.op(self, other)
-
-    def __pow__(self, exponent: int) -> "GroupElement":
-        return self.group.power(self, exponent)
 
     def inverse(self) -> "GroupElement":
         return self.group.inv(self)
@@ -150,10 +147,6 @@ class AbelianGroup:
     def inv(self, a: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
         return GroupElement(self, tuple((-x) % n for x, n in zip(a.key, self.orders)))
-
-    def power(self, a: GroupElement, e: int) -> GroupElement:
-        _require_same_group(a.group, self)
-        return GroupElement(self, tuple((x * e) % n for x, n in zip(a.key, self.orders)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianGroup) and self.orders == other.orders
@@ -269,19 +262,6 @@ class GenericGroup:
         _require_same_group(a.group, self)
         return GroupElement(self, self._inverse[a.key])
 
-    def power(self, a: GroupElement, e: int) -> GroupElement:
-        _require_same_group(a.group, self)
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        out = self._identity_index
-        base = a.key
-        while e:
-            if e & 1:
-                out = self._table[out][base]
-            base = self._table[base][base]
-            e >>= 1
-        return GroupElement(self, out)
-
     @classmethod
     def from_group(cls, group, name: str | None = None) -> "GenericGroup":
         """Tabulate any group object exposing elements()/op()."""
@@ -325,144 +305,6 @@ def right_translation(group, w: GroupElement) -> np.ndarray:
     """Right translation by w as an index map: out[i] = index(elements[i] * w)."""
     return np.fromiter((group.index_of(g * w) for g in group.elements()),
                        dtype=np.intp, count=group.size)
-
-
-class GroupAlgebraElement:
-    """A formal integer combination of group elements.
-
-    These are the entries of base matrices: over Z_n the element
-    g -> coefficient behaves exactly like a Laurent polynomial in one
-    variable per cyclic factor.  Zero coefficients are never stored.
-    """
-
-    __slots__ = ("group", "terms")
-
-    def __init__(self, group, terms: Mapping[GroupElement, int] | None = None):
-        clean = {}
-        for el, coeff in (terms or {}).items():
-            _require_same_group(el.group, group)
-            coeff = int(coeff)
-            if coeff != 0:
-                clean[el] = clean.get(el, 0) + coeff
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupAlgebraElement is immutable")
-
-    @classmethod
-    def zero(cls, group) -> "GroupAlgebraElement":
-        return cls(group, {})
-
-    @classmethod
-    def from_element(cls, el: GroupElement, coeff: int = 1) -> "GroupAlgebraElement":
-        return cls(el.group, {el: coeff})
-
-    @classmethod
-    def one(cls, group) -> "GroupAlgebraElement":
-        return cls(group, {group.identity: 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        _require_same_group(self.group, other.group)
-        terms = dict(self.terms)
-        for el, c in other.terms.items():
-            terms[el] = terms.get(el, 0) + c
-        return GroupAlgebraElement(self.group, terms)
-
-    def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.group, {el: -c for el, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, other) -> "GroupAlgebraElement":
-        if isinstance(other, int):
-            return GroupAlgebraElement(
-                self.group, {el: c * other for el, c in self.terms.items()}
-            )
-        _require_same_group(self.group, other.group)
-        terms: dict[GroupElement, int] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                el = a * b
-                terms[el] = terms.get(el, 0) + ca * cb
-        return GroupAlgebraElement(self.group, terms)
-
-    __rmul__ = __mul__
-
-    def inverse_image(self) -> "GroupAlgebraElement":
-        """Apply g -> g^-1 to every term (the transpose symmetry map)."""
-        return GroupAlgebraElement(
-            self.group, {el.inverse(): c for el, c in self.terms.items()}
-        )
-
-    def evaluate(self, chi: "Character") -> complex:
-        """Sum coeff(g) * chi(g) over the support."""
-        _require_same_group(self.group, chi.group)
-        return sum((c * chi(el) for el, c in self.terms.items()), complex(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.group == other.group
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        return f"GroupAlgebraElement({self})"
-
-    def __str__(self) -> str:
-        return self.monomial_str()
-
-    def monomial_str(self) -> str:
-        """Render with z (or z1..zr) monomials, symmetric exponents.
-
-        Exponents are reduced to the symmetric residue range so that, e.g.,
-        voltage 3 over Z5 prints as 1/z^2.
-        """
-        if self.is_zero:
-            return "0"
-        group = self.group
-        if isinstance(group, AbelianGroup):
-            names = ["z"] if group.rank == 1 else [f"z{i+1}" for i in range(group.rank)]
-            parts = []
-            for el, coeff in self.terms.items():
-                sym = tuple(
-                    x if x <= n // 2 else x - n for x, n in zip(el.key, group.orders)
-                )
-                parts.append((sum(abs(e) for e in sym), sym, coeff))
-            parts.sort(key=lambda p: (p[0], p[1]))
-            rendered = []
-            for _, sym, coeff in parts:
-                num, den = [], []
-                for nm, e in zip(names, sym):
-                    if e > 0:
-                        num.append(nm if e == 1 else f"{nm}^{e}")
-                    elif e < 0:
-                        den.append(nm if e == -1 else f"{nm}^{-e}")
-                body = "*".join(num)
-                if den:
-                    body = (body or "1") + "/" + "/".join(den)
-                if not body:
-                    body = "1"
-                if coeff == 1 and body != "1":
-                    rendered.append(body)
-                elif body == "1":
-                    rendered.append(str(coeff))
-                else:
-                    rendered.append(f"{coeff}*{body}")
-            return " + ".join(rendered)
-        items = sorted(self.terms.items(), key=lambda kv: kv[0].index)
-        return " + ".join(
-            (f"{c}*g{el.key}" if c != 1 else f"g{el.key}") for el, c in items
-        )
 
 
 class Character:

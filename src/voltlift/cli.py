@@ -59,6 +59,22 @@ class CliError(VoltliftError):
     pass
 
 
+def _numbers(parts, kind, what: str) -> list:
+    """Convert every string in parts with kind (int or float)."""
+    try:
+        return [kind(x) for x in parts]
+    except ValueError as exc:
+        raise CliError(f"cannot parse {what}: {exc}") from None
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path} is not valid JSON: {exc}") from None
+
+
 def parse_group(text: str) -> AbelianGroup:
     """Group literals like Z5, Z3xZ3, Z2xZ4."""
     m = re.fullmatch(r"Z(\d+)(?:xZ(\d+))*", text)
@@ -78,9 +94,9 @@ def parse_generators(group: AbelianGroup, text: str, symmetrize: bool = True):
         if not chunk:
             continue
         if chunk.startswith("["):
-            coords = [int(x) for x in chunk.strip("[]").split(";")]
+            coords = _numbers(chunk.strip("[]").split(";"), int, f"generator {chunk!r}")
         elif group.rank == 1:
-            coords = [int(chunk)]
+            coords = _numbers([chunk], int, f"generator {chunk!r}")
         elif all(n <= 9 for n in group.orders) and re.fullmatch(r"-?\d+", chunk):
             digits = chunk.lstrip("-")
             if len(digits) != group.rank:
@@ -103,21 +119,17 @@ def parse_generators(group: AbelianGroup, text: str, symmetrize: bool = True):
 
 def parse_representatives(group: AbelianGroup, text: str):
     """Subset list like 00,10/00,01/... or 012/013/... for cyclic groups."""
-    els = group.elements()
-    index = {el.key: i for i, el in enumerate(els)}
     subsets = []
     for chunk in text.split("/"):
         chunk = chunk.strip()
         members = re.split(r"[,\s]+", chunk) if ("," in chunk or " " in chunk) else list(chunk)
         subset = []
         for member in members:
-            if group.rank == 1:
-                key = (int(member) % group.orders[0],)
-            else:
-                if len(member) != group.rank:
-                    raise CliError(f"representative element {member!r} needs {group.rank} digits")
-                key = tuple(int(d) % n for d, n in zip(member, group.orders))
-            subset.append(index[key])
+            if group.rank != 1 and len(member) != group.rank:
+                raise CliError(f"representative element {member!r} needs {group.rank} digits")
+            digits = [member] if group.rank == 1 else member
+            coords = _numbers(digits, int, f"representative element {member!r}")
+            subset.append(group.element(coords).index)
         subsets.append(tuple(sorted(subset)))
     return subsets
 
@@ -132,7 +144,7 @@ def parse_coeffs(args) -> UniversalCoefficients | None:
     if getattr(args, "signless", False):
         return UniversalCoefficients.signless_laplacian()
     if getattr(args, "universal", None):
-        parts = [float(x) for x in args.universal.split(",")]
+        parts = _numbers(args.universal.split(","), float, "--universal")
         if len(parts) != 4:
             raise CliError("--universal needs c1,c2,c3,c4")
         return UniversalCoefficients(*parts)
@@ -162,26 +174,29 @@ def _dump_json(data, out: str | None):
     _write(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
 
 
+def _circulant_args(args) -> tuple[int, tuple[int, ...]]:
+    """(M, A_LIST) of --circulant-linegraph as an int and an int tuple."""
+    m, a_list = args.circulant_linegraph
+    m = _numbers([m], int, "--circulant-linegraph M")[0]
+    return m, tuple(_numbers(a_list.split(","), int, "--circulant-linegraph A_LIST"))
+
+
 def _load_source(args):
     """Resolve the object a spectrum/verify command works on."""
     if getattr(args, "johnson_base", None):
-        n, k = (int(x) for x in args.johnson_base)
-        return johnson_base(n, k)
+        return johnson_base(*args.johnson_base)
     if getattr(args, "circulant_linegraph", None):
-        m = int(args.circulant_linegraph[0])
-        a = tuple(int(x) for x in args.circulant_linegraph[1].split(","))
-        return circulant_linegraph_base(m, a)
+        return circulant_linegraph_base(*_circulant_args(args))
     if getattr(args, "token_cayley", None):
         group = parse_group(args.token_cayley)
-        if not args.gens or not args.k:
+        if not args.gens or args.k is None:
             raise CliError("--token-cayley needs --gens and --k")
         gens = parse_generators(group, args.gens)
         reps = parse_representatives(group, args.representatives) if getattr(
             args, "representatives", None) else None
-        return token_base_graph(group, gens, int(args.k), representatives=reps)
+        return token_base_graph(group, gens, args.k, representatives=reps)
     if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.infile)
         if "group" in data:
             return voltage_graph_from_json(data)
         return graph_from_json(data)
@@ -198,16 +213,14 @@ def _brute_force_target(args) -> Graph | None:
     """The graph a constructive base source should lift to, built directly;
     None for a source read from a file."""
     if getattr(args, "johnson_base", None):
-        n, k = (int(x) for x in args.johnson_base)
+        n, k = args.johnson_base
         return token_graph(complete_graph(n), k)
     if getattr(args, "circulant_linegraph", None):
-        m = int(args.circulant_linegraph[0])
-        a = [int(x) for x in args.circulant_linegraph[1].split(",")]
-        return _circulant_line_graph(m, a)
+        return _circulant_line_graph(*_circulant_args(args))
     if getattr(args, "token_cayley", None):
         group = parse_group(args.token_cayley)
         gens = parse_generators(group, args.gens)
-        return token_graph(cayley_graph(group, gens), int(args.k))
+        return token_graph(cayley_graph(group, gens), args.k)
     return None
 
 
@@ -218,28 +231,25 @@ def cmd_generate(args) -> int:
         obj = cayley_graph(group, gens, directed=args.directed)
         data = obj.to_json()
     elif args.kind == "token":
+        if args.k is None:
+            raise CliError("token generation needs --k")
         if args.complete:
-            host = complete_graph(int(args.complete))
-            obj = token_graph(host, int(args.k))
+            obj = token_graph(complete_graph(args.complete), args.k)
         elif args.directed_cycle:
-            host = directed_cycle(int(args.directed_cycle))
-            obj = token_digraph(host, int(args.k))
+            obj = token_digraph(directed_cycle(args.directed_cycle), args.k)
         elif args.infile:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                host = graph_from_json(json.load(fh))
+            host = graph_from_json(_read_json(args.infile))
             if isinstance(host, Graph):
-                obj = token_graph(host, int(args.k))
+                obj = token_graph(host, args.k)
             else:
-                obj = token_digraph(host, int(args.k))
+                obj = token_digraph(host, args.k)
         else:
             raise CliError("token generation needs --complete, --directed-cycle, or --in")
         data = obj.to_json()
     elif args.kind == "lift":
         if not args.infile:
             raise CliError("lift generation needs --in VOLTAGE_JSON")
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            vg = voltage_graph_from_json(json.load(fh))
-        obj = vg.lift()
+        obj = voltage_graph_from_json(_read_json(args.infile)).lift()
         data = obj.to_json()
     elif args.kind == "base":
         obj = _load_source(args)
@@ -270,8 +280,7 @@ def cmd_spectrum(args) -> int:
         if not isinstance(source, VoltageGraph):
             raise CliError("--method irreps needs a voltage graph source")
         if args.irreps:
-            with open(args.irreps, "r", encoding="utf-8") as fh:
-                irreps = representations_from_json(source.group, json.load(fh))
+            irreps = representations_from_json(source.group, _read_json(args.irreps))
         elif isinstance(source.group, AbelianGroup):
             irreps = [Representation.from_character(chi)
                       for chi in enumerate_characters(source.group)]
@@ -299,7 +308,7 @@ def _print(line=""):
 
 
 def cmd_verify(args) -> int:
-    tol = float(args.tol)
+    tol = args.tol
     if args.target == "isomorphism":
         vg = _load_source(args)
         if not isinstance(vg, VoltageGraph):
@@ -333,7 +342,9 @@ def cmd_verify(args) -> int:
         return 1
 
     if args.target == "johnson-closed-form":
-        n, k = int(args.n), int(args.k)
+        n, k = args.n, args.k
+        if n is None or k is None:
+            raise CliError("johnson-closed-form needs --n and --k")
         closed = johnson_spectrum(n, k)
         oracle = direct_spectrum(token_graph(complete_graph(n), k))
         cmp = multiset_equal(closed, oracle, tol)
@@ -348,11 +359,12 @@ def cmd_verify(args) -> int:
 
 def _check_rows(vg: VoltageGraph, table) -> bool:
     rows = per_character_rows(vg)
-    ok = True
+    ok = len(rows) == len(table["rows"])
+    if not ok:
+        _print(f"  {len(rows)} computed rows, {len(table['rows'])} expected  FAIL")
     for (indices, values), (exp_indices, exp_values) in zip(rows, table["rows"]):
         flat = tuple(idx[0] for idx in indices)
-        got = tuple(round(v.real, 9) for v in values)
-        match = flat == exp_indices and all(
+        match = flat == exp_indices and len(values) == len(exp_values) and all(
             abs(v - e) <= table["tol"] for v, e in zip(values, exp_values)
         )
         ok = ok and match
@@ -386,9 +398,11 @@ def cmd_reproduce(args) -> int:
         cells = {chi.index: sorted((complex(v) for v in vals),
                                    key=lambda v: (-v.real, v.imag))
                  for chi, vals in character_spectra(vg)}
+        failed = cells.keys() != ref["grid"].keys()
         for rs, expected in sorted(ref["grid"].items()):
-            got = cells[rs]
-            match = all(abs(v - e) <= ref["tol"] for v, e in zip(got, expected))
+            got = cells.get(rs, [])
+            match = len(got) == len(expected) and all(
+                abs(v - e) <= ref["tol"] for v, e in zip(got, expected))
             shown = ", ".join(f"{v.real:.2f}" for v in got)
             line = (f"  cell {rs}: computed [{shown}]  expected {list(expected)}  "
                     f"{'PASS' if match else 'FAIL'}")
@@ -439,11 +453,11 @@ def cmd_reproduce(args) -> int:
 
 def _add_source_flags(parser, include_graph_in=True):
     parser.add_argument("--johnson-base", "--johnson", dest="johnson_base",
-                        nargs=2, metavar=("N", "K"))
+                        nargs=2, type=int, metavar=("N", "K"))
     parser.add_argument("--circulant-linegraph", nargs=2, metavar=("M", "A_LIST"))
     parser.add_argument("--token-cayley", metavar="GROUP")
     parser.add_argument("--gens", metavar="LIST")
-    parser.add_argument("--k", metavar="K")
+    parser.add_argument("--k", type=int, metavar="K")
     parser.add_argument("--representatives", metavar="SUBSETS")
     if include_graph_in:
         parser.add_argument("--in", dest="infile", metavar="FILE")
@@ -457,8 +471,8 @@ def build_parser() -> _Parser:
     gen.add_argument("kind", choices=["cayley", "token", "lift", "base"])
     gen.add_argument("--group", metavar="GROUP")
     gen.add_argument("--directed", action="store_true")
-    gen.add_argument("--complete", metavar="N")
-    gen.add_argument("--directed-cycle", dest="directed_cycle", metavar="N")
+    gen.add_argument("--complete", type=int, metavar="N")
+    gen.add_argument("--directed-cycle", dest="directed_cycle", type=int, metavar="N")
     gen.add_argument("--out", default="-")
     gen.add_argument("--dot", metavar="FILE")
     gen.add_argument("--adjacency-csv", dest="adjacency_csv", metavar="FILE")
@@ -480,8 +494,8 @@ def build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="check constructions against oracles")
     ver.add_argument("target", choices=["isomorphism", "spectrum-equivalence",
                                         "johnson-closed-form"])
-    ver.add_argument("--n")
-    ver.add_argument("--tol", default="1e-8")
+    ver.add_argument("--n", type=int)
+    ver.add_argument("--tol", type=float, default=1e-8)
     ver.add_argument("--certificate", metavar="FILE")
     _add_source_flags(ver)
     ver.set_defaults(func=cmd_verify)
@@ -510,7 +524,7 @@ def main(argv=None) -> int:
     except VoltliftError as exc:
         sys.stderr.write(f"voltlift: error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or unwritable file
         sys.stderr.write(f"voltlift: error: {exc}\n")
         return 2
 

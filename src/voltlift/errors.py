@@ -42,7 +42,8 @@ class NotFreeAction(VoltliftError):
 
 
 class NotCoprime(VoltliftError):
-    """Necklace representatives require gcd(n, k) = 1."""
+    """johnson_base needs gcd(n, k) = 1; otherwise some k-subset of Z_n is
+    fixed by a nontrivial rotation and the translation action is not free."""
 
 
 class InvalidGenerators(VoltliftError):

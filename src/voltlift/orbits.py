@@ -46,10 +46,6 @@ class KSetDecomposition:
     def num_orbits(self) -> int:
         return len(self.representatives)
 
-    def representative_elements(self, i: int) -> tuple[GroupElement, ...]:
-        els = self.group.elements()
-        return tuple(els[j] for j in self.representatives[i])
-
     def locate(self, subset) -> tuple[int, GroupElement]:
         """Return (representative index i, translator g) with g * rep_i = subset."""
         rep_idx, g_idx = self.orbit_lookup[tuple(sorted(subset))]

@@ -196,18 +196,16 @@ def character_spectra(vg: VoltageGraph,
 
 
 def lift_spectrum(vg: VoltageGraph,
-                  coeffs: UniversalCoefficients | None = None,
-                  grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
+                  coeffs: UniversalCoefficients | None = None) -> Spectrum:
     """Spectrum of the lift as the union of base-matrix spectra over all
     characters; |V(base)| * |Gamma| eigenvalues in total."""
     values: list[complex] = []
     for _, vals in character_spectra(vg, coeffs):
         values.extend(vals)
-    return Spectrum.group(values, grouping_tol)
+    return Spectrum.group(values)
 
 
-def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation],
-                 grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
+def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation]) -> Spectrum:
     """Union over irreps rho of d_rho copies of spec(rho applied to the base
     matrix); with a complete irrep list this is the lift spectrum."""
     defect = irreps_completeness_defect(vg.group, irreps)
@@ -228,17 +226,16 @@ def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation],
         raise IncompleteIrreps(
             f"irreps yield {len(values)} eigenvalues, expected {expected}"
         )
-    return Spectrum.group(values, grouping_tol)
+    return Spectrum.group(values)
 
 
 def direct_spectrum(graph: Graph | Digraph,
-                    coeffs: UniversalCoefficients | None = None,
-                    grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
+                    coeffs: UniversalCoefficients | None = None) -> Spectrum:
     """Brute-force spectrum of the universal matrix (adjacency by default)."""
     coeffs = coeffs or UniversalCoefficients.adjacency()
     if graph.n > MAX_DIMENSION:
         raise DimensionTooLarge(f"{graph.n} vertices exceed the {MAX_DIMENSION} cap")
-    return Spectrum.group(eigenvalues(graph.universal_matrix(coeffs)), grouping_tol)
+    return Spectrum.group(eigenvalues(graph.universal_matrix(coeffs)))
 
 
 def johnson_spectrum(n: int, k: int) -> Spectrum:

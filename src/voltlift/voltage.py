@@ -21,7 +21,6 @@ import numpy as np
 from .algebra import (
     AbelianGroup,
     Character,
-    GroupAlgebraElement,
     GroupElement,
     Representation,
     group_from_json,
@@ -39,8 +38,52 @@ from .graphs import (
 )
 
 
+def _entry_str(group, entry: dict[int, int]) -> str:
+    """Render an entry with z (or z1..zr) monomials, symmetric exponents.
+
+    Exponents are reduced to the symmetric residue range so that, e.g.,
+    voltage 3 over Z5 prints as 1/z^2.  Generic groups print g<index> terms.
+    """
+    if not entry:
+        return "0"
+    if not isinstance(group, AbelianGroup):
+        return " + ".join((f"{c}*g{g}" if c != 1 else f"g{g}")
+                          for g, c in sorted(entry.items()))
+    els = group.elements()
+    names = ["z"] if group.rank == 1 else [f"z{i+1}" for i in range(group.rank)]
+    parts = []
+    for g, coeff in entry.items():
+        sym = tuple(x if x <= n // 2 else x - n for x, n in zip(els[g].key, group.orders))
+        parts.append((sum(abs(e) for e in sym), sym, coeff))
+    parts.sort(key=lambda p: (p[0], p[1]))
+    rendered = []
+    for _, sym, coeff in parts:
+        num, den = [], []
+        for nm, e in zip(names, sym):
+            if e > 0:
+                num.append(nm if e == 1 else f"{nm}^{e}")
+            elif e < 0:
+                den.append(nm if e == -1 else f"{nm}^{-e}")
+        body = "*".join(num)
+        if den:
+            body = (body or "1") + "/" + "/".join(den)
+        if not body:
+            body = "1"
+        if coeff == 1 and body != "1":
+            rendered.append(body)
+        elif body == "1":
+            rendered.append(str(coeff))
+        else:
+            rendered.append(f"{coeff}*{body}")
+    return " + ".join(rendered)
+
+
 class BaseMatrix:
-    """Square matrix of group-algebra elements indexed by base vertices."""
+    """Square matrix over the group algebra indexed by base vertices.
+
+    Entry (u, v) is a dict mapping a voltage's element index to the number
+    of arcs u -> v carrying it; an empty dict is zero.
+    """
 
     def __init__(self, group, labels, entries):
         self.group = group
@@ -55,30 +98,35 @@ class BaseMatrix:
         return len(self.labels)
 
     def evaluate(self, chi: Character) -> np.ndarray:
-        """Entrywise evaluation at a character; complex |V| x |V| matrix."""
+        """Entrywise evaluation at a character; complex |V| x |V| matrix.
+
+        Each entry sums count * chi(g) from 0j, in the order its voltages
+        first occur among the arcs."""
         if chi.group != self.group:
             raise MismatchedGroups("character group differs from base matrix group")
+        values = chi.values().tolist()
         out = np.zeros((self.n, self.n), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
-                if not entry.is_zero:
-                    out[i, j] = entry.evaluate(chi)
+                if entry:
+                    out[i, j] = sum((c * values[g] for g, c in entry.items()), complex(0))
         return out
 
     def apply_representation(self, rho: Representation) -> np.ndarray:
         """Block matrix with block (u, v) = sum coeff * rho(g); d*|V| square."""
         if rho.group != self.group:
             raise MismatchedGroups("representation group differs from base matrix group")
+        els = self.group.elements()
         d = rho.dimension
         out = np.zeros((d * self.n, d * self.n), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
-                for el, coeff in entry.terms.items():
-                    out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coeff * rho.matrix(el)
+                for g, coeff in entry.items():
+                    out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coeff * rho.matrix(els[g])
         return out
 
     def __str__(self) -> str:
-        cells = [[entry.monomial_str() for entry in row] for row in self.entries]
+        cells = [[_entry_str(self.group, entry) for entry in row] for row in self.entries]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join("  ".join(c.ljust(width) for c in row).rstrip() for row in cells)
 
@@ -162,11 +210,11 @@ class VoltageGraph:
         return Graph(digraph, partners.ravel().tolist())
 
     def base_matrix(self) -> BaseMatrix:
-        """Entry (u, v) sums the voltages of all arcs u -> v."""
-        zero = GroupAlgebraElement.zero(self.group)
-        entries = [[zero for _ in range(self.n)] for _ in range(self.n)]
+        """Entry (u, v) counts the arcs u -> v by voltage index."""
+        entries = [[{} for _ in range(self.n)] for _ in range(self.n)]
         for (u, v), w in zip(self.digraph.arcs, self.voltages):
-            entries[u][v] = entries[u][v] + GroupAlgebraElement.from_element(w)
+            g = w.index
+            entries[u][v][g] = entries[u][v].get(g, 0) + 1
         return BaseMatrix(self.group, self.digraph.labels, entries)
 
     def character_matrix(self, chi: Character,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from voltlift import AbelianGroup, Digraph, GenericGroup, VoltageGraph
 
@@ -10,6 +11,11 @@ GROUP_CHOICES = [
     (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (12,), (24,),
     (2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2), (2, 12), (4, 3),
 ]
+
+
+def entry(group, *keys) -> dict[int, int]:
+    """The base-matrix entry {voltage index: arc count} of one arc per key."""
+    return dict(Counter(group.element(key).index for key in keys))
 
 
 def random_voltage_graph(rng: random.Random) -> VoltageGraph:

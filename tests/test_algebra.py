@@ -1,8 +1,7 @@
-"""Group arithmetic, group-algebra elements, characters, representations."""
+"""Group arithmetic, characters, base-matrix entries, representations."""
 
 import cmath
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +11,10 @@ from voltlift import (
     AbelianGroup,
     Character,
     GenericGroup,
-    GroupAlgebraElement,
     IncompleteRepresentation,
     MismatchedGroups,
     Representation,
+    VoltageGraph,
     VoltliftError,
     check_representation,
     enumerate_characters,
@@ -30,8 +29,10 @@ Z7 = AbelianGroup(7)
 Z33 = AbelianGroup(3, 3)
 
 
-def mono(group, key, coeff=1):
-    return GroupAlgebraElement.from_element(group.element(key), coeff)
+def loops(group, voltages):
+    """Base matrix of one vertex with one loop arc per voltage."""
+    arcs = [(0, 0, w) for w in voltages]
+    return VoltageGraph.directed_from_arcs(group, [0], arcs).base_matrix()
 
 
 def test_group_op_z5():
@@ -94,29 +95,6 @@ def test_group_json_round_trip():
         assert again == group
 
 
-def test_algebra_add():
-    a = mono(Z5, 1) + mono(Z5, -1)
-    b = mono(Z5, 1, -1)
-    assert a + b == mono(Z5, -1)
-
-
-def test_algebra_mul_wraparound():
-    assert mono(Z5, 1) * mono(Z5, 4) == GroupAlgebraElement.one(Z5)
-
-
-def test_algebra_mul_expansion_z7():
-    left = GroupAlgebraElement.one(Z7) + mono(Z7, 1)
-    right = GroupAlgebraElement.one(Z7) + mono(Z7, -1)
-    expected = mono(Z7, -1) + mono(Z7, 0, 2) + mono(Z7, 1)
-    assert left * right == expected
-
-
-def test_algebra_drops_zero_coefficients():
-    a = mono(Z5, 2) - mono(Z5, 2)
-    assert a.is_zero
-    assert a.terms == {}
-
-
 def test_enumerate_characters_counts():
     assert len(enumerate_characters(Z5)) == 5
     assert len(enumerate_characters(Z33)) == 9
@@ -130,40 +108,35 @@ def test_enumerate_characters_order():
 
 
 def test_evaluate_trivial_character():
-    p = mono(Z5, 1) + mono(Z5, -1)
-    chi0 = Character(Z5, 0)
-    assert p.evaluate(chi0) == pytest.approx(2.0)
+    vg = VoltageGraph.undirected_from_edges(Z5, [0], [(0, 0, 1)])
+    m = vg.base_matrix().evaluate(Character(Z5, 0))
+    assert m.shape == (1, 1)
+    assert m[0, 0] == pytest.approx(2.0)
 
 
 def test_evaluate_primitive_character():
-    p = mono(Z5, 2) + mono(Z5, -2)
-    chi = Character(Z5, 1)
-    assert p.evaluate(chi) == pytest.approx(2 * math.cos(4 * math.pi / 5), abs=1e-12)
+    vg = VoltageGraph.undirected_from_edges(Z5, [0], [(0, 0, 2)])
+    m = vg.base_matrix().evaluate(Character(Z5, 1))
+    assert m[0, 0] == pytest.approx(2 * math.cos(4 * math.pi / 5), abs=1e-12)
 
 
 def test_evaluate_row_entry_at_trivial():
-    p = (GroupAlgebraElement.one(Z5) + mono(Z5, 1) + mono(Z5, -1) + mono(Z5, -2))
-    assert p.evaluate(Character(Z5, 0)) == pytest.approx(4.0)
+    vg = VoltageGraph.directed_from_arcs(
+        Z5, ["u", "v"], [(0, 1, 0), (0, 1, 1), (0, 1, -1), (0, 1, -2)]
+    )
+    m = vg.base_matrix().evaluate(Character(Z5, 0))
+    assert m[0, 1] == pytest.approx(4.0)
+    assert m[0, 0] == m[1, 0] == m[1, 1] == 0
 
 
 def test_evaluate_is_multiplicative():
-    rng = random.Random(7)
+    # chi(g h) = chi(g) chi(h) on every pair, for every character
     for group in (Z5, Z33, AbelianGroup(2, 4)):
         els = group.elements()
-        chars = enumerate_characters(group)
-        for _ in range(20):
-            p = GroupAlgebraElement(
-                group,
-                {els[rng.randrange(len(els))]: rng.randint(-3, 3) for _ in range(3)},
-            )
-            q = GroupAlgebraElement(
-                group,
-                {els[rng.randrange(len(els))]: rng.randint(-3, 3) for _ in range(3)},
-            )
-            chi = chars[rng.randrange(len(chars))]
-            assert (p * q).evaluate(chi) == pytest.approx(
-                p.evaluate(chi) * q.evaluate(chi), abs=1e-12
-            )
+        for chi in enumerate_characters(group):
+            for g in els:
+                for h in els:
+                    assert chi(g * h) == pytest.approx(chi(g) * chi(h), abs=1e-12)
 
 
 def test_character_orthogonality():
@@ -176,16 +149,14 @@ def test_character_orthogonality():
                 assert abs(total) < 1e-10
 
 
-def test_inverse_image():
-    p = mono(Z5, 1) + mono(Z5, 2, 3)
-    assert p.inverse_image() == mono(Z5, 4) + mono(Z5, 3, 3)
-
-
 def test_monomial_rendering():
-    p = GroupAlgebraElement.one(Z5) + mono(Z5, 1) + mono(Z5, -1) + mono(Z5, -2)
-    assert p.monomial_str() == "1 + 1/z + z + 1/z^2"
-    q = mono(Z33, (1, 0)) + mono(Z33, (1, 2))
-    assert q.monomial_str() == "z1 + z1/z2"
+    assert str(loops(Z5, [0, 1, -1, -2])) == "1 + 1/z + z + 1/z^2"
+    assert str(loops(Z33, [(1, 0), (1, 2)])) == "z1 + z1/z2"
+    # parallel arcs with one voltage count as a coefficient
+    assert str(loops(Z5, [2, 2, 0, 0, 0])) == "3 + 2*z^2"
+    assert str(loops(GenericGroup.from_group(Z5), [3, 1, 3])) == "g1 + 2*g3"
+    empty = VoltageGraph.directed_from_arcs(Z5, [0, 1], [(0, 1, 1)]).base_matrix()
+    assert str(empty).splitlines() == ["0  z", "0  0"]
 
 
 def test_trivial_representation_passes():

@@ -189,6 +189,58 @@ def test_exit_code_2_on_bad_params(capsys):
     assert run(capsys, "generate", "token", "--complete", "5", "--k", "9")[0] == 2
 
 
+MALFORMED = {
+    "k-not-int": ["spectrum", "--token-cayley", "Z5", "--gens", "1", "--k", "x"],
+    "universal-not-float": ["spectrum", "--johnson", "5", "2", "--universal", "1,a,0,0"],
+    "representative-not-int": ["spectrum", "--token-cayley", "Z5", "--gens", "1",
+                               "--k", "2", "--representatives", "0a/02/03"],
+    "generator-not-int": ["spectrum", "--token-cayley", "Z5", "--gens", "1,b", "--k", "2"],
+    "circulant-not-int": ["spectrum", "--circulant-linegraph", "12", "2,x"],
+    "tol-not-float": ["verify", "spectrum-equivalence", "--johnson", "5", "2", "--tol", "x"],
+    "n-missing": ["verify", "johnson-closed-form", "--k", "3"],
+    "token-k-missing": ["generate", "token", "--complete", "5"],
+    "truncated-json": ["spectrum", "--in", "TRUNCATED"],
+    "in-is-a-directory": ["spectrum", "--in", "TMPDIR"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"vertices": [0, 1')
+    paths = {"TRUNCATED": str(truncated), "TMPDIR": str(tmp_path)}
+    argv = [paths.get(a, a) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("voltlift: error:")
+
+
+def test_check_rows_fails_on_missing_rows_and_values(capsys):
+    from voltlift import johnson_base, reference
+    from voltlift.cli import _check_rows
+
+    vg = johnson_base(5, 2)
+    table = reference.TABLE_T1
+    assert _check_rows(vg, table)
+    extra_row = {**table, "rows": table["rows"] + [((9,), (0.0,))]}
+    assert not _check_rows(vg, extra_row)
+    first, *rest = table["rows"]
+    extra_value = {**table, "rows": [(first[0], first[1] + (5.0,)), *rest]}
+    assert not _check_rows(vg, extra_value)
+
+
+def test_reproduce_t5_fails_a_cell_with_an_extra_expected_value(capsys, monkeypatch):
+    from voltlift import reference
+
+    grid = dict(reference.TABLE_T5["grid"])
+    grid[(1, 1)] = grid[(1, 1)] + (9.0,)
+    monkeypatch.setitem(reference.TABLE_T5, "grid", grid)
+    code, out, _ = run(capsys, "reproduce", "t5")
+    assert code == 1
+    line = next(x for x in out.splitlines() if x.startswith("  cell (1, 1):"))
+    assert "PASS" not in line and "  FAIL" in line
+
+
 def test_exit_code_3_on_numeric_limit(capsys, tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps(
