@@ -99,6 +99,7 @@ class AbelianGroup:
             acc *= n
         self._strides = tuple(reversed(strides))
         self._elements: tuple[GroupElement, ...] | None = None
+        self._mul: np.ndarray | None = None
 
     is_abelian = True
 
@@ -136,6 +137,19 @@ class AbelianGroup:
     def index_of(self, el: GroupElement) -> int:
         _require_same_group(el.group, self)
         return sum(c * s for c, s in zip(el.key, self._strides))
+
+    def mul_table(self) -> np.ndarray:
+        """Read-only (|G|, |G|) array: mul[a, b] = index(elements[a] * elements[b]).
+
+        Built once from the residues, one cyclic factor at a time."""
+        if self._mul is None:
+            coords = np.unravel_index(np.arange(self.size), self.orders)
+            mul = np.zeros((self.size, self.size), dtype=np.intp)
+            for c, n, stride in zip(coords, self.orders, self._strides):
+                mul += (np.add.outer(c, c) % n) * stride
+            mul.flags.writeable = False
+            self._mul = mul
+        return self._mul
 
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
@@ -204,6 +218,7 @@ class GenericGroup:
         self._check_associativity()
         self._elements = tuple(GroupElement(self, i) for i in range(n))
         self._is_abelian: bool | None = None
+        self._mul: np.ndarray | None = None
 
     def _check_associativity(self):
         n = self.size
@@ -253,6 +268,15 @@ class GenericGroup:
         _require_same_group(el.group, self)
         return el.key
 
+    def mul_table(self) -> np.ndarray:
+        """Read-only (|G|, |G|) array: mul[a, b] = index(elements[a] * elements[b]),
+        the multiplication table itself."""
+        if self._mul is None:
+            mul = np.array(self._table, dtype=np.intp)
+            mul.flags.writeable = False
+            self._mul = mul
+        return self._mul
+
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
         _require_same_group(b.group, self)
@@ -299,12 +323,6 @@ def group_from_json(data: Mapping) -> AbelianGroup | GenericGroup:
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
         return GenericGroup(rows, name=data.get("name"))
     raise VoltliftError("unrecognized group JSON (need 'orders' or 'size'+'table')")
-
-
-def right_translation(group, w: GroupElement) -> np.ndarray:
-    """Right translation by w as an index map: out[i] = index(elements[i] * w)."""
-    return np.fromiter((group.index_of(g * w) for g in group.elements()),
-                       dtype=np.intp, count=group.size)
 
 
 class Character:

@@ -197,7 +197,7 @@ def _load_source(args):
         return token_base_graph(group, gens, args.k, representatives=reps)
     if getattr(args, "infile", None):
         data = _read_json(args.infile)
-        if "group" in data:
+        if isinstance(data, dict) and "group" in data:
             return voltage_graph_from_json(data)
         return graph_from_json(data)
     raise CliError("no input source given")

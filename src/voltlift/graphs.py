@@ -55,22 +55,39 @@ class UniversalCoefficients:
         return cls(-2.0, 0.0, -1.0, 1.0)
 
 
-class Digraph:
-    """Ordered vertices with a multiset of arcs (tail index, head index)."""
+def _arc_rows(arcs, n: int) -> np.ndarray:
+    """The arcs as a read-only (A, 2) intp array of (tail, head) rows, each
+    index in range(n); raises for the first malformed or out-of-range arc."""
+    rows = arcs if isinstance(arcs, np.ndarray) else list(arcs)
+    try:
+        a = np.array(rows, dtype=np.intp)
+    except (ValueError, OverflowError):
+        a = None  # ragged rows, or an entry that is not a machine integer
+    if a is not None and a.shape == (0,):
+        a = np.empty((0, 2), dtype=np.intp)
+    if a is None or a.ndim != 2 or a.shape[1] != 2:
+        for row in rows:
+            tail, head = map(int, row)  # Python's own error for the first bad row
+        raise VoltliftError(f"arcs must be (tail, head) integer rows in vertex range 0..{n-1}")
+    bad = np.flatnonzero(((a < 0) | (a >= n)).any(axis=1))
+    if bad.size:
+        tail, head = a[bad[0]].tolist()
+        raise VoltliftError(f"arc ({tail},{head}) out of vertex range 0..{n-1}")
+    a.flags.writeable = False
+    return a
 
-    def __init__(self, labels: Sequence, arcs: Sequence[tuple[int, int]]):
+
+class Digraph:
+    """Ordered vertices with a multiset of arcs (tail index, head index).
+
+    The arcs are held as one read-only (A, 2) integer array."""
+
+    def __init__(self, labels: Sequence, arcs: Sequence[tuple[int, int]] | np.ndarray):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise VoltliftError("vertex labels must be unique")
-        n = len(labels)
-        checked = []
-        for tail, head in arcs:
-            tail, head = int(tail), int(head)
-            if not (0 <= tail < n and 0 <= head < n):
-                raise VoltliftError(f"arc ({tail},{head}) out of vertex range 0..{n-1}")
-            checked.append((tail, head))
+        self._arcs = _arc_rows(arcs, len(labels))
         self.labels = labels
-        self.arcs = tuple(checked)
         self.label_index = {label: i for i, label in enumerate(labels)}
 
     @property
@@ -79,23 +96,27 @@ class Digraph:
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return len(self._arcs)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """The arcs as (tail, head) tuples, built from the array on each call."""
+        return tuple(map(tuple, self._arcs.tolist()))
 
     def out_degrees(self) -> list[int]:
-        degs = [0] * self.n
-        for tail, _ in self.arcs:
-            degs[tail] += 1
-        return degs
+        return np.bincount(self._arcs[:, 0], minlength=self.n).tolist()
 
     def arc_array(self) -> np.ndarray:
-        """The arcs as an (arc_count, 2) integer array of (tail, head) rows."""
-        return np.array(self.arcs, dtype=np.intp).reshape(-1, 2)
+        """The arcs as the stored read-only (arc_count, 2) array of (tail, head) rows."""
+        return self._arcs
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        arcs = self.arc_array()
-        np.add.at(a, (arcs[:, 0], arcs[:, 1]), 1.0)
-        return a
+        n = self.n
+        tails, heads = self._arcs.T
+        # float weights make bincount count straight into a float array (sums
+        # of ones stay exact); with no arcs it returns integer zeros
+        counts = np.bincount(tails * n + heads, weights=np.ones(len(tails)), minlength=n * n)
+        return counts.reshape(n, n).astype(float, copy=False)
 
     def universal_matrix(self, coeffs: UniversalCoefficients) -> np.ndarray:
         """c1*A + c2*D + c3*I + c4*J, with D the out-degree diagonal.
@@ -113,7 +134,7 @@ class Digraph:
     def to_json(self) -> dict:
         return {
             "vertices": [_label_to_json(label) for label in self.labels],
-            "arcs": [[tail, head] for tail, head in self.arcs],
+            "arcs": self._arcs.tolist(),
             "undirected": False,
         }
 
@@ -121,7 +142,7 @@ class Digraph:
         lines = [f"digraph {name} {{"]
         for label in self.labels:
             lines.append(f'  "{_label_str(label)}";')
-        for tail, head in self.arcs:
+        for tail, head in self._arcs.tolist():
             lines.append(
                 f'  "{_label_str(self.labels[tail])}" -> "{_label_str(self.labels[head])}";'
             )
@@ -133,32 +154,41 @@ class Digraph:
 
 
 class Graph:
-    """A digraph whose arcs pair into digons; the pairing is involutive."""
+    """A digraph whose arcs pair into digons; the pairing is involutive.
 
-    def __init__(self, digraph: Digraph, pairing: Sequence[int]):
-        pairing = tuple(int(p) for p in pairing)
-        arcs = digraph.arcs
-        if len(pairing) != len(arcs):
+    The pairing is held as a read-only integer array: arc i pairs with arc
+    pairing[i]."""
+
+    def __init__(self, digraph: Digraph, pairing: Sequence[int] | np.ndarray):
+        pairing = np.array(pairing, dtype=np.intp)
+        arcs = digraph.arc_array()
+        count = len(arcs)
+        if pairing.shape != (count,):
             raise InvalidPairing("pairing length differs from arc count")
-        for i, j in enumerate(pairing):
-            if not 0 <= j < len(arcs) or pairing[j] != i or j == i:
+        own = np.arange(count)
+        # an out-of-range partner is replaced by the arc itself, which is unmatched
+        partner = np.where((pairing >= 0) & (pairing < count), pairing, own)
+        unmatched = (partner == own) | (pairing[partner] != own)
+        unreversed = (arcs[partner] != arcs[:, ::-1]).any(axis=1) & ~unmatched
+        bad = np.flatnonzero(unmatched | unreversed)
+        if bad.size:
+            i = int(bad[0])
+            if unmatched[i]:
                 raise InvalidPairing(f"pairing is not an involutive perfect matching at arc {i}")
-            if arcs[j] != (arcs[i][1], arcs[i][0]):
-                raise InvalidPairing(f"arcs {i} and {j} are not mutually reversed")
+            raise InvalidPairing(f"arcs {i} and {pairing[i]} are not mutually reversed")
+        pairing.flags.writeable = False
         self.digraph = digraph
-        self.pairing = pairing
+        self._pairing = pairing
 
     @classmethod
-    def from_edges(cls, labels: Sequence, edges: Sequence[tuple[int, int]]) -> "Graph":
-        """Build from an edge multiset; every edge becomes a digon pair."""
-        arcs = []
-        pairing = []
-        for u, v in edges:
-            i = len(arcs)
-            arcs.append((u, v))
-            arcs.append((v, u))
-            pairing.extend([i + 1, i])
-        return cls(Digraph(labels, arcs), pairing)
+    def from_edges(cls, labels: Sequence,
+                   edges: Sequence[tuple[int, int]] | np.ndarray) -> "Graph":
+        """Build from an edge multiset; edge e becomes the digon of arcs 2e
+        (its stored direction) and 2e + 1 (the reverse)."""
+        labels = tuple(labels)
+        edges = _arc_rows(edges, len(labels))
+        arcs = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)
+        return cls(Digraph(labels, arcs), np.arange(len(arcs)) ^ 1)
 
     @property
     def labels(self):
@@ -172,23 +202,30 @@ class Graph:
     def n(self) -> int:
         return self.digraph.n
 
+    @property
+    def pairing(self) -> tuple[int, ...]:
+        """The pairing as a tuple, built from the array on each call."""
+        return tuple(self._pairing.tolist())
+
+    def edge_array(self) -> np.ndarray:
+        """One (tail, head) row per digon pair, in first-arc order."""
+        arcs = self.digraph.arc_array()
+        return arcs[self._pairing > np.arange(len(arcs))]
+
     def edges(self) -> list[tuple[int, int]]:
         """One (tail, head) per digon pair, in first-arc order."""
-        return [
-            self.digraph.arcs[i]
-            for i, j in enumerate(self.pairing)
-            if i < j
-        ]
+        return list(map(tuple, self.edge_array().tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.digraph.arcs) // 2
+        return self.digraph.arc_count // 2
 
     def degrees(self) -> list[int]:
         return self.digraph.out_degrees()
 
     def has_loops(self) -> bool:
-        return any(tail == head for tail, head in self.digraph.arcs)
+        arcs = self.digraph.arc_array()
+        return bool((arcs[:, 0] == arcs[:, 1]).any())
 
     def adjacency_matrix(self) -> np.ndarray:
         return self.digraph.adjacency_matrix()
@@ -242,12 +279,44 @@ def match_digon_pairing(arcs: Sequence[tuple[int, int]], voltages=None) -> list[
     return pairing
 
 
+_JSON_KINDS = {list: "list", dict: "object", int: "integer"}
+
+
+def _json_field(data, name: str, kinds: tuple, what: str):
+    """data[name], where data must be a JSON object and the field one of the
+    given JSON kinds; a VoltliftError naming the field otherwise."""
+    if not isinstance(data, dict):
+        raise VoltliftError(f"{what} must be an object, got {type(data).__name__}")
+    if name not in data:
+        raise VoltliftError(f"{what} has no '{name}' field")
+    value = data[name]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+        raise VoltliftError(f"{what} field '{name}' is a {type(value).__name__}, "
+                            f"expected {expected}")
+    return value
+
+
+def _json_indices(values, where: str) -> list:
+    """values, if every one is a JSON integer; a VoltliftError otherwise."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise VoltliftError(f"{where} has a non-integer index {value!r}")
+    return values
+
+
 def graph_from_json(data: dict) -> Graph | Digraph:
-    labels = tuple(_label_from_json(label) for label in data["vertices"])
-    arcs = [(int(t), int(h)) for t, h in data["arcs"]]
+    what = "graph JSON"
+    labels = tuple(_label_from_json(label)
+                   for label in _json_field(data, "vertices", (list,), what))
+    arcs = _json_field(data, "arcs", (list,), what)
+    for i, row in enumerate(arcs):
+        if not isinstance(row, list) or len(row) != 2:
+            raise VoltliftError(f"{what} arcs[{i}] must be [tail, head], got {row!r}")
+        _json_indices(row, f"{what} arcs[{i}]")
     digraph = Digraph(labels, arcs)
     if data.get("undirected"):
-        return Graph(digraph, match_digon_pairing(arcs))
+        return Graph(digraph, match_digon_pairing(digraph.arcs))
     return digraph
 
 
@@ -321,19 +390,20 @@ def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
     """Cayley graph of `group` with connection set `gens` (arc g -> g*s).
 
     Vertices follow the group's canonical enumeration; labels are element
-    keys.  The undirected variant requires an inverse-closed connection set.
+    keys.  Arc g*|S| + j is g -> g*s_j.  The undirected variant requires an
+    inverse-closed connection set.
     """
     gens = _validate_connection_set(group, gens, directed)
-    els = group.elements()
-    labels = [el.key for el in els]
-    arcs = []
-    for i, g in enumerate(els):
-        for s in gens:
-            arcs.append((i, group.index_of(g * s)))
-    digraph = Digraph(labels, arcs)
+    labels = [el.key for el in group.elements()]
+    heads = group.mul_table()[:, [s.index for s in gens]]
+    tails = np.repeat(np.arange(group.size), len(gens))
+    digraph = Digraph(labels, np.stack([tails, heads.ravel()], axis=1))
     if directed:
         return digraph
-    return Graph(digraph, match_digon_pairing(arcs))
+    # g -> g*s pairs with g*s -> g, the arc of g*s along s^-1; S has no
+    # repeats, so that is the only reverse arc
+    inverse_position = np.array([gens.index(s.inverse()) for s in gens], dtype=np.intp)
+    return Graph(digraph, (heads * len(gens) + inverse_position).ravel())
 
 
 def line_graph(graph: Graph) -> Graph:

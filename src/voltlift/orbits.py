@@ -16,10 +16,11 @@ same code serves abelian and table-defined groups.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .algebra import AbelianGroup, GroupElement
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
@@ -63,18 +64,17 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     els = group.elements()
-    # perms[g][i] = index of elements[g] * elements[i]
-    perms = [[group.index_of(g * x) for x in els] for g in els]
+    mul = group.mul_table()
     reps: list[tuple[int, ...]] = []
     lookup: dict[tuple[int, ...], tuple[int, int]] = {}
     for subset in combinations(range(n), k):
         if subset in lookup:
             continue
+        # row g is the sorted subset elements[g] * subset
+        translates = np.sort(mul[:, subset], axis=1).tolist()
         orbit: dict[tuple[int, ...], int] = {}
-        for g_idx, perm in enumerate(perms):
-            translated = tuple(sorted(perm[i] for i in subset))
-            if translated not in orbit:
-                orbit[translated] = g_idx
+        for g_idx, translated in enumerate(map(tuple, translates)):
+            orbit.setdefault(translated, g_idx)
         if len(orbit) != n:
             raise NotFreeAction(
                 f"orbit of {subset} has {len(orbit)} < {n} elements; action is not free",
@@ -123,14 +123,14 @@ def token_base_graph(group, gens, k: int, representatives=None,
     """
     gens = _validate_connection_set(group, gens, directed)
     dec = k_set_decomposition(group, k, representatives)
-    els = group.elements()
+    # steps[i][t] = index of elements[i] * gens[t]
+    steps = group.mul_table()[:, [s.index for s in gens]].tolist()
     arcs = []
     voltages = []
     for rep_idx, rep in enumerate(dec.representatives):
         occupied = set(rep)
         for i in rep:
-            for s in gens:
-                j = group.index_of(els[i] * s)
+            for j in steps[i]:
                 if j in occupied:
                     continue
                 moved = tuple(sorted(occupied - {i} | {j}))
@@ -233,58 +233,56 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph) -> Iso
     els = group.elements()
     m = len(els)
     target_digraph = target.digraph if isinstance(target, Graph) else target
+    n = target_digraph.n
 
-    images = [
-        tuple(sorted(group.index_of(g * els[i]) for i in label))
-        for label in vg.digraph.labels
-        for g in els
-    ]
-    if len(images) != target_digraph.n:
-        return IsomorphismResult(
-            False, detail=f"lift has {len(images)} vertices, target {target_digraph.n}"
-        )
-    seen = set()
-    for pos, img in enumerate(images):
-        if img not in target_digraph.label_index:
+    # row rep*m + g: the sorted indices of elements[g] * rep
+    reps = np.array(vg.digraph.labels, dtype=np.intp)
+    translates = np.sort(group.mul_table()[:, reps], axis=-1).swapaxes(0, 1)
+    images = list(map(tuple, translates.reshape(len(reps) * m, reps.shape[-1]).tolist()))
+    if len(images) != n:
+        return IsomorphismResult(False, detail=f"lift has {len(images)} vertices, target {n}")
+    index = target_digraph.label_index
+    where = np.fromiter((index.get(img, -1) for img in images), dtype=np.intp, count=n)
+    missing = where < 0
+    if missing.any() or np.bincount(where[~missing], minlength=n).max(initial=0) > 1:
+        # the first position that misses the target or repeats an earlier image
+        order = np.argsort(where, kind="stable")
+        repeated = np.zeros(n, dtype=bool)
+        repeated[order[1:]] = where[order[1:]] == where[order[:-1]]
+        pos = int(np.flatnonzero(missing | repeated)[0])
+        if missing[pos]:
             base_label = vg.digraph.labels[pos // m]
             return IsomorphismResult(
                 False,
-                detail=f"({base_label}, {els[pos % m].key}) maps to {img}, not a target vertex",
+                detail=f"({base_label}, {els[pos % m].key}) maps to {images[pos]}, "
+                       "not a target vertex",
             )
-        if img in seen:
-            return IsomorphismResult(False, detail=f"map hits target vertex {img} twice")
-        seen.add(img)
+        return IsomorphismResult(False, detail=f"map hits target vertex {images[pos]} twice")
 
     lift = vg.lift()
     lift_digraph = lift.digraph if isinstance(lift, Graph) else lift
-    mapped_arcs = Counter(
-        (images[t], images[h]) for t, h in lift_digraph.arcs
-    )
-    target_arcs = Counter(
-        (target_digraph.labels[t], target_digraph.labels[h])
-        for t, h in target_digraph.arcs
-    )
-    if mapped_arcs != target_arcs:
-        for arc, count in mapped_arcs.items():
-            if target_arcs.get(arc, 0) != count:
+    # arc t -> h as the int64 key t*n + h; lift arcs go through the vertex map
+    mapped_arcs = where[lift_digraph.arc_array()]
+    target_arcs = target_digraph.arc_array()
+    mapped = mapped_arcs[:, 0].astype(np.int64) * n + mapped_arcs[:, 1]
+    direct = target_arcs[:, 0].astype(np.int64) * n + target_arcs[:, 1]
+    if not np.array_equal(np.sort(mapped), np.sort(direct)):
+        # report the first arc, in arc order, whose multiplicity differs
+        keys, which = np.unique(np.concatenate([mapped, direct]), return_inverse=True)
+        arcs_of = {"mapped lift": which[:len(mapped)], "target": which[len(mapped):]}
+        count = {side: np.bincount(w, minlength=len(keys)) for side, w in arcs_of.items()}
+        differ = count["mapped lift"] != count["target"]
+        for side, other in (("mapped lift", "target"), ("target", "mapped lift")):
+            bad = np.flatnonzero(differ[arcs_of[side]])
+            if bad.size:
+                key = arcs_of[side][bad[0]]
+                t, h = divmod(int(keys[key]), n)
                 return IsomorphismResult(
                     False,
                     detail=(
-                        f"arc {arc[0]} -> {arc[1]} has multiplicity {count} in the "
-                        f"mapped lift but {target_arcs.get(arc, 0)} in the target"
+                        f"arc {target_digraph.labels[t]} -> {target_digraph.labels[h]} has "
+                        f"multiplicity {count[side][key]} in the {side} but "
+                        f"{count[other][key]} in the {other}"
                     ),
                 )
-        for arc, count in target_arcs.items():
-            if mapped_arcs.get(arc, 0) != count:
-                return IsomorphismResult(
-                    False,
-                    detail=(
-                        f"arc {arc[0]} -> {arc[1]} has multiplicity {count} in the "
-                        f"target but {mapped_arcs.get(arc, 0)} in the mapped lift"
-                    ),
-                )
-    vertex_map = tuple(
-        ((vg.digraph.labels[pos // m], els[pos % m].key), images[pos])
-        for pos in range(len(images))
-    )
-    return IsomorphismResult(True, vertex_map=vertex_map)
+    return IsomorphismResult(True, vertex_map=tuple(zip(lift_digraph.labels, images)))

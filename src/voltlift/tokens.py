@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import KOutOfRange
+import numpy as np
+
+from .errors import KOutOfRange, VoltliftError
 from .graphs import Digraph, Graph
 
 
@@ -20,30 +22,41 @@ def token_configs(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), k))
 
 
-def _token_moves(arcs, configs) -> list[tuple[int, int]]:
-    """(config index, moved config index) for every token sliding along one
-    of the arcs (u, v) onto an unoccupied head, arc-major then config order."""
-    index = {c: i for i, c in enumerate(configs)}
-    moves = []
-    for u, v in arcs:
-        if u == v:
-            continue  # a token cannot slide along a loop
-        for c in configs:
-            if u in c and v not in c:
-                moved = tuple(sorted(set(c) - {u} | {v}))
-                moves.append((index[c], index[moved]))
-    return moves
+def _token_moves(arcs: np.ndarray, configs: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """(config index, moved config index) rows for every token sliding along
+    one of the arcs (u, v) onto an unoccupied head, arc-major then config
+    order.
+
+    A configuration's key is its sorted indices read as base-n digits, so
+    the lexicographic configuration list is sorted by key and a moved
+    configuration is ranked by binary search.
+    """
+    rows = np.array(configs, dtype=np.intp)
+    count, k = rows.shape
+    if n ** k > np.iinfo(np.int64).max:
+        raise VoltliftError(f"{k}-subsets of {n} vertices overflow 64-bit configuration keys")
+    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    keys = rows @ place
+    occupied = np.zeros((count, n), dtype=bool)
+    occupied[np.arange(count)[:, None], rows] = True
+    tails, heads = arcs[:, 0], arcs[:, 1]
+    # a loop never moves a token: its tail is occupied exactly when its head is
+    arc, config = np.nonzero((occupied[:, tails] & ~occupied[:, heads]).T)
+    moved = rows[config]
+    moved = np.where(moved == tails[arc, None], heads[arc, None], moved)
+    moved.sort(axis=1)
+    return np.stack([config, np.searchsorted(keys, moved @ place)], axis=1)
 
 
 def token_graph(graph: Graph, k: int) -> Graph:
     """The k-token graph of an undirected graph: one edge per move along an
     edge in its stored direction; the reverse move is the edge's other arc."""
     configs = token_configs(graph.n, k)
-    return Graph.from_edges(configs, _token_moves(graph.edges(), configs))
+    return Graph.from_edges(configs, _token_moves(graph.edge_array(), configs, graph.n))
 
 
 def token_digraph(digraph: Digraph, k: int) -> Digraph:
     """The k-token digraph: arc A -> B when one token follows an arc u -> v
     with v unoccupied."""
     configs = token_configs(digraph.n, k)
-    return Digraph(configs, _token_moves(digraph.arcs, configs))
+    return Digraph(configs, _token_moves(digraph.arc_array(), configs, digraph.n))

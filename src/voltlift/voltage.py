@@ -24,13 +24,14 @@ from .algebra import (
     GroupElement,
     Representation,
     group_from_json,
-    right_translation,
 )
 from .errors import InvalidPairing, LengthMismatch, MismatchedGroups, VoltliftError
 from .graphs import (
     Digraph,
     Graph,
     UniversalCoefficients,
+    _json_field,
+    _json_indices,
     _label_from_json,
     _label_str,
     _label_to_json,
@@ -141,13 +142,14 @@ class VoltageGraph:
             raise VoltliftError("need exactly one voltage per arc")
         if pairing is not None:
             pairing = Graph(digraph, pairing).pairing
-            arcs = digraph.arcs
+            tails, heads = digraph.arc_array().T
+            loops = (tails == heads).tolist()
             for i, j in enumerate(pairing):
                 if voltages[j] != voltages[i].inverse():
                     raise InvalidPairing(
                         f"arcs {i} and {j} carry voltages that are not mutually inverse"
                     )
-                if arcs[i][0] == arcs[i][1] and voltages[i] == voltages[i].inverse():
+                if loops[i] and voltages[i] == voltages[i].inverse():
                     raise InvalidPairing(
                         "loop with involution voltage needs semi-edge semantics (unsupported)"
                     )
@@ -194,25 +196,23 @@ class VoltageGraph:
             (label, el.key) for label in self.digraph.labels for el in els
         ]
         base = self.digraph.arc_array()
-        volts, which = np.unique(np.array([w.index for w in self.voltages], dtype=np.intp),
-                                 return_inverse=True)
-        translations = np.array([right_translation(self.group, els[w]) for w in volts],
-                                dtype=np.intp).reshape(-1, m)
+        volts = np.fromiter((w.index for w in self.voltages), dtype=np.intp,
+                            count=len(self.voltages))
         # row a, column g: index(g * w_a); lift arc a*m + g is (u, g) -> (v, g*w_a)
-        shifted = translations[which.reshape(-1)]
+        shifted = self.group.mul_table().T[volts]
         tails = base[:, :1] * m + np.arange(m)
         heads = base[:, 1:] * m + shifted
-        digraph = Digraph(labels, zip(tails.ravel().tolist(), heads.ravel().tolist()))
+        digraph = Digraph(labels, np.stack([tails.ravel(), heads.ravel()], axis=1))
         if not self.undirected:
             return digraph
         # (u, g) -> (v, g*w) pairs with (v, g*w) -> (u, g) on the partner arc
         partners = np.asarray(self.pairing, dtype=np.intp)[:, None] * m + shifted
-        return Graph(digraph, partners.ravel().tolist())
+        return Graph(digraph, partners.ravel())
 
     def base_matrix(self) -> BaseMatrix:
         """Entry (u, v) counts the arcs u -> v by voltage index."""
         entries = [[{} for _ in range(self.n)] for _ in range(self.n)]
-        for (u, v), w in zip(self.digraph.arcs, self.voltages):
+        for (u, v), w in zip(self.digraph.arc_array().tolist(), self.voltages):
             g = w.index
             entries[u][v][g] = entries[u][v].get(g, 0) + 1
         return BaseMatrix(self.group, self.digraph.labels, entries)
@@ -242,7 +242,8 @@ class VoltageGraph:
             "vertices": [_label_to_json(label) for label in self.digraph.labels],
             "arcs": [],
         }
-        for i, ((tail, head), w) in enumerate(zip(self.digraph.arcs, self.voltages)):
+        for i, ((tail, head), w) in enumerate(zip(self.digraph.arc_array().tolist(),
+                                                  self.voltages)):
             voltage = list(w.key) if isinstance(w.key, tuple) else [w.key]
             data["arcs"].append(
                 {
@@ -258,7 +259,7 @@ class VoltageGraph:
         lines = [f"digraph {name} {{"]
         for label in self.digraph.labels:
             lines.append(f'  "{_label_str(label)}";')
-        for (tail, head), w in zip(self.digraph.arcs, self.voltages):
+        for (tail, head), w in zip(self.digraph.arc_array().tolist(), self.voltages):
             lines.append(
                 f'  "{_label_str(self.digraph.labels[tail])}" -> '
                 f'"{_label_str(self.digraph.labels[head])}" [label="{w.key}"];'
@@ -280,19 +281,26 @@ match_voltage_pairing = match_digon_pairing
 
 
 def voltage_graph_from_json(data: dict) -> VoltageGraph:
-    group = group_from_json(data["group"])
-    labels = tuple(_label_from_json(label) for label in data["vertices"])
+    what = "voltage graph JSON"
+    group = group_from_json(_json_field(data, "group", (dict,), what))
+    labels = tuple(_label_from_json(label)
+                   for label in _json_field(data, "vertices", (list,), what))
     arcs, voltages, pairing = [], [], []
     any_paired = False
-    for arc in data["arcs"]:
-        arcs.append((int(arc["tail"]), int(arc["head"])))
-        voltage = arc["voltage"]
+    for i, arc in enumerate(_json_field(data, "arcs", (list,), what)):
+        where = f"{what} arcs[{i}]"
+        arcs.append((_json_field(arc, "tail", (int,), where),
+                     _json_field(arc, "head", (int,), where)))
+        voltage = _json_field(arc, "voltage", (list, int), where)
+        coords = _json_indices(voltage if isinstance(voltage, list) else [voltage], where)
         if isinstance(group, AbelianGroup):
-            voltages.append(group.element(tuple(voltage)))
+            voltages.append(group.element(coords))
+        elif len(coords) == 1:
+            voltages.append(group.element(coords[0]))
         else:
-            voltages.append(group.element(voltage[0] if isinstance(voltage, list) else voltage))
+            raise VoltliftError(f"{where} voltage must be one element index")
         p = arc.get("paired_with")
-        pairing.append(-1 if p is None else int(p))
+        pairing.append(-1 if p is None else _json_field(arc, "paired_with", (int,), where))
         any_paired = any_paired or p is not None
     if any_paired:
         if any(p < 0 for p in pairing):

@@ -189,6 +189,24 @@ def test_exit_code_2_on_bad_params(capsys):
     assert run(capsys, "generate", "token", "--complete", "5", "--k", "9")[0] == 2
 
 
+# graph and voltage graph files that are valid JSON but not valid graphs
+MALFORMED_GRAPHS = {
+    "NOT_OBJECT": 5,
+    "NO_GROUP": {"vertices": [0], "arcs": []},
+    "NO_VERTICES": {"group": {"orders": [5]}},
+    "NO_ARCS": {"vertices": [0, 1]},
+    "ARCS_NOT_LIST": {"vertices": [0, 1], "arcs": {"0": 1}},
+    "ARC_ROW_OF_3": {"vertices": [0, 1], "arcs": [[0, 1, 1]]},
+    "ARC_ROW_NOT_LIST": {"vertices": [0, 1], "arcs": [0, 1]},
+    "ARC_INDEX_NOT_INT": {"vertices": [0, 1], "arcs": [[0, "x"]]},
+    "ARC_INDEX_FLOAT": {"vertices": [0, 1], "arcs": [[0, 1.5]]},
+    "VOLTAGE_ARC_NO_HEAD": {"group": {"orders": [5]}, "vertices": [0],
+                            "arcs": [{"tail": 0, "voltage": [1]}]},
+    "VOLTAGE_ARC_NOT_OBJECT": {"group": {"orders": [5]}, "vertices": [0], "arcs": [[0, 0]]},
+    "VOLTAGE_TAIL_NOT_INT": {"group": {"orders": [5]}, "vertices": [0],
+                             "arcs": [{"tail": "0", "head": 0, "voltage": [1]}]},
+}
+
 MALFORMED = {
     "k-not-int": ["spectrum", "--token-cayley", "Z5", "--gens", "1", "--k", "x"],
     "universal-not-float": ["spectrum", "--johnson", "5", "2", "--universal", "1,a,0,0"],
@@ -201,6 +219,19 @@ MALFORMED = {
     "token-k-missing": ["generate", "token", "--complete", "5"],
     "truncated-json": ["spectrum", "--in", "TRUNCATED"],
     "in-is-a-directory": ["spectrum", "--in", "TMPDIR"],
+    # generate lift reads a voltage graph whether or not it names a group
+    "json-not-object": ["spectrum", "--in", "NOT_OBJECT"],
+    "voltage-json-no-group": ["generate", "lift", "--in", "NO_GROUP"],
+    "voltage-json-no-vertices": ["spectrum", "--in", "NO_VERTICES"],
+    "graph-json-no-arcs": ["spectrum", "--in", "NO_ARCS"],
+    "graph-json-arcs-not-list": ["spectrum", "--in", "ARCS_NOT_LIST"],
+    "graph-json-arc-row-of-3": ["spectrum", "--in", "ARC_ROW_OF_3"],
+    "graph-json-arc-row-not-list": ["spectrum", "--in", "ARC_ROW_NOT_LIST"],
+    "graph-json-index-not-int": ["spectrum", "--in", "ARC_INDEX_NOT_INT"],
+    "graph-json-index-float": ["generate", "token", "--k", "1", "--in", "ARC_INDEX_FLOAT"],
+    "voltage-json-arc-no-head": ["spectrum", "--in", "VOLTAGE_ARC_NO_HEAD"],
+    "voltage-json-arc-not-object": ["spectrum", "--in", "VOLTAGE_ARC_NOT_OBJECT"],
+    "voltage-json-tail-not-int": ["spectrum", "--in", "VOLTAGE_TAIL_NOT_INT"],
 }
 
 
@@ -209,6 +240,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"vertices": [0, 1')
     paths = {"TRUNCATED": str(truncated), "TMPDIR": str(tmp_path)}
+    for name, data in MALFORMED_GRAPHS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [paths.get(a, a) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -181,6 +181,49 @@ def test_pairing_validation():
         Graph(d, [1, 0])
 
 
+PATH_ARCS = [(0, 1), (1, 0), (1, 2), (2, 1)]
+
+# each malformed container with the exception type and message it raises;
+# the message names the first offending arc in arc order
+INVALID_CONTAINERS = {
+    "arc-out-of-range": (lambda: Digraph([0, 1], [(0, 1), (1, 2)]),
+                         VoltliftError, "arc (1,2) out of vertex range 0..1"),
+    "negative-arc": (lambda: Digraph([0, 1], [(0, 1), (-1, 0)]),
+                     VoltliftError, "arc (-1,0) out of vertex range 0..1"),
+    # Python's own unpacking error; 3.13 appends ", got 3"
+    "arc-row-of-3": (lambda: Digraph([0, 1, 2], [(0, 1), (0, 1, 2)]),
+                     ValueError, "too many values to unpack (expected 2"),
+    "pairing-too-short": (lambda: Graph(Digraph([0, 1], [(0, 1), (1, 0)]), [1]),
+                          InvalidPairing, "pairing length differs from arc count"),
+    "pairing-not-involutive": (lambda: Graph(Digraph([0, 1, 2], PATH_ARCS), [1, 0, 3, 1]),
+                               InvalidPairing,
+                               "pairing is not an involutive perfect matching at arc 2"),
+    "pairing-out-of-range": (lambda: Graph(Digraph([0, 1, 2], PATH_ARCS), [1, 0, 2, 7]),
+                             InvalidPairing,
+                             "pairing is not an involutive perfect matching at arc 2"),
+    "pairing-negative": (lambda: Graph(Digraph([0, 1, 2], PATH_ARCS), [1, 0, -1, 2]),
+                         InvalidPairing,
+                         "pairing is not an involutive perfect matching at arc 2"),
+    "partner-not-reversed": (lambda: Graph(Digraph([0, 1, 2], [(0, 1), (1, 0), (1, 2), (0, 1)]),
+                                           [1, 0, 3, 2]),
+                             InvalidPairing, "arcs 2 and 3 are not mutually reversed"),
+    # arc 0's partner is not reversed, which is reported before arc 2's
+    # self-pairing
+    "first-bad-arc-wins": (lambda: Graph(Digraph([0, 1, 2], [(0, 1), (0, 1), (1, 2), (2, 1)]),
+                                         [1, 0, 2, 3]),
+                           InvalidPairing, "arcs 0 and 1 are not mutually reversed"),
+}
+
+
+@pytest.mark.parametrize("build, kind, message", INVALID_CONTAINERS.values(),
+                         ids=INVALID_CONTAINERS.keys())
+def test_invalid_containers_name_the_first_bad_arc(build, kind, message):
+    with pytest.raises(kind) as excinfo:
+        build()
+    assert type(excinfo.value) is kind
+    assert str(excinfo.value).startswith(message)
+
+
 def test_json_round_trip():
     g = cayley_graph(AbelianGroup(3, 3),
                      [AbelianGroup(3, 3).element(c) for c in [(1, 0), (2, 0)]],

@@ -1,12 +1,16 @@
 """Orbit decompositions, necklaces, base-graph builders, isomorphism checks."""
 
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from voltlift import (
     AbelianGroup,
+    Digraph,
+    Graph,
     InvalidGenerators,
     NotCoprime,
     NotFreeAction,
@@ -19,6 +23,7 @@ from voltlift import (
     token_base_graph,
     token_graph,
     verify_natural_isomorphism,
+    VoltliftError,
 )
 from voltlift.voltage import VoltageGraph
 
@@ -202,6 +207,7 @@ def test_natural_isomorphism_circulant_linegraph():
 
 def test_corrupted_voltage_fails_isomorphism():
     vg = johnson_base(5, 2)
+    target = token_graph(complete_graph(5), 2)
     bad_voltages = list(vg.voltages)
     # swap a digon pair's voltages, keeping the voltage graph valid
     pair = next(
@@ -212,9 +218,49 @@ def test_corrupted_voltage_fails_isomorphism():
     j = vg.pairing[pair]
     bad_voltages[pair], bad_voltages[j] = bad_voltages[j], bad_voltages[pair]
     corrupted = VoltageGraph(vg.group, vg.digraph, bad_voltages, vg.pairing)
-    result = verify_natural_isomorphism(corrupted, token_graph(complete_graph(5), 2))
-    assert not result.ok
-    assert "multiplicity" in result.detail or "maps to" in result.detail
+    # drop the same digon pair instead: every mapped arc is right, but the
+    # target keeps arcs that no lift arc reaches
+    keep = [a for a in range(vg.digraph.arc_count) if a not in (pair, j)]
+    renumber = {old: new for new, old in enumerate(keep)}
+    dropped = VoltageGraph(vg.group, Digraph(vg.labels, [vg.digraph.arcs[a] for a in keep]),
+                           [vg.voltages[a] for a in keep],
+                           [renumber[vg.pairing[a]] for a in keep])
+    # two representatives of one orbit
+    same_orbit = VoltageGraph(vg.group, Digraph([(0, 1), (1, 2)], []), [])
+    # the target with vertex (3, 4) relabelled
+    relabelled = Graph(Digraph([(3, 9) if c == (3, 4) else c for c in target.labels],
+                               target.digraph.arcs), target.pairing)
+    cases = [
+        (corrupted, target,
+         "arc (0, 1) -> (1, 4) has multiplicity 2 in the mapped lift but 1 in the target"),
+        (dropped, target,
+         "arc (0, 3) -> (2, 3) has multiplicity 1 in the target but 0 in the mapped lift"),
+        (same_orbit, target, "map hits target vertex (1, 2) twice"),
+        (vg, relabelled, "((0, 1), (3,)) maps to (3, 4), not a target vertex"),
+        (vg, token_graph(complete_graph(6), 2), "lift has 10 vertices, target 15"),
+    ]
+    for source, graph, detail in cases:
+        result = verify_natural_isomorphism(source, graph)
+        assert not result.ok
+        assert result.detail == detail
+        with pytest.raises(VoltliftError):
+            result.certificate_json()
+
+
+def test_certificates_match_golden_file():
+    """Golden vertex maps: J(7,3), and Z7xZ7 k=2 with S = {+-(1,2), +-(3,1)}."""
+    golden = json.loads((Path(__file__).parent / "data" / "certificates.json").read_text())
+    group = AbelianGroup(7, 7)
+    gens = [group.element(c) for c in [(1, 2), (6, 5), (3, 1), (4, 6)]]
+    sources = {
+        "J(7,3)": (johnson_base(7, 3), token_graph(complete_graph(7), 3)),
+        "Z7xZ7 k=2": (token_base_graph(group, gens, 2), token_graph(cayley_graph(group, gens), 2)),
+    }
+    assert sorted(golden) == sorted(sources)
+    for name, (vg, target) in sources.items():
+        result = verify_natural_isomorphism(vg, target)
+        assert result.ok, name
+        assert json.loads(json.dumps(result.certificate_json())) == golden[name], name
 
 
 def test_directed_token_base_matches_c5_example():

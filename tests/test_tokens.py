@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from voltlift import (
+    Digraph,
+    Graph,
     KOutOfRange,
     complete_graph,
     cycle_graph,
@@ -95,8 +97,6 @@ def test_token_digraph_of_c3_is_directed_triangle():
 
 
 def test_multi_edges_propagate():
-    from voltlift import Graph
-
     g = Graph.from_edges([0, 1, 2], [(0, 1), (0, 1), (1, 2)])
     t = token_graph(g, 2)
     a = t.adjacency_matrix()
@@ -116,3 +116,45 @@ def test_brute_force_against_direct_enumeration():
             if len(diff) == 2 and tuple(sorted(diff)) in edges:
                 expected[i, j] = 1
     assert np.array_equal(t.adjacency_matrix(), expected)
+
+
+def _moves_per_configuration(arcs, configs):
+    """Reference move list: one set difference per (arc, configuration)."""
+    index = {c: i for i, c in enumerate(configs)}
+    moves = []
+    for u, v in arcs:
+        if u == v:
+            continue
+        for c in configs:
+            if u in c and v not in c:
+                moves.append((index[c], index[tuple(sorted(set(c) - {u} | {v}))]))
+    return moves
+
+
+LOOPY_MULTIGRAPH = Graph.from_edges(
+    range(5), [(0, 0), (0, 1), (1, 0), (0, 1), (1, 2), (2, 3), (3, 3), (3, 4), (4, 1)])
+LOOPY_MULTIDIGRAPH = Digraph(
+    range(5), [(0, 1), (0, 1), (1, 1), (1, 2), (2, 0), (3, 2), (2, 3), (4, 4), (0, 4), (4, 3)])
+HOSTS = {
+    "cycle": cycle_graph(5),
+    "complete": complete_graph(5),
+    "loopy-multigraph": LOOPY_MULTIGRAPH,
+    "directed-cycle": directed_cycle(5),
+    "loopy-multidigraph": LOOPY_MULTIDIGRAPH,
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("host", HOSTS.values(), ids=HOSTS.keys())
+def test_builders_match_per_configuration_loop(host, k):
+    configs = token_configs(host.n, k)
+    if isinstance(host, Graph):
+        moves = _moves_per_configuration(host.edges(), configs)
+        t = token_graph(host, k)
+        assert t.digraph.arcs == tuple(arc for u, v in moves for arc in ((u, v), (v, u)))
+        assert t.pairing == tuple(i ^ 1 for i in range(2 * len(moves)))
+    else:
+        moves = _moves_per_configuration(host.arcs, configs)
+        t = token_digraph(host, k)
+        assert t.arcs == tuple(moves)
+    assert t.labels == tuple(configs)
