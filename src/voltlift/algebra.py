@@ -99,7 +99,6 @@ class AbelianGroup:
             acc *= n
         self._strides = tuple(reversed(strides))
         self._elements: tuple[GroupElement, ...] | None = None
-        self._mul: np.ndarray | None = None
 
     is_abelian = True
 
@@ -138,18 +137,15 @@ class AbelianGroup:
         _require_same_group(el.group, self)
         return sum(c * s for c, s in zip(el.key, self._strides))
 
-    def mul_table(self) -> np.ndarray:
-        """Read-only (|G|, |G|) array: mul[a, b] = index(elements[a] * elements[b]).
-
-        Built once from the residues, one cyclic factor at a time."""
-        if self._mul is None:
-            coords = np.unravel_index(np.arange(self.size), self.orders)
-            mul = np.zeros((self.size, self.size), dtype=np.intp)
-            for c, n, stride in zip(coords, self.orders, self._strides):
-                mul += (np.add.outer(c, c) % n) * stride
-            mul.flags.writeable = False
-            self._mul = mul
-        return self._mul
+    def right_columns(self, idx) -> np.ndarray:
+        """Array of shape (|G|,) + idx.shape: entry [a, ...] is
+        index(elements[a] * elements[idx[...]]), added one cyclic factor at a time."""
+        idx = np.asarray(idx, dtype=np.intp)
+        coords = np.unravel_index(np.arange(self.size), self.orders)
+        out = np.zeros((self.size,) + idx.shape, dtype=np.intp)
+        for c, n, stride in zip(coords, self.orders, self._strides):
+            out += ((c.reshape((-1,) + (1,) * idx.ndim) + c[idx]) % n) * stride
+        return out
 
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
@@ -218,7 +214,7 @@ class GenericGroup:
         self._check_associativity()
         self._elements = tuple(GroupElement(self, i) for i in range(n))
         self._is_abelian: bool | None = None
-        self._mul: np.ndarray | None = None
+        self._array = np.array(table, dtype=np.intp)
 
     def _check_associativity(self):
         n = self.size
@@ -268,14 +264,10 @@ class GenericGroup:
         _require_same_group(el.group, self)
         return el.key
 
-    def mul_table(self) -> np.ndarray:
-        """Read-only (|G|, |G|) array: mul[a, b] = index(elements[a] * elements[b]),
-        the multiplication table itself."""
-        if self._mul is None:
-            mul = np.array(self._table, dtype=np.intp)
-            mul.flags.writeable = False
-            self._mul = mul
-        return self._mul
+    def right_columns(self, idx) -> np.ndarray:
+        """Array of shape (|G|,) + idx.shape: entry [a, ...] is
+        index(elements[a] * elements[idx[...]]), read from the table."""
+        return self._array[:, np.asarray(idx, dtype=np.intp)]
 
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)

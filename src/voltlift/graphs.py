@@ -185,9 +185,9 @@ class Graph:
                    edges: Sequence[tuple[int, int]] | np.ndarray) -> "Graph":
         """Build from an edge multiset; edge e becomes the digon of arcs 2e
         (its stored direction) and 2e + 1 (the reverse)."""
-        labels = tuple(labels)
-        edges = _arc_rows(edges, len(labels))
-        arcs = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)
+        edges = np.asarray(edges, dtype=np.intp)
+        # Digraph checks the rows; a bad edge is first seen as its arc 2e
+        arcs = np.stack([edges, edges[..., ::-1]], axis=1).reshape(-1, *edges.shape[1:])
         return cls(Digraph(labels, arcs), np.arange(len(arcs)) ^ 1)
 
     @property
@@ -395,15 +395,12 @@ def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
     """
     gens = _validate_connection_set(group, gens, directed)
     labels = [el.key for el in group.elements()]
-    heads = group.mul_table()[:, [s.index for s in gens]]
+    heads = group.right_columns([s.index for s in gens])
     tails = np.repeat(np.arange(group.size), len(gens))
     digraph = Digraph(labels, np.stack([tails, heads.ravel()], axis=1))
     if directed:
         return digraph
-    # g -> g*s pairs with g*s -> g, the arc of g*s along s^-1; S has no
-    # repeats, so that is the only reverse arc
-    inverse_position = np.array([gens.index(s.inverse()) for s in gens], dtype=np.intp)
-    return Graph(digraph, (heads * len(gens) + inverse_position).ravel())
+    return Graph(digraph, match_digon_pairing(digraph.arcs))
 
 
 def line_graph(graph: Graph) -> Graph:

@@ -64,14 +64,13 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     els = group.elements()
-    mul = group.mul_table()
     reps: list[tuple[int, ...]] = []
     lookup: dict[tuple[int, ...], tuple[int, int]] = {}
     for subset in combinations(range(n), k):
         if subset in lookup:
             continue
         # row g is the sorted subset elements[g] * subset
-        translates = np.sort(mul[:, subset], axis=1).tolist()
+        translates = np.sort(group.right_columns(subset), axis=1).tolist()
         orbit: dict[tuple[int, ...], int] = {}
         for g_idx, translated in enumerate(map(tuple, translates)):
             orbit.setdefault(translated, g_idx)
@@ -124,7 +123,7 @@ def token_base_graph(group, gens, k: int, representatives=None,
     gens = _validate_connection_set(group, gens, directed)
     dec = k_set_decomposition(group, k, representatives)
     # steps[i][t] = index of elements[i] * gens[t]
-    steps = group.mul_table()[:, [s.index for s in gens]].tolist()
+    steps = group.right_columns([s.index for s in gens]).tolist()
     arcs = []
     voltages = []
     for rep_idx, rep in enumerate(dec.representatives):
@@ -237,7 +236,7 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph) -> Iso
 
     # row rep*m + g: the sorted indices of elements[g] * rep
     reps = np.array(vg.digraph.labels, dtype=np.intp)
-    translates = np.sort(group.mul_table()[:, reps], axis=-1).swapaxes(0, 1)
+    translates = np.sort(group.right_columns(reps), axis=-1).swapaxes(0, 1)
     images = list(map(tuple, translates.reshape(len(reps) * m, reps.shape[-1]).tolist()))
     if len(images) != n:
         return IsomorphismResult(False, detail=f"lift has {len(images)} vertices, target {n}")

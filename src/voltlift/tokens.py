@@ -7,11 +7,12 @@ unoccupied vertex; multi-arcs in the host give multi-arcs in the token graph.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
-from .errors import KOutOfRange, VoltliftError
+from .errors import KOutOfRange
 from .graphs import Digraph, Graph
 
 
@@ -27,16 +28,16 @@ def _token_moves(arcs: np.ndarray, configs: list[tuple[int, ...]], n: int) -> np
     one of the arcs (u, v) onto an unoccupied head, arc-major then config
     order.
 
-    A configuration's key is its sorted indices read as base-n digits, so
-    the lexicographic configuration list is sorted by key and a moved
-    configuration is ranked by binary search.
+    A moved configuration c_0 < ... < c_{k-1} is followed, lexicographically,
+    by sum_i C(n-1-c_i, k-i) configurations, so its index is C(n,k) - 1 minus
+    that sum.  Every term is at most C(n,k), which counts held rows.
     """
     rows = np.array(configs, dtype=np.intp)
     count, k = rows.shape
-    if n ** k > np.iinfo(np.int64).max:
-        raise VoltliftError(f"{k}-subsets of {n} vertices overflow 64-bit configuration keys")
-    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    keys = rows @ place
+    # C(a, b); the entries with a - b >= n - k are never read and may
+    # exceed int64, so they are left 0
+    binom = np.array([[math.comb(a, b) if a - b < n - k else 0 for b in range(k + 1)]
+                      for a in range(n)], dtype=np.int64)
     occupied = np.zeros((count, n), dtype=bool)
     occupied[np.arange(count)[:, None], rows] = True
     tails, heads = arcs[:, 0], arcs[:, 1]
@@ -45,7 +46,8 @@ def _token_moves(arcs: np.ndarray, configs: list[tuple[int, ...]], n: int) -> np
     moved = rows[config]
     moved = np.where(moved == tails[arc, None], heads[arc, None], moved)
     moved.sort(axis=1)
-    return np.stack([config, np.searchsorted(keys, moved @ place)], axis=1)
+    following = binom[n - 1 - moved, np.arange(k, 0, -1)].sum(axis=1)
+    return np.stack([config, count - 1 - following], axis=1)
 
 
 def token_graph(graph: Graph, k: int) -> Graph:

@@ -199,7 +199,7 @@ class VoltageGraph:
         volts = np.fromiter((w.index for w in self.voltages), dtype=np.intp,
                             count=len(self.voltages))
         # row a, column g: index(g * w_a); lift arc a*m + g is (u, g) -> (v, g*w_a)
-        shifted = self.group.mul_table().T[volts]
+        shifted = self.group.right_columns(volts).T
         tails = base[:, :1] * m + np.arange(m)
         heads = base[:, 1:] * m + shifted
         digraph = Digraph(labels, np.stack([tails.ravel(), heads.ravel()], axis=1))

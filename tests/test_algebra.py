@@ -60,6 +60,18 @@ def test_generic_group_matches_abelian_on_all_pairs():
     assert generic.is_abelian
 
 
+@pytest.mark.parametrize("group", [AbelianGroup(3, 4), AbelianGroup(7),
+                                   s3_group_and_irreps()[0]], ids=["Z3xZ4", "Z7", "S3"])
+def test_right_columns_are_products(group):
+    els = group.elements()
+    idx = np.array([[0, 1, 2], [5 % len(els), 2, 2]])
+    cols = group.right_columns(idx)
+    assert cols.shape == (len(els),) + idx.shape
+    for a, x in enumerate(els):
+        for pos, b in np.ndenumerate(idx):
+            assert cols[(a,) + pos] == group.index_of(x * els[b])
+
+
 def test_mismatched_groups_raises():
     with pytest.raises(MismatchedGroups):
         Z5.element(1) * Z7.element(1)

@@ -205,6 +205,9 @@ MALFORMED_GRAPHS = {
     "VOLTAGE_ARC_NOT_OBJECT": {"group": {"orders": [5]}, "vertices": [0], "arcs": [[0, 0]]},
     "VOLTAGE_TAIL_NOT_INT": {"group": {"orders": [5]}, "vertices": [0],
                              "arcs": [{"tail": "0", "head": 0, "voltage": [1]}]},
+    # a table-defined group's voltage is one element index
+    "GENERIC_VOLTAGE_OF_2": {"group": {"size": 2, "table": [0, 1, 1, 0]}, "vertices": [0],
+                             "arcs": [{"tail": 0, "head": 0, "voltage": [1, 0]}]},
 }
 
 MALFORMED = {
@@ -232,6 +235,7 @@ MALFORMED = {
     "voltage-json-arc-no-head": ["spectrum", "--in", "VOLTAGE_ARC_NO_HEAD"],
     "voltage-json-arc-not-object": ["spectrum", "--in", "VOLTAGE_ARC_NOT_OBJECT"],
     "voltage-json-tail-not-int": ["spectrum", "--in", "VOLTAGE_TAIL_NOT_INT"],
+    "voltage-json-generic-voltage-of-2": ["generate", "lift", "--in", "GENERIC_VOLTAGE_OF_2"],
 }
 
 

@@ -142,10 +142,18 @@ HOSTS = {
     "directed-cycle": directed_cycle(5),
     "loopy-multidigraph": LOOPY_MULTIDIGRAPH,
 }
+# k near n with n >= 16: C(n, k) is small although n^k is far beyond 64 bits
+NEAR_FULL = {
+    "K16-k16": (complete_graph(16), 16),
+    "K17-k16": (complete_graph(17), 16),
+    "C17-k16": (cycle_graph(17), 16),
+    "directed-C18-k15": (directed_cycle(18), 15),
+}
+CASES = {f"{name}-k{k}": (host, k) for name, host in HOSTS.items() for k in (1, 2, 3)}
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("host", HOSTS.values(), ids=HOSTS.keys())
+@pytest.mark.parametrize("host, k", (CASES | NEAR_FULL).values(),
+                         ids=(CASES | NEAR_FULL).keys())
 def test_builders_match_per_configuration_loop(host, k):
     configs = token_configs(host.n, k)
     if isinstance(host, Graph):
