@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import IncompleteRepresentation, MismatchedGroups, VoltliftError
+from .graphs import _json_field, _json_indices
 
 EXHAUSTIVE_ASSOC_LIMIT = 64
 ASSOC_SAMPLES = 10_000
@@ -215,6 +216,7 @@ class GenericGroup:
         self._elements = tuple(GroupElement(self, i) for i in range(n))
         self._is_abelian: bool | None = None
         self._array = np.array(table, dtype=np.intp)
+        self._hash = hash(("GenericGroup", table))
 
     def _check_associativity(self):
         n = self.size
@@ -287,10 +289,11 @@ class GenericGroup:
         return cls(table, name=name or group.name)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GenericGroup) and self._table == other._table
+        return self is other or (isinstance(other, GenericGroup)
+                                 and self._table == other._table)
 
     def __hash__(self) -> int:
-        return hash(("GenericGroup", self._table))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GenericGroup({self.name}, order {self.size})"
@@ -304,12 +307,15 @@ class GenericGroup:
 
 
 def group_from_json(data: Mapping) -> AbelianGroup | GenericGroup:
-    """Rebuild a group from its JSON form ({"orders": ...} or {"size","table"})."""
+    """Rebuild a group from its JSON form ({"orders": ...} or {"size","table"});
+    a missing or ill-typed field raises a VoltliftError that names it."""
+    what = "group JSON"
     if "orders" in data:
-        return AbelianGroup(*data["orders"])
+        orders = _json_field(data, "orders", (list,), what)
+        return AbelianGroup(*_json_indices(orders, f"{what} orders"))
     if "table" in data:
-        n = int(data["size"])
-        flat = list(data["table"])
+        n = _json_field(data, "size", (int,), what)
+        flat = _json_indices(_json_field(data, "table", (list,), what), f"{what} table")
         if len(flat) != n * n:
             raise VoltliftError("generic group table has wrong length")
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]

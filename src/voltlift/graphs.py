@@ -301,7 +301,7 @@ def _json_indices(values, where: str) -> list:
     """values, if every one is a JSON integer; a VoltliftError otherwise."""
     for value in values:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise VoltliftError(f"{where} has a non-integer index {value!r}")
+            raise VoltliftError(f"{where} has a non-integer entry {value!r}")
     return values
 
 
@@ -339,8 +339,13 @@ def _label_to_json(label):
 
 
 def _label_from_json(label):
+    """A JSON label as a vertex label: lists become tuples, nested; integers
+    and strings stay; anything else raises a VoltliftError."""
     if isinstance(label, list):
         return tuple(_label_from_json(x) for x in label)
+    if isinstance(label, bool) or not isinstance(label, (int, str)):
+        raise VoltliftError(f"vertex label {label!r} is not an integer, a string "
+                            "or a list of those")
     return label
 
 
@@ -417,8 +422,16 @@ def line_graph(graph: Graph) -> Graph:
         for ends in edge_ends:
             labels.append(ends + (counts[ends],) if seen[ends] > 1 else ends)
             counts[ends] += 1
-    new_edges = []
-    for i, j in combinations(range(len(edge_ends)), 2):
-        if len(set(edge_ends[i]) & set(edge_ends[j])) == 1:
-            new_edges.append((i, j))
-    return Graph.from_edges(labels, new_edges)
+    # pair every edge end with the later ends at the same vertex; sorted
+    # stably by vertex, ends 2e and 2e + 1 list each vertex's edges in order
+    count = len(edge_ends)
+    ends = graph.edge_array().ravel()
+    order = np.argsort(ends, kind="stable")
+    vertex = ends[order]
+    later = np.searchsorted(vertex, vertex, side="right") - np.arange(len(vertex)) - 1
+    first = np.repeat(np.arange(len(vertex)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    keys = order[first] // 2 * count + order[second] // 2
+    # parallel edges meet at both ends, so they are seen twice: not adjacent
+    keys, seen = np.unique(keys, return_counts=True)
+    return Graph.from_edges(labels, np.stack(np.divmod(keys[seen == 1], count), axis=1))

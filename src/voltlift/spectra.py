@@ -46,6 +46,8 @@ MAX_DIMENSION = 4096
 HERMITIAN_TOL = 1e-12
 DEFAULT_GROUPING_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
+# entries per block of the Hermitian and residual checks
+BLOCK_ENTRIES = 2**15
 
 
 class Spectrum:
@@ -147,8 +149,35 @@ def _check_square(matrix) -> np.ndarray:
     return matrix
 
 
+def _block_width(n: int) -> int:
+    """Rows or columns per block, so that a block holds about BLOCK_ENTRIES."""
+    return max(1, BLOCK_ENTRIES // max(n, 1))
+
+
 def _is_hermitian(matrix: np.ndarray) -> bool:
-    return bool(np.abs(matrix - matrix.conj().T).max(initial=0.0) <= HERMITIAN_TOL)
+    """Whether max |matrix - matrix^H| <= HERMITIAN_TOL (NaN fails).
+
+    Compared one block of rows at a time, so the temporaries are a few
+    blocks, not whole n x n arrays; stops at the first block over the bound.
+    """
+    n = matrix.shape[0]
+    step = _block_width(n)
+    return all(
+        np.abs(matrix[i : i + step] - matrix[:, i : i + step].conj().T).max(initial=0.0)
+        <= HERMITIAN_TOL
+        for i in range(0, n, step)
+    )
+
+
+def _max_residual(matrix: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """max |matrix @ vecs - vecs * vals|, one block of columns at a time."""
+    n = matrix.shape[0]
+    step = _block_width(n)
+    return float(np.max([
+        np.abs(matrix @ vecs[:, i : i + step] - vecs[:, i : i + step] * vals[i : i + step])
+        .max(initial=0.0)
+        for i in range(0, n, step)
+    ], initial=0.0))
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -179,7 +208,7 @@ def eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
             vals, vecs = np.linalg.eig(matrix)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    residual = np.abs(matrix @ vecs - vecs * vals).max(initial=0.0)
+    residual = _max_residual(matrix, vals, vecs)
     if residual > RESIDUAL_TOL:
         raise NoConvergence(f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")
     return vals, vecs

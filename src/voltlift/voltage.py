@@ -93,6 +93,7 @@ class BaseMatrix:
         n = len(self.labels)
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise VoltliftError("base matrix must be square over the vertex list")
+        self._term_arrays = None
 
     @property
     def n(self) -> int:
@@ -113,18 +114,37 @@ class BaseMatrix:
                     out[i, j] = sum((c * values[g] for g, c in entry.items()), complex(0))
         return out
 
+    def _terms(self) -> list[tuple[np.ndarray, ...]]:
+        """The entries' terms as (row, column, voltage index, count) arrays,
+        one tuple per rank: rank r holds the r-th term, in first-occurrence
+        order, of every entry that has one.  Extracted on first use and kept."""
+        if self._term_arrays is None:
+            rows, cols, volts, counts, ranks = np.array(
+                [(i, j, g, c, rank)
+                 for i, row in enumerate(self.entries)
+                 for j, entry in enumerate(row) if entry
+                 for rank, (g, c) in enumerate(entry.items())],
+                dtype=np.intp).reshape(-1, 5).T
+            self._term_arrays = [(rows[sel], cols[sel], volts[sel], counts[sel])
+                                 for sel in (ranks == r for r in range(ranks.max(initial=-1) + 1))]
+        return self._term_arrays
+
     def apply_representation(self, rho: Representation) -> np.ndarray:
-        """Block matrix with block (u, v) = sum coeff * rho(g); d*|V| square."""
+        """Block matrix with block (u, v) = sum coeff * rho(g); d*|V| square.
+
+        Every block adds its terms to 0 in first-occurrence order, one scatter
+        per rank (no block repeats within a rank), so each sum is rounded as
+        a term-by-term loop over the entries rounds it."""
         if rho.group != self.group:
             raise MismatchedGroups("representation group differs from base matrix group")
-        els = self.group.elements()
-        d = rho.dimension
-        out = np.zeros((d * self.n, d * self.n), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, entry in enumerate(row):
-                for g, coeff in entry.items():
-                    out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coeff * rho.matrix(els[g])
-        return out
+        d, n = rho.dimension, self.n
+        # rho's own elements: an equal group object enumerates them in the same order
+        mats = np.array([rho.matrix(el) for el in rho.group.elements()])
+        out = np.zeros((n, d, n, d), dtype=complex)
+        blocks = out.transpose(0, 2, 1, 3)  # blocks[u, v] is block (u, v), a view
+        for rows, cols, volts, counts in self._terms():
+            blocks[rows, cols] += counts[:, None, None] * mats[volts]
+        return out.reshape(n * d, n * d)
 
     def __str__(self) -> str:
         cells = [[_entry_str(self.group, entry) for entry in row] for row in self.entries]

@@ -107,6 +107,17 @@ def test_group_json_round_trip():
         assert again == group
 
 
+def test_generic_group_hash_and_equality():
+    group, _, _ = s3_group_and_irreps()
+    copy = GenericGroup.from_group(group)
+    assert copy is not group and copy == group and group == copy
+    assert hash(copy) == hash(group) == hash(("GenericGroup", copy._table))
+    again = GenericGroup([list(row) for row in group._table], name="other")
+    assert again == group and hash(again) == hash(group)
+    assert group != GenericGroup.from_group(Z5)
+    assert group != AbelianGroup(6) and group == group
+
+
 def test_enumerate_characters_counts():
     assert len(enumerate_characters(Z5)) == 5
     assert len(enumerate_characters(Z33)) == 9

@@ -208,6 +208,9 @@ MALFORMED_GRAPHS = {
     # a table-defined group's voltage is one element index
     "GENERIC_VOLTAGE_OF_2": {"group": {"size": 2, "table": [0, 1, 1, 0]}, "vertices": [0],
                              "arcs": [{"tail": 0, "head": 0, "voltage": [1, 0]}]},
+    "GROUP_NO_SIZE": {"group": {"table": [0]}, "vertices": [0], "arcs": []},
+    "GROUP_ORDER_NOT_INT": {"group": {"orders": ["x"]}, "vertices": [0], "arcs": []},
+    "OBJECT_LABEL": {"vertices": [{"a": 1}], "arcs": []},
 }
 
 MALFORMED = {
@@ -236,6 +239,9 @@ MALFORMED = {
     "voltage-json-arc-not-object": ["spectrum", "--in", "VOLTAGE_ARC_NOT_OBJECT"],
     "voltage-json-tail-not-int": ["spectrum", "--in", "VOLTAGE_TAIL_NOT_INT"],
     "voltage-json-generic-voltage-of-2": ["generate", "lift", "--in", "GENERIC_VOLTAGE_OF_2"],
+    "group-json-no-size": ["spectrum", "--in", "GROUP_NO_SIZE", "--method", "direct"],
+    "group-json-order-not-int": ["spectrum", "--in", "GROUP_ORDER_NOT_INT"],
+    "graph-json-object-label": ["spectrum", "--in", "OBJECT_LABEL"],
 }
 
 

@@ -121,6 +121,45 @@ def test_line_graph_regularity_shift():
     assert set(lg.degrees()) == {2 * 6 - 2}
 
 
+def _line_graph_pair_loop(graph):
+    """Labels and edges of the line graph by the pair test that line_graph
+    replaced: every pair of edges, adjacent iff exactly one end is shared."""
+    from collections import Counter
+    from itertools import combinations
+
+    edge_ends = [tuple(sorted(e)) for e in graph.edges()]
+    labels = list(edge_ends)
+    seen = Counter(edge_ends)
+    if any(c > 1 for c in seen.values()):
+        counts = Counter()
+        labels = []
+        for ends in edge_ends:
+            labels.append(ends + (counts[ends],) if seen[ends] > 1 else ends)
+            counts[ends] += 1
+    new_edges = []
+    for i, j in combinations(range(len(edge_ends)), 2):
+        if len(set(edge_ends[i]) & set(edge_ends[j])) == 1:
+            new_edges.append((i, j))
+    return tuple(labels), new_edges
+
+
+@pytest.mark.parametrize("make", [
+    lambda: complete_graph(5),
+    lambda: cayley_graph(AbelianGroup(12), [2, 3, 9, 10]),
+    # parallel edges 0-1 (three times, in both directions) and 2-3
+    lambda: Graph.from_edges(range(5), [(0, 1), (1, 2), (1, 0), (2, 3), (3, 2),
+                                        (0, 1), (3, 4), (4, 0), (2, 0)]),
+    lambda: Graph.from_edges([0], []),
+], ids=["K5", "C12-2-3", "multigraph", "no-edges"])
+def test_line_graph_matches_pair_loop(make):
+    graph = make()
+    labels, edges = _line_graph_pair_loop(graph)
+    lg = line_graph(graph)
+    assert lg.labels == labels
+    assert lg.edges() == edges
+    assert lg.pairing == Graph.from_edges(labels, edges).pairing
+
+
 def test_line_graph_rejects_loops():
     g = Graph.from_edges([0, 1], [(0, 0), (0, 1)])
     with pytest.raises(LoopsUnsupported):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from voltlift import (
     Graph,
     IncompleteIrreps,
     KOutOfRange,
+    NoConvergence,
     NonAbelianGroup,
     NotRegularSpectrum,
     Representation,
@@ -44,7 +46,9 @@ from voltlift import (
     token_digraph,
     token_graph,
 )
+from voltlift import spectra
 from voltlift.orbits import circulant_linegraph_base
+from voltlift.spectra import HERMITIAN_TOL
 
 from helpers import random_voltage_graph, s3_group_and_irreps
 
@@ -113,6 +117,89 @@ def test_real_input_takes_real_solvers():
     vals = eigenvalues(h)
     assert vals.dtype == np.float64
     assert np.array_equal(vals, np.linalg.eigvalsh(h))
+
+
+def _hermitian_by_full_check(m):
+    """The one-shot rule that _is_hermitian evaluates block by block."""
+    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= HERMITIAN_TOL)
+
+
+def _hermitian_with_defect(n, where, value, dtype):
+    """A Hermitian n x n matrix, zero at the cells of `where` and their
+    mirrors, except that the first cell is set to `value`."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    m = a + a.conj().T
+    for i, j in where:
+        m[i, j] = m[j, i] = 0
+    i, j = where[0]
+    m[i, j] = value
+    return m
+
+
+# n = 300 gives blocks of 109 rows: [0, 109), [109, 218) and the partial [218, 300)
+HERMITIAN_CASES = {
+    "last-partial-block": (300, [(299, 5)], 1e-3, float, False),
+    "straddles-block-edge": (300, [(108, 109)], 1e-3, float, False),
+    "conjugation-only": (300, [(20, 250)], 1j, complex, False),
+    "imaginary-diagonal": (300, [(299, 299)], 1 + 1e-9j, complex, False),
+    "exactly-tol": (300, [(5, 290)], HERMITIAN_TOL, float, True),
+    "just-over-tol": (300, [(5, 290)], np.nextafter(HERMITIAN_TOL, 1), float, False),
+    "nan": (300, [(250, 3)], np.nan, float, False),
+    "hermitian-complex": (300, [(0, 1)], 0, complex, True),
+    "one-block": (40, [(39, 0)], 1e-3, complex, False),
+}
+
+
+@pytest.mark.parametrize("case", HERMITIAN_CASES.values(), ids=HERMITIAN_CASES.keys())
+def test_is_hermitian_blocks_agree_with_full_check(case):
+    n, where, value, dtype, expected = case
+    m = _hermitian_with_defect(n, where, value, dtype)
+    if value == 1j:  # symmetric but not Hermitian: m[j, i] = m[i, j], not its conjugate
+        i, j = where[0]
+        m[j, i] = m[i, j]
+    assert spectra._block_width(n) == (109 if n == 300 else 819)
+    assert _hermitian_by_full_check(m) is expected
+    assert spectra._is_hermitian(m) is expected
+    if not expected:  # the mirrored defect fails the same way
+        assert spectra._is_hermitian(m.T.copy()) is False
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_is_hermitian_peak_memory_is_a_few_blocks(dtype):
+    n = 1000
+    m = _hermitian_with_defect(n, [(n - 1, 0)], 0, dtype)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        assert spectra._is_hermitian(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < m.nbytes / 8
+
+
+def test_eigenpair_residual_checks_every_column_block(monkeypatch):
+    m = _hermitian_with_defect(300, [(0, 1)], 0, float)
+    eigh = np.linalg.eigh
+    vals, vecs = eigenpairs(m)
+    assert np.array_equal(vals, eigh(m)[0])
+    for column, bad in [(299, True), (109, True), (0, True), (299, False)]:
+        def perturbed(a, column=column, bad=bad):
+            w, v = eigh(a)
+            v = v.copy()
+            v[0, column] += 1e-6 if bad else 0.0
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        if bad:
+            with pytest.raises(NoConvergence, match="residual"):
+                eigenpairs(m)
+        else:
+            eigenpairs(m)
 
 
 def test_spectrum_grouping_and_order():

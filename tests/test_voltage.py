@@ -275,6 +275,69 @@ def test_apply_representation_block_shape():
     assert block.shape == (6, 6)
 
 
+def _apply_representation_loop(base, rho):
+    """The per-entry, per-term, per-block loop that apply_representation
+    replaced; the reference for its exact bytes."""
+    els = base.group.elements()
+    d = rho.dimension
+    out = np.zeros((d * base.n, d * base.n), dtype=complex)
+    for i, row in enumerate(base.entries):
+        for j, entry in enumerate(row):
+            for g, coeff in entry.items():
+                out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coeff * rho.matrix(els[g])
+    return out
+
+
+def _z33_multi_arc_base():
+    """Directed base over Z3xZ3 whose entries repeat voltages (count > 1) and
+    hold up to three distinct voltages, first seen in a non-sorted order."""
+    group = AbelianGroup(3, 3)
+    arcs = [(0, 1, (2, 1)), (0, 1, (0, 1)), (0, 1, (2, 1)), (0, 1, (1, 0)),
+            (1, 1, (1, 2)), (1, 1, (1, 2)), (1, 1, (1, 2)), (2, 0, (0, 0)),
+            (1, 2, (2, 2)), (2, 1, (1, 1)), (0, 1, (0, 1))]
+    return VoltageGraph.directed_from_arcs(group, [0, 1, 2], arcs)
+
+
+def _apply_cases():
+    d7 = _dihedral(7)
+    z33 = AbelianGroup(3, 3)
+    characters = [Representation.from_character(chi) for chi in enumerate_characters(z33)]
+    empty = VoltageGraph.directed_from_arcs(d7, ["a", "b"], [])
+    # matrices (not a homomorphism) whose sums in entry (0, 1), 2*(2,1) + 2*(0,1)
+    # + (1,0), round differently in any other order: (2e16 - 2e16) + 1 = 1
+    sensitive = {g: np.full((2, 2), 0.25 + 0.5j * g.index) for g in z33.elements()}
+    sensitive[z33.element((2, 1))] = np.array([[1e16, 1e16j], [0, 1e16]])
+    sensitive[z33.element((0, 1))] = np.array([[-1e16, -1e16j], [0, -1e16]])
+    sensitive[z33.element((1, 0))] = np.array([[1, 1j], [1j, 1]])
+    return {
+        "D7-irreps": (token_base_graph(d7, [1, 6, 2, 5], 3), _dihedral_irreps(d7, 7)),
+        # irreps over an equal group object that is not the base's own
+        "D7-irreps-over-copy": (token_base_graph(d7, [1, 6, 2, 5], 3),
+                                _dihedral_irreps(GenericGroup.from_group(d7), 7)),
+        "Z3xZ3-order": (_z33_multi_arc_base(), [Representation(z33, sensitive)]),
+        "D7-no-arcs": (empty, _dihedral_irreps(d7, 7)),
+        "Z3xZ3-characters": (token_base_graph(z33, [(1, 0), (2, 0), (1, 1), (2, 2)], 2),
+                             characters),
+        "Z3xZ3-counts": (_z33_multi_arc_base(), characters),
+    }
+
+
+@pytest.mark.parametrize("case", ["D7-irreps", "D7-irreps-over-copy", "D7-no-arcs",
+                                  "Z3xZ3-characters", "Z3xZ3-counts", "Z3xZ3-order"])
+def test_apply_representation_bytes_match_loop(case):
+    vg, reps = _apply_cases()[case]
+    base = vg.base_matrix()
+    if case in ("Z3xZ3-counts", "Z3xZ3-order"):
+        assert max(c for row in base.entries for e in row for c in e.values()) > 1
+        assert max(len(e) for row in base.entries for e in row) == 3
+    for rho in reps:
+        expected = _apply_representation_loop(base, rho)
+        for _ in range(2):  # the second call reuses the base's term arrays
+            block = base.apply_representation(rho)
+            assert block.shape == expected.shape and block.dtype == expected.dtype
+            assert block.tobytes() == expected.tobytes()
+
+
 def test_lift_eigenvector_residuals():
     vg = johnson_base(5, 2)
     lift_adj = vg.lift().adjacency_matrix()
