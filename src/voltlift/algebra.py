@@ -458,7 +458,8 @@ class RepresentationReport:
 
 
 def check_representation(group, rho: Representation, tol: float = 1e-10) -> RepresentationReport:
-    """Verify rho(gh) = rho(g)rho(h) and unitarity of every rho(g).
+    """Verify rho(gh) = rho(g)rho(h) and unitarity of every rho(g), over rho's
+    own group: an equal copy passed as `group` is compared with it once.
 
     Irreducibility is NOT checked; use irreps_completeness_defect for the
     sum-of-squares diagnostic.
@@ -467,10 +468,10 @@ def check_representation(group, rho: Representation, tol: float = 1e-10) -> Repr
     eye = np.eye(rho.dimension)
     hom_err = 0.0
     uni_err = 0.0
-    for g in group.elements():
+    for g in rho.group.elements():
         mg = rho.matrix(g)
         uni_err = max(uni_err, float(np.abs(mg @ mg.conj().T - eye).max()))
-        for h in group.elements():
+        for h in rho.group.elements():
             err = np.abs(rho.matrix(g * h) - mg @ rho.matrix(h)).max()
             hom_err = max(hom_err, float(err))
     return RepresentationReport(hom_err, uni_err, tol)
@@ -482,20 +483,29 @@ def irreps_completeness_defect(group, reps: Iterable[Representation]) -> int:
 
 
 def representations_from_json(group, data) -> list[Representation]:
-    """Parse a JSON list of {element index -> flattened [re, im, ...] matrix}."""
+    """Parse a JSON list of {element index -> flattened [re, im, ...] matrix};
+    malformed input raises a VoltliftError that names the entry."""
+    if not isinstance(data, list):
+        raise VoltliftError(f"irreps JSON must be a list, got {type(data).__name__}")
     reps = []
-    for entry in data:
+    for r, entry in enumerate(data):
+        where = f"irreps JSON[{r}]"
+        if not isinstance(entry, dict):
+            raise VoltliftError(f"{where} must be an object, got {type(entry).__name__}")
         mats = {}
-        for key, flat in entry.items():
-            el = group.elements()[int(key)]
-            flat = list(flat)
-            if len(flat) % 2 != 0:
-                raise VoltliftError("matrix entries must be [re, im] pairs")
+        for key in entry:
+            if not (key.isascii() and key.isdigit() and int(key) < group.size):
+                raise VoltliftError(f"{where} key {key!r} is not an element index "
+                                    f"0..{group.size - 1}")
+            flat = _json_field(entry, key, (list,), where)
+            if len(flat) % 2 or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                                    for x in flat):
+                raise VoltliftError(f"{where} element {key} must be [re, im] number pairs")
             values = [complex(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
             d = math.isqrt(len(values))
             if d * d != len(values):
-                raise VoltliftError("flattened representation matrix is not square")
-            mats[el] = np.array(values, dtype=complex).reshape(d, d)
+                raise VoltliftError(f"{where} element {key} matrix is not square")
+            mats[group.elements()[int(key)]] = np.array(values, dtype=complex).reshape(d, d)
         reps.append(Representation(group, mats))
     return reps
 

@@ -9,8 +9,8 @@ so X -> h*X is an automorphism of the token graph, and a token move
 rep_u -> g*rep_v translated by h is the lift arc (u, h) -> (v, h*g).  Over
 an abelian group g*X = X*g, so the two conventions agree.
 
-Subsets are handled as sorted tuples of element indices throughout, so the
-same code serves abelian and table-defined groups.
+Subsets are sorted rows of element indices, looked up by combination rank,
+so the same arrays serve abelian and table-defined groups.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 
 from .algebra import AbelianGroup, GroupElement
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
-from .graphs import Digraph, Graph, _label_to_json, _validate_connection_set
+from .graphs import Digraph, Graph, _label_to_json, _validate_connection_set, cayley_graph
+from .tokens import _combination_ranker, _token_moves
 from .voltage import VoltageGraph, match_voltage_pairing
 
 
@@ -32,25 +33,32 @@ class KSetDecomposition:
     """Orbits of left translation on k-subsets, all of size |Gamma|.
 
     ``representatives`` holds one sorted index tuple per orbit (the
-    lexicographic minimum unless a custom list was supplied) and
-    ``orbit_lookup`` maps every k-subset to (representative index, index of
-    the translating element g with g * rep = subset).
+    lexicographic minimum unless a custom list was supplied).  The k-subset
+    of combination rank r is g * representatives[orbit[r]], where g is the
+    element of index translator[r].
     """
 
-    def __init__(self, group, k, representatives, orbit_lookup):
+    def __init__(self, group, k, representatives, orbit, translator):
         self.group = group
         self.k = k
         self.representatives = tuple(tuple(r) for r in representatives)
-        self.orbit_lookup = orbit_lookup
+        self.orbit = orbit
+        self.translator = translator
+        self._rank = _combination_ranker(group.size, k)
 
     @property
     def num_orbits(self) -> int:
         return len(self.representatives)
 
     def locate(self, subset) -> tuple[int, GroupElement]:
-        """Return (representative index i, translator g) with g * rep_i = subset."""
-        rep_idx, g_idx = self.orbit_lookup[tuple(sorted(subset))]
-        return rep_idx, self.group.elements()[g_idx]
+        """Return (representative index i, translator g) with g * rep_i = subset;
+        a KeyError if subset is not a k-subset of element indices."""
+        key = tuple(sorted(subset))
+        if len(key) != self.k or len(set(key)) != self.k or not all(
+                isinstance(i, (int, np.integer)) and 0 <= i < self.group.size for i in key):
+            raise KeyError(key)
+        r = self._rank(np.array(key, dtype=np.intp))
+        return int(self.orbit[r]), self.group.elements()[self.translator[r]]
 
 
 def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
@@ -63,52 +71,49 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
     n = group.size
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
-    els = group.elements()
+    rank = _combination_ranker(n, k)
+    orbit = np.full(math.comb(n, k), -1, dtype=np.intp)
+    translator = np.empty_like(orbit)
     reps: list[tuple[int, ...]] = []
-    lookup: dict[tuple[int, ...], tuple[int, int]] = {}
-    for subset in combinations(range(n), k):
-        if subset in lookup:
+    # lexicographic order is rank order; each new subset is its orbit's minimum
+    for r, subset in enumerate(combinations(range(n), k)):
+        if orbit[r] >= 0:
             continue
-        # row g is the sorted subset elements[g] * subset
-        translates = np.sort(group.right_columns(subset), axis=1).tolist()
-        orbit: dict[tuple[int, ...], int] = {}
-        for g_idx, translated in enumerate(map(tuple, translates)):
-            orbit.setdefault(translated, g_idx)
-        if len(orbit) != n:
+        # row g ranks the sorted subset elements[g] * subset
+        translates = rank(np.sort(group.right_columns(subset), axis=1))
+        size = len(np.unique(translates))
+        if size != n:
             raise NotFreeAction(
-                f"orbit of {subset} has {len(orbit)} < {n} elements; action is not free",
+                f"orbit of {subset} has {size} < {n} elements; action is not free",
                 subset=subset,
             )
-        # lexicographic iteration guarantees `subset` is its orbit's minimum
-        rep_idx = len(reps)
+        orbit[translates] = len(reps)
+        translator[translates] = np.arange(n)
         reps.append(subset)
-        for translated, g_idx in orbit.items():
-            lookup[translated] = (rep_idx, g_idx)
     assert len(reps) * n == math.comb(n, k)
+    dec = KSetDecomposition(group, k, reps, orbit, translator)
     if representatives is None:
-        return KSetDecomposition(group, k, reps, lookup)
+        return dec
 
     # re-base on user-supplied representatives (e.g. to match published tables)
     user = [tuple(sorted(int(i) for i in r)) for r in representatives]
     if len(user) != len(reps):
         raise VoltliftError(f"expected {len(reps)} representatives, got {len(user)}")
-    seen_orbits = {}
-    for new_idx, r in enumerate(user):
-        if r not in lookup:
-            raise VoltliftError(f"{r} is not a valid {k}-subset of the group")
-        old_idx, g0 = lookup[r]
+    seen_orbits, g0_inverse = {}, []
+    for r in user:
+        try:
+            old_idx, g0 = dec.locate(r)
+        except KeyError:
+            raise VoltliftError(f"{r} is not a valid {k}-subset of the group") from None
         if old_idx in seen_orbits:
             raise VoltliftError(f"{r} repeats the orbit of representative {seen_orbits[old_idx]}")
         seen_orbits[old_idx] = r
-    new_lookup = {}
-    remap = {lookup[r][0]: (new_idx, lookup[r][1]) for new_idx, r in enumerate(user)}
-    for subset, (old_idx, g_idx) in lookup.items():
-        new_idx, g0 = remap[old_idx]
-        # g * rep_old = subset and g0 * rep_old = rep_new, so
-        # subset = (g * g0^-1) * rep_new
-        translator = els[g_idx] * els[g0].inverse()
-        new_lookup[subset] = (new_idx, group.index_of(translator))
-    return KSetDecomposition(group, k, user, new_lookup)
+        g0_inverse.append(g0.inverse().index)
+    # g * rep_old = subset and g0 * rep_old = rep_new, so
+    # subset = (g * g0^-1) * rep_new
+    new_orbit = np.argsort(list(seen_orbits))[orbit]
+    rebased = group.right_columns(g0_inverse)[translator, new_orbit]
+    return KSetDecomposition(group, k, user, new_orbit, rebased)
 
 
 def token_base_graph(group, gens, k: int, representatives=None,
@@ -122,24 +127,17 @@ def token_base_graph(group, gens, k: int, representatives=None,
     """
     gens = _validate_connection_set(group, gens, directed)
     dec = k_set_decomposition(group, k, representatives)
-    # steps[i][t] = index of elements[i] * gens[t]
-    steps = group.right_columns([s.index for s in gens]).tolist()
-    arcs = []
-    voltages = []
-    for rep_idx, rep in enumerate(dec.representatives):
-        occupied = set(rep)
-        for i in rep:
-            for j in steps[i]:
-                if j in occupied:
-                    continue
-                moved = tuple(sorted(occupied - {i} | {j}))
-                beta_idx, g = dec.locate(moved)
-                arcs.append((rep_idx, beta_idx))
-                voltages.append(g)
-    digraph = Digraph(dec.representatives, arcs)
+    # Cayley arcs a -> a*s run tail-major, then by generator, so sorting the
+    # moves stably by representative orders each one's by token, then generator
+    cayley = cayley_graph(group, gens, directed=True).arc_array()
+    moves = _token_moves(cayley, dec.representatives, group.size)
+    rep, moved = moves[np.argsort(moves[:, 0], kind="stable")].T
+    els = group.elements()
+    digraph = Digraph(dec.representatives, np.stack([rep, dec.orbit[moved]], axis=1))
+    voltages = [els[g] for g in dec.translator[moved].tolist()]
     if directed:
         return VoltageGraph(group, digraph, voltages)
-    pairing = match_voltage_pairing(arcs, voltages)
+    pairing = match_voltage_pairing(digraph.arcs, voltages)
     return VoltageGraph(group, digraph, voltages, pairing)
 
 

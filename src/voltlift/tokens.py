@@ -23,21 +23,23 @@ def token_configs(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), k))
 
 
-def _token_moves(arcs: np.ndarray, configs: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """(config index, moved config index) rows for every token sliding along
-    one of the arcs (u, v) onto an unoccupied head, arc-major then config
-    order.
-
-    A moved configuration c_0 < ... < c_{k-1} is followed, lexicographically,
-    by sum_i C(n-1-c_i, k-i) configurations, so its index is C(n,k) - 1 minus
-    that sum.  Every term is at most C(n,k), which counts held rows.
-    """
-    rows = np.array(configs, dtype=np.intp)
-    count, k = rows.shape
+def _combination_ranker(n: int, k: int):
+    """rank(rows) maps each sorted k-subset row c_0 < ... < c_{k-1} of range(n)
+    to its lexicographic index, C(n,k) - 1 minus the sum_i C(n-1-c_i, k-i)
+    subsets after it; other rows get meaningless ranks."""
     # C(a, b); the entries with a - b >= n - k are never read and may
     # exceed int64, so they are left 0
     binom = np.array([[math.comb(a, b) if a - b < n - k else 0 for b in range(k + 1)]
                       for a in range(n)], dtype=np.int64)
+    return lambda rows: math.comb(n, k) - 1 - binom[n - 1 - rows, np.arange(k, 0, -1)].sum(-1)
+
+
+def _token_moves(arcs: np.ndarray, configs, n: int) -> np.ndarray:
+    """(config index, moved config rank) rows for every token sliding along
+    one of the arcs (u, v) onto an unoccupied head, arc-major then config
+    order; the configs may be any sorted k-subsets of range(n)."""
+    rows = np.array(configs, dtype=np.intp)
+    count, k = rows.shape
     occupied = np.zeros((count, n), dtype=bool)
     occupied[np.arange(count)[:, None], rows] = True
     tails, heads = arcs[:, 0], arcs[:, 1]
@@ -46,8 +48,7 @@ def _token_moves(arcs: np.ndarray, configs: list[tuple[int, ...]], n: int) -> np
     moved = rows[config]
     moved = np.where(moved == tails[arc, None], heads[arc, None], moved)
     moved.sort(axis=1)
-    following = binom[n - 1 - moved, np.arange(k, 0, -1)].sum(axis=1)
-    return np.stack([config, count - 1 - following], axis=1)
+    return np.stack([config, _combination_ranker(n, k)(moved)], axis=1)
 
 
 def token_graph(graph: Graph, k: int) -> Graph:

@@ -80,71 +80,53 @@ def _entry_str(group, entry: dict[int, int]) -> str:
 
 
 class BaseMatrix:
-    """Square matrix over the group algebra indexed by base vertices.
+    """Square matrix over the group algebra indexed by base vertices, held as
+    term arrays (row, column, voltage index, arc count), one tuple per rank:
+    rank r holds every entry's r-th distinct voltage in arc order."""
 
-    Entry (u, v) is a dict mapping a voltage's element index to the number
-    of arcs u -> v carrying it; an empty dict is zero.
-    """
-
-    def __init__(self, group, labels, entries):
+    def __init__(self, group, labels, terms):
         self.group = group
         self.labels = tuple(labels)
-        self.entries = tuple(tuple(row) for row in entries)
-        n = len(self.labels)
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise VoltliftError("base matrix must be square over the vertex list")
-        self._term_arrays = None
+        self.terms = tuple(terms)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def evaluate(self, chi: Character) -> np.ndarray:
-        """Entrywise evaluation at a character; complex |V| x |V| matrix.
+    @property
+    def entries(self) -> tuple[tuple[dict[int, int], ...], ...]:
+        """Entry (u, v) as a {voltage index: arc count} dict in first-occurrence
+        order, empty for zero; built from the term arrays on each call."""
+        entries = [[{} for _ in range(self.n)] for _ in range(self.n)]
+        for terms in self.terms:
+            for i, j, g, c in zip(*(t.tolist() for t in terms)):
+                entries[i][j][g] = c
+        return tuple(map(tuple, entries))
 
-        Each entry sums count * chi(g) from 0j, in the order its voltages
-        first occur among the arcs."""
-        if chi.group != self.group:
-            raise MismatchedGroups("character group differs from base matrix group")
-        values = chi.values().tolist()
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, entry in enumerate(row):
-                if entry:
-                    out[i, j] = sum((c * values[g] for g, c in entry.items()), complex(0))
-        return out
-
-    def _terms(self) -> list[tuple[np.ndarray, ...]]:
-        """The entries' terms as (row, column, voltage index, count) arrays,
-        one tuple per rank: rank r holds the r-th term, in first-occurrence
-        order, of every entry that has one.  Extracted on first use and kept."""
-        if self._term_arrays is None:
-            rows, cols, volts, counts, ranks = np.array(
-                [(i, j, g, c, rank)
-                 for i, row in enumerate(self.entries)
-                 for j, entry in enumerate(row) if entry
-                 for rank, (g, c) in enumerate(entry.items())],
-                dtype=np.intp).reshape(-1, 5).T
-            self._term_arrays = [(rows[sel], cols[sel], volts[sel], counts[sel])
-                                 for sel in (ranks == r for r in range(ranks.max(initial=-1) + 1))]
-        return self._term_arrays
-
-    def apply_representation(self, rho: Representation) -> np.ndarray:
-        """Block matrix with block (u, v) = sum coeff * rho(g); d*|V| square.
-
-        Every block adds its terms to 0 in first-occurrence order, one scatter
-        per rank (no block repeats within a rank), so each sum is rounded as
-        a term-by-term loop over the entries rounds it."""
-        if rho.group != self.group:
-            raise MismatchedGroups("representation group differs from base matrix group")
-        d, n = rho.dimension, self.n
-        # rho's own elements: an equal group object enumerates them in the same order
-        mats = np.array([rho.matrix(el) for el in rho.group.elements()])
+    def _scatter(self, mats: np.ndarray) -> np.ndarray:
+        """Block matrix with block (u, v) = sum count * mats[g], from one d x d
+        matrix per group element; d*|V| square.  Every block adds its terms
+        to 0 in rank order, one scatter per rank (no block repeats within a
+        rank), so each sum is rounded as a term-by-term loop rounds it."""
+        d, n = mats.shape[-1], self.n
         out = np.zeros((n, d, n, d), dtype=complex)
         blocks = out.transpose(0, 2, 1, 3)  # blocks[u, v] is block (u, v), a view
-        for rows, cols, volts, counts in self._terms():
+        for rows, cols, volts, counts in self.terms:
             blocks[rows, cols] += counts[:, None, None] * mats[volts]
         return out.reshape(n * d, n * d)
+
+    def evaluate(self, chi: Character) -> np.ndarray:
+        """Entrywise evaluation at a character; complex |V| x |V| matrix."""
+        if chi.group != self.group:
+            raise MismatchedGroups("character group differs from base matrix group")
+        return self._scatter(chi.values()[:, None, None])
+
+    def apply_representation(self, rho: Representation) -> np.ndarray:
+        """Block matrix with block (u, v) = sum coeff * rho(g); d*|V| square."""
+        if rho.group != self.group:
+            raise MismatchedGroups("representation group differs from base matrix group")
+        # rho's own elements: an equal group object enumerates them in the same order
+        return self._scatter(np.array([rho.matrix(el) for el in rho.group.elements()]))
 
     def __str__(self) -> str:
         cells = [[_entry_str(self.group, entry) for entry in row] for row in self.entries]
@@ -231,11 +213,19 @@ class VoltageGraph:
 
     def base_matrix(self) -> BaseMatrix:
         """Entry (u, v) counts the arcs u -> v by voltage index."""
-        entries = [[{} for _ in range(self.n)] for _ in range(self.n)]
-        for (u, v), w in zip(self.digraph.arc_array().tolist(), self.voltages):
-            g = w.index
-            entries[u][v][g] = entries[u][v].get(g, 0) + 1
-        return BaseMatrix(self.group, self.digraph.labels, entries)
+        n, m = self.n, self.group.size
+        tails, heads = self.digraph.arc_array().T
+        volts = np.fromiter((w.index for w in self.voltages), dtype=np.intp)
+        keys, first, counts = np.unique((tails * n + heads) * m + volts,
+                                        return_index=True, return_counts=True)
+        # by entry u*n + v, each entry's terms in first-occurrence order;
+        # a term's rank is its position among its entry's terms
+        order = np.lexsort((first, keys // m))
+        entry, volts = np.divmod(keys[order], m)
+        ranks = np.arange(len(entry)) - np.searchsorted(entry, entry)
+        return BaseMatrix(self.group, self.digraph.labels, [
+            (entry[sel] // n, entry[sel] % n, volts[sel], counts[order][sel])
+            for sel in (ranks == r for r in range(ranks.max(initial=-1) + 1))])
 
     def character_matrix(self, chi: Character,
                          coeffs: UniversalCoefficients | None = None) -> np.ndarray:

@@ -67,6 +67,17 @@ def random_voltage_graph(rng: random.Random) -> VoltageGraph:
     return VoltageGraph.undirected_from_edges(group, list(range(n)), edges)
 
 
+def dihedral_group(n: int) -> GenericGroup:
+    """D_n as a GenericGroup; index i < n is r^i, index n + i is r^i s."""
+    def mul(x, y):  # r^a s^p * r^b s^q = r^(a + (-1)^p b) s^(p + q)
+        p, a = divmod(x, n)
+        q, b = divmod(y, n)
+        return (a + (-b if p else b)) % n + n * ((p + q) % 2)
+
+    return GenericGroup([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)],
+                        name=f"D{n}")
+
+
 def s3_group_and_irreps():
     """The symmetric group on 3 points as a GenericGroup, with its three
     unitary irreducibles (two 1-dim, one 2-dim)."""

@@ -20,6 +20,7 @@ from voltlift import (
     enumerate_characters,
     group_from_json,
     irreps_completeness_defect,
+    representations_from_json,
 )
 
 from helpers import s3_group_and_irreps
@@ -213,6 +214,68 @@ def test_s3_irreps_are_valid_and_complete():
         assert check_representation(group, rep).passed
     assert irreps_completeness_defect(group, irreps) == 0
     assert irreps_completeness_defect(group, irreps[:2]) == -4
+
+
+def test_check_representation_over_an_equal_copy(monkeypatch):
+    group, _, irreps = s3_group_and_irreps()
+    copy = GenericGroup.from_group(group)
+    distinct = 0
+    equal = GenericGroup.__eq__
+
+    def counting_eq(self, other):
+        nonlocal distinct
+        distinct += self is not other
+        return equal(self, other)
+
+    for rho in irreps:
+        own = check_representation(group, rho)
+        monkeypatch.setattr(GenericGroup, "__eq__", counting_eq)
+        distinct = 0
+        report = check_representation(copy, rho)
+        monkeypatch.setattr(GenericGroup, "__eq__", equal)
+        # the one comparison of the two groups, whatever |G| is
+        assert distinct == 1
+        assert (report.homomorphism_error, report.unitarity_error, report.passed) == \
+            (own.homomorphism_error, own.unitarity_error, own.passed)
+
+
+def _trivial_irrep_json(**replace):
+    entry = {str(i): [1.0, 0.0] for i in range(6)}
+    entry.update(replace)
+    return [entry]
+
+
+@pytest.mark.parametrize("data, message", [
+    (_trivial_irrep_json(**{"6": [1, 0]}), "irreps JSON[0] key '6' is not an element index 0..5"),
+    ({"0": [1, 0]}, "irreps JSON must be a list, got dict"),
+    ([[1, 0]], "irreps JSON[0] must be an object, got list"),
+    (_trivial_irrep_json(**{"1": 5}), "irreps JSON[0] field '1' is a int, expected list"),
+    (_trivial_irrep_json(**{"2": ["a", 0]}),
+     "irreps JSON[0] element 2 must be [re, im] number pairs"),
+    (_trivial_irrep_json(**{"2": [True, 0]}),
+     "irreps JSON[0] element 2 must be [re, im] number pairs"),
+    (_trivial_irrep_json(**{"3": [1, 0, 0]}),
+     "irreps JSON[0] element 3 must be [re, im] number pairs"),
+    (_trivial_irrep_json(**{"4": [1, 0, 0, 0]}), "irreps JSON[0] element 4 matrix is not square"),
+    (_trivial_irrep_json(**{"x": [1, 0]}), "irreps JSON[0] key 'x' is not an element index 0..5"),
+], ids=["key-out-of-range", "top-level-object", "entry-is-list", "matrix-not-list",
+        "entry-not-number", "entry-bool", "odd-length", "not-square", "key-not-int"])
+def test_representations_from_json_rejects_malformed_input(data, message):
+    group, _, _ = s3_group_and_irreps()
+    with pytest.raises(VoltliftError) as err:
+        representations_from_json(group, data)
+    assert str(err.value) == message
+
+
+def test_representations_from_json_rejects_negative_keys():
+    group, _, _ = s3_group_and_irreps()
+    # all six keys are present once "-1" stands for element 5
+    data = _trivial_irrep_json()
+    data[0]["-1"] = data[0].pop("5")
+    with pytest.raises(VoltliftError, match="key '-1' is not an element index"):
+        representations_from_json(group, data)
+    (rho,) = representations_from_json(group, _trivial_irrep_json())
+    assert check_representation(group, rho).passed
 
 
 # lcm(orders) < |G| in each group, so the integer phase is not the index sum

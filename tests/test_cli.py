@@ -211,6 +211,18 @@ MALFORMED_GRAPHS = {
     "GROUP_NO_SIZE": {"group": {"table": [0]}, "vertices": [0], "arcs": []},
     "GROUP_ORDER_NOT_INT": {"group": {"orders": ["x"]}, "vertices": [0], "arcs": []},
     "OBJECT_LABEL": {"vertices": [{"a": 1}], "arcs": []},
+    # a voltage graph over S3 and irreps files that are valid JSON but not irreps
+    "S3_GRAPH": {"group": {"size": 6, "table": [0, 1, 2, 3, 4, 5, 1, 2, 0, 5, 3, 4,
+                                                2, 0, 1, 4, 5, 3, 3, 4, 5, 0, 1, 2,
+                                                4, 5, 3, 2, 0, 1, 5, 3, 4, 1, 2, 0]},
+                 "vertices": [0], "arcs": [{"tail": 0, "head": 0, "voltage": [1]},
+                                           {"tail": 0, "head": 0, "voltage": [2]}]},
+    "IRREPS_KEY_OUT_OF_RANGE": [{"6": [1, 0]}],
+    "IRREPS_KEY_NEGATIVE": [{"-1": [1, 0]}],
+    "IRREPS_KEY_NOT_INT": [{"x": [1, 0]}],
+    "IRREPS_ENTRY_NOT_NUMBER": [{"0": ["a", 0]}],
+    "IRREPS_ENTRY_IS_LIST": [[1, 0]],
+    "IRREPS_NOT_LIST": {"0": [1, 0]},
 }
 
 MALFORMED = {
@@ -242,6 +254,9 @@ MALFORMED = {
     "group-json-no-size": ["spectrum", "--in", "GROUP_NO_SIZE", "--method", "direct"],
     "group-json-order-not-int": ["spectrum", "--in", "GROUP_ORDER_NOT_INT"],
     "graph-json-object-label": ["spectrum", "--in", "OBJECT_LABEL"],
+    **{f"irreps-json-{name[7:].lower().replace('_', '-')}":
+       ["spectrum", "--in", "S3_GRAPH", "--method", "irreps", "--irreps", name]
+       for name in MALFORMED_GRAPHS if name.startswith("IRREPS_")},
 }
 
 

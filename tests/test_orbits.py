@@ -25,9 +25,10 @@ from voltlift import (
     verify_natural_isomorphism,
     VoltliftError,
 )
-from voltlift.voltage import VoltageGraph
+from voltlift.graphs import _validate_connection_set
+from voltlift.voltage import VoltageGraph, match_voltage_pairing
 
-from helpers import entry
+from helpers import dihedral_group, entry
 
 
 def test_z5_two_set_decomposition():
@@ -271,3 +272,96 @@ def test_directed_token_base_matches_c5_example():
     assert b.entries[0][1] == entry(group, 0)
     assert b.entries[1][0] == entry(group, 1)
     assert b.entries[1][1] == entry(group, -2)
+
+
+def _dict_decomposition(group, k, representatives=None):
+    """The (representatives, {sorted subset: (rep index, translator index)})
+    of the dict-keyed decomposition that the rank arrays replaced."""
+    n = group.size
+    els = group.elements()
+    reps, lookup = [], {}
+    for subset in combinations(range(n), k):
+        if subset in lookup:
+            continue
+        orbit = {}
+        for g_idx, g in enumerate(els):
+            orbit.setdefault(tuple(sorted(group.index_of(g * els[i]) for i in subset)), g_idx)
+        assert len(orbit) == n
+        for translated, g_idx in orbit.items():
+            lookup[translated] = (len(reps), g_idx)
+        reps.append(subset)
+    if representatives is None:
+        return reps, lookup
+    user = [tuple(sorted(r)) for r in representatives]
+    remap = {lookup[r][0]: (new_idx, lookup[r][1]) for new_idx, r in enumerate(user)}
+    rebased = {}
+    for subset, (old_idx, g_idx) in lookup.items():
+        new_idx, g0 = remap[old_idx]
+        rebased[subset] = (new_idx, group.index_of(els[g_idx] * els[g0].inverse()))
+    return user, rebased
+
+
+def _per_arc_token_base(group, gens, k, representatives=None, directed=False):
+    """(labels, arcs, voltage keys, pairing) from the per-arc loop over sets
+    and dict lookups that the token-move engine replaced."""
+    gens = _validate_connection_set(group, gens, directed)
+    reps, lookup = _dict_decomposition(group, k, representatives)
+    els = group.elements()
+    arcs, voltages = [], []
+    for rep_idx, rep in enumerate(reps):
+        occupied = set(rep)
+        for i in rep:
+            for s in gens:
+                j = group.index_of(els[i] * s)
+                if j in occupied:
+                    continue
+                beta_idx, g_idx = lookup[tuple(sorted(occupied - {i} | {j}))]
+                arcs.append((rep_idx, beta_idx))
+                voltages.append(els[g_idx])
+    pairing = None if directed else tuple(match_voltage_pairing(arcs, voltages))
+    return tuple(reps), tuple(arcs), tuple(w.key for w in voltages), pairing
+
+
+Z3Z3_GENS = [(1, 0), (2, 0), (0, 1), (0, 2)]
+Z3Z3_TABLE_REPS = [(0, 3), (0, 1), (0, 4), (0, 7)]
+
+
+@pytest.mark.parametrize("group, gens, k, kwargs", [
+    (AbelianGroup(3, 3), Z3Z3_GENS, 2, {}),
+    (AbelianGroup(3, 3), Z3Z3_GENS, 2, {"representatives": Z3Z3_TABLE_REPS}),
+    (AbelianGroup(5, 5), [(1, 0), (0, 1)], 2, {"directed": True}),
+    (AbelianGroup(19), [1, 18, 5, 14], 3, {}),
+    (dihedral_group(7), [1, 6, 2, 5], 3, {}),
+    (dihedral_group(7), [1, 6], 5, {}),
+], ids=["z3xz3-k2", "z3xz3-k2-rebased", "directed-z5xz5-k2", "z19-k3", "d7-k3", "d7-k5"])
+def test_token_base_graph_matches_per_arc_loop(group, gens, k, kwargs):
+    vg = token_base_graph(group, gens, k, **kwargs)
+    labels, arcs, keys, pairing = _per_arc_token_base(group, gens, k, **kwargs)
+    assert vg.labels == labels
+    assert vg.digraph.arcs == arcs
+    assert tuple(w.key for w in vg.voltages) == keys
+    assert (None if vg.pairing is None else tuple(vg.pairing)) == pairing
+
+
+@pytest.mark.parametrize("group, k, reps", [
+    (AbelianGroup(7), 3, None),
+    (AbelianGroup(3, 3), 2, Z3Z3_TABLE_REPS),
+    (dihedral_group(7), 3, None),
+], ids=["z7-k3", "z3xz3-k2-rebased", "d7-k3"])
+def test_locate_matches_dict_lookup(group, k, reps):
+    dec = k_set_decomposition(group, k, reps)
+    expected_reps, lookup = _dict_decomposition(group, k, reps)
+    assert list(dec.representatives) == expected_reps
+    assert len(lookup) == math.comb(group.size, k)
+    for subset, (rep_idx, g_idx) in lookup.items():
+        assert dec.locate(subset) == (rep_idx, group.elements()[g_idx])
+        assert dec.locate(subset[::-1]) == (rep_idx, group.elements()[g_idx])
+
+
+@pytest.mark.parametrize("subset", [(0, 0), (0, 9), (-1, 2), (0,), (0, 1, 2), (0, 1.5)],
+                         ids=["repeat", "past-end", "negative", "too-short", "too-long",
+                              "not-int"])
+def test_locate_rejects_a_non_subset(subset):
+    dec = k_set_decomposition(AbelianGroup(3, 3), 2)
+    with pytest.raises(KeyError):
+        dec.locate(subset)

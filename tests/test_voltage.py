@@ -37,7 +37,7 @@ from voltlift import (
     voltage_graph_from_json,
 )
 
-from helpers import entry, random_voltage_graph
+from helpers import dihedral_group, entry, random_voltage_graph
 
 Z5 = AbelianGroup(5)
 
@@ -68,17 +68,6 @@ def test_c5_base_lifts_to_token_digraph():
     assert mapped == direct
 
 
-def _dihedral(n):
-    """D_n as a GenericGroup; index i < n is r^i, index n + i is r^i s."""
-    def mul(x, y):  # r^a s^p * r^b s^q = r^(a + (-1)^p b) s^(p + q)
-        p, a = divmod(x, n)
-        q, b = divmod(y, n)
-        return (a + (-b if p else b)) % n + n * ((p + q) % 2)
-
-    return GenericGroup([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)],
-                        name=f"D{n}")
-
-
 def _dihedral_irreps(group, n):
     """Trivial, sign and the (n-1)/2 two-dimensional irreps of D_n, n odd."""
     els = group.elements()
@@ -103,7 +92,7 @@ def _dihedral_irreps(group, n):
     ids=["k5-r1", "k5-r1-r2", "k3-r1-r2"],
 )
 def test_dihedral_token_base_matches_oracles(k, gens):
-    group = _dihedral(7)
+    group = dihedral_group(7)
     irreps = _dihedral_irreps(group, 7)
     assert all(check_representation(group, rho).passed for rho in irreps)
     vg = token_base_graph(group, gens, k)
@@ -114,7 +103,7 @@ def test_dihedral_token_base_matches_oracles(k, gens):
 
 
 def test_dihedral_custom_representatives_translate_on_the_left():
-    group = _dihedral(7)
+    group = dihedral_group(7)
     els = group.elements()
     default = k_set_decomposition(group, 3).representatives
     # move every orbit's representative by a different non-identity element
@@ -156,7 +145,7 @@ def _elementwise_lift(vg):
         lambda: token_base_graph(AbelianGroup(3, 3), [(1, 0), (2, 0), (0, 1), (0, 2)], 2),
         lambda: circulant_linegraph_base(13, [1, 3, 4]),
         lambda: token_base_graph(AbelianGroup(7), [(3,)], 3, directed=True),
-        lambda: token_base_graph(_dihedral(7), [1, 6, 3, 4], 3),
+        lambda: token_base_graph(dihedral_group(7), [1, 6, 3, 4], 3),
     ],
     ids=["z3xz3-k2", "circulant-linegraph", "directed-token", "d7-generic"],
 )
@@ -299,7 +288,7 @@ def _z33_multi_arc_base():
 
 
 def _apply_cases():
-    d7 = _dihedral(7)
+    d7 = dihedral_group(7)
     z33 = AbelianGroup(3, 3)
     characters = [Representation.from_character(chi) for chi in enumerate_characters(z33)]
     empty = VoltageGraph.directed_from_arcs(d7, ["a", "b"], [])
@@ -336,6 +325,55 @@ def test_apply_representation_bytes_match_loop(case):
             block = base.apply_representation(rho)
             assert block.shape == expected.shape and block.dtype == expected.dtype
             assert block.tobytes() == expected.tobytes()
+
+
+def _entries_loop(vg):
+    """The dict-building loop that the term arrays replaced: entry (u, v)
+    maps each voltage index to its arc count, in first-occurrence order."""
+    entries = [[{} for _ in range(vg.n)] for _ in range(vg.n)]
+    for (u, v), w in zip(vg.digraph.arcs, vg.voltages):
+        entries[u][v][w.index] = entries[u][v].get(w.index, 0) + 1
+    return entries
+
+
+def _evaluate_loop(base, chi):
+    """The per-entry loop that evaluate replaced; the reference for its bytes."""
+    values = chi.values().tolist()
+    out = np.zeros((base.n, base.n), dtype=complex)
+    for i, row in enumerate(base.entries):
+        for j, entry in enumerate(row):
+            if entry:
+                out[i, j] = sum((c * values[g] for g, c in entry.items()), complex(0))
+    return out
+
+
+_EVALUATE_CASES = {
+    "J(7,3)": lambda: johnson_base(7, 3),
+    # loops at every vertex
+    "L(C13;1,3,4)": lambda: circulant_linegraph_base(13, [1, 3, 4]),
+    "Z3xZ3-table-reps": lambda: token_base_graph(
+        AbelianGroup(3, 3), [(1, 0), (2, 0), (0, 1), (0, 2)], 2,
+        representatives=[(0, 3), (0, 1), (0, 4), (0, 7)]),
+    # a loop entry with count 3, entries with counts 2 and three voltages
+    "Z3xZ3-counts": _z33_multi_arc_base,
+    "no-arcs": lambda: VoltageGraph.directed_from_arcs(AbelianGroup(4), ["a", "b"], []),
+    **{f"random-{seed}": (lambda seed=seed: random_voltage_graph(random.Random(seed)))
+       for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("case", _EVALUATE_CASES)
+def test_base_matrix_entries_and_evaluate_match_loops(case):
+    vg = _EVALUATE_CASES[case]()
+    base = vg.base_matrix()
+    expected = _entries_loop(vg)
+    assert [[list(e.items()) for e in row] for row in base.entries] == \
+        [[list(e.items()) for e in row] for row in expected]
+    for chi in enumerate_characters(vg.group):
+        m = base.evaluate(chi)
+        want = _evaluate_loop(base, chi)
+        assert m.shape == want.shape and m.dtype == want.dtype
+        assert m.tobytes() == want.tobytes()
 
 
 def test_lift_eigenvector_residuals():
