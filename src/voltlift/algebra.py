@@ -74,7 +74,7 @@ class GroupElement:
 
 
 def _require_same_group(a, b):
-    if a != b:
+    if a is not b and a != b:
         raise MismatchedGroups(f"elements of {a!r} and {b!r} cannot be combined")
 
 
@@ -100,6 +100,7 @@ class AbelianGroup:
             acc *= n
         self._strides = tuple(reversed(strides))
         self._elements: tuple[GroupElement, ...] | None = None
+        self._roots: np.ndarray | None = None
 
     is_abelian = True
 
@@ -148,6 +149,24 @@ class AbelianGroup:
             out += ((c.reshape((-1,) + (1,) * idx.ndim) + c[idx]) % n) * stride
         return out
 
+    def inverse_indices(self) -> np.ndarray:
+        """Array of shape (|G|,): entry a is index(elements[a]^-1), negated
+        one cyclic factor at a time."""
+        coords = np.unravel_index(np.arange(self.size), self.orders)
+        return sum(((-c) % n) * stride
+                   for c, n, stride in zip(coords, self.orders, self._strides))
+
+    def _unit_roots(self) -> np.ndarray:
+        """exp(2*pi*i * p / L) for p in range(L), L = lcm of the orders, with
+        exactly 1 at p = 0; computed once per group."""
+        if self._roots is None:
+            period = math.lcm(*self.orders)
+            self._roots = np.array(
+                [complex(1.0)]
+                + [cmath.exp(2j * math.pi * (p / period)) for p in range(1, period)],
+                dtype=complex)
+        return self._roots
+
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
         _require_same_group(b.group, self)
@@ -160,7 +179,8 @@ class AbelianGroup:
         return GroupElement(self, tuple((-x) % n for x, n in zip(a.key, self.orders)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AbelianGroup) and self.orders == other.orders
+        return self is other or (isinstance(other, AbelianGroup)
+                                 and self.orders == other.orders)
 
     def __hash__(self) -> int:
         return hash(("AbelianGroup", self.orders))
@@ -271,6 +291,10 @@ class GenericGroup:
         index(elements[a] * elements[idx[...]]), read from the table."""
         return self._array[:, np.asarray(idx, dtype=np.intp)]
 
+    def inverse_indices(self) -> np.ndarray:
+        """Array of shape (|G|,): entry a is index(elements[a]^-1)."""
+        return np.array(self._inverse, dtype=np.intp)
+
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
         _require_same_group(b.group, self)
@@ -289,7 +313,9 @@ class GenericGroup:
         return cls(table, name=name or group.name)
 
     def __eq__(self, other) -> bool:
+        # unequal cached hashes reject a different table without reading it
         return self is other or (isinstance(other, GenericGroup)
+                                 and self._hash == other._hash
                                  and self._table == other._table)
 
     def __hash__(self) -> int:
@@ -327,11 +353,11 @@ class Character:
     """A character of an abelian group, indexed by (j1, ..., jr).
 
     chi(g) = exp(2*pi*i * sum_k j_k g_k / n_k).  With L = lcm(n_1, ..., n_r)
-    the phase is the exact integer p = sum_k j_k g_k (L / n_k) mod L, and one
-    complex exponential of the correctly rounded p / L gives the value.
+    the phase is the exact integer p = sum_k j_k g_k (L / n_k) mod L, and the
+    value is the group's root exp(2*pi*i * p / L) of the correctly rounded p / L.
     """
 
-    __slots__ = ("group", "index", "_period", "_values")
+    __slots__ = ("group", "index", "_values")
 
     def __init__(self, group: AbelianGroup, index):
         if not isinstance(group, AbelianGroup):
@@ -339,7 +365,6 @@ class Character:
         el = group.element(index)  # reuse normalization/validation
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "index", el.key)
-        object.__setattr__(self, "_period", math.lcm(*group.orders))
         object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
@@ -351,18 +376,19 @@ class Character:
 
     def __call__(self, el: GroupElement) -> complex:
         _require_same_group(el.group, self.group)
-        period = self._period
-        phase = sum(j * g * (period // n)
-                    for j, g, n in zip(self.index, el.key, self.group.orders)) % period
-        if phase == 0:
-            return complex(1.0)
-        return cmath.exp(2j * math.pi * (phase / period))
+        return complex(self.values()[el.index])
 
     def values(self) -> np.ndarray:
-        """chi evaluated on all group elements, in enumeration order."""
+        """chi evaluated on all group elements, in enumeration order: every
+        element's integer phase at once, then one gather from the roots."""
         if self._values is None:
-            vals = np.array([self(g) for g in self.group.elements()], dtype=complex)
-            object.__setattr__(self, "_values", vals)
+            group = self.group
+            roots = group._unit_roots()
+            period = len(roots)
+            coords = np.unravel_index(np.arange(group.size), group.orders)
+            phases = sum(c * (j * (period // n))
+                         for c, j, n in zip(coords, self.index, group.orders)) % period
+            object.__setattr__(self, "_values", roots[phases])
         return self._values
 
     def inverse(self) -> "Character":

@@ -257,26 +257,42 @@ def match_digon_pairing(arcs: Sequence[tuple[int, int]], voltages=None) -> list[
     """Match arcs into digons; raises InvalidPairing if impossible.
 
     With voltages (one group element per arc), an arc only pairs with a
-    reversed arc that carries the inverse voltage.
+    reversed arc that carries the inverse voltage.  The k-th arc of a key
+    (tail, head[, voltage]), in index order, pairs with the k-th arc of the
+    reverse key, and a key that is its own reverse pairs consecutive arcs: the
+    greedy first-fit match in arc order, found with one lexsort.  On failure
+    the lowest-index arc left over is named.
     """
-    if voltages is None:
-        keys = list(arcs)
-    else:
-        keys = [(tail, head, w.key) for (tail, head), w in zip(arcs, voltages)]
-    buckets: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        buckets.setdefault(key, []).append(i)
-    pairing = [-1] * len(arcs)
-    for i, (tail, head) in enumerate(arcs):
-        if pairing[i] != -1:
-            continue
-        want = (head, tail) if voltages is None else (head, tail, voltages[i].inverse().key)
-        j = next((k for k in buckets.get(want, []) if pairing[k] == -1 and k != i), None)
-        if j is None:
-            raise InvalidPairing(f"arc {i} {keys[i]} has no unmatched reverse"
-                                 + ("" if voltages is None else " with inverse voltage"))
-        pairing[i], pairing[j] = j, i
-    return pairing
+    a = np.asarray(arcs, dtype=np.intp).reshape(-1, 2)
+    count = len(a)
+    if not count:
+        return []
+    keys, reverse = [a[:, 0], a[:, 1]], [a[:, 1], a[:, 0]]
+    if voltages is not None:
+        volts = np.fromiter((w.index for w in voltages), dtype=np.intp, count=count)
+        keys.append(volts)
+        reverse.append(voltages[0].group.inverse_indices()[volts])
+    # every key and reverse key gets the id of its distinct key tuple; ties
+    # keep position order, so the arcs' own keys come out in index order
+    both = np.concatenate([np.stack(keys), np.stack(reverse)], axis=1)
+    order = np.lexsort(both[::-1])
+    starts = np.r_[True, (np.diff(both[:, order], axis=1) != 0).any(axis=0)]
+    ids = np.empty(2 * count, dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    key_id, reverse_id = ids[:count], ids[count:]
+    by_key = order[order < count]
+    sizes = np.bincount(key_id, minlength=ids.max() + 1)
+    first = np.cumsum(sizes) - sizes
+    rank = np.empty(count, dtype=np.intp)
+    rank[by_key] = np.arange(count) - first[key_id[by_key]]
+    want = np.where(key_id == reverse_id, rank ^ 1, rank)
+    left = np.flatnonzero(want >= sizes[reverse_id])
+    if left.size:
+        i = int(left[0])
+        key = tuple(a[i].tolist()) + (() if voltages is None else (voltages[i].key,))
+        raise InvalidPairing(f"arc {i} {key} has no unmatched reverse"
+                             + ("" if voltages is None else " with inverse voltage"))
+    return by_key[first[reverse_id] + want].tolist()
 
 
 _JSON_KINDS = {list: "list", dict: "object", int: "integer"}
@@ -316,7 +332,7 @@ def graph_from_json(data: dict) -> Graph | Digraph:
         _json_indices(row, f"{what} arcs[{i}]")
     digraph = Digraph(labels, arcs)
     if data.get("undirected"):
-        return Graph(digraph, match_digon_pairing(digraph.arcs))
+        return Graph(digraph, match_digon_pairing(digraph.arc_array()))
     return digraph
 
 
@@ -405,7 +421,7 @@ def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
     digraph = Digraph(labels, np.stack([tails, heads.ravel()], axis=1))
     if directed:
         return digraph
-    return Graph(digraph, match_digon_pairing(digraph.arcs))
+    return Graph(digraph, match_digon_pairing(digraph.arc_array()))
 
 
 def line_graph(graph: Graph) -> Graph:

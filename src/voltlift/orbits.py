@@ -137,7 +137,7 @@ def token_base_graph(group, gens, k: int, representatives=None,
     voltages = [els[g] for g in dec.translator[moved].tolist()]
     if directed:
         return VoltageGraph(group, digraph, voltages)
-    pairing = match_voltage_pairing(digraph.arcs, voltages)
+    pairing = match_voltage_pairing(digraph.arc_array(), voltages)
     return VoltageGraph(group, digraph, voltages, pairing)
 
 

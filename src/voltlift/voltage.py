@@ -144,17 +144,21 @@ class VoltageGraph:
             raise VoltliftError("need exactly one voltage per arc")
         if pairing is not None:
             pairing = Graph(digraph, pairing).pairing
+            partners = np.array(pairing, dtype=np.intp)
             tails, heads = digraph.arc_array().T
-            loops = (tails == heads).tolist()
-            for i, j in enumerate(pairing):
-                if voltages[j] != voltages[i].inverse():
-                    raise InvalidPairing(
-                        f"arcs {i} and {j} carry voltages that are not mutually inverse"
-                    )
-                if loops[i] and voltages[i] == voltages[i].inverse():
-                    raise InvalidPairing(
-                        "loop with involution voltage needs semi-edge semantics (unsupported)"
-                    )
+            volts = np.fromiter((w.index for w in voltages), dtype=np.intp,
+                                count=len(voltages))
+            inverses = group.inverse_indices()[volts]
+            not_inverse = volts[partners] != inverses
+            bad = np.flatnonzero(not_inverse | ((tails == heads) & (volts == inverses)))
+            if bad.size:
+                i = int(bad[0])
+                if not_inverse[i]:
+                    raise InvalidPairing(f"arcs {i} and {pairing[i]} carry voltages "
+                                         "that are not mutually inverse")
+                raise InvalidPairing(
+                    "loop with involution voltage needs semi-edge semantics (unsupported)"
+                )
         self.group = group
         self.digraph = digraph
         self.voltages = voltages

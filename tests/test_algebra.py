@@ -119,6 +119,52 @@ def test_generic_group_hash_and_equality():
     assert group != AbelianGroup(6) and group == group
 
 
+class _UnreadableTable(tuple):
+    """A table stand-in that fails the test if it is ever compared."""
+
+    def __eq__(self, other):
+        raise AssertionError("table compared")
+
+
+def test_generic_group_rejects_a_different_hash_without_reading_tables():
+    s3 = s3_group_and_irreps()[0]
+    z6 = GenericGroup.from_group(AbelianGroup(6))
+    assert s3.size == z6.size and hash(s3) != hash(z6)
+    s3._table = _UnreadableTable(s3._table)
+    assert s3 != z6 and z6 != s3 and not s3 == z6
+    with pytest.raises(MismatchedGroups):
+        s3.element(1) * z6.element(1)
+    # equal copies still compare their tables
+    copy = GenericGroup(list(z6._table))
+    assert copy == z6
+    copy._table = _UnreadableTable(copy._table)
+    with pytest.raises(AssertionError, match="table compared"):
+        copy == z6
+
+
+@pytest.mark.parametrize("group", [AbelianGroup(3, 4), AbelianGroup(2, 2, 2), AbelianGroup(1),
+                                   s3_group_and_irreps()[0]], ids=["Z3xZ4", "Z2^3", "Z1", "S3"])
+def test_inverse_indices_are_element_inverses(group):
+    inv = group.inverse_indices()
+    assert inv.dtype == np.intp
+    assert inv.tolist() == [el.inverse().index for el in group.elements()]
+
+
+def test_same_group_object_skips_equality(monkeypatch):
+    calls = []
+    eq = AbelianGroup.__eq__
+    monkeypatch.setattr(AbelianGroup, "__eq__",
+                        lambda self, other: calls.append(1) or eq(self, other))
+    group = AbelianGroup(3, 4)
+    a, b = group.element((1, 2)), group.element((2, 3))
+    assert (a * b).index == group.element((0, 1)).index and a.inverse().index == 10
+    assert not calls
+    assert group.element((1, 2)) * AbelianGroup(3, 4).element((0, 1)) == group.element((1, 3))
+    assert calls
+    with pytest.raises(MismatchedGroups, match=r"AbelianGroup\(4,\) and AbelianGroup\(3, 4\)"):
+        a * AbelianGroup(4).element(1)
+
+
 def test_enumerate_characters_counts():
     assert len(enumerate_characters(Z5)) == 5
     assert len(enumerate_characters(Z33)) == 9
@@ -288,3 +334,4 @@ def test_character_phase_equals_exact_fraction_reference(orders):
             phase = sum(Fraction(j * g, n) for j, g, n in zip(chi.index, el.key, orders)) % 1
             want = complex(1.0) if phase == 0 else cmath.exp(2j * math.pi * float(phase))
             assert chi(el) == want, (chi.index, el.key)
+            assert chi.values()[el.index] == want, (chi.index, el.key)

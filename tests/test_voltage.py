@@ -435,3 +435,197 @@ def test_voltage_json_round_trip():
 def test_base_matrix_render():
     text = str(johnson_base(5, 2).base_matrix())
     assert text.splitlines()[0].startswith("1/z + z")
+
+
+def _greedy_pairing(arcs, voltages=None):
+    """The bucket search that match_digon_pairing replaced: arcs in index
+    order, each matched with the first unmatched arc of the reverse key."""
+    if voltages is None:
+        keys = list(arcs)
+    else:
+        keys = [(tail, head, w.key) for (tail, head), w in zip(arcs, voltages)]
+    buckets = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    pairing = [-1] * len(arcs)
+    for i, (tail, head) in enumerate(arcs):
+        if pairing[i] != -1:
+            continue
+        want = (head, tail) if voltages is None else (head, tail, voltages[i].inverse().key)
+        j = next((k for k in buckets.get(want, []) if pairing[k] == -1 and k != i), None)
+        if j is None:
+            raise InvalidPairing(f"arc {i} {keys[i]} has no unmatched reverse"
+                                 + ("" if voltages is None else " with inverse voltage"))
+        pairing[i], pairing[j] = j, i
+    return pairing
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the InvalidPairing message it raises."""
+    try:
+        return fn(*args)
+    except InvalidPairing as exc:
+        return f"InvalidPairing: {exc}"
+
+
+def _as_tuples(arcs):
+    return [tuple(row) for row in np.asarray(arcs).tolist()]
+
+
+def _d7_builder(gens, k):
+    return lambda: token_base_graph(dihedral_group(7), gens, k)
+
+
+PAIRING_BUILDERS = {
+    "J(7,3)": (lambda: johnson_base(7, 3), None),
+    "J(11,3)": (lambda: johnson_base(11, 3), None),
+    "L(C12;2,3)": (lambda: circulant_linegraph_base(12, [2, 3]), None),
+    "Z3xZ3-k2": (lambda: token_base_graph(AbelianGroup(3, 3),
+                                          [(1, 0), (2, 0), (0, 1), (0, 2)], 2), None),
+    "D7-k3": (_d7_builder([1, 6, 2, 5], 3), None),
+    "J(8,3)": (lambda: johnson_base(8, 3),
+               "arc 37 (2, 2, (4,)) has no unmatched reverse with inverse voltage"),
+    "J(4,1)": (lambda: johnson_base(4, 1),
+               "arc 1 (0, 0, (2,)) has no unmatched reverse with inverse voltage"),
+    "D7-reflection": (_d7_builder([1, 6, 7], 3),
+                      "arc 39 (6, 6, 9) has no unmatched reverse with inverse voltage"),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIRING_BUILDERS))
+def test_builder_pairing_matches_greedy_loop(name, monkeypatch):
+    from voltlift import orbits
+    from voltlift.voltage import match_voltage_pairing
+
+    calls = []
+
+    def checked(arcs, voltages):
+        want = _outcome(_greedy_pairing, _as_tuples(arcs), voltages)
+        assert _outcome(match_voltage_pairing, arcs, voltages) == want
+        calls.append(want)
+        return match_voltage_pairing(arcs, voltages)
+
+    monkeypatch.setattr(orbits, "match_voltage_pairing", checked)
+    build, message = PAIRING_BUILDERS[name]
+    built = _outcome(build)
+    assert len(calls) == 1
+    if message is None:
+        assert list(built.pairing) == calls[0]
+    else:
+        assert built == calls[0] == f"InvalidPairing: {message}"
+
+
+def test_random_voltage_graph_pairing_matches_greedy_loop():
+    from voltlift.graphs import match_digon_pairing
+    from voltlift.voltage import match_voltage_pairing
+
+    undirected = 0
+    for seed in range(80):
+        vg = random_voltage_graph(random.Random(seed))
+        arcs = vg.digraph.arcs
+        assert _outcome(match_digon_pairing, arcs) == _outcome(_greedy_pairing, arcs)
+        if vg.undirected:
+            undirected += 1
+            want = _greedy_pairing(arcs, vg.voltages)
+            assert match_voltage_pairing(arcs, vg.voltages) == want
+            assert match_voltage_pairing(vg.digraph.arc_array(), vg.voltages) == want
+    assert undirected > 20
+
+
+@pytest.mark.parametrize("group", [AbelianGroup(4), AbelianGroup(2, 2), dihedral_group(3)],
+                         ids=["Z4", "Z2xZ2", "D3"])
+def test_pairing_matches_greedy_loop_on_random_arcs(group):
+    """Few vertices and many loops, parallel arcs and involutions: keys
+    repeat, reverse keys go missing and loop counts come out odd."""
+    from voltlift.graphs import match_digon_pairing
+    from voltlift.voltage import match_voltage_pairing
+
+    rng = random.Random(f"pairing/{group!r}")
+    els = group.elements()
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        half = [(rng.randrange(n), rng.randrange(n), rng.choice(els))
+                for _ in range(rng.randint(0, 6))]
+        # mostly whole digons, shuffled, with the odd arc dropped or changed
+        arcs = [(u, v) for u, v, _ in half] + [(v, u) for u, v, _ in half]
+        volts = [w for *_, w in half] + [w.inverse() for *_, w in half]
+        order = list(range(len(arcs)))
+        rng.shuffle(order)
+        arcs, volts = [arcs[i] for i in order], [volts[i] for i in order]
+        if arcs and rng.random() < 0.4:
+            del arcs[-1], volts[-1]
+        if arcs and rng.random() < 0.3:
+            volts[0] = rng.choice(els)
+        want = _outcome(_greedy_pairing, arcs, volts)
+        assert _outcome(match_voltage_pairing, arcs, volts) == want
+        assert _outcome(match_voltage_pairing, np.array(arcs, dtype=np.intp).reshape(-1, 2),
+                        volts) == want
+        assert _outcome(match_digon_pairing, arcs) == _outcome(_greedy_pairing, arcs)
+        outcomes.add(isinstance(want, str))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("arcs, message", [
+    ([(0, 1), (1, 0), (0, 1)], "arc 2 (0, 1) has no unmatched reverse"),
+    ([(0, 0), (1, 1), (0, 0), (0, 0)], "arc 1 (1, 1) has no unmatched reverse"),
+    ([(0, 0), (0, 1), (0, 0), (1, 0), (0, 0)], "arc 4 (0, 0) has no unmatched reverse"),
+    ([(1, 2)], "arc 0 (1, 2) has no unmatched reverse"),
+], ids=["lone-arc", "lone-loop", "odd-loops", "single"])
+def test_graph_json_pairing_errors_match_greedy_loop(arcs, message):
+    from voltlift import graph_from_json
+
+    data = {"vertices": [0, 1, 2], "arcs": [list(a) for a in arcs], "undirected": True}
+    assert _outcome(graph_from_json, data) == f"InvalidPairing: {message}"
+    assert _outcome(_greedy_pairing, arcs) == f"InvalidPairing: {message}"
+
+
+def test_plain_pairing_matches_greedy_loop():
+    from voltlift import graph_from_json
+
+    z12, z34 = AbelianGroup(12), AbelianGroup(3, 4)
+    for graph in [cayley_graph(z12, [1, 11, 6]), cayley_graph(z34, [(1, 0), (2, 0), (0, 2)]),
+                  cayley_graph(dihedral_group(5), [1, 4, 5, 7])]:
+        assert list(graph.pairing) == _greedy_pairing(graph.digraph.arcs)
+    arcs = [[0, 1], [1, 0], [0, 1], [1, 2], [1, 0], [2, 1],
+            [0, 0], [0, 0], [1, 1], [1, 1], [0, 0], [0, 0]]
+    graph = graph_from_json({"vertices": [0, 1, 2], "arcs": arcs, "undirected": True})
+    assert list(graph.pairing) == _greedy_pairing(_as_tuples(arcs))
+    assert graph.pairing == (1, 0, 4, 5, 2, 3, 7, 6, 9, 8, 11, 10)
+
+
+def _voltage_checks_loop(group, digraph, voltages, pairing):
+    """The per-arc inverse and involution-loop checks that VoltageGraph
+    replaced; the message of the first failure, or None."""
+    voltages = [group.element(v) for v in voltages]
+    loops = [tail == head for tail, head in digraph.arcs]
+    for i, j in enumerate(pairing):
+        if voltages[j] != voltages[i].inverse():
+            return f"InvalidPairing: arcs {i} and {j} carry voltages that are not mutually inverse"
+        if loops[i] and voltages[i] == voltages[i].inverse():
+            return ("InvalidPairing: loop with involution voltage needs "
+                    "semi-edge semantics (unsupported)")
+    return None
+
+
+@pytest.mark.parametrize("group, arcs, voltages, pairing", [
+    (Z5, [(0, 1), (1, 0), (0, 1), (1, 0)], [1, 4, 2, 2], [1, 0, 3, 2]),
+    (Z5, [(0, 1), (0, 1), (1, 0), (1, 0)], [1, 2, 4, 3], [3, 2, 1, 0]),
+    (AbelianGroup(4), [(0, 0), (0, 0)], [2, 2], [1, 0]),
+    (AbelianGroup(4), [(0, 0), (0, 0)], [2, 1], [1, 0]),
+    (AbelianGroup(4), [(0, 1), (1, 0), (0, 0), (0, 0)], [1, 3, 0, 0], [1, 0, 3, 2]),
+    (AbelianGroup(4), [(0, 0), (0, 0), (0, 1), (1, 0)], [2, 2, 1, 1], [1, 0, 3, 2]),
+    (AbelianGroup(2, 2), [(1, 1), (1, 1), (0, 1), (1, 0)], [(1, 1), (1, 1), (1, 0), (0, 1)],
+     [1, 0, 3, 2]),
+    (dihedral_group(4), [(0, 1), (1, 0), (1, 1), (1, 1)], [1, 3, 5, 5], [1, 0, 3, 2]),
+    (dihedral_group(4), [(0, 1), (1, 0), (1, 1), (1, 1)], [1, 2, 1, 3], [1, 0, 3, 2]),
+], ids=["non-inverse-second-pair", "non-inverse-first", "involution-loop", "loop-non-inverse",
+        "identity-loop-after-pair", "involution-loop-first", "Z2xZ2-loop", "D4-reflection-loop",
+        "D4-non-inverse"])
+def test_voltage_graph_checks_match_loop(group, arcs, voltages, pairing):
+    from voltlift import Digraph
+
+    digraph = Digraph([0, 1], arcs)
+    want = _voltage_checks_loop(group, digraph, voltages, pairing)
+    assert want is not None
+    assert _outcome(VoltageGraph, group, digraph, voltages, pairing) == want
