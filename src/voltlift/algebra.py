@@ -391,11 +391,6 @@ class Character:
             object.__setattr__(self, "_values", roots[phases])
         return self._values
 
-    def inverse(self) -> "Character":
-        return Character(
-            self.group, tuple((-j) % n for j, n in zip(self.index, self.group.orders))
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Character)
@@ -411,7 +406,11 @@ class Character:
 
 
 def enumerate_characters(group: AbelianGroup) -> list[Character]:
-    """All |G| characters in lexicographic index order; trivial comes first."""
+    """All |G| characters in lexicographic index order; trivial comes first.
+
+    This is the group's element order, and chi_j-bar = chi_{-j}, so the
+    conjugate of the i-th character is the ``group.inverse_indices()[i]``-th.
+    """
     if not isinstance(group, AbelianGroup):
         raise VoltliftError("characters are defined for abelian groups only")
     return [

@@ -274,8 +274,9 @@ def cmd_spectrum(args) -> int:
     if args.method == "characters":
         if not isinstance(source, VoltageGraph):
             raise CliError("--method characters needs a voltage graph source")
-        spectrum = lift_spectrum(source, coeffs)
-        per_char = per_character_csv(source, coeffs) if args.per_character else None
+        spectra = character_spectra(source, coeffs)
+        spectrum = lift_spectrum(source, spectra=spectra)
+        per_char = per_character_csv(source, spectra=spectra) if args.per_character else None
     elif args.method == "irreps":
         if not isinstance(source, VoltageGraph):
             raise CliError("--method irreps needs a voltage graph source")
@@ -357,8 +358,8 @@ def cmd_verify(args) -> int:
     raise CliError(f"unknown verify target {args.target}")  # pragma: no cover
 
 
-def _check_rows(vg: VoltageGraph, table) -> bool:
-    rows = per_character_rows(vg)
+def _check_rows(vg: VoltageGraph, table, spectra=None) -> bool:
+    rows = per_character_rows(vg, spectra=spectra)
     ok = len(rows) == len(table["rows"])
     if not ok:
         _print(f"  {len(rows)} computed rows, {len(table['rows'])} expected  FAIL")
@@ -384,8 +385,9 @@ def cmd_reproduce(args) -> int:
                      "t3": (7, 3, reference.TABLE_T3)}[table]
         vg = johnson_base(n, k)
         _print(f"{table}: per-character rows of the {len(vg.labels)}-vertex base over Z{n}")
-        ok = _check_rows(vg, ref)
-        spectrum = lift_spectrum(vg)
+        spectra = character_spectra(vg)
+        ok = _check_rows(vg, ref, spectra)
+        spectrum = lift_spectrum(vg, spectra=spectra)
         cmp = multiset_equal(spectrum, Spectrum.from_pairs(ref["spectrum"]), ref["tol"])
         _print(f"  combined spectrum {spectrum}  {'PASS' if cmp.equal else 'FAIL'}")
         failed = not (ok and cmp.equal)

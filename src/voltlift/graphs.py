@@ -9,6 +9,7 @@ Vertex order is fixed at construction and determines matrix row order.
 from __future__ import annotations
 
 import json
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -27,7 +28,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class UniversalCoefficients:
-    """Coefficients of U = c1*A + c2*D + c3*I + c4*J with c1 != 0."""
+    """Real coefficients of U = c1*A + c2*D + c3*I + c4*J with c1 != 0."""
 
     c1: float
     c2: float = 0.0
@@ -35,6 +36,9 @@ class UniversalCoefficients:
     c4: float = 0.0
 
     def __post_init__(self):
+        # the character route pairs conjugate characters, which needs real U
+        if not all(isinstance(c, numbers.Real) for c in (self.c1, self.c2, self.c3, self.c4)):
+            raise VoltliftError("universal matrix coefficients must be real")
         if self.c1 == 0:
             raise VoltliftError("universal matrix requires c1 != 0")
 

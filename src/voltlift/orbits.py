@@ -81,7 +81,8 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
             continue
         # row g ranks the sorted subset elements[g] * subset
         translates = rank(np.sort(group.right_columns(subset), axis=1))
-        size = len(np.unique(translates))
+        # distinct translates by sort and diff; a plain np.unique imports numpy.ma
+        size = 1 + np.count_nonzero(np.diff(np.sort(translates)))
         if size != n:
             raise NotFreeAction(
                 f"orbit of {subset} has {size} < {n} elements; action is not free",

@@ -9,8 +9,17 @@ the general solver of that type, whose non-real eigenvalues of a real
 matrix come in exact conjugate pairs.  Spectra are multisets grouped into
 (value, multiplicity) pairs at an absolute tolerance and sorted by real part
 descending, imaginary part ascending, so output files are reproducible
-bit-for-bit.  Per-character and per-irrep eigenproblems are solved one after
-another, in character enumeration and irrep list order.
+bit-for-bit.
+
+Arc counts and universal coefficients are real, so the base matrix at the
+conjugate character chi-bar is the entrywise conjugate of the one at chi,
+and so is its spectrum.  The character route therefore solves one matrix
+per conjugate pair {chi, chi-bar}, the one whose character comes first in
+enumeration order, and gives its partner the conjugated eigenvalues.  A
+self-conjugate character (2 j_k = 0 mod n_k in every factor) takes only
+the values +-1, so the real part of its matrix is solved with the real
+solvers.  Per-irrep eigenproblems are solved one after another, in irrep
+list order.
 """
 
 from __future__ import annotations
@@ -48,6 +57,9 @@ DEFAULT_GROUPING_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
 # entries per block of the Hermitian and residual checks
 BLOCK_ENTRIES = 2**15
+
+# (character, eigenvalues of the matrix at it), in character enumeration order
+CharacterSpectra = list[tuple[Character, np.ndarray]]
 
 
 class Spectrum:
@@ -216,20 +228,41 @@ def eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def character_spectra(vg: VoltageGraph,
                       coeffs: UniversalCoefficients | None = None
-                      ) -> list[tuple[Character, np.ndarray]]:
-    """(character, eigenvalues) in character enumeration order."""
+                      ) -> CharacterSpectra:
+    """(character, eigenvalues) in character enumeration order.
+
+    Only the first character of each conjugate pair is solved; its partner
+    gets the conjugate eigenvalues.  Self-conjugate characters are solved
+    on the real part of their matrix.
+    """
     if not isinstance(vg.group, AbelianGroup):
         raise NonAbelianGroup("character spectra need an abelian group; use rep_spectrum")
-    return [(chi, eigenvalues(vg.character_matrix(chi, coeffs)))
-            for chi in enumerate_characters(vg.group)]
+    characters = enumerate_characters(vg.group)
+    # characters and elements share their enumeration, so the inverse
+    # table of the group pairs each character with its conjugate
+    conjugate = vg.group.inverse_indices()
+    spectra: list[np.ndarray] = []
+    for i, chi in enumerate(characters):
+        partner = int(conjugate[i])
+        if partner < i:
+            spectra.append(np.conj(spectra[partner]))
+            continue
+        matrix = vg.character_matrix(chi, coeffs)
+        spectra.append(eigenvalues(matrix.real if partner == i else matrix))
+    return list(zip(characters, spectra))
 
 
 def lift_spectrum(vg: VoltageGraph,
-                  coeffs: UniversalCoefficients | None = None) -> Spectrum:
+                  coeffs: UniversalCoefficients | None = None,
+                  spectra: CharacterSpectra | None = None
+                  ) -> Spectrum:
     """Spectrum of the lift as the union of base-matrix spectra over all
-    characters; |V(base)| * |Gamma| eigenvalues in total."""
+    characters; |V(base)| * |Gamma| eigenvalues in total.  ``spectra`` is
+    ``character_spectra(vg, coeffs)`` when the caller already has it."""
+    if spectra is None:
+        spectra = character_spectra(vg, coeffs)
     values: list[complex] = []
-    for _, vals in character_spectra(vg, coeffs):
+    for _, vals in spectra:
         values.extend(vals)
     return Spectrum.group(values)
 
@@ -369,35 +402,37 @@ def multiset_equal(a, b, tol: float) -> MultisetComparison:
 
 
 def per_character_rows(vg: VoltageGraph,
-                       coeffs: UniversalCoefficients | None = None
+                       coeffs: UniversalCoefficients | None = None,
+                       spectra: CharacterSpectra | None = None
                        ) -> list[tuple[tuple[tuple[int, ...], ...], list[complex]]]:
     """Table rows grouping each character with its inverse (conjugate).
 
     Each row is (character indices sharing the row, eigenvalues of the first
     character's matrix sorted real-descending).  Directed voltage graphs get
-    one row per character since conjugate spectra differ.
+    one row per character: there the chi-bar row holds the conjugates of the
+    chi row, in general a different multiset.  ``spectra`` is as in
+    :func:`lift_spectrum`.
     """
-    spectra = character_spectra(vg, coeffs)
+    if spectra is None:
+        spectra = character_spectra(vg, coeffs)
+    conjugate = vg.group.inverse_indices()
     rows = []
-    used = set()
-    for chi, vals in spectra:
-        if chi.index in used:
+    for i, (chi, vals) in enumerate(spectra):
+        partner = int(conjugate[i])
+        if vg.undirected and partner < i:
             continue
-        indices = [chi.index]
-        used.add(chi.index)
-        if vg.undirected:
-            partner = chi.inverse().index
-            if partner != chi.index and partner not in used:
-                indices.append(partner)
-                used.add(partner)
+        indices = (chi.index,)
+        if vg.undirected and partner != i:
+            indices += (spectra[partner][0].index,)
         ordered = sorted((complex(v) for v in vals), key=lambda v: (-v.real, v.imag))
-        rows.append((tuple(indices), ordered))
+        rows.append((indices, ordered))
     return rows
 
 
 def per_character_csv(vg: VoltageGraph,
-                      coeffs: UniversalCoefficients | None = None) -> str:
-    rows = per_character_rows(vg, coeffs)
+                      coeffs: UniversalCoefficients | None = None,
+                      spectra: CharacterSpectra | None = None) -> str:
+    rows = per_character_rows(vg, coeffs, spectra)
     width = vg.n
     lines = ["characters," + ",".join(f"lambda_{i+1}" for i in range(width))]
     compact = isinstance(vg.group, AbelianGroup) and all(n <= 9 for n in vg.group.orders)

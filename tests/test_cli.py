@@ -77,6 +77,21 @@ def test_spectrum_characters_per_character(capsys):
     assert "5,0,6" in lines
 
 
+def test_spectrum_per_character_solves_each_character_once(capsys, monkeypatch):
+    from voltlift import spectra
+
+    calls = []
+    solve = spectra.eigenvalues
+    monkeypatch.setattr(spectra, "eigenvalues", lambda m: calls.append(1) or solve(m))
+    code, _, _ = run(capsys, "spectrum", "--johnson-base", "7", "3",
+                     "--method", "characters", "--per-character")
+    assert code == 0
+    assert len(calls) == 4  # the trivial character and three conjugate pairs over Z7
+    calls.clear()
+    assert run(capsys, "reproduce", "t3")[0] == 0
+    assert len(calls) == 4
+
+
 def test_spectrum_direct_laplacian_round_trip(capsys, tmp_path):
     token = tmp_path / "token.json"
     run(capsys, "generate", "token", "--complete", "5", "--k", "2",

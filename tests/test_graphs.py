@@ -199,6 +199,11 @@ def test_universal_matrix_presets(g):
     assert np.allclose(lap.sum(axis=1), 0)
     with pytest.raises(VoltliftError):
         UniversalCoefficients(0.0, 1.0, 0.0, 0.0)
+    # the character route gives chi-bar the conjugate spectrum of chi, which
+    # holds only for a real universal matrix
+    with pytest.raises(VoltliftError, match="must be real"):
+        UniversalCoefficients(1.0, 0.0, 1j, 0.0)
+    assert UniversalCoefficients(np.float64(2.0), 1, np.int64(0)).c1 == 2.0
 
 
 def test_out_degree_diagonal_for_digraphs():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -51,6 +54,25 @@ def test_z4_not_free():
     with pytest.raises(NotFreeAction) as err:
         k_set_decomposition(AbelianGroup(4), 2)
     assert err.value.subset == (0, 2)
+
+
+def test_lift_and_certificate_leave_numpy_ma_unimported():
+    # a fresh interpreter: numpy.ma costs ~18 ms and ~1.2 MB on first import
+    code = (
+        "import sys\n"
+        "import voltlift as vl\n"
+        "vg = vl.johnson_base(7, 3)\n"
+        "target = vl.token_graph(vl.cayley_graph(vl.AbelianGroup(7), range(1, 7)), 3)\n"
+        "assert vl.verify_natural_isomorphism(vg, target).ok\n"
+        "vl.lift_spectrum(vg)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_orbits_partition_everything():

@@ -518,6 +518,74 @@ def test_per_character_rows_grouping():
     assert [v.real for v in rows[1][1]] == pytest.approx([1, -2])
 
 
+# (group orders, connection set, k, directed, solved characters of |G|):
+# one solve per self-conjugate character and one per conjugate pair
+PAIRED_SOLVES = [
+    ((10,), [1, 9, 3, 7], 3, False, 6),
+    ((10,), [1, 3], 3, True, 6),
+    ((2, 6), [(1, 1), (1, 5), (0, 2), (0, 4)], 5, False, 8),
+]
+
+
+def _record_solves(monkeypatch):
+    """Every matrix that reaches spectra.eigenvalues, in call order."""
+    seen = []
+    solve = spectra.eigenvalues
+
+    def recording(matrix):
+        seen.append(np.asarray(matrix))
+        return solve(matrix)
+
+    monkeypatch.setattr(spectra, "eigenvalues", recording)
+    return seen
+
+
+@pytest.mark.parametrize("orders,gens,k,directed,solves", PAIRED_SOLVES)
+def test_lift_spectrum_solves_once_per_conjugate_pair(monkeypatch, orders, gens, k,
+                                                      directed, solves):
+    group = AbelianGroup(*orders)
+    vg = token_base_graph(group, gens, k, directed=directed)
+    seen = _record_solves(monkeypatch)
+    lift = lift_spectrum(vg)
+    # each character at or before its partner is solved, a self-conjugate
+    # one on a real matrix
+    conjugate = group.inverse_indices()
+    expected = [("f" if p == i else "c") for i, p in enumerate(conjugate) if p >= i]
+    assert [m.dtype.kind for m in seen] == expected
+    assert len(seen) == solves < group.size
+    cayley = cayley_graph(group, gens, directed=directed)
+    target = token_digraph(cayley, k) if directed else token_graph(cayley, k)
+    assert multiset_equal(lift, direct_spectrum(target), 1e-8).equal
+
+
+def test_conjugate_character_gets_the_exact_conjugate_values():
+    group = AbelianGroup(11)
+    vg = token_base_graph(group, [1], 3, directed=True)
+    result = spectra.character_spectra(vg)
+    assert [chi.index for chi, _ in result] == [chi.index for chi in enumerate_characters(group)]
+    for j in range(1, 11):
+        vals, partner_vals = result[j][1], result[11 - j][1]
+        assert np.iscomplexobj(vals) and not np.all(vals.imag == 0)
+        assert np.array_equal(partner_vals, np.conj(vals))
+    rows = per_character_rows(vg)
+    assert [r[0] for r in rows] == [((j,),) for j in range(11)]
+    for j in range(1, 11):
+        assert sorted(rows[11 - j][1], key=lambda v: (v.real, v.imag)) == sorted(
+            (v.conjugate() for v in rows[j][1]), key=lambda v: (v.real, v.imag))
+
+
+def test_per_character_rows_reuse_given_spectra(monkeypatch):
+    vg = johnson_base(7, 3)
+    computed = spectra.character_spectra(vg)
+    seen = _record_solves(monkeypatch)
+    rows = per_character_rows(vg, spectra=computed)
+    lift = lift_spectrum(vg, spectra=computed)
+    assert seen == []
+    assert rows == per_character_rows(vg)
+    assert lift.pairs == lift_spectrum(vg).pairs
+    assert len(seen) == 2 * 4  # trivial plus three conjugate pairs, twice
+
+
 def test_johnson_closed_form_full_sweep():
     for n in range(2, 10):
         for k in range(1, n // 2 + 1):
