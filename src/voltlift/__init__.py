@@ -9,7 +9,6 @@ brute-force oracles.
 
 from .algebra import (
     AbelianGroup,
-    Character,
     GenericGroup,
     GroupElement,
     Representation,

@@ -5,6 +5,11 @@ cyclic factors, elements stored as normalized residue tuples) and
 :class:`GenericGroup` (an arbitrary finite group given by its multiplication
 table, elements stored as table indices).  Both enumerate their elements in a
 fixed canonical order, which fixes every matrix built downstream.
+
+A character of an abelian group is its index tuple j = (j1, ..., jr),
+normalized as the residue tuple of an element; ``character_values(j)``
+returns its values on every element.  A representation holds one read-only
+(|G|, d, d) array of matrices in element order.
 """
 
 from __future__ import annotations
@@ -12,16 +17,19 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import random
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IncompleteRepresentation, MismatchedGroups, VoltliftError
+from .errors import IncompleteRepresentation, MismatchedGroups, NonAbelianGroup, VoltliftError
 from .graphs import _json_field, _json_indices
 
 EXHAUSTIVE_ASSOC_LIMIT = 64
 ASSOC_SAMPLES = 10_000
+# entries per block of the blocked array checks here and in spectra
+BLOCK_ENTRIES = 2**15
 
 
 class GroupElement:
@@ -78,6 +86,16 @@ def _require_same_group(a, b):
         raise MismatchedGroups(f"elements of {a!r} and {b!r} cannot be combined")
 
 
+def _coordinate(group, value) -> int:
+    """An integer coordinate or index (anything with __index__), else a
+    VoltliftError naming the value: floats and strings are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise VoltliftError(f"{group.name} element coordinate {value!r} "
+                            "is not an integer") from None
+
+
 class AbelianGroup:
     """Z_{n1} x ... x Z_{nr} with componentwise addition of residues."""
 
@@ -109,15 +127,13 @@ class AbelianGroup:
         return "x".join(f"Z{n}" for n in self.orders)
 
     def element(self, coords) -> GroupElement:
-        """Coerce an int (rank 1), a coordinate sequence, or an element."""
+        """Coerce an integer (rank 1), a sequence of integer coordinates, or
+        an element; integers are anything with __index__."""
         if isinstance(coords, GroupElement):
             _require_same_group(coords.group, self)
             return coords
-        if isinstance(coords, int):
-            if self.rank != 1:
-                raise VoltliftError(f"{self.name} element needs {self.rank} coordinates")
-            coords = (coords,)
-        coords = tuple(int(c) for c in coords)
+        items = coords if hasattr(coords, "__iter__") else (coords,)
+        coords = tuple(_coordinate(self, c) for c in items)
         if len(coords) != self.rank:
             raise VoltliftError(f"{self.name} element needs {self.rank} coordinates")
         return GroupElement(self, tuple(c % n for c, n in zip(coords, self.orders)))
@@ -155,6 +171,23 @@ class AbelianGroup:
         coords = np.unravel_index(np.arange(self.size), self.orders)
         return sum(((-c) % n) * stride
                    for c, n, stride in zip(coords, self.orders, self._strides))
+
+    def character_values(self, j) -> np.ndarray:
+        """Values of the character j on all elements, in enumeration order.
+
+        chi_j(g) = exp(2*pi*i * sum_k j_k g_k / n_k); j is normalized as an
+        element's coordinates are.  With L = lcm(n_1, ..., n_r) the phase is
+        the exact integer p = sum_k j_k g_k (L / n_k) mod L, and the value
+        is the group's root exp(2*pi*i * p / L) of the correctly rounded
+        p / L: every element's phase at once, then one gather from the roots.
+        """
+        j = self.element(j).key
+        roots = self._unit_roots()
+        period = len(roots)
+        coords = np.unravel_index(np.arange(self.size), self.orders)
+        phases = sum(c * (jk * (period // n))
+                     for c, jk, n in zip(coords, j, self.orders)) % period
+        return roots[phases]
 
     def _unit_roots(self) -> np.ndarray:
         """exp(2*pi*i * p / L) for p in range(L), L = lcm of the orders, with
@@ -267,10 +300,11 @@ class GenericGroup:
         return self._is_abelian
 
     def element(self, index) -> GroupElement:
+        """Coerce an integer table index (anything with __index__) or an element."""
         if isinstance(index, GroupElement):
             _require_same_group(index.group, self)
             return index
-        index = int(index)
+        index = _coordinate(self, index)
         if not 0 <= index < self.size:
             raise VoltliftError(f"element index {index} out of range for {self.name}")
         return GroupElement(self, index)
@@ -294,6 +328,10 @@ class GenericGroup:
     def inverse_indices(self) -> np.ndarray:
         """Array of shape (|G|,): entry a is index(elements[a]^-1)."""
         return np.array(self._inverse, dtype=np.intp)
+
+    def character_values(self, j):
+        raise NonAbelianGroup("characters are defined for abelian groups only; "
+                              "use irreducible representations")
 
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
@@ -349,120 +387,72 @@ def group_from_json(data: Mapping) -> AbelianGroup | GenericGroup:
     raise VoltliftError("unrecognized group JSON (need 'orders' or 'size'+'table')")
 
 
-class Character:
-    """A character of an abelian group, indexed by (j1, ..., jr).
-
-    chi(g) = exp(2*pi*i * sum_k j_k g_k / n_k).  With L = lcm(n_1, ..., n_r)
-    the phase is the exact integer p = sum_k j_k g_k (L / n_k) mod L, and the
-    value is the group's root exp(2*pi*i * p / L) of the correctly rounded p / L.
-    """
-
-    __slots__ = ("group", "index", "_values")
-
-    def __init__(self, group: AbelianGroup, index):
-        if not isinstance(group, AbelianGroup):
-            raise VoltliftError("characters are defined for abelian groups only")
-        el = group.element(index)  # reuse normalization/validation
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", el.key)
-        object.__setattr__(self, "_values", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(j == 0 for j in self.index)
-
-    def __call__(self, el: GroupElement) -> complex:
-        _require_same_group(el.group, self.group)
-        return complex(self.values()[el.index])
-
-    def values(self) -> np.ndarray:
-        """chi evaluated on all group elements, in enumeration order: every
-        element's integer phase at once, then one gather from the roots."""
-        if self._values is None:
-            group = self.group
-            roots = group._unit_roots()
-            period = len(roots)
-            coords = np.unravel_index(np.arange(group.size), group.orders)
-            phases = sum(c * (j * (period // n))
-                         for c, j, n in zip(coords, self.index, group.orders)) % period
-            object.__setattr__(self, "_values", roots[phases])
-        return self._values
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Character)
-            and self.group == other.group
-            and self.index == other.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.index))
-
-    def __repr__(self) -> str:
-        return f"Character{self.index} of {self.group.name}"
-
-
-def enumerate_characters(group: AbelianGroup) -> list[Character]:
-    """All |G| characters in lexicographic index order; trivial comes first.
+def enumerate_characters(group: AbelianGroup) -> list[tuple[int, ...]]:
+    """All |G| character index tuples in lexicographic order; trivial first.
 
     This is the group's element order, and chi_j-bar = chi_{-j}, so the
     conjugate of the i-th character is the ``group.inverse_indices()[i]``-th.
     """
     if not isinstance(group, AbelianGroup):
-        raise VoltliftError("characters are defined for abelian groups only")
-    return [
-        Character(group, idx)
-        for idx in itertools.product(*(range(n) for n in group.orders))
-    ]
+        raise NonAbelianGroup("characters are defined for abelian groups only")
+    return list(itertools.product(*(range(n) for n in group.orders)))
 
 
 class Representation:
     """A map from group elements to complex d x d matrices.
 
-    Matrices are stored aligned with the group's element enumeration.
-    Irreducibility is trusted, never verified; see check_representation for
-    the homomorphism/unitarity diagnostics.
+    ``matrices`` is one read-only (|G|, d, d) array in the group's element
+    enumeration order.  Irreducibility is trusted, never verified; see
+    check_representation for the homomorphism/unitarity diagnostics.
     """
 
     def __init__(self, group, matrices: Mapping[GroupElement, np.ndarray]):
         els = group.elements()
-        missing = [el for el in els if el not in matrices]
+        position = {el.key: i for i, el in enumerate(els)}
+        checked = [group]  # key groups already compared with `group`
+        slots = [None] * group.size
+        for el, m in matrices.items():
+            if not isinstance(el, GroupElement):
+                raise VoltliftError(f"representation key {el!r} is not a group element")
+            if not any(el.group is g for g in checked):
+                _require_same_group(el.group, group)
+                checked.append(el.group)
+            slots[position[el.key]] = m
+        missing = [el for el, m in zip(els, slots) if m is None]
         if missing:
             raise IncompleteRepresentation(
                 f"representation misses {len(missing)} element(s), e.g. {missing[0]!r}"
             )
-        mats = []
-        dim = None
-        for el in els:
-            m = np.asarray(matrices[el], dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise VoltliftError("representation matrices must be square")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise VoltliftError("representation matrices have mixed dimensions")
-            mats.append(m)
+        mats = [np.asarray(m, dtype=complex) for m in slots]
+        if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+            raise VoltliftError("representation matrices must be square")
+        if len({m.shape for m in mats}) > 1:
+            raise VoltliftError("representation matrices have mixed dimensions")
+        self._store(group, np.array(mats))
+
+    def _store(self, group, matrices: np.ndarray):
+        matrices.flags.writeable = False
         self.group = group
-        self.dimension = int(dim)
-        self._matrices = tuple(mats)
+        self.matrices = matrices
+        self.dimension = int(matrices.shape[-1])
 
     @classmethod
-    def from_character(cls, chi: Character) -> "Representation":
-        return cls(
-            chi.group,
-            {g: np.array([[chi(g)]], dtype=complex) for g in chi.group.elements()},
-        )
+    def _from_array(cls, group, matrices: np.ndarray) -> "Representation":
+        rep = cls.__new__(cls)
+        rep._store(group, matrices)
+        return rep
+
+    @classmethod
+    def from_character(cls, group, j) -> "Representation":
+        """The one-dimensional representation g -> [[chi_j(g)]]."""
+        return cls._from_array(group, group.character_values(j)[:, None, None])
 
     @classmethod
     def trivial(cls, group) -> "Representation":
-        return cls(group, {g: np.eye(1, dtype=complex) for g in group.elements()})
+        return cls._from_array(group, np.ones((group.size, 1, 1), dtype=complex))
 
     def matrix(self, el: GroupElement) -> np.ndarray:
-        _require_same_group(el.group, self.group)
-        return self._matrices[self.group.index_of(el)]
+        return self.matrices[self.group.index_of(el)]
 
 
 class RepresentationReport:
@@ -490,16 +480,18 @@ def check_representation(group, rho: Representation, tol: float = 1e-10) -> Repr
     sum-of-squares diagnostic.
     """
     _require_same_group(rho.group, group)
-    eye = np.eye(rho.dimension)
-    hom_err = 0.0
-    uni_err = 0.0
-    for g in rho.group.elements():
-        mg = rho.matrix(g)
-        uni_err = max(uni_err, float(np.abs(mg @ mg.conj().T - eye).max()))
-        for h in rho.group.elements():
-            err = np.abs(rho.matrix(g * h) - mg @ rho.matrix(h)).max()
-            hom_err = max(hom_err, float(err))
-    return RepresentationReport(hom_err, uni_err, tol)
+    mats = rho.matrices
+    n, d = mats.shape[:2]
+    uni_err = float(np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(d)).max())
+    # rho(g h) against rho(g) rho(h) for every g and a block of h at a time;
+    # products[g, c] is index(g * h) for the block's c-th h
+    step = max(1, BLOCK_ENTRIES // (n * d * d))
+    hom_errs = []
+    for start in range(0, n, step):
+        hs = np.arange(start, min(start + step, n))
+        products = rho.group.right_columns(hs)
+        hom_errs.append(np.abs(mats[products] - mats[:, None] @ mats[hs]).max())
+    return RepresentationReport(float(np.max(hom_errs)), uni_err, tol)
 
 
 def irreps_completeness_defect(group, reps: Iterable[Representation]) -> int:
@@ -536,11 +528,8 @@ def representations_from_json(group, data) -> list[Representation]:
 
 
 def representations_to_json(reps: Iterable[Representation]) -> list:
-    out = []
-    for rep in reps:
-        entry = {}
-        for i, el in enumerate(rep.group.elements()):
-            m = rep.matrix(el).reshape(-1)
-            entry[str(i)] = [x for v in m for x in (float(v.real), float(v.imag))]
-        out.append(entry)
-    return out
+    return [
+        {str(i): [x for v in m.reshape(-1) for x in (float(v.real), float(v.imag))]
+         for i, m in enumerate(rep.matrices)}
+        for rep in reps
+    ]

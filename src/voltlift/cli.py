@@ -154,12 +154,7 @@ def parse_coeffs(args) -> UniversalCoefficients | None:
 def c5_token_digraph_base() -> VoltageGraph:
     """The 2-vertex base digraph over Z5 whose lift is the 2-token digraph of
     the directed 5-cycle."""
-    group = AbelianGroup(5)
-    return VoltageGraph.directed_from_arcs(
-        group,
-        labels=[(0, 1), (0, 2)],
-        arcs_with_voltages=[(0, 1, 0), (1, 0, 1), (1, 1, -2)],
-    )
+    return token_base_graph(AbelianGroup(5), [1], 2, directed=True)
 
 
 def _write(text: str, out: str | None):
@@ -283,8 +278,8 @@ def cmd_spectrum(args) -> int:
         if args.irreps:
             irreps = representations_from_json(source.group, _read_json(args.irreps))
         elif isinstance(source.group, AbelianGroup):
-            irreps = [Representation.from_character(chi)
-                      for chi in enumerate_characters(source.group)]
+            irreps = [Representation.from_character(source.group, j)
+                      for j in enumerate_characters(source.group)]
         else:
             raise CliError("--method irreps needs --irreps FILE for this group")
         if coeffs is not None:
@@ -397,9 +392,8 @@ def cmd_reproduce(args) -> int:
         vg = token_base_graph(group, gens, 2)
         ref = reference.TABLE_T5
         _print("t5: 3x3 character grid of the 2-token base over Z3xZ3")
-        cells = {chi.index: sorted((complex(v) for v in vals),
-                                   key=lambda v: (-v.real, v.imag))
-                 for chi, vals in character_spectra(vg)}
+        cells = {j: sorted((complex(v) for v in vals), key=lambda v: (-v.real, v.imag))
+                 for j, vals in character_spectra(vg)}
         failed = cells.keys() != ref["grid"].keys()
         for rs, expected in sorted(ref["grid"].items()):
             got = cells.get(rs, [])

@@ -11,15 +11,17 @@ matrix come in exact conjugate pairs.  Spectra are multisets grouped into
 descending, imaginary part ascending, so output files are reproducible
 bit-for-bit.
 
-Arc counts and universal coefficients are real, so the base matrix at the
-conjugate character chi-bar is the entrywise conjugate of the one at chi,
-and so is its spectrum.  The character route therefore solves one matrix
-per conjugate pair {chi, chi-bar}, the one whose character comes first in
-enumeration order, and gives its partner the conjugated eigenvalues.  A
-self-conjugate character (2 j_k = 0 mod n_k in every factor) takes only
-the values +-1, so the real part of its matrix is solved with the real
-solvers.  Per-irrep eigenproblems are solved one after another, in irrep
-list order.
+A character is its index tuple j, in the group's element order, and the
+base matrix at it scatters ``group.character_values(j)`` over the term
+arrays.  Arc counts and universal coefficients are real, so the base matrix
+at the conjugate character chi-bar (index -j) is the entrywise conjugate of
+the one at chi, and so is its spectrum.  The character route therefore
+solves one matrix per conjugate pair {chi, chi-bar}, the one whose character
+comes first in enumeration order, and gives its partner the conjugated
+eigenvalues.  A self-conjugate character (2 j_k = 0 mod n_k in every
+factor) takes only the values +-1, so the real part of its matrix is solved
+with the real solvers.  Per-irrep eigenproblems are solved one after
+another, in irrep list order.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
+    BLOCK_ENTRIES,
     AbelianGroup,
-    Character,
     Representation,
     enumerate_characters,
     irreps_completeness_defect,
@@ -55,11 +57,10 @@ MAX_DIMENSION = 4096
 HERMITIAN_TOL = 1e-12
 DEFAULT_GROUPING_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
-# entries per block of the Hermitian and residual checks
-BLOCK_ENTRIES = 2**15
 
-# (character, eigenvalues of the matrix at it), in character enumeration order
-CharacterSpectra = list[tuple[Character, np.ndarray]]
+# (character index tuple, eigenvalues of the matrix at it), in character
+# enumeration order
+CharacterSpectra = list[tuple[tuple[int, ...], np.ndarray]]
 
 
 class Spectrum:
@@ -229,7 +230,7 @@ def eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
 def character_spectra(vg: VoltageGraph,
                       coeffs: UniversalCoefficients | None = None
                       ) -> CharacterSpectra:
-    """(character, eigenvalues) in character enumeration order.
+    """(character index tuple j, eigenvalues) in character enumeration order.
 
     Only the first character of each conjugate pair is solved; its partner
     gets the conjugate eigenvalues.  Self-conjugate characters are solved
@@ -242,12 +243,12 @@ def character_spectra(vg: VoltageGraph,
     # table of the group pairs each character with its conjugate
     conjugate = vg.group.inverse_indices()
     spectra: list[np.ndarray] = []
-    for i, chi in enumerate(characters):
+    for i, j in enumerate(characters):
         partner = int(conjugate[i])
         if partner < i:
             spectra.append(np.conj(spectra[partner]))
             continue
-        matrix = vg.character_matrix(chi, coeffs)
+        matrix = vg.character_matrix(j, coeffs)
         spectra.append(eigenvalues(matrix.real if partner == i else matrix))
     return list(zip(characters, spectra))
 
@@ -417,13 +418,13 @@ def per_character_rows(vg: VoltageGraph,
         spectra = character_spectra(vg, coeffs)
     conjugate = vg.group.inverse_indices()
     rows = []
-    for i, (chi, vals) in enumerate(spectra):
+    for i, (j, vals) in enumerate(spectra):
         partner = int(conjugate[i])
         if vg.undirected and partner < i:
             continue
-        indices = (chi.index,)
+        indices = (j,)
         if vg.undirected and partner != i:
-            indices += (spectra[partner][0].index,)
+            indices += (spectra[partner][0],)
         ordered = sorted((complex(v) for v in vals), key=lambda v: (-v.real, v.imag))
         rows.append((indices, ordered))
     return rows

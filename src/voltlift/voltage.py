@@ -18,13 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    AbelianGroup,
-    Character,
-    GroupElement,
-    Representation,
-    group_from_json,
-)
+from .algebra import AbelianGroup, GroupElement, Representation, group_from_json
 from .errors import InvalidPairing, LengthMismatch, MismatchedGroups, VoltliftError
 from .graphs import (
     Digraph,
@@ -115,18 +109,17 @@ class BaseMatrix:
             blocks[rows, cols] += counts[:, None, None] * mats[volts]
         return out.reshape(n * d, n * d)
 
-    def evaluate(self, chi: Character) -> np.ndarray:
-        """Entrywise evaluation at a character; complex |V| x |V| matrix."""
-        if chi.group != self.group:
-            raise MismatchedGroups("character group differs from base matrix group")
-        return self._scatter(chi.values()[:, None, None])
+    def evaluate(self, j) -> np.ndarray:
+        """Entrywise evaluation at the character with index tuple j; complex
+        |V| x |V| matrix."""
+        return self._scatter(self.group.character_values(j)[:, None, None])
 
     def apply_representation(self, rho: Representation) -> np.ndarray:
         """Block matrix with block (u, v) = sum coeff * rho(g); d*|V| square."""
         if rho.group != self.group:
             raise MismatchedGroups("representation group differs from base matrix group")
-        # rho's own elements: an equal group object enumerates them in the same order
-        return self._scatter(np.array([rho.matrix(el) for el in rho.group.elements()]))
+        # an equal group object enumerates its elements in the same order
+        return self._scatter(rho.matrices)
 
     def __str__(self) -> str:
         cells = [[_entry_str(self.group, entry) for entry in row] for row in self.entries]
@@ -231,22 +224,22 @@ class VoltageGraph:
             (entry[sel] // n, entry[sel] % n, volts[sel], counts[order][sel])
             for sel in (ranks == r for r in range(ranks.max(initial=-1) + 1))])
 
-    def character_matrix(self, chi: Character,
+    def character_matrix(self, j,
                          coeffs: UniversalCoefficients | None = None) -> np.ndarray:
-        """Evaluate the base matrix at chi; with coefficients, evaluate the
-        universal matrix of the lift instead.
+        """Evaluate the base matrix at the character with index tuple j; with
+        coefficients, evaluate the universal matrix of the lift instead.
 
-        The lift's all-ones block J contributes sum_g chi(g) per base entry,
-        which is |Gamma| at the trivial character and 0 otherwise; the degree
-        term is the base out-degree (constant on fibers).
+        The lift's all-ones block J contributes sum_g chi_j(g) per base entry,
+        which is |Gamma| at the trivial character (j = 0) and 0 otherwise; the
+        degree term is the base out-degree (constant on fibers).
         """
-        b = self.base_matrix().evaluate(chi)
+        b = self.base_matrix().evaluate(j)
         if coeffs is None:
             return b
         out = coeffs.c1 * b
         out += np.diag(np.asarray(self.digraph.out_degrees(), dtype=float)) * coeffs.c2
         out += np.eye(self.n) * coeffs.c3
-        if coeffs.c4 and chi.is_trivial:
+        if coeffs.c4 and not any(self.group.element(j).key):
             out += coeffs.c4 * self.group.size * np.ones((self.n, self.n))
         return out
 
@@ -328,12 +321,10 @@ def load_voltage_graph(path) -> VoltageGraph:
         return voltage_graph_from_json(json.load(fh))
 
 
-def lift_eigenvector(vg: VoltageGraph, x, chi: Character) -> np.ndarray:
-    """Lift a base eigenvector: phi[(u, g)] = chi(g) * x[u], base-major order."""
-    if chi.group != vg.group:
-        raise MismatchedGroups("character group differs from voltage graph group")
+def lift_eigenvector(vg: VoltageGraph, x, j) -> np.ndarray:
+    """Lift a base eigenvector at the character with index tuple j:
+    phi[(u, g)] = chi_j(g) * x[u], base-major order."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (vg.n,):
         raise LengthMismatch(f"vector length {x.shape} != base size {vg.n}")
-    return np.kron(x, chi.values())
-
+    return np.kron(x, vg.group.character_values(j))

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from collections import Counter
 
-from voltlift import AbelianGroup, Digraph, GenericGroup, VoltageGraph
+import numpy as np
+
+from voltlift import AbelianGroup, Digraph, GenericGroup, Representation, VoltageGraph
 
 GROUP_CHOICES = [
     (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (12,), (24,),
@@ -78,13 +82,27 @@ def dihedral_group(n: int) -> GenericGroup:
                         name=f"D{n}")
 
 
+def dihedral_irreps(group, n: int) -> list:
+    """Trivial, sign and the (n-1)/2 two-dimensional irreps of D_n, n odd."""
+    els = group.elements()
+    swap = np.array([[0, 1], [1, 0]])
+    irreps = [
+        Representation(group, {g: np.eye(1) for g in els}),
+        Representation(group, {g: np.array([[(-1) ** (g.key // n)]]) for g in els}),
+    ]
+    for h in range(1, (n - 1) // 2 + 1):
+        mats = {}
+        for g in els:
+            w = cmath.exp(2j * math.pi * h * (g.key % n) / n)
+            rot = np.diag([w, w.conjugate()])
+            mats[g] = rot @ swap if g.key // n else rot
+        irreps.append(Representation(group, mats))
+    return irreps
+
+
 def s3_group_and_irreps():
     """The symmetric group on 3 points as a GenericGroup, with its three
     unitary irreducibles (two 1-dim, one 2-dim)."""
-    import math
-
-    import numpy as np
-
     perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
 
     def compose(p, q):  # (p*q)(x) = p(q(x))
@@ -110,8 +128,6 @@ def s3_group_and_irreps():
     def parity(p):
         inv = sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j])
         return -1.0 if inv % 2 else 1.0
-
-    from voltlift import Representation
 
     trivial = Representation(group, {group.element(i): np.eye(1) for i in range(6)})
     sign = Representation(

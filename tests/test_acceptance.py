@@ -167,10 +167,10 @@ def test_criterion_7_lift_spectrum_property_suite():
             ok = False
             print(f"  instance {i} ({vg}): spectra differ by {cmp.max_distance:.2e}")
             continue
-        for chi, _ in character_spectra(vg):
-            vals, vecs = eigenpairs(vg.character_matrix(chi))
+        for j, _ in character_spectra(vg):
+            vals, vecs = eigenpairs(vg.character_matrix(j))
             for col in range(vecs.shape[1]):
-                phi = lift_eigenvector(vg, vecs[:, col], chi)
+                phi = lift_eigenvector(vg, vecs[:, col], j)
                 residual = np.abs(adjacency @ phi - vals[col] * phi).max()
                 if residual > 1e-8:
                     ok = False
@@ -209,8 +209,8 @@ def _table5_cells():
     gens = [group.element(c) for c in [(1, 0), (2, 0), (0, 1), (0, 2)]]
     vg = token_base_graph(group, gens, 2)
     cells = {
-        chi.index: sorted((complex(v) for v in vals), key=lambda v: (-v.real, v.imag))
-        for chi, vals in character_spectra(vg)
+        j: sorted((complex(v) for v in vals), key=lambda v: (-v.real, v.imag))
+        for j, vals in character_spectra(vg)
     }
     return vg, cells
 
@@ -268,6 +268,9 @@ def test_criterion_10_c5_printed_values():
 
 def test_criterion_10_equals_token_digraph_oracle():
     vg = c5_token_digraph_base()
+    # the arcs of the stated base matrix [[0, 1], [z, 1/z^2]]
+    assert [(t, h, w.key) for (t, h), w in zip(vg.digraph.arcs, vg.voltages)] == \
+        [(0, 1, (0,)), (1, 0, (1,)), (1, 1, vg.group.element(-2).key)]
     oracle = direct_spectrum(token_digraph(directed_cycle(5), 2))
     cmp = multiset_equal(lift_spectrum(vg), oracle, 1e-8)
     assert report("10b", "base lift equals direct 2-token digraph spectrum", cmp.equal)
@@ -277,8 +280,8 @@ def test_criterion_11_rep_spectrum_reduction():
     ok = True
     for n, k in [(5, 2), (7, 2), (7, 3)]:
         vg = johnson_base(n, k)
-        irreps = [Representation.from_character(chi)
-                  for chi in enumerate_characters(vg.group)]
+        irreps = [Representation.from_character(vg.group, j)
+                  for j in enumerate_characters(vg.group)]
         cmp = multiset_equal(rep_spectrum(vg, irreps), lift_spectrum(vg), 1e-10)
         ok = ok and cmp.equal
     assert report(11, "character list as irreps reproduces lift spectra", ok)

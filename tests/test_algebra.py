@@ -9,21 +9,23 @@ import pytest
 
 from voltlift import (
     AbelianGroup,
-    Character,
     GenericGroup,
     IncompleteRepresentation,
     MismatchedGroups,
+    NonAbelianGroup,
     Representation,
     VoltageGraph,
     VoltliftError,
+    cayley_graph,
     check_representation,
     enumerate_characters,
     group_from_json,
     irreps_completeness_defect,
     representations_from_json,
 )
+from voltlift import algebra
 
-from helpers import s3_group_and_irreps
+from helpers import dihedral_group, dihedral_irreps, s3_group_and_irreps
 
 Z5 = AbelianGroup(5)
 Z7 = AbelianGroup(7)
@@ -173,20 +175,21 @@ def test_enumerate_characters_counts():
 
 def test_enumerate_characters_order():
     chars = enumerate_characters(Z33)
-    assert chars[0].is_trivial
-    assert [c.index for c in chars[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert not any(chars[0])
+    assert chars[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert chars == [el.key for el in Z33.elements()]
 
 
 def test_evaluate_trivial_character():
     vg = VoltageGraph.undirected_from_edges(Z5, [0], [(0, 0, 1)])
-    m = vg.base_matrix().evaluate(Character(Z5, 0))
+    m = vg.base_matrix().evaluate((0,))
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(2.0)
 
 
 def test_evaluate_primitive_character():
     vg = VoltageGraph.undirected_from_edges(Z5, [0], [(0, 0, 2)])
-    m = vg.base_matrix().evaluate(Character(Z5, 1))
+    m = vg.base_matrix().evaluate(1)
     assert m[0, 0] == pytest.approx(2 * math.cos(4 * math.pi / 5), abs=1e-12)
 
 
@@ -194,7 +197,7 @@ def test_evaluate_row_entry_at_trivial():
     vg = VoltageGraph.directed_from_arcs(
         Z5, ["u", "v"], [(0, 1, 0), (0, 1, 1), (0, 1, -1), (0, 1, -2)]
     )
-    m = vg.base_matrix().evaluate(Character(Z5, 0))
+    m = vg.base_matrix().evaluate((5,))
     assert m[0, 1] == pytest.approx(4.0)
     assert m[0, 0] == m[1, 0] == m[1, 1] == 0
 
@@ -203,17 +206,19 @@ def test_evaluate_is_multiplicative():
     # chi(g h) = chi(g) chi(h) on every pair, for every character
     for group in (Z5, Z33, AbelianGroup(2, 4)):
         els = group.elements()
-        for chi in enumerate_characters(group):
+        for j in enumerate_characters(group):
+            chi = group.character_values(j)
             for g in els:
                 for h in els:
-                    assert chi(g * h) == pytest.approx(chi(g) * chi(h), abs=1e-12)
+                    assert chi[(g * h).index] == pytest.approx(chi[g.index] * chi[h.index],
+                                                               abs=1e-12)
 
 
 def test_character_orthogonality():
     for group in (Z5, Z33, AbelianGroup(2, 4)):
-        for chi in enumerate_characters(group):
-            total = sum(chi(g) for g in group.elements())
-            if chi.is_trivial:
+        for j in enumerate_characters(group):
+            total = sum(group.character_values(j))
+            if not any(j):
                 assert total == pytest.approx(group.size)
             else:
                 assert abs(total) < 1e-10
@@ -235,8 +240,10 @@ def test_trivial_representation_passes():
 
 
 def test_character_as_representation_passes():
-    for chi in enumerate_characters(Z5):
-        rep = Representation.from_character(chi)
+    for j in enumerate_characters(Z5):
+        rep = Representation.from_character(Z5, j)
+        assert rep.matrices.shape == (5, 1, 1)
+        assert np.array_equal(rep.matrices[:, 0, 0], Z5.character_values(j))
         assert check_representation(Z5, rep).passed
 
 
@@ -329,9 +336,162 @@ def test_representations_from_json_rejects_negative_keys():
 def test_character_phase_equals_exact_fraction_reference(orders):
     group = AbelianGroup(*orders)
     elements = group.elements()
-    for chi in enumerate_characters(group):
+    for j in enumerate_characters(group):
+        values = group.character_values(j)
         for el in elements:
-            phase = sum(Fraction(j * g, n) for j, g, n in zip(chi.index, el.key, orders)) % 1
+            phase = sum(Fraction(jk * g, n) for jk, g, n in zip(j, el.key, orders)) % 1
             want = complex(1.0) if phase == 0 else cmath.exp(2j * math.pi * float(phase))
-            assert chi(el) == want, (chi.index, el.key)
-            assert chi.values()[el.index] == want, (chi.index, el.key)
+            assert values[el.index] == want, (j, el.key)
+
+
+G3 = GenericGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+@pytest.mark.parametrize("group, value, message", [
+    (G3, 2.7, "G3 element coordinate 2.7 is not an integer"),
+    (G3, "1", "G3 element coordinate '1' is not an integer"),
+    (Z33, (1, 2.9), "Z3xZ3 element coordinate 2.9 is not an integer"),
+    (Z5, 2.0, "Z5 element coordinate 2.0 is not an integer"),
+    (Z5, "1", "Z5 element coordinate '1' is not an integer"),
+    (Z5, None, "Z5 element coordinate None is not an integer"),
+], ids=["generic-float", "generic-str", "abelian-float-coordinate", "abelian-float",
+        "abelian-str", "abelian-none"])
+def test_element_rejects_non_integer_coordinates(group, value, message):
+    with pytest.raises(VoltliftError) as err:
+        group.element(value)
+    assert str(err.value) == message
+
+
+def test_element_accepts_numpy_integers():
+    el = Z5.element(np.int64(3))
+    assert el == Z5.element(3) and type(el.key[0]) is int
+    assert Z33.element(np.array([1, 5])) == Z33.element((1, 2))
+    assert Z33.element((np.int32(4), np.uint8(2))).key == (1, 2)
+    assert G3.element(np.int64(2)).key == 2 and type(G3.element(np.int64(2)).key) is int
+    with pytest.raises(VoltliftError, match="needs 2 coordinates"):
+        Z33.element(np.int64(1))
+    gens = cayley_graph(Z5, np.array([1, 4]))
+    assert np.array_equal(gens.adjacency_matrix(), cayley_graph(Z5, [1, 4]).adjacency_matrix())
+    assert Z5.character_values(np.int64(2)).tobytes() == Z5.character_values((2,)).tobytes()
+    with pytest.raises(VoltliftError, match="coordinate 2.0 is not an integer"):
+        Z5.character_values(2.0)
+
+
+def _old_character_values(group, index):
+    """Character(group, index).values() of the removed Character class, with
+    the group's table of roots computed as _unit_roots computed it."""
+    index = group.element(index).key
+    period = math.lcm(*group.orders)
+    roots = np.array([complex(1.0)]
+                     + [cmath.exp(2j * math.pi * (p / period)) for p in range(1, period)],
+                     dtype=complex)
+    coords = np.unravel_index(np.arange(group.size), group.orders)
+    phases = sum(c * (j * (period // n))
+                 for c, j, n in zip(coords, index, group.orders)) % period
+    return roots[phases]
+
+
+@pytest.mark.parametrize("orders", [(1,), (101,), (4, 6), (2, 2, 2, 2), (6, 10, 15)])
+def test_character_values_bytes_equal_the_old_character_values(orders):
+    group = AbelianGroup(*orders)
+    characters = enumerate_characters(group)
+    assert characters == [el.key for el in group.elements()]
+    for j in characters:
+        values = group.character_values(j)
+        assert values.dtype == complex and values.shape == (group.size,)
+        assert values.tobytes() == _old_character_values(group, j).tobytes(), j
+    # unnormalized indices are reduced as element coordinates are
+    j = characters[-1]
+    shifted = tuple(jk + 2 * n for jk, n in zip(j, orders))
+    assert group.character_values(shifted).tobytes() == group.character_values(j).tobytes()
+
+
+def test_characters_need_an_abelian_group():
+    with pytest.raises(NonAbelianGroup):
+        enumerate_characters(G3)
+    with pytest.raises(NonAbelianGroup):
+        Representation.from_character(G3, 1)
+
+
+def _old_check_representation(rho):
+    """The double loop that check_representation replaced: (homomorphism
+    error, unitarity error) over every pair of elements."""
+    eye = np.eye(rho.dimension)
+    hom_err = 0.0
+    uni_err = 0.0
+    for g in rho.group.elements():
+        mg = rho.matrix(g)
+        uni_err = max(uni_err, float(np.abs(mg @ mg.conj().T - eye).max()))
+        for h in rho.group.elements():
+            err = np.abs(rho.matrix(g * h) - mg @ rho.matrix(h)).max()
+            hom_err = max(hom_err, float(err))
+    return hom_err, uni_err
+
+
+def _check_cases():
+    d7 = dihedral_group(7)
+    irreps = dihedral_irreps(d7, 7)
+    standard = dict(zip(d7.elements(), irreps[2].matrices))
+    perturbed = dict(standard)
+    perturbed[d7.element(3)] = perturbed[d7.element(3)] * np.exp(0.1j)
+    scaled = {g: 1.5 * m for g, m in standard.items()}
+    z46 = AbelianGroup(4, 6)
+    cases = {f"D7-irrep-{i}": (d7, rho) for i, rho in enumerate(irreps)}
+    cases["D7-perturbed"] = (d7, Representation(d7, perturbed))
+    cases["D7-scaled"] = (d7, Representation(d7, scaled))
+    for j in [(0, 0), (1, 5), (2, 3)]:
+        cases[f"Z4xZ6-character-{j}"] = (z46, Representation.from_character(z46, j))
+    return cases
+
+
+@pytest.mark.parametrize("block_entries", [None, 64, 200], ids=["default", "64", "200"])
+def test_check_representation_matches_the_old_double_loop(monkeypatch, block_entries):
+    if block_entries is not None:
+        # h blocks of 1 and 3 elements on D7, of 2 and 8 on Z4xZ6
+        monkeypatch.setattr(algebra, "BLOCK_ENTRIES", block_entries)
+    expected_pass = {"D7-perturbed": False, "D7-scaled": False}
+    for name, (group, rho) in _check_cases().items():
+        report = check_representation(group, rho)
+        hom_err, uni_err = _old_check_representation(rho)
+        assert abs(report.homomorphism_error - hom_err) <= 1e-15, name
+        assert abs(report.unitarity_error - uni_err) <= 1e-15, name
+        assert report.passed == (hom_err <= 1e-10 and uni_err <= 1e-10), name
+        assert report.passed == expected_pass.get(name, True), name
+    perturbed = _check_cases()["D7-perturbed"][1]
+    assert check_representation(perturbed.group, perturbed).homomorphism_error > 0.05
+
+
+class _CountingTable(tuple):
+    """A table stand-in that counts the comparisons it takes part in."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountingTable.compared += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+def test_representation_over_an_equal_copy_compares_tables_once(monkeypatch):
+    d7 = dihedral_group(7)
+    rho = dihedral_irreps(d7, 7)[2]
+    copy = GenericGroup.from_group(d7)
+    monkeypatch.setattr(copy, "_table", _CountingTable(copy._table))
+    monkeypatch.setattr(_CountingTable, "compared", 0)
+    again = Representation(d7, dict(zip(copy.elements(), rho.matrices)))
+    # one comparison of the two groups, not one per element lookup
+    assert _CountingTable.compared == 1
+    assert again.matrices.tobytes() == rho.matrices.tobytes()
+    assert again.matrices.shape == (14, 2, 2) and not again.matrices.flags.writeable
+    with pytest.raises(ValueError):
+        again.matrices[0, 0, 0] = 0
+
+
+def test_representation_rejects_keys_of_another_group():
+    with pytest.raises(MismatchedGroups):
+        Representation(Z5, {g: np.eye(1) for g in AbelianGroup(5, 1).elements()})
+    with pytest.raises(VoltliftError, match="representation key 0 is not a group element"):
+        Representation(Z5, {i: np.eye(1) for i in range(5)})
+    with pytest.raises(VoltliftError, match="mixed dimensions"):
+        Representation(Z5, {g: np.eye(1 + (g.index == 3)) for g in Z5.elements()})

@@ -15,7 +15,6 @@ import pytest
 from voltlift import (
     AbelianGroup,
     CompletenessWarning,
-    Character,
     DimensionTooLarge,
     Graph,
     IncompleteIrreps,
@@ -88,7 +87,7 @@ def test_dimension_cap():
 
 
 def test_eigenpairs_residuals():
-    m = johnson_base(7, 3).character_matrix(Character(AbelianGroup(7), 1))
+    m = johnson_base(7, 3).character_matrix((1,))
     vals, vecs = eigenpairs(m)
     assert np.abs(m @ vecs - vecs * vals).max() < 1e-8
 
@@ -112,7 +111,7 @@ def test_real_input_takes_real_solvers():
         assert vals.dtype == np.float64
         assert np.array_equal(vals, np.linalg.eigvalsh(sym))
     # complex Hermitian input with a nonzero imaginary part keeps eigvalsh
-    h = johnson_base(7, 3).character_matrix(Character(AbelianGroup(7), 1))
+    h = johnson_base(7, 3).character_matrix((1,))
     assert np.abs(h.imag).max() > 0
     vals = eigenvalues(h)
     assert vals.dtype == np.float64
@@ -437,8 +436,8 @@ def test_lift_spectrum_rejects_generic_groups():
 
 def test_rep_spectrum_with_characters_matches_lift_spectrum():
     vg = johnson_base(5, 2)
-    irreps = [Representation.from_character(chi)
-              for chi in enumerate_characters(vg.group)]
+    irreps = [Representation.from_character(vg.group, j)
+              for j in enumerate_characters(vg.group)]
     a = rep_spectrum(vg, irreps)
     b = lift_spectrum(vg)
     assert multiset_equal(a, b, 1e-10).equal
@@ -446,8 +445,8 @@ def test_rep_spectrum_with_characters_matches_lift_spectrum():
 
 def test_rep_spectrum_missing_character_raises():
     vg = johnson_base(5, 2)
-    irreps = [Representation.from_character(chi)
-              for chi in enumerate_characters(vg.group)][:-1]
+    irreps = [Representation.from_character(vg.group, j)
+              for j in enumerate_characters(vg.group)][:-1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompletenessWarning)
         with pytest.raises(IncompleteIrreps):
@@ -456,8 +455,8 @@ def test_rep_spectrum_missing_character_raises():
 
 def test_rep_spectrum_warns_on_incomplete_list():
     vg = johnson_base(5, 2)
-    irreps = [Representation.from_character(chi)
-              for chi in enumerate_characters(vg.group)][:-1]
+    irreps = [Representation.from_character(vg.group, j)
+              for j in enumerate_characters(vg.group)][:-1]
     with pytest.warns(CompletenessWarning):
         try:
             rep_spectrum(vg, irreps)
@@ -562,7 +561,7 @@ def test_conjugate_character_gets_the_exact_conjugate_values():
     group = AbelianGroup(11)
     vg = token_base_graph(group, [1], 3, directed=True)
     result = spectra.character_spectra(vg)
-    assert [chi.index for chi, _ in result] == [chi.index for chi in enumerate_characters(group)]
+    assert [j for j, _ in result] == enumerate_characters(group)
     for j in range(1, 11):
         vals, partner_vals = result[j][1], result[11 - j][1]
         assert np.iscomplexobj(vals) and not np.all(vals.imag == 0)

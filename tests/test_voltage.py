@@ -1,8 +1,6 @@
 """Voltage graphs: lifts, base matrices, character evaluation, lifting."""
 
-import cmath
 import json
-import math
 import random
 from itertools import combinations
 
@@ -11,7 +9,6 @@ import pytest
 
 from voltlift import (
     AbelianGroup,
-    Character,
     GenericGroup,
     Graph,
     InvalidPairing,
@@ -37,7 +34,7 @@ from voltlift import (
     voltage_graph_from_json,
 )
 
-from helpers import dihedral_group, entry, random_voltage_graph
+from helpers import dihedral_group, dihedral_irreps, entry, random_voltage_graph
 
 Z5 = AbelianGroup(5)
 
@@ -68,24 +65,6 @@ def test_c5_base_lifts_to_token_digraph():
     assert mapped == direct
 
 
-def _dihedral_irreps(group, n):
-    """Trivial, sign and the (n-1)/2 two-dimensional irreps of D_n, n odd."""
-    els = group.elements()
-    swap = np.array([[0, 1], [1, 0]])
-    irreps = [
-        Representation(group, {g: np.eye(1) for g in els}),
-        Representation(group, {g: np.array([[(-1) ** (g.key // n)]]) for g in els}),
-    ]
-    for h in range(1, (n - 1) // 2 + 1):
-        mats = {}
-        for g in els:
-            w = cmath.exp(2j * math.pi * h * (g.key % n) / n)
-            rot = np.diag([w, w.conjugate()])
-            mats[g] = rot @ swap if g.key // n else rot
-        irreps.append(Representation(group, mats))
-    return irreps
-
-
 @pytest.mark.parametrize(
     "k, gens",
     [(5, [1, 6]), (5, [1, 6, 2, 5]), (3, [1, 6, 2, 5])],
@@ -93,7 +72,7 @@ def _dihedral_irreps(group, n):
 )
 def test_dihedral_token_base_matches_oracles(k, gens):
     group = dihedral_group(7)
-    irreps = _dihedral_irreps(group, 7)
+    irreps = dihedral_irreps(group, 7)
     assert all(check_representation(group, rho).passed for rho in irreps)
     vg = token_base_graph(group, gens, k)
     target = token_graph(cayley_graph(group, gens), k)
@@ -222,28 +201,28 @@ def test_undirected_base_matrix_transpose_symmetry():
 
 def test_evaluate_matrix_trivial_character():
     b = johnson_base(5, 2).base_matrix()
-    m = b.evaluate(Character(Z5, 0))
+    m = b.evaluate((0,))
     assert np.allclose(m, [[2, 4], [4, 2]])
 
 
 def test_evaluate_matrix_hermitian():
     b = johnson_base(7, 2).base_matrix()
-    for chi in enumerate_characters(AbelianGroup(7)):
-        m = b.evaluate(chi)
+    for j in enumerate_characters(AbelianGroup(7)):
+        m = b.evaluate(j)
         assert np.abs(m - m.conj().T).max() < 1e-12
 
 
 def test_c5_matrix_at_unity():
     b = c5_digraph_base().base_matrix()
-    m = b.evaluate(Character(Z5, 0))
+    m = b.evaluate((0,))
     assert np.allclose(m, [[0, 1], [1, 1]])
 
 
 def test_apply_representation_matches_character():
     b = johnson_base(5, 2).base_matrix()
-    for chi in enumerate_characters(Z5):
-        rep = Representation.from_character(chi)
-        assert np.allclose(b.apply_representation(rep), b.evaluate(chi))
+    for j in enumerate_characters(Z5):
+        rep = Representation.from_character(Z5, j)
+        assert np.allclose(b.apply_representation(rep), b.evaluate(j))
 
 
 def test_apply_representation_block_shape():
@@ -253,7 +232,8 @@ def test_apply_representation_block_shape():
     rep = Representation(
         group,
         {
-            g: np.diag([chars[1](g), chars[3](g)])
+            g: np.diag([group.character_values(chars[1])[g.index],
+                        group.character_values(chars[3])[g.index]])
             for g in group.elements()
         },
     )
@@ -290,7 +270,7 @@ def _z33_multi_arc_base():
 def _apply_cases():
     d7 = dihedral_group(7)
     z33 = AbelianGroup(3, 3)
-    characters = [Representation.from_character(chi) for chi in enumerate_characters(z33)]
+    characters = [Representation.from_character(z33, j) for j in enumerate_characters(z33)]
     empty = VoltageGraph.directed_from_arcs(d7, ["a", "b"], [])
     # matrices (not a homomorphism) whose sums in entry (0, 1), 2*(2,1) + 2*(0,1)
     # + (1,0), round differently in any other order: (2e16 - 2e16) + 1 = 1
@@ -299,12 +279,12 @@ def _apply_cases():
     sensitive[z33.element((0, 1))] = np.array([[-1e16, -1e16j], [0, -1e16]])
     sensitive[z33.element((1, 0))] = np.array([[1, 1j], [1j, 1]])
     return {
-        "D7-irreps": (token_base_graph(d7, [1, 6, 2, 5], 3), _dihedral_irreps(d7, 7)),
+        "D7-irreps": (token_base_graph(d7, [1, 6, 2, 5], 3), dihedral_irreps(d7, 7)),
         # irreps over an equal group object that is not the base's own
         "D7-irreps-over-copy": (token_base_graph(d7, [1, 6, 2, 5], 3),
-                                _dihedral_irreps(GenericGroup.from_group(d7), 7)),
+                                dihedral_irreps(GenericGroup.from_group(d7), 7)),
         "Z3xZ3-order": (_z33_multi_arc_base(), [Representation(z33, sensitive)]),
-        "D7-no-arcs": (empty, _dihedral_irreps(d7, 7)),
+        "D7-no-arcs": (empty, dihedral_irreps(d7, 7)),
         "Z3xZ3-characters": (token_base_graph(z33, [(1, 0), (2, 0), (1, 1), (2, 2)], 2),
                              characters),
         "Z3xZ3-counts": (_z33_multi_arc_base(), characters),
@@ -336,9 +316,9 @@ def _entries_loop(vg):
     return entries
 
 
-def _evaluate_loop(base, chi):
+def _evaluate_loop(base, j):
     """The per-entry loop that evaluate replaced; the reference for its bytes."""
-    values = chi.values().tolist()
+    values = base.group.character_values(j).tolist()
     out = np.zeros((base.n, base.n), dtype=complex)
     for i, row in enumerate(base.entries):
         for j, entry in enumerate(row):
@@ -369,9 +349,9 @@ def test_base_matrix_entries_and_evaluate_match_loops(case):
     expected = _entries_loop(vg)
     assert [[list(e.items()) for e in row] for row in base.entries] == \
         [[list(e.items()) for e in row] for row in expected]
-    for chi in enumerate_characters(vg.group):
-        m = base.evaluate(chi)
-        want = _evaluate_loop(base, chi)
+    for j in enumerate_characters(vg.group):
+        m = base.evaluate(j)
+        want = _evaluate_loop(base, j)
         assert m.shape == want.shape and m.dtype == want.dtype
         assert m.tobytes() == want.tobytes()
 
@@ -379,12 +359,11 @@ def test_base_matrix_entries_and_evaluate_match_loops(case):
 def test_lift_eigenvector_residuals():
     vg = johnson_base(5, 2)
     lift_adj = vg.lift().adjacency_matrix()
-    chi0 = Character(Z5, 0)
-    m = vg.character_matrix(chi0)
+    m = vg.character_matrix((0,))
     vals, vecs = np.linalg.eigh(m)
     top = vecs[:, -1]
     assert vals[-1] == pytest.approx(6.0)
-    phi = lift_eigenvector(vg, top, chi0)
+    phi = lift_eigenvector(vg, top, (0,))
     # constant on fibers for the trivial character
     assert np.allclose(phi[:5], phi[0])
     assert np.abs(lift_adj @ phi - 6.0 * phi).max() < 1e-8
@@ -392,7 +371,7 @@ def test_lift_eigenvector_residuals():
 
 def test_lift_eigenvector_formula_and_errors():
     vg = johnson_base(5, 2)
-    chi = Character(Z5, 1)
+    chi = (1,)
     phi = lift_eigenvector(vg, [1.0, 0.0], chi)
     w = np.exp(2j * np.pi / 5)
     assert phi[3] == pytest.approx(w**3)
