@@ -4,7 +4,10 @@ Groups come in two flavours: :class:`AbelianGroup` (a direct product of
 cyclic factors, elements stored as normalized residue tuples) and
 :class:`GenericGroup` (an arbitrary finite group given by its multiplication
 table, elements stored as table indices).  Both enumerate their elements in a
-fixed canonical order, which fixes every matrix built downstream.
+fixed canonical order, which fixes every matrix built downstream.  A generic
+group holds one read-only (n, n) index table, validated by array operations.
+Cyclic orders, table entries and element coordinates are integers (anything
+with __index__, numpy integers too); floats and strings are refused.
 
 A character of an abelian group is its index tuple j = (j1, ..., jr),
 normalized as the residue tuple of an element; ``character_values(j)``
@@ -19,6 +22,7 @@ import itertools
 import math
 import operator
 import random
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -73,10 +77,6 @@ class GroupElement:
     def __hash__(self) -> int:
         return hash((self.group, self.key))
 
-    def __lt__(self, other: "GroupElement") -> bool:
-        _require_same_group(self.group, other.group)
-        return self.index < other.index
-
     def __repr__(self) -> str:
         return f"{self.group.name}:{self.key}"
 
@@ -86,14 +86,13 @@ def _require_same_group(a, b):
         raise MismatchedGroups(f"elements of {a!r} and {b!r} cannot be combined")
 
 
-def _coordinate(group, value) -> int:
-    """An integer coordinate or index (anything with __index__), else a
-    VoltliftError naming the value: floats and strings are refused."""
+def _integer(value, what: str) -> int:
+    """value as an int (anything with __index__), else a VoltliftError naming
+    it as `what`: floats and strings are refused, not truncated."""
     try:
         return operator.index(value)
     except TypeError:
-        raise VoltliftError(f"{group.name} element coordinate {value!r} "
-                            "is not an integer") from None
+        raise VoltliftError(f"{what} {value!r} is not an integer") from None
 
 
 class AbelianGroup:
@@ -104,21 +103,15 @@ class AbelianGroup:
             orders = tuple(orders[0])
         if not orders:
             raise VoltliftError("abelian group needs at least one cyclic factor")
-        orders = tuple(int(n) for n in orders)
+        orders = tuple(_integer(n, "cyclic order") for n in orders)
         if any(n < 1 for n in orders):
             raise VoltliftError(f"cyclic orders must be >= 1, got {orders}")
         self.orders = orders
         self.rank = len(orders)
         self.size = math.prod(orders)
         # strides for the mixed-radix index of a residue tuple
-        strides = []
-        acc = 1
-        for n in reversed(orders):
-            strides.append(acc)
-            acc *= n
-        self._strides = tuple(reversed(strides))
+        self._strides = tuple(math.prod(orders[i + 1:]) for i in range(self.rank))
         self._elements: tuple[GroupElement, ...] | None = None
-        self._roots: np.ndarray | None = None
 
     is_abelian = True
 
@@ -133,7 +126,8 @@ class AbelianGroup:
             _require_same_group(coords.group, self)
             return coords
         items = coords if hasattr(coords, "__iter__") else (coords,)
-        coords = tuple(_coordinate(self, c) for c in items)
+        what = f"{self.name} element coordinate"
+        coords = tuple(_integer(c, what) for c in items)
         if len(coords) != self.rank:
             raise VoltliftError(f"{self.name} element needs {self.rank} coordinates")
         return GroupElement(self, tuple(c % n for c, n in zip(coords, self.orders)))
@@ -155,22 +149,34 @@ class AbelianGroup:
         _require_same_group(el.group, self)
         return sum(c * s for c, s in zip(el.key, self._strides))
 
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """Read-only (rank, |G|) array; column a is elements[a]'s residue tuple."""
+        coords = np.array(np.unravel_index(np.arange(self.size), self.orders), dtype=np.intp)
+        coords.flags.writeable = False
+        return coords
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """Read-only (|G|,) array: entry a is index(elements[a]^-1), negated
+        one cyclic factor at a time."""
+        inverse = sum(((-c) % n) * stride
+                      for c, n, stride in zip(self._coords, self.orders, self._strides))
+        inverse.flags.writeable = False
+        return inverse
+
     def right_columns(self, idx) -> np.ndarray:
         """Array of shape (|G|,) + idx.shape: entry [a, ...] is
         index(elements[a] * elements[idx[...]]), added one cyclic factor at a time."""
         idx = np.asarray(idx, dtype=np.intp)
-        coords = np.unravel_index(np.arange(self.size), self.orders)
         out = np.zeros((self.size,) + idx.shape, dtype=np.intp)
-        for c, n, stride in zip(coords, self.orders, self._strides):
+        for c, n, stride in zip(self._coords, self.orders, self._strides):
             out += ((c.reshape((-1,) + (1,) * idx.ndim) + c[idx]) % n) * stride
         return out
 
     def inverse_indices(self) -> np.ndarray:
-        """Array of shape (|G|,): entry a is index(elements[a]^-1), negated
-        one cyclic factor at a time."""
-        coords = np.unravel_index(np.arange(self.size), self.orders)
-        return sum(((-c) % n) * stride
-                   for c, n, stride in zip(coords, self.orders, self._strides))
+        """Read-only array of shape (|G|,): entry a is index(elements[a]^-1)."""
+        return self._inverse
 
     def character_values(self, j) -> np.ndarray:
         """Values of the character j on all elements, in enumeration order.
@@ -182,23 +188,20 @@ class AbelianGroup:
         p / L: every element's phase at once, then one gather from the roots.
         """
         j = self.element(j).key
-        roots = self._unit_roots()
+        roots = self._roots
         period = len(roots)
-        coords = np.unravel_index(np.arange(self.size), self.orders)
         phases = sum(c * (jk * (period // n))
-                     for c, jk, n in zip(coords, j, self.orders)) % period
+                     for c, jk, n in zip(self._coords, j, self.orders)) % period
         return roots[phases]
 
-    def _unit_roots(self) -> np.ndarray:
+    @cached_property
+    def _roots(self) -> np.ndarray:
         """exp(2*pi*i * p / L) for p in range(L), L = lcm of the orders, with
-        exactly 1 at p = 0; computed once per group."""
-        if self._roots is None:
-            period = math.lcm(*self.orders)
-            self._roots = np.array(
-                [complex(1.0)]
-                + [cmath.exp(2j * math.pi * (p / period)) for p in range(1, period)],
-                dtype=complex)
-        return self._roots
+        exactly 1 at p = 0."""
+        period = math.lcm(*self.orders)
+        return np.array([complex(1.0)]
+                        + [cmath.exp(2j * math.pi * (p / period)) for p in range(1, period)],
+                        dtype=complex)
 
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
@@ -228,63 +231,57 @@ class AbelianGroup:
 class GenericGroup:
     """A finite group given by a row-major multiplication table of indices.
 
-    The table is validated at construction: it must be a Latin square with a
-    two-sided identity and consistent inverses.  Associativity is checked
+    The group holds one read-only (n, n) intp table, its inverse array and
+    its identity index.  Construction checks the table with array
+    operations: Latin rows, then Latin columns, a two-sided identity and
+    two-sided inverses.  Associativity, (ab)c = a(bc), is checked
     exhaustively up to order 64 and on 10^4 pseudo-random triples above that.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str | None = None):
-        table = tuple(tuple(int(x) for x in row) for row in table)
-        n = len(table)
-        if n == 0 or any(len(row) != n for row in table):
+        rows = [[_integer(x, "multiplication table entry") for x in row] for row in table]
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise VoltliftError("multiplication table must be square and non-empty")
-        full = frozenset(range(n))
-        for row in table:
-            if frozenset(row) != full:
-                raise VoltliftError("multiplication table is not a Latin square (row)")
-        for j in range(n):
-            if frozenset(table[i][j] for i in range(n)) != full:
-                raise VoltliftError("multiplication table is not a Latin square (column)")
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        full = np.arange(n)
+        try:
+            t = np.array(rows, dtype=np.intp)
+            latin_rows = (np.sort(t, axis=1) == full).all()
+        except OverflowError:  # an entry beyond intp is outside 0..n-1
+            latin_rows = False
+        if not latin_rows:
+            raise VoltliftError("multiplication table is not a Latin square (row)")
+        if not (np.sort(t, axis=0) == full[:, None]).all():
+            raise VoltliftError("multiplication table is not a Latin square (column)")
+        identity = np.flatnonzero((t == full).all(axis=1) & (t == full[:, None]).all(axis=0))
+        if not identity.size:
             raise VoltliftError("multiplication table has no two-sided identity")
-        inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == identity:
-                    if table[b][a] != identity:
-                        raise VoltliftError("one-sided inverse found; table inconsistent")
-                    inverse[a] = b
-                    break
-        self._table = table
-        self.size = n
-        self._identity_index = identity
-        self._inverse = tuple(inverse)
-        self._name = name or f"G{n}"
-        self._check_associativity()
-        self._elements = tuple(GroupElement(self, i) for i in range(n))
-        self._is_abelian: bool | None = None
-        self._array = np.array(table, dtype=np.intp)
-        self._hash = hash(("GenericGroup", table))
-
-    def _check_associativity(self):
-        n = self.size
-        t = self._table
+        e = int(identity[0])
+        # a Latin row holds e exactly once; b with ab = e must also have ba = e
+        inverse = np.argmax(t == e, axis=1)
+        if (t[inverse, full] != e).any():
+            raise VoltliftError("one-sided inverse found; table inconsistent")
         if n <= EXHAUSTIVE_ASSOC_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
+            # entry [a, b, c] of t[t] is (ab)c and of t[:, t] is a(bc)
+            bad = np.argwhere(t[t] != t[:, t])
         else:
             rng = random.Random(0xA55)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(ASSOC_SAMPLES)
-            )
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise VoltliftError(f"table is not associative at ({a},{b},{c})")
+            triples = np.array([[rng.randrange(n) for _ in range(3)]
+                                for _ in range(ASSOC_SAMPLES)], dtype=np.intp)
+            a, b, c = triples.T
+            bad = triples[t[t[a, b], c] != t[a, t[b, c]]]
+        if len(bad):  # the first triple in lexicographic or sampling order
+            a, b, c = bad[0]
+            raise VoltliftError(f"table is not associative at ({a},{b},{c})")
+        t.flags.writeable = False
+        inverse.flags.writeable = False
+        self._table = t
+        self._inverse = inverse
+        self._identity_index = e
+        self.size = n
+        self._name = name or f"G{n}"
+        self._elements = tuple(GroupElement(self, i) for i in range(n))
+        self._hash = hash(t.tobytes())
 
     @property
     def name(self) -> str:
@@ -292,19 +289,14 @@ class GenericGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self._is_abelian is None:
-            t = self._table
-            self._is_abelian = all(
-                t[a][b] == t[b][a] for a in range(self.size) for b in range(a)
-            )
-        return self._is_abelian
+        return np.array_equal(self._table, self._table.T)
 
     def element(self, index) -> GroupElement:
         """Coerce an integer table index (anything with __index__) or an element."""
         if isinstance(index, GroupElement):
             _require_same_group(index.group, self)
             return index
-        index = _coordinate(self, index)
+        index = _integer(index, f"{self.name} element coordinate")
         if not 0 <= index < self.size:
             raise VoltliftError(f"element index {index} out of range for {self.name}")
         return GroupElement(self, index)
@@ -323,11 +315,11 @@ class GenericGroup:
     def right_columns(self, idx) -> np.ndarray:
         """Array of shape (|G|,) + idx.shape: entry [a, ...] is
         index(elements[a] * elements[idx[...]]), read from the table."""
-        return self._array[:, np.asarray(idx, dtype=np.intp)]
+        return self._table[:, np.asarray(idx, dtype=np.intp)]
 
     def inverse_indices(self) -> np.ndarray:
-        """Array of shape (|G|,): entry a is index(elements[a]^-1)."""
-        return np.array(self._inverse, dtype=np.intp)
+        """Read-only array of shape (|G|,): entry a is index(elements[a]^-1)."""
+        return self._inverse
 
     def character_values(self, j):
         raise NonAbelianGroup("characters are defined for abelian groups only; "
@@ -336,25 +328,22 @@ class GenericGroup:
     def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
         _require_same_group(b.group, self)
-        return GroupElement(self, self._table[a.key][b.key])
+        return GroupElement(self, self._table.item(a.key, b.key))
 
     def inv(self, a: GroupElement) -> GroupElement:
         _require_same_group(a.group, self)
-        return GroupElement(self, self._inverse[a.key])
+        return GroupElement(self, self._inverse.item(a.key))
 
     @classmethod
     def from_group(cls, group, name: str | None = None) -> "GenericGroup":
-        """Tabulate any group object exposing elements()/op()."""
-        els = group.elements()
-        index = {el: i for i, el in enumerate(els)}
-        table = [[index[group.op(a, b)] for b in els] for a in els]
-        return cls(table, name=name or group.name)
+        """Tabulate any group object exposing size and right_columns()."""
+        return cls(group.right_columns(np.arange(group.size)), name=name or group.name)
 
     def __eq__(self, other) -> bool:
         # unequal cached hashes reject a different table without reading it
         return self is other or (isinstance(other, GenericGroup)
                                  and self._hash == other._hash
-                                 and self._table == other._table)
+                                 and np.array_equal(self._table, other._table))
 
     def __hash__(self) -> int:
         return self._hash
@@ -365,7 +354,7 @@ class GenericGroup:
     def to_json(self) -> dict:
         return {
             "size": self.size,
-            "table": [x for row in self._table for x in row],
+            "table": self._table.ravel().tolist(),
             "name": self._name,
         }
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AbelianGroup, GroupElement
+from .algebra import AbelianGroup, GroupElement, _integer
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
 from .graphs import Digraph, Graph, _label_to_json, _validate_connection_set, cayley_graph
 from .tokens import _combination_ranker, _token_moves
@@ -97,7 +97,8 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
         return dec
 
     # re-base on user-supplied representatives (e.g. to match published tables)
-    user = [tuple(sorted(int(i) for i in r)) for r in representatives]
+    user = [tuple(sorted(_integer(i, "representative entry") for i in r))
+            for r in representatives]
     if len(user) != len(reps):
         raise VoltliftError(f"expected {len(reps)} representatives, got {len(user)}")
     seen_orbits, g0_inverse = {}, []
@@ -168,7 +169,8 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     Requires 0 < a_1 < ... < a_s and m >= 2*a_s + 1, which keeps the loop
     voltages +-a_i away from involutions.
     """
-    a = [int(x) for x in a_list]
+    m = _integer(m, "cyclic order")
+    a = [_integer(x, "generator") for x in a_list]
     if not a or any(x <= 0 for x in a) or any(x >= y for x, y in zip(a, a[1:])) \
             or len(set(a)) != len(a):
         raise InvalidGenerators(f"need 0 < a_1 < ... < a_s, got {a_list}")

@@ -1,7 +1,9 @@
 """Group arithmetic, characters, base-matrix entries, representations."""
 
 import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -92,16 +94,153 @@ def test_generic_group_rejects_no_identity():
         GenericGroup(table)
 
 
+# the smallest loop that is not a group
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_generic_group_rejects_non_associative_loop():
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(VoltliftError, match="associative"):
-        GenericGroup(table)
+        GenericGroup(LOOP5)
+
+
+def _old_validation(table):
+    """The removed loop validation of GenericGroup.__init__: the first error
+    message it raised, else (identity, inverses)."""
+    table = tuple(tuple(int(x) for x in row) for row in table)
+    n = len(table)
+    if n == 0 or any(len(row) != n for row in table):
+        return "multiplication table must be square and non-empty"
+    full = frozenset(range(n))
+    for row in table:
+        if frozenset(row) != full:
+            return "multiplication table is not a Latin square (row)"
+    for j in range(n):
+        if frozenset(table[i][j] for i in range(n)) != full:
+            return "multiplication table is not a Latin square (column)"
+    identity = None
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        return "multiplication table has no two-sided identity"
+    inverse = [None] * n
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] == identity:
+                if table[b][a] != identity:
+                    return "one-sided inverse found; table inconsistent"
+                inverse[a] = b
+                break
+    t = table
+    if n <= 64:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(0xA55)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(10_000))
+    for a, b, c in triples:
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            return f"table is not associative at ({a},{b},{c})"
+    return identity, inverse
+
+
+def _new_validation(table):
+    try:
+        group = GenericGroup(table)
+    except VoltliftError as err:
+        return str(err)
+    return group.identity.key, group.inverse_indices().tolist()
+
+
+def _random_loop(rng, n):
+    """A random Latin square whose row and column 0 are the identity, by
+    randomized backtracking over the other cells."""
+    t = [[i if j == 0 else j if i == 0 else None for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        options = [v for v in range(n) if v not in t[i] and all(row[j] != v for row in t)]
+        rng.shuffle(options)
+        for v in options:
+            t[i][j] = v
+            if fill(k + 1):
+                return True
+        t[i][j] = None
+        return False
+
+    assert fill(0)
+    return t
+
+
+def _relabel(rng, table):
+    """The same operation with its n elements renamed by a random permutation."""
+    n = len(table)
+    p = list(range(n))
+    rng.shuffle(p)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[p[a]][p[b]] = p[table[a][b]]
+    return out
+
+
+def _random_table(rng, n):
+    """A table of order n from one of several families that together reach
+    every validation outcome."""
+    kind = rng.randrange(6)
+    if kind == 0:  # arbitrary entries
+        return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    if kind == 1:  # Latin rows only
+        return [rng.sample(range(n), n) for _ in range(n)]
+    if kind == 2:  # an isotope of Z_n: Latin, usually without identity
+        s, a, b = (rng.sample(range(n), n) for _ in range(3))
+        return [[s[(a[x] + b[y]) % n] for y in range(n)] for x in range(n)]
+    if kind == 3:  # a loop: identity, often one-sided inverses or no associativity
+        return _relabel(rng, _random_loop(rng, n))
+    group = rng.choice([AbelianGroup(n)] + ([dihedral_group(n // 2)] if n % 2 == 0 else []))
+    table = _relabel(rng, group.right_columns(np.arange(n)).tolist())
+    if kind == 5:  # one entry changed
+        table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return table
+
+
+def test_array_validation_matches_the_old_loops():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(1200):
+        table = _random_table(rng, rng.randint(1, 8))
+        old = _old_validation(table)
+        assert _new_validation(table) == old, table
+        outcomes.add(old.split(" at ")[0] if isinstance(old, str) else "group")
+    assert outcomes == {
+        "group",
+        "multiplication table is not a Latin square (row)",
+        "multiplication table is not a Latin square (column)",
+        "multiplication table has no two-sided identity",
+        "one-sided inverse found; table inconsistent",
+        "table is not associative",
+    }
+    for table in ([], [[0, 1], [1]], [[0]]):
+        assert _new_validation(table) == _old_validation(table)
+    # order 65: associativity on the 10^4 sampled triples
+    z13 = range(13)
+    product = [[13 * LOOP5[a][b] + (x + y) % 13 for b in range(5) for y in z13]
+               for a in range(5) for x in z13]
+    old = _old_validation(product)
+    assert old.startswith("table is not associative at (") and _new_validation(product) == old
+    group = GenericGroup.from_group(AbelianGroup(5, 13))
+    table = np.reshape(group.to_json()["table"], (65, 65)).tolist()
+    assert _new_validation(table) == _old_validation(table)
 
 
 def test_group_json_round_trip():
@@ -114,41 +253,44 @@ def test_generic_group_hash_and_equality():
     group, _, _ = s3_group_and_irreps()
     copy = GenericGroup.from_group(group)
     assert copy is not group and copy == group and group == copy
-    assert hash(copy) == hash(group) == hash(("GenericGroup", copy._table))
-    again = GenericGroup([list(row) for row in group._table], name="other")
+    rows = np.reshape(group.to_json()["table"], (6, 6))
+    # the hash is the hash of the intp table's bytes, whatever the name
+    assert hash(copy) == hash(group) == hash(rows.astype(np.intp).tobytes())
+    again = GenericGroup(rows.tolist(), name="other")
     assert again == group and hash(again) == hash(group)
     assert group != GenericGroup.from_group(Z5)
     assert group != AbelianGroup(6) and group == group
 
 
-class _UnreadableTable(tuple):
-    """A table stand-in that fails the test if it is ever compared."""
+def _count_table_comparisons(monkeypatch) -> list:
+    """Record every np.array_equal call: GenericGroup.__eq__ compares two
+    tables with one."""
+    calls = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append(1) or array_equal(a, b))
+    return calls
 
-    def __eq__(self, other):
-        raise AssertionError("table compared")
 
-
-def test_generic_group_rejects_a_different_hash_without_reading_tables():
+def test_generic_group_rejects_a_different_hash_without_reading_tables(monkeypatch):
     s3 = s3_group_and_irreps()[0]
     z6 = GenericGroup.from_group(AbelianGroup(6))
     assert s3.size == z6.size and hash(s3) != hash(z6)
-    s3._table = _UnreadableTable(s3._table)
+    compared = _count_table_comparisons(monkeypatch)
     assert s3 != z6 and z6 != s3 and not s3 == z6
     with pytest.raises(MismatchedGroups):
         s3.element(1) * z6.element(1)
+    assert not compared
     # equal copies still compare their tables
-    copy = GenericGroup(list(z6._table))
-    assert copy == z6
-    copy._table = _UnreadableTable(copy._table)
-    with pytest.raises(AssertionError, match="table compared"):
-        copy == z6
+    copy = GenericGroup(np.reshape(z6.to_json()["table"], (6, 6)).tolist())
+    assert copy == z6 and len(compared) == 1
 
 
 @pytest.mark.parametrize("group", [AbelianGroup(3, 4), AbelianGroup(2, 2, 2), AbelianGroup(1),
                                    s3_group_and_irreps()[0]], ids=["Z3xZ4", "Z2^3", "Z1", "S3"])
 def test_inverse_indices_are_element_inverses(group):
     inv = group.inverse_indices()
-    assert inv.dtype == np.intp
+    # computed once per group and shared read-only
+    assert inv.dtype == np.intp and not inv.flags.writeable and group.inverse_indices() is inv
     assert inv.tolist() == [el.inverse().index for el in group.elements()]
 
 
@@ -377,6 +519,24 @@ def test_element_accepts_numpy_integers():
         Z5.character_values(2.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: AbelianGroup(3.7), "cyclic order 3.7 is not an integer"),
+    (lambda: AbelianGroup("5"), "cyclic order '5' is not an integer"),
+    (lambda: GenericGroup([[0, 1.9], [1, 0]]), "multiplication table entry 1.9 is not an integer"),
+], ids=["order-float", "order-str", "table-float"])
+def test_groups_refuse_non_integer_orders_and_entries(build, message):
+    with pytest.raises(VoltliftError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_groups_accept_numpy_integer_orders_and_entries():
+    z6 = AbelianGroup(np.int64(2), np.uint8(3))
+    assert z6 == AbelianGroup(2, 3) and all(type(n) is int for n in z6.orders)
+    table = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int32)
+    assert GenericGroup(table) == G3 and GenericGroup(list(table)).to_json() == G3.to_json()
+
+
 def _old_character_values(group, index):
     """Character(group, index).values() of the removed Character class, with
     the group's table of roots computed as _unit_roots computed it."""
@@ -461,27 +621,14 @@ def test_check_representation_matches_the_old_double_loop(monkeypatch, block_ent
     assert check_representation(perturbed.group, perturbed).homomorphism_error > 0.05
 
 
-class _CountingTable(tuple):
-    """A table stand-in that counts the comparisons it takes part in."""
-
-    compared = 0
-
-    def __eq__(self, other):
-        _CountingTable.compared += 1
-        return tuple.__eq__(self, other)
-
-    __hash__ = tuple.__hash__
-
-
 def test_representation_over_an_equal_copy_compares_tables_once(monkeypatch):
     d7 = dihedral_group(7)
     rho = dihedral_irreps(d7, 7)[2]
     copy = GenericGroup.from_group(d7)
-    monkeypatch.setattr(copy, "_table", _CountingTable(copy._table))
-    monkeypatch.setattr(_CountingTable, "compared", 0)
+    compared = _count_table_comparisons(monkeypatch)
     again = Representation(d7, dict(zip(copy.elements(), rho.matrices)))
     # one comparison of the two groups, not one per element lookup
-    assert _CountingTable.compared == 1
+    assert len(compared) == 1
     assert again.matrices.tobytes() == rho.matrices.tobytes()
     assert again.matrices.shape == (14, 2, 2) and not again.matrices.flags.writeable
     with pytest.raises(ValueError):

@@ -225,6 +225,9 @@ MALFORMED_GRAPHS = {
                              "arcs": [{"tail": 0, "head": 0, "voltage": [1, 0]}]},
     "GROUP_NO_SIZE": {"group": {"table": [0]}, "vertices": [0], "arcs": []},
     "GROUP_ORDER_NOT_INT": {"group": {"orders": ["x"]}, "vertices": [0], "arcs": []},
+    "GROUP_NOT_LATIN": {"group": {"size": 2, "table": [0, 1, 0, 1]}, "vertices": [0], "arcs": []},
+    "GROUP_ENTRY_BEYOND_INTP": {"group": {"size": 1, "table": [2**70]}, "vertices": [0],
+                                "arcs": []},
     "OBJECT_LABEL": {"vertices": [{"a": 1}], "arcs": []},
     # a voltage graph over S3 and irreps files that are valid JSON but not irreps
     "S3_GRAPH": {"group": {"size": 6, "table": [0, 1, 2, 3, 4, 5, 1, 2, 0, 5, 3, 4,
@@ -268,6 +271,8 @@ MALFORMED = {
     "voltage-json-generic-voltage-of-2": ["generate", "lift", "--in", "GENERIC_VOLTAGE_OF_2"],
     "group-json-no-size": ["spectrum", "--in", "GROUP_NO_SIZE", "--method", "direct"],
     "group-json-order-not-int": ["spectrum", "--in", "GROUP_ORDER_NOT_INT"],
+    "group-json-not-latin": ["spectrum", "--in", "GROUP_NOT_LATIN"],
+    "group-json-entry-beyond-intp": ["spectrum", "--in", "GROUP_ENTRY_BEYOND_INTP"],
     "graph-json-object-label": ["spectrum", "--in", "OBJECT_LABEL"],
     **{f"irreps-json-{name[7:].lower().replace('_', '-')}":
        ["spectrum", "--in", "S3_GRAPH", "--method", "irreps", "--irreps", name]

@@ -8,6 +8,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voltlift import (
@@ -197,6 +198,29 @@ def test_circulant_linegraph_base_validation():
         circulant_linegraph_base(6, (1, 3))
     with pytest.raises(InvalidGenerators):
         circulant_linegraph_base(12, (0, 2))
+
+
+Z7_TRIPLES = k_set_decomposition(AbelianGroup(7), 3).representatives
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: k_set_decomposition(AbelianGroup(7), 3, [(0, 1, 2.9)] + list(Z7_TRIPLES[1:])),
+     "representative entry 2.9 is not an integer"),
+    (lambda: circulant_linegraph_base(13, [1.5, 3]), "generator 1.5 is not an integer"),
+    (lambda: circulant_linegraph_base(13.9, [1, 3]), "cyclic order 13.9 is not an integer"),
+], ids=["representative-float", "generator-float", "order-float"])
+def test_orbit_builders_refuse_non_integers(build, message):
+    with pytest.raises(VoltliftError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_orbit_builders_accept_numpy_integers():
+    dec = k_set_decomposition(AbelianGroup(7), 3, [np.array(r) for r in Z7_TRIPLES])
+    assert dec.representatives == Z7_TRIPLES
+    assert all(type(i) is int for r in dec.representatives for i in r)
+    vg = circulant_linegraph_base(np.int64(13), np.array([1, 3]))
+    assert vg.to_json() == circulant_linegraph_base(13, [1, 3]).to_json()
 
 
 def test_natural_isomorphism_johnson():
