@@ -63,10 +63,6 @@ class GroupElement:
     def index(self) -> int:
         return self.group.index_of(self)
 
-    @property
-    def is_identity(self) -> bool:
-        return self == self.group.identity
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupElement)

@@ -135,15 +135,13 @@ def parse_representatives(group: AbelianGroup, text: str):
 
 
 def parse_coeffs(args) -> UniversalCoefficients | None:
-    chosen = [name for name in ("laplacian", "signless", "universal")
-              if getattr(args, name, None)]
-    if len(chosen) > 1:
+    if sum(map(bool, (args.laplacian, args.signless, args.universal))) > 1:
         raise CliError("choose at most one of --laplacian/--signless/--universal")
-    if getattr(args, "laplacian", False):
+    if args.laplacian:
         return UniversalCoefficients.laplacian()
-    if getattr(args, "signless", False):
+    if args.signless:
         return UniversalCoefficients.signless_laplacian()
-    if getattr(args, "universal", None):
+    if args.universal:
         parts = _numbers(args.universal.split(","), float, "--universal")
         if len(parts) != 4:
             raise CliError("--universal needs c1,c2,c3,c4")
@@ -178,19 +176,18 @@ def _circulant_args(args) -> tuple[int, tuple[int, ...]]:
 
 def _load_source(args):
     """Resolve the object a spectrum/verify command works on."""
-    if getattr(args, "johnson_base", None):
+    if args.johnson_base:
         return johnson_base(*args.johnson_base)
-    if getattr(args, "circulant_linegraph", None):
+    if args.circulant_linegraph:
         return circulant_linegraph_base(*_circulant_args(args))
-    if getattr(args, "token_cayley", None):
+    if args.token_cayley:
         group = parse_group(args.token_cayley)
         if not args.gens or args.k is None:
             raise CliError("--token-cayley needs --gens and --k")
         gens = parse_generators(group, args.gens)
-        reps = parse_representatives(group, args.representatives) if getattr(
-            args, "representatives", None) else None
+        reps = parse_representatives(group, args.representatives) if args.representatives else None
         return token_base_graph(group, gens, args.k, representatives=reps)
-    if getattr(args, "infile", None):
+    if args.infile:
         data = _read_json(args.infile)
         if isinstance(data, dict) and "group" in data:
             return voltage_graph_from_json(data)
@@ -207,12 +204,12 @@ def _circulant_line_graph(m: int, a) -> Graph:
 def _brute_force_target(args) -> Graph | None:
     """The graph a constructive base source should lift to, built directly;
     None for a source read from a file."""
-    if getattr(args, "johnson_base", None):
+    if args.johnson_base:
         n, k = args.johnson_base
         return token_graph(complete_graph(n), k)
-    if getattr(args, "circulant_linegraph", None):
+    if args.circulant_linegraph:
         return _circulant_line_graph(*_circulant_args(args))
-    if getattr(args, "token_cayley", None):
+    if args.token_cayley:
         group = parse_group(args.token_cayley)
         gens = parse_generators(group, args.gens)
         return token_graph(cayley_graph(group, gens), args.k)
@@ -256,7 +253,7 @@ def cmd_generate(args) -> int:
     _dump_json(data, args.out)
     if args.dot:
         _write(obj.to_dot(), args.dot)
-    if getattr(args, "adjacency_csv", None):
+    if args.adjacency_csv:
         if isinstance(obj, VoltageGraph):
             raise CliError("--adjacency-csv applies to graphs, not voltage graphs")
         _write(adjacency_csv(obj), args.adjacency_csv)
@@ -447,7 +444,7 @@ def cmd_reproduce(args) -> int:
     return 1 if failed else 0
 
 
-def _add_source_flags(parser, include_graph_in=True):
+def _add_source_flags(parser):
     parser.add_argument("--johnson-base", "--johnson", dest="johnson_base",
                         nargs=2, type=int, metavar=("N", "K"))
     parser.add_argument("--circulant-linegraph", nargs=2, metavar=("M", "A_LIST"))
@@ -455,8 +452,7 @@ def _add_source_flags(parser, include_graph_in=True):
     parser.add_argument("--gens", metavar="LIST")
     parser.add_argument("--k", type=int, metavar="K")
     parser.add_argument("--representatives", metavar="SUBSETS")
-    if include_graph_in:
-        parser.add_argument("--in", dest="infile", metavar="FILE")
+    parser.add_argument("--in", dest="infile", metavar="FILE")
 
 
 def build_parser() -> _Parser:

@@ -257,25 +257,26 @@ class Graph:
         return f"Graph({self.n} vertices, {self.edge_count} edges)"
 
 
-def match_digon_pairing(arcs: Sequence[tuple[int, int]], voltages=None) -> list[int]:
+def match_digon_pairing(arcs: Sequence[tuple[int, int]], volts=None, group=None) -> list[int]:
     """Match arcs into digons; raises InvalidPairing if impossible.
 
-    With voltages (one group element per arc), an arc only pairs with a
-    reversed arc that carries the inverse voltage.  The k-th arc of a key
-    (tail, head[, voltage]), in index order, pairs with the k-th arc of the
-    reverse key, and a key that is its own reverse pairs consecutive arcs: the
-    greedy first-fit match in arc order, found with one lexsort.  On failure
-    the lowest-index arc left over is named.
+    With voltages (one element index of `group` per arc), an arc only pairs
+    with a reversed arc that carries the inverse voltage, read from the
+    group's inverse table.  The k-th arc of a key (tail, head[, voltage]), in
+    index order, pairs with the k-th arc of the reverse key, and a key that is
+    its own reverse pairs consecutive arcs: the greedy first-fit match in arc
+    order, found with one lexsort.  On failure the lowest-index arc left over
+    is named, with its voltage as an element key.
     """
     a = np.asarray(arcs, dtype=np.intp).reshape(-1, 2)
     count = len(a)
     if not count:
         return []
     keys, reverse = [a[:, 0], a[:, 1]], [a[:, 1], a[:, 0]]
-    if voltages is not None:
-        volts = np.fromiter((w.index for w in voltages), dtype=np.intp, count=count)
+    if volts is not None:
+        volts = np.asarray(volts, dtype=np.intp)
         keys.append(volts)
-        reverse.append(voltages[0].group.inverse_indices()[volts])
+        reverse.append(group.inverse_indices()[volts])
     # every key and reverse key gets the id of its distinct key tuple; ties
     # keep position order, so the arcs' own keys come out in index order
     both = np.concatenate([np.stack(keys), np.stack(reverse)], axis=1)
@@ -293,9 +294,9 @@ def match_digon_pairing(arcs: Sequence[tuple[int, int]], voltages=None) -> list[
     left = np.flatnonzero(want >= sizes[reverse_id])
     if left.size:
         i = int(left[0])
-        key = tuple(a[i].tolist()) + (() if voltages is None else (voltages[i].key,))
+        key = tuple(a[i].tolist()) + (() if volts is None else (group.elements()[volts[i]].key,))
         raise InvalidPairing(f"arc {i} {key} has no unmatched reverse"
-                             + ("" if voltages is None else " with inverse voltage"))
+                             + ("" if volts is None else " with inverse voltage"))
     return by_key[first[reverse_id] + want].tolist()
 
 
@@ -396,19 +397,28 @@ def directed_cycle(n: int) -> Digraph:
     return Digraph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-def _validate_connection_set(group, gens, directed: bool) -> list:
-    """The connection set as group elements: non-empty, no repeats, no
-    identity, and closed under inverses unless directed."""
-    gens = [group.element(s) for s in gens]
-    if not gens:
+def _validate_connection_set(group, gens, directed: bool) -> np.ndarray:
+    """The connection set as an intp array of element indices: non-empty, no
+    repeats, no identity, and closed under inverses unless directed."""
+    idx = np.array([group.element(s).index for s in gens], dtype=np.intp)
+    if not idx.size:
         raise VoltliftError("connection set must be non-empty")
-    if len(set(gens)) != len(gens):
+    ordered = np.sort(idx)
+    # repeats by sort and diff; a plain np.unique imports numpy.ma
+    if (np.diff(ordered) == 0).any():
         raise VoltliftError("connection set has repeated generators")
-    if any(s.is_identity for s in gens):
+    if (idx == group.identity.index).any():
         raise IdentityInS("connection set must not contain the identity")
-    if not directed and {s.inverse() for s in gens} != set(gens):
+    # without repeats, S is inverse-closed when its inverses sort to S
+    if not directed and not np.array_equal(np.sort(group.inverse_indices()[idx]), ordered):
         raise NotInverseClosed("undirected construction needs S closed under inverses")
-    return gens
+    return idx
+
+
+def _cayley_arcs(group, gens: np.ndarray) -> np.ndarray:
+    """Arc g*|S| + j is g -> g*s_j, for the element indices gens of S."""
+    tails = np.repeat(np.arange(group.size), len(gens))
+    return np.stack([tails, group.right_columns(gens).ravel()], axis=1)
 
 
 def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
@@ -420,9 +430,7 @@ def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
     """
     gens = _validate_connection_set(group, gens, directed)
     labels = [el.key for el in group.elements()]
-    heads = group.right_columns([s.index for s in gens])
-    tails = np.repeat(np.arange(group.size), len(gens))
-    digraph = Digraph(labels, np.stack([tails, heads.ravel()], axis=1))
+    digraph = Digraph(labels, _cayley_arcs(group, gens))
     if directed:
         return digraph
     return Graph(digraph, match_digon_pairing(digraph.arc_array()))

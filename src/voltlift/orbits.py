@@ -10,7 +10,9 @@ rep_u -> g*rep_v translated by h is the lift arc (u, h) -> (v, h*g).  Over
 an abelian group g*X = X*g, so the two conventions agree.
 
 Subsets are sorted rows of element indices, looked up by combination rank,
-so the same arrays serve abelian and table-defined groups.
+so the same arrays serve abelian and table-defined groups.  The builders
+hand voltages to VoltageGraph as one integer array of element indices, read
+from the translator and paired through the group's inverse table.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AbelianGroup, GroupElement, _integer
+from .algebra import AbelianGroup, _integer
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
-from .graphs import Digraph, Graph, _label_to_json, _validate_connection_set, cayley_graph
+from .graphs import Digraph, Graph, _cayley_arcs, _label_to_json, _validate_connection_set
 from .tokens import _combination_ranker, _token_moves
 from .voltage import VoltageGraph, match_voltage_pairing
 
@@ -50,15 +52,15 @@ class KSetDecomposition:
     def num_orbits(self) -> int:
         return len(self.representatives)
 
-    def locate(self, subset) -> tuple[int, GroupElement]:
-        """Return (representative index i, translator g) with g * rep_i = subset;
-        a KeyError if subset is not a k-subset of element indices."""
+    def locate(self, subset) -> tuple[int, int]:
+        """(i, g) with elements[g] * representatives[i] = subset, g an element
+        index; a KeyError if subset is not a k-subset of element indices."""
         key = tuple(sorted(subset))
         if len(key) != self.k or len(set(key)) != self.k or not all(
                 isinstance(i, (int, np.integer)) and 0 <= i < self.group.size for i in key):
             raise KeyError(key)
         r = self._rank(np.array(key, dtype=np.intp))
-        return int(self.orbit[r]), self.group.elements()[self.translator[r]]
+        return int(self.orbit[r]), int(self.translator[r])
 
 
 def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
@@ -69,6 +71,7 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
     per orbit, any order) re-bases the voltages on those subsets.
     """
     n = group.size
+    k = _integer(k, "token count")
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     rank = _combination_ranker(n, k)
@@ -101,20 +104,20 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
             for r in representatives]
     if len(user) != len(reps):
         raise VoltliftError(f"expected {len(reps)} representatives, got {len(user)}")
-    seen_orbits, g0_inverse = {}, []
+    seen_orbits, g0 = {}, []
     for r in user:
         try:
-            old_idx, g0 = dec.locate(r)
+            old_idx, g = dec.locate(r)
         except KeyError:
             raise VoltliftError(f"{r} is not a valid {k}-subset of the group") from None
         if old_idx in seen_orbits:
             raise VoltliftError(f"{r} repeats the orbit of representative {seen_orbits[old_idx]}")
         seen_orbits[old_idx] = r
-        g0_inverse.append(g0.inverse().index)
+        g0.append(g)
     # g * rep_old = subset and g0 * rep_old = rep_new, so
     # subset = (g * g0^-1) * rep_new
     new_orbit = np.argsort(list(seen_orbits))[orbit]
-    rebased = group.right_columns(g0_inverse)[translator, new_orbit]
+    rebased = group.right_columns(group.inverse_indices()[g0])[translator, new_orbit]
     return KSetDecomposition(group, k, user, new_orbit, rebased)
 
 
@@ -131,28 +134,23 @@ def token_base_graph(group, gens, k: int, representatives=None,
     dec = k_set_decomposition(group, k, representatives)
     # Cayley arcs a -> a*s run tail-major, then by generator, so sorting the
     # moves stably by representative orders each one's by token, then generator
-    cayley = cayley_graph(group, gens, directed=True).arc_array()
-    moves = _token_moves(cayley, dec.representatives, group.size)
+    moves = _token_moves(_cayley_arcs(group, gens), dec.representatives, group.size)
     rep, moved = moves[np.argsort(moves[:, 0], kind="stable")].T
-    els = group.elements()
     digraph = Digraph(dec.representatives, np.stack([rep, dec.orbit[moved]], axis=1))
-    voltages = [els[g] for g in dec.translator[moved].tolist()]
-    if directed:
-        return VoltageGraph(group, digraph, voltages)
-    pairing = match_voltage_pairing(digraph.arc_array(), voltages)
-    return VoltageGraph(group, digraph, voltages, pairing)
+    volts = dec.translator[moved]
+    pairing = None if directed else match_voltage_pairing(digraph.arc_array(), volts, group)
+    return VoltageGraph(group, digraph, volts, pairing)
 
 
 def johnson_base(n: int, k: int) -> VoltageGraph:
     """Base graph over Z_n whose lift is the Johnson graph J(n, k) = F_k(K_n);
     needs gcd(n, k) = 1 and has C(n,k)/n vertices."""
+    n, k = _integer(n, "vertex count"), _integer(k, "token count")
     if not 1 <= k < n:
         raise KOutOfRange(f"k={k} outside 1..{n-1}")
     if math.gcd(n, k) != 1:
         raise NotCoprime(f"J({n},{k}) base over Z_{n} needs gcd(n,k)=1")
-    group = AbelianGroup(n)
-    gens = [group.element(s) for s in range(1, n)]
-    return token_base_graph(group, gens, k)
+    return token_base_graph(AbelianGroup(n), range(1, n), k)
 
 
 def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
@@ -177,24 +175,18 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     if m < 2 * a[-1] + 1:
         raise InvalidGenerators(f"need m >= 2*a_s+1 = {2*a[-1]+1}, got m={m}")
     group = AbelianGroup(m)
-    labels = [(0, ai) for ai in a]
-    arcs = []
-    voltages = []
+    arcs, residues = [], []
     for i, ai in enumerate(a):
         for j, aj in enumerate(a):
-            if j != i:
-                arcs.append((i, j))
-                voltages.append(group.element(0))
-            arcs.append((i, j))
-            voltages.append(group.element(-aj))
-            if j != i:
-                arcs.append((i, j))
-                voltages.append(group.element(ai - aj))
-            arcs.append((i, j))
-            voltages.append(group.element(ai))
-    digraph = Digraph(labels, arcs)
-    pairing = match_voltage_pairing(arcs, voltages)
-    return VoltageGraph(group, digraph, voltages, pairing)
+            # the j = i loops carry the families -a_i and a_i only
+            family = (-aj, ai) if j == i else (0, -aj, ai - aj, ai)
+            arcs += [(i, j)] * len(family)
+            residues += family
+    # an element of Z_m has its residue as its index
+    volts = np.array(residues, dtype=np.intp) % m
+    digraph = Digraph([(0, ai) for ai in a], arcs)
+    pairing = match_voltage_pairing(digraph.arc_array(), volts, group)
+    return VoltageGraph(group, digraph, volts, pairing)
 
 
 @dataclass

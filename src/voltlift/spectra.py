@@ -37,6 +37,7 @@ from .algebra import (
     BLOCK_ENTRIES,
     AbelianGroup,
     Representation,
+    _integer,
     enumerate_characters,
     irreps_completeness_defect,
 )
@@ -304,6 +305,7 @@ def direct_spectrum(graph: Graph | Digraph,
 def johnson_spectrum(n: int, k: int) -> Spectrum:
     """Closed form for J(n, k): eigenvalue (k-j)(n-k-j) - j with multiplicity
     C(n,j) - C(n,j-1), for j = 0..k; requires 1 <= k <= n-k."""
+    n, k = _integer(n, "vertex count"), _integer(k, "token count")
     if not 1 <= k <= n - k:
         raise KOutOfRange(f"johnson_spectrum needs 1 <= k <= n-k, got n={n}, k={k}")
     pairs = []

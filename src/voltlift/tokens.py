@@ -12,12 +12,14 @@ from itertools import combinations
 
 import numpy as np
 
+from .algebra import _integer
 from .errors import KOutOfRange
 from .graphs import Digraph, Graph
 
 
 def token_configs(n: int, k: int) -> list[tuple[int, ...]]:
     """All sorted k-subsets of range(n), lexicographically."""
+    n, k = _integer(n, "vertex count"), _integer(k, "token count")
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     return list(combinations(range(n), k))

@@ -9,6 +9,10 @@ rejected: they would need semi-edge semantics, which are out of scope.
 The lift has vertex set V x Gamma ordered base-major: vertex (u, g) sits at
 index u*|Gamma| + index(g).  For every base arc a: u -> v with voltage w and
 every g there is a lift arc (u, g) -> (v, g*w).
+
+Voltages are given as elements or coordinates, or as one integer ndarray of
+element indices, the form the builders in ``orbits`` hand over; either way
+they are checked as one index array and stored as elements.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AbelianGroup, GroupElement, Representation, group_from_json
+from .algebra import AbelianGroup, Representation, group_from_json
 from .errors import InvalidPairing, LengthMismatch, MismatchedGroups, VoltliftError
 from .graphs import (
     Digraph,
@@ -130,17 +134,21 @@ class BaseMatrix:
 class VoltageGraph:
     """A base digraph with one voltage per arc over a declared group."""
 
-    def __init__(self, group, digraph: Digraph, voltages: Sequence[GroupElement],
+    def __init__(self, group, digraph: Digraph, voltages: Sequence | np.ndarray,
                  pairing: Sequence[int] | None = None):
-        voltages = tuple(group.element(v) for v in voltages)
-        if len(voltages) != digraph.arc_count:
+        if isinstance(voltages, np.ndarray) and voltages.dtype.kind in "iu":
+            volts = voltages  # element indices
+        else:
+            volts = np.fromiter((group.element(v).index for v in voltages), dtype=np.intp)
+        if volts.shape != (digraph.arc_count,):
             raise VoltliftError("need exactly one voltage per arc")
+        outside = volts[(volts < 0) | (volts >= group.size)]
+        if outside.size:
+            raise VoltliftError(f"voltage index {outside[0]} out of range 0..{group.size - 1}")
         if pairing is not None:
             pairing = Graph(digraph, pairing).pairing
             partners = np.array(pairing, dtype=np.intp)
             tails, heads = digraph.arc_array().T
-            volts = np.fromiter((w.index for w in voltages), dtype=np.intp,
-                                count=len(voltages))
             inverses = group.inverse_indices()[volts]
             not_inverse = volts[partners] != inverses
             bad = np.flatnonzero(not_inverse | ((tails == heads) & (volts == inverses)))
@@ -154,7 +162,7 @@ class VoltageGraph:
                 )
         self.group = group
         self.digraph = digraph
-        self.voltages = voltages
+        self.voltages = tuple(map(group.elements().__getitem__, volts.tolist()))
         self.pairing = pairing
 
     @property
@@ -172,20 +180,17 @@ class VoltageGraph:
     @classmethod
     def undirected_from_edges(cls, group, labels, edges) -> "VoltageGraph":
         """Build from (u, v, voltage) triples; each becomes an arc pair."""
-        arcs, voltages, pairing = [], [], []
+        arcs, voltages = [], []
         for u, v, w in edges:
             w = group.element(w)
-            i = len(arcs)
-            arcs.extend([(u, v), (v, u)])
-            voltages.extend([w, w.inverse()])
-            pairing.extend([i + 1, i])
-        return cls(group, Digraph(labels, arcs), voltages, pairing)
+            arcs += [(u, v), (v, u)]
+            voltages += [w, w.inverse()]
+        return cls(group, Digraph(labels, arcs), voltages, np.arange(len(arcs)) ^ 1)
 
     @classmethod
     def directed_from_arcs(cls, group, labels, arcs_with_voltages) -> "VoltageGraph":
         arcs = [(u, v) for u, v, _ in arcs_with_voltages]
-        voltages = [group.element(w) for _, _, w in arcs_with_voltages]
-        return cls(group, Digraph(labels, arcs), voltages)
+        return cls(group, Digraph(labels, arcs), [w for _, _, w in arcs_with_voltages])
 
     def lift(self) -> Graph | Digraph:
         """The lift on V x Gamma (base-major vertex order)."""
@@ -244,23 +249,15 @@ class VoltageGraph:
         return out
 
     def to_json(self) -> dict:
-        data = {
+        pairing = self.pairing or [None] * self.digraph.arc_count
+        arcs = zip(self.digraph.arc_array().tolist(), self.voltages, pairing)
+        return {
             "group": self.group.to_json(),
             "vertices": [_label_to_json(label) for label in self.digraph.labels],
-            "arcs": [],
+            "arcs": [{"tail": tail, "head": head,
+                      "voltage": list(w.key) if isinstance(w.key, tuple) else [w.key],
+                      "paired_with": p} for (tail, head), w, p in arcs],
         }
-        for i, ((tail, head), w) in enumerate(zip(self.digraph.arc_array().tolist(),
-                                                  self.voltages)):
-            voltage = list(w.key) if isinstance(w.key, tuple) else [w.key]
-            data["arcs"].append(
-                {
-                    "tail": tail,
-                    "head": head,
-                    "voltage": voltage,
-                    "paired_with": self.pairing[i] if self.pairing else None,
-                }
-            )
-        return data
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"digraph {name} {{"]
@@ -282,8 +279,8 @@ class VoltageGraph:
         )
 
 
-# the public name of the voltage-aware pairing search: called as
-# match_voltage_pairing(arcs, voltages), opposite arcs carry inverse voltages
+# the public name of the voltage-aware pairing search, called as
+# match_voltage_pairing(arcs, volts, group) with one element index per arc
 match_voltage_pairing = match_digon_pairing
 
 

@@ -23,7 +23,10 @@ from voltlift import (
     directed_cycle,
     graph_from_json,
     line_graph,
+    token_base_graph,
 )
+
+from helpers import dihedral_group
 
 
 def test_complete_graph_edge_counts():
@@ -75,6 +78,42 @@ def test_cayley_rejects_non_inverse_closed():
     # but the directed variant accepts it
     d = cayley_graph(AbelianGroup(5), [1, 2], directed=True)
     assert d.arc_count == 10
+
+
+REPEATED = "connection set has repeated generators"
+IDENTITY = "connection set must not contain the identity"
+NOT_CLOSED = "undirected construction needs S closed under inverses"
+
+
+@pytest.mark.parametrize("group, gens, directed, error, message", [
+    (AbelianGroup(5), [], False, VoltliftError, "connection set must be non-empty"),
+    (AbelianGroup(6), [1, 1, 5], False, VoltliftError, REPEATED),
+    (AbelianGroup(5), [1, 6], True, VoltliftError, REPEATED),
+    (AbelianGroup(5), [0, 0], False, VoltliftError, REPEATED),
+    (AbelianGroup(5), [4, 0, 1], False, IdentityInS, IDENTITY),
+    (AbelianGroup(5), [0], True, IdentityInS, IDENTITY),
+    (AbelianGroup(5), [0, 1], False, IdentityInS, IDENTITY),
+    (AbelianGroup(5), [1, 2], False, NotInverseClosed, NOT_CLOSED),
+    (AbelianGroup(3, 3), [(1, 0), (2, 0), (0, 1)], False, NotInverseClosed, NOT_CLOSED),
+    (dihedral_group(7), [1, 7, 6, 7], False, VoltliftError, REPEATED),
+    (dihedral_group(7), [0, 7], False, IdentityInS, IDENTITY),
+    (dihedral_group(7), [1, 7], False, NotInverseClosed, NOT_CLOSED),
+], ids=["empty", "repeat", "repeat-mod-n-directed", "repeated-identity", "identity",
+        "identity-directed", "identity-before-closure", "not-closed", "Z3xZ3-not-closed",
+        "D7-repeat", "D7-identity", "D7-not-closed"])
+def test_connection_set_checks_in_order(group, gens, directed, error, message):
+    """Both builders of a connection set raise the first failed check, in the
+    order non-empty, no repeats, no identity, inverse-closed."""
+    for build in (cayley_graph, lambda g, s, directed: token_base_graph(g, s, 2, directed=directed)):
+        with pytest.raises(error) as err:
+            build(group, gens, directed=directed)
+        assert str(err.value) == message
+
+
+def test_connection_set_accepts_inverse_pairs_in_any_order():
+    d7 = dihedral_group(7)
+    assert cayley_graph(d7, [6, 7, 1, 9]).edge_count == 28
+    assert cayley_graph(AbelianGroup(3, 3), [(0, 2), (1, 0), (0, 1), (2, 0)]).edge_count == 18
 
 
 def test_cayley_vertex_transitivity():

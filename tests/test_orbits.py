@@ -80,11 +80,12 @@ def test_orbits_partition_everything():
     group = AbelianGroup(7)
     dec = k_set_decomposition(group, 3)
     assert dec.num_orbits == math.comb(7, 3) // 7
+    els = group.elements()
     seen = {}
     for subset in combinations(range(7), 3):
         rep_idx, g = dec.locate(subset)
         rebuilt = tuple(sorted(
-            group.index_of(group.elements()[i] * g)
+            group.index_of(els[i] * els[g])
             for i in dec.representatives[rep_idx]
         ))
         assert rebuilt == subset
@@ -97,10 +98,11 @@ def test_custom_representatives_relocate_voltages():
     default = k_set_decomposition(group, 2)
     reordered = k_set_decomposition(group, 2, representatives=[(0, 3), (0, 1), (0, 4), (0, 7)])
     assert reordered.representatives == ((0, 3), (0, 1), (0, 4), (0, 7))
+    els = group.elements()
     for subset in combinations(range(9), 2):
         rep_idx, g = reordered.locate(subset)
         rebuilt = tuple(sorted(
-            group.index_of(group.elements()[i] * g)
+            group.index_of(els[i] * els[g])
             for i in reordered.representatives[rep_idx]
         ))
         assert rebuilt == subset
@@ -208,7 +210,12 @@ Z7_TRIPLES = k_set_decomposition(AbelianGroup(7), 3).representatives
      "representative entry 2.9 is not an integer"),
     (lambda: circulant_linegraph_base(13, [1.5, 3]), "generator 1.5 is not an integer"),
     (lambda: circulant_linegraph_base(13.9, [1, 3]), "cyclic order 13.9 is not an integer"),
-], ids=["representative-float", "generator-float", "order-float"])
+    (lambda: k_set_decomposition(AbelianGroup(7), 3.0), "token count 3.0 is not an integer"),
+    (lambda: k_set_decomposition(AbelianGroup(7), "3"), "token count '3' is not an integer"),
+    (lambda: johnson_base(7, 3.0), "token count 3.0 is not an integer"),
+    (lambda: johnson_base(7.0, 3), "vertex count 7.0 is not an integer"),
+], ids=["representative-float", "generator-float", "order-float", "k-set-k-float",
+        "k-set-k-string", "johnson-k-float", "johnson-n-float"])
 def test_orbit_builders_refuse_non_integers(build, message):
     with pytest.raises(VoltliftError) as err:
         build()
@@ -221,6 +228,9 @@ def test_orbit_builders_accept_numpy_integers():
     assert all(type(i) is int for r in dec.representatives for i in r)
     vg = circulant_linegraph_base(np.int64(13), np.array([1, 3]))
     assert vg.to_json() == circulant_linegraph_base(13, [1, 3]).to_json()
+    assert k_set_decomposition(AbelianGroup(7), np.int64(3)).representatives == Z7_TRIPLES
+    vg = johnson_base(np.int64(7), np.int32(3))
+    assert vg.to_json() == johnson_base(7, 3).to_json()
 
 
 def test_natural_isomorphism_johnson():
@@ -355,14 +365,14 @@ def _per_arc_token_base(group, gens, k, representatives=None, directed=False):
         occupied = set(rep)
         for i in rep:
             for s in gens:
-                j = group.index_of(els[i] * s)
+                j = group.index_of(els[i] * els[s])
                 if j in occupied:
                     continue
                 beta_idx, g_idx = lookup[tuple(sorted(occupied - {i} | {j}))]
                 arcs.append((rep_idx, beta_idx))
-                voltages.append(els[g_idx])
-    pairing = None if directed else tuple(match_voltage_pairing(arcs, voltages))
-    return tuple(reps), tuple(arcs), tuple(w.key for w in voltages), pairing
+                voltages.append(g_idx)
+    pairing = None if directed else tuple(match_voltage_pairing(arcs, voltages, group))
+    return tuple(reps), tuple(arcs), tuple(els[g].key for g in voltages), pairing
 
 
 Z3Z3_GENS = [(1, 0), (2, 0), (0, 1), (0, 2)]
@@ -397,8 +407,8 @@ def test_locate_matches_dict_lookup(group, k, reps):
     assert list(dec.representatives) == expected_reps
     assert len(lookup) == math.comb(group.size, k)
     for subset, (rep_idx, g_idx) in lookup.items():
-        assert dec.locate(subset) == (rep_idx, group.elements()[g_idx])
-        assert dec.locate(subset[::-1]) == (rep_idx, group.elements()[g_idx])
+        assert dec.locate(subset) == (rep_idx, g_idx)
+        assert dec.locate(subset[::-1]) == (rep_idx, g_idx)
 
 
 @pytest.mark.parametrize("subset", [(0, 0), (0, 9), (-1, 2), (0,), (0, 1, 2), (0, 1.5)],

@@ -26,6 +26,7 @@ from voltlift import (
     Spectrum,
     UniversalCoefficients,
     VoltageGraph,
+    VoltliftError,
     cayley_graph,
     complete_graph,
     direct_spectrum,
@@ -256,6 +257,14 @@ def test_johnson_spectrum_closed_form():
     assert pairs(johnson_spectrum(7, 2)) == [(10, 1), (3, 6), (-2, 14)]
     with pytest.raises(KOutOfRange):
         johnson_spectrum(7, 4)
+
+
+def test_johnson_spectrum_sizes_must_be_integers():
+    with pytest.raises(VoltliftError, match=r"^vertex count 7\.0 is not an integer$"):
+        johnson_spectrum(7.0, 3)
+    with pytest.raises(VoltliftError, match=r"^token count '3' is not an integer$"):
+        johnson_spectrum(7, "3")
+    assert pairs(johnson_spectrum(np.int64(7), np.int64(3))) == pairs(johnson_spectrum(7, 3))
 
 
 def test_direct_spectrum_of_johnson_graph():

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from voltlift import (
+    AbelianGroup,
     Digraph,
     Graph,
     KOutOfRange,
+    VoltliftError,
+    cayley_graph,
     complete_graph,
     cycle_graph,
     directed_cycle,
@@ -45,6 +48,19 @@ def test_vertex_counts():
         token_graph(g, 0)
     with pytest.raises(KOutOfRange):
         token_graph(g, 7)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: token_graph(cayley_graph(AbelianGroup(5), [1, 4]), 2.0),
+     "token count 2.0 is not an integer"),
+    (lambda: token_configs(5, 2.5), "token count 2.5 is not an integer"),
+    (lambda: token_configs(5.0, 2), "vertex count 5.0 is not an integer"),
+], ids=["token-graph-k-float", "configs-k-float", "configs-n-float"])
+def test_sizes_must_be_integers(build, message):
+    with pytest.raises(VoltliftError) as err:
+        build()
+    assert str(err.value) == message
+    assert token_configs(np.int64(5), np.int64(2)) == token_configs(5, 2)
 
 
 def test_config_order_is_lexicographic():

@@ -93,7 +93,7 @@ def test_dihedral_custom_representatives_translate_on_the_left():
     dec = k_set_decomposition(group, 3, representatives=custom)
     for subset in combinations(range(14), 3):
         i, g = dec.locate(subset)
-        assert tuple(sorted(group.index_of(g * els[j]) for j in custom[i])) == subset
+        assert tuple(sorted(group.index_of(els[g] * els[j]) for j in custom[i])) == subset
     gens = [1, 6, 2, 5]
     vg = token_base_graph(group, gens, 3, representatives=custom)
     assert verify_natural_isomorphism(vg, token_graph(cayley_graph(group, gens), 3)).ok
@@ -416,12 +416,14 @@ def test_base_matrix_render():
     assert text.splitlines()[0].startswith("1/z + z")
 
 
-def _greedy_pairing(arcs, voltages=None):
+def _greedy_pairing(arcs, volts=None, group=None):
     """The bucket search that match_digon_pairing replaced: arcs in index
-    order, each matched with the first unmatched arc of the reverse key."""
-    if voltages is None:
+    order, each matched with the first unmatched arc of the reverse key;
+    voltages are element indices of `group`, compared as element keys."""
+    if volts is None:
         keys = list(arcs)
     else:
+        voltages = [group.elements()[w] for w in volts]
         keys = [(tail, head, w.key) for (tail, head), w in zip(arcs, voltages)]
     buckets = {}
     for i, key in enumerate(keys):
@@ -430,11 +432,11 @@ def _greedy_pairing(arcs, voltages=None):
     for i, (tail, head) in enumerate(arcs):
         if pairing[i] != -1:
             continue
-        want = (head, tail) if voltages is None else (head, tail, voltages[i].inverse().key)
+        want = (head, tail) if volts is None else (head, tail, voltages[i].inverse().key)
         j = next((k for k in buckets.get(want, []) if pairing[k] == -1 and k != i), None)
         if j is None:
             raise InvalidPairing(f"arc {i} {keys[i]} has no unmatched reverse"
-                                 + ("" if voltages is None else " with inverse voltage"))
+                                 + ("" if volts is None else " with inverse voltage"))
         pairing[i], pairing[j] = j, i
     return pairing
 
@@ -478,11 +480,11 @@ def test_builder_pairing_matches_greedy_loop(name, monkeypatch):
 
     calls = []
 
-    def checked(arcs, voltages):
-        want = _outcome(_greedy_pairing, _as_tuples(arcs), voltages)
-        assert _outcome(match_voltage_pairing, arcs, voltages) == want
+    def checked(arcs, volts, group):
+        want = _outcome(_greedy_pairing, _as_tuples(arcs), volts.tolist(), group)
+        assert _outcome(match_voltage_pairing, arcs, volts, group) == want
         calls.append(want)
-        return match_voltage_pairing(arcs, voltages)
+        return match_voltage_pairing(arcs, volts, group)
 
     monkeypatch.setattr(orbits, "match_voltage_pairing", checked)
     build, message = PAIRING_BUILDERS[name]
@@ -492,6 +494,45 @@ def test_builder_pairing_matches_greedy_loop(name, monkeypatch):
         assert list(built.pairing) == calls[0]
     else:
         assert built == calls[0] == f"InvalidPairing: {message}"
+
+
+@pytest.mark.parametrize("name", ["J(7,3)", "L(C12;2,3)", "Z3xZ3-k2", "D7-k3"])
+def test_voltage_graph_from_index_array_equals_element_list(name):
+    built = PAIRING_BUILDERS[name][0]()
+    group, digraph = built.group, built.digraph
+    volts = np.array([w.index for w in built.voltages])
+    from_elements = VoltageGraph(group, digraph, list(built.voltages), built.pairing)
+    for array in (volts, volts.astype(np.int32), volts.astype(np.uint8)):
+        from_indices = VoltageGraph(group, digraph, array, built.pairing)
+        assert from_indices.voltages == from_elements.voltages == built.voltages
+        assert from_indices.pairing == from_elements.pairing == built.pairing
+        assert from_indices.to_json() == from_elements.to_json() == built.to_json()
+
+
+@pytest.mark.parametrize("group, voltages, message", [
+    (Z5, np.array([1]), "need exactly one voltage per arc"),
+    (Z5, np.array([1, 4, 1]), "need exactly one voltage per arc"),
+    (Z5, np.array([[1, 4]]), "need exactly one voltage per arc"),
+    (Z5, np.array([1, 5]), "voltage index 5 out of range 0..4"),
+    (Z5, np.array([-1, 1]), "voltage index -1 out of range 0..4"),
+    (dihedral_group(7), np.array([14, 1], dtype=np.uint64), "voltage index 14 out of range 0..13"),
+    (Z5, np.array([1.0, 4.0]), "is not an integer"),
+    (dihedral_group(7), np.array([1.5, 4.0]), "is not an integer"),
+], ids=["short", "long", "two-dim", "past-end", "negative", "unsigned-past-end", "float",
+        "float-generic"])
+def test_voltage_index_array_errors(group, voltages, message):
+    from voltlift import Digraph, VoltliftError
+
+    with pytest.raises(VoltliftError) as err:
+        VoltageGraph(group, Digraph([0, 1], [(0, 1), (1, 0)]), voltages, [1, 0])
+    assert str(err.value).endswith(message)
+
+
+def test_d7_reflection_pairing_message():
+    # the reflection 9 = r^2 s is its own inverse, so its loop has no partner
+    with pytest.raises(InvalidPairing) as err:
+        token_base_graph(dihedral_group(7), [1, 6, 7], 3)
+    assert str(err.value) == "arc 39 (6, 6, 9) has no unmatched reverse with inverse voltage"
 
 
 def test_random_voltage_graph_pairing_matches_greedy_loop():
@@ -505,9 +546,11 @@ def test_random_voltage_graph_pairing_matches_greedy_loop():
         assert _outcome(match_digon_pairing, arcs) == _outcome(_greedy_pairing, arcs)
         if vg.undirected:
             undirected += 1
-            want = _greedy_pairing(arcs, vg.voltages)
-            assert match_voltage_pairing(arcs, vg.voltages) == want
-            assert match_voltage_pairing(vg.digraph.arc_array(), vg.voltages) == want
+            volts = [w.index for w in vg.voltages]
+            want = _greedy_pairing(arcs, volts, vg.group)
+            assert match_voltage_pairing(arcs, volts, vg.group) == want
+            assert match_voltage_pairing(vg.digraph.arc_array(), np.array(volts),
+                                         vg.group) == want
     assert undirected > 20
 
 
@@ -536,10 +579,11 @@ def test_pairing_matches_greedy_loop_on_random_arcs(group):
             del arcs[-1], volts[-1]
         if arcs and rng.random() < 0.3:
             volts[0] = rng.choice(els)
-        want = _outcome(_greedy_pairing, arcs, volts)
-        assert _outcome(match_voltage_pairing, arcs, volts) == want
+        volts = [w.index for w in volts]
+        want = _outcome(_greedy_pairing, arcs, volts, group)
+        assert _outcome(match_voltage_pairing, arcs, volts, group) == want
         assert _outcome(match_voltage_pairing, np.array(arcs, dtype=np.intp).reshape(-1, 2),
-                        volts) == want
+                        np.array(volts, dtype=np.intp), group) == want
         assert _outcome(match_digon_pairing, arcs) == _outcome(_greedy_pairing, arcs)
         outcomes.add(isinstance(want, str))
     assert outcomes == {True, False}
