@@ -88,7 +88,8 @@ def _integer(value, what: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise VoltliftError(f"{what} {value!r} is not an integer") from None
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise VoltliftError(f"{what} {shown!r} is not an integer") from None
 
 
 class AbelianGroup:

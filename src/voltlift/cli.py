@@ -37,6 +37,7 @@ from .orbits import (
 )
 from .spectra import (
     Spectrum,
+    _order,
     character_spectra,
     direct_spectrum,
     johnson_spectrum,
@@ -350,6 +351,10 @@ def cmd_verify(args) -> int:
     raise CliError(f"unknown verify target {args.target}")  # pragma: no cover
 
 
+def _values_match(got, expected, tol) -> bool:
+    return len(got) == len(expected) and all(abs(v - e) <= tol for v, e in zip(got, expected))
+
+
 def _check_rows(vg: VoltageGraph, table, spectra=None) -> bool:
     rows = per_character_rows(vg, spectra=spectra)
     ok = len(rows) == len(table["rows"])
@@ -357,9 +362,7 @@ def _check_rows(vg: VoltageGraph, table, spectra=None) -> bool:
         _print(f"  {len(rows)} computed rows, {len(table['rows'])} expected  FAIL")
     for (indices, values), (exp_indices, exp_values) in zip(rows, table["rows"]):
         flat = tuple(idx[0] for idx in indices)
-        match = flat == exp_indices and len(values) == len(exp_values) and all(
-            abs(v - e) <= table["tol"] for v, e in zip(values, exp_values)
-        )
+        match = flat == exp_indices and _values_match(values, exp_values, table["tol"])
         ok = ok and match
         label = "|".join(str(i) for i in flat)
         shown = ", ".join(f"{v.real:.6g}" for v in values)
@@ -389,13 +392,11 @@ def cmd_reproduce(args) -> int:
         vg = token_base_graph(group, gens, 2)
         ref = reference.TABLE_T5
         _print("t5: 3x3 character grid of the 2-token base over Z3xZ3")
-        cells = {j: sorted((complex(v) for v in vals), key=lambda v: (-v.real, v.imag))
-                 for j, vals in character_spectra(vg)}
+        cells = {j: vals[_order(vals)] for j, vals in character_spectra(vg)}
         failed = cells.keys() != ref["grid"].keys()
         for rs, expected in sorted(ref["grid"].items()):
             got = cells.get(rs, [])
-            match = len(got) == len(expected) and all(
-                abs(v - e) <= ref["tol"] for v, e in zip(got, expected))
+            match = _values_match(got, expected, ref["tol"])
             shown = ", ".join(f"{v.real:.2f}" for v in got)
             line = (f"  cell {rs}: computed [{shown}]  expected {list(expected)}  "
                     f"{'PASS' if match else 'FAIL'}")

@@ -5,11 +5,17 @@ input's dtype.  Real input (integers included) is solved in float64 and
 complex input in complex128; there is no value-based downcast.  Within
 either type, Hermitian input (symmetric when real, detected within 1e-12)
 takes the symmetric solver and returns reals; everything else goes through
-the general solver of that type, whose non-real eigenvalues of a real
-matrix come in exact conjugate pairs.  Spectra are multisets grouped into
-(value, multiplicity) pairs at an absolute tolerance and sorted by real part
-descending, imaginary part ascending, so output files are reproducible
-bit-for-bit.
+the general solver of that type, whose non-real eigenvalues of a real matrix
+come in exact conjugate pairs.  Spectra are multisets grouped into (value,
+multiplicity) pairs by one rule at an absolute tolerance tol: sort by real
+part and cut wherever consecutive values differ by more than tol, cut each
+block the same way by imaginary part, and repeat until neither cut splits a
+group.  The groups are the largest sets that no gap wider than tol splits in
+either part, so they depend only on the multiset, not on its order or on the
+route that computed it.  A group's value is its members added from 0 in
+spectrum order (real part descending, imaginary part ascending), divided by
+its size as Python divides a complex by an int, so output files are
+reproducible bit-for-bit.
 
 A character is its index tuple j, in the group's element order, and the
 base matrix at it scatters ``group.character_values(j)`` over the term
@@ -26,7 +32,9 @@ another, in irrep list order.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -64,77 +72,93 @@ RESIDUAL_TOL = 1e-8
 CharacterSpectra = list[tuple[tuple[int, ...], np.ndarray]]
 
 
+def _order(values: np.ndarray) -> np.ndarray:
+    """Stable sort indices: real part descending, then imaginary part ascending."""
+    return np.lexsort((values.imag, -values.real))
+
+
+def _gap_cut(keys: np.ndarray, labels: np.ndarray, tol: float) -> np.ndarray:
+    """Labels of the blocks left when each group of ``labels`` is cut where
+    its sorted keys jump by more than tol, numbered in (label, key) order."""
+    order = np.lexsort((keys, labels))
+    cut = (np.diff(labels[order]) != 0) | (np.diff(keys[order]) > tol)
+    out = np.empty(keys.size, dtype=np.intp)
+    out[order] = np.concatenate(([0], np.cumsum(cut)))
+    return out
+
+
+def _gap_groups(values: np.ndarray, tol: float) -> np.ndarray:
+    """Group labels of the grouping rule in the module docstring."""
+    labels = np.zeros(values.size, dtype=np.intp)
+    while True:
+        split = _gap_cut(values.imag, _gap_cut(values.real, labels, tol), tol)
+        # blocks are numbered in label order, so no split keeps every label
+        if np.array_equal(split, labels):
+            return labels
+        labels = split
+
+
 class Spectrum:
-    """A multiset of complex eigenvalues grouped into multiplicities."""
+    """Grouped eigenvalues: a value array and a multiplicity array, in spectrum order."""
 
     def __init__(self, pairs: Sequence[tuple[complex, int]], grouping_tol: float):
-        self.pairs = tuple(
-            sorted(((complex(v), int(m)) for v, m in pairs),
-                   key=lambda p: (-p[0].real, p[0].imag))
-        )
+        values = np.array([complex(v) for v, _ in pairs], dtype=complex)
+        counts = np.array([int(m) for _, m in pairs], dtype=np.intp)
+        order = _order(values)
+        self._values, self._counts = values[order], counts[order]
         self.grouping_tol = grouping_tol
-        if any(m < 1 for _, m in self.pairs):
+        if (counts < 1).any():
             raise VoltliftError("multiplicities must be >= 1")
 
     @classmethod
     def group(cls, values: Iterable[complex],
               tol: float = DEFAULT_GROUPING_TOL) -> "Spectrum":
-        """Cluster raw eigenvalues closer than tol into multiplicity groups."""
-        ordered = sorted((complex(v) for v in values),
-                         key=lambda v: (-v.real, v.imag))
-        # running [sum, count] per cluster; the sum adds left to right from
-        # 0 as sum() does, so each mean is the cluster's sum() / len()
-        clusters: list[list] = []
-        for v in ordered:
-            if clusters and abs(v - clusters[-1][0] / clusters[-1][1]) <= tol:
-                clusters[-1][0] += v
-                clusters[-1][1] += 1
-            else:
-                clusters.append([0 + v, 1])
-        return cls([(total / count, count) for total, count in clusters], tol)
+        """Group raw eigenvalues by the module's gap-cut rule at tol."""
+        values = np.asarray(values if isinstance(values, np.ndarray) else list(values), complex)
+        labels = _gap_groups(values, tol)
+        order = _order(values)
+        order = order[np.argsort(labels[order], kind="stable")]
+        # summed from 0 in spectrum order, in Python: numpy changes last bits
+        members = values[order].tolist()
+        sizes = np.bincount(labels).tolist()
+        return cls([(functools.reduce(operator.add, members[end - size:end], 0) / size, size)
+                    for size, end in zip(sizes, np.cumsum(sizes).tolist())], tol)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[complex, int]],
                    tol: float = DEFAULT_GROUPING_TOL) -> "Spectrum":
-        values = []
-        for v, m in pairs:
-            values.extend([complex(v)] * int(m))
-        return cls.group(values, tol)
+        return cls.group([complex(v) for v, m in pairs for _ in range(int(m))], tol)
+
+    @property
+    def pairs(self) -> tuple[tuple[complex, int], ...]:
+        return tuple(zip(self._values.tolist(), self._counts.tolist()))
 
     @property
     def size(self) -> int:
-        return sum(m for _, m in self.pairs)
+        return int(self._counts.sum())
 
     def expand(self) -> list[complex]:
-        out = []
-        for v, m in self.pairs:
-            out.extend([v] * m)
-        return out
+        return np.repeat(self._values, self._counts).tolist()
 
     def min_real(self) -> float:
-        return min(v.real for v, _ in self.pairs)
+        return float(self._values.real.min())
 
     def max_real(self) -> float:
-        return max(v.real for v, _ in self.pairs)
+        return float(self._values.real.max())
 
     def to_csv(self) -> str:
-        lines = ["re,im,multiplicity"]
-        for v, m in self.pairs:
-            lines.append(f"{_fmt(v.real)},{_fmt(v.imag)},{m}")
-        return "\n".join(lines) + "\n"
+        rows = (f"{_fmt(v.real)},{_fmt(v.imag)},{m}" for v, m in self.pairs)
+        return "\n".join(["re,im,multiplicity", *rows]) + "\n"
 
     def __str__(self) -> str:
-        cells = []
-        for v, m in self.pairs:
-            body = _fmt_value(v)
-            cells.append(body if m == 1 else f"{body}^[{m}]")
+        cells = (_fmt_value(v) + ("" if m == 1 else f"^[{m}]") for v, m in self.pairs)
         return "{" + ", ".join(cells) + "}"
 
     def __repr__(self) -> str:
         return f"Spectrum({self})"
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self._values.size
 
 
 def _fmt(x: float) -> str:
@@ -263,10 +287,7 @@ def lift_spectrum(vg: VoltageGraph,
     ``character_spectra(vg, coeffs)`` when the caller already has it."""
     if spectra is None:
         spectra = character_spectra(vg, coeffs)
-    values: list[complex] = []
-    for _, vals in spectra:
-        values.extend(vals)
-    return Spectrum.group(values)
+    return Spectrum.group(np.concatenate([vals for _, vals in spectra]))
 
 
 def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation]) -> Spectrum:
@@ -280,16 +301,12 @@ def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation]) -> Spectrum
             stacklevel=2,
         )
     base = vg.base_matrix()
-    values: list[complex] = []
-    for rho in irreps:
-        vals = eigenvalues(base.apply_representation(rho))
-        for _ in range(rho.dimension):
-            values.extend(vals)
+    values = np.concatenate([np.empty(0)] + [
+        np.tile(eigenvalues(base.apply_representation(rho)), rho.dimension)
+        for rho in irreps])
     expected = vg.n * vg.group.size
-    if len(values) != expected:
-        raise IncompleteIrreps(
-            f"irreps yield {len(values)} eigenvalues, expected {expected}"
-        )
+    if values.size != expected:
+        raise IncompleteIrreps(f"irreps yield {values.size} eigenvalues, expected {expected}")
     return Spectrum.group(values)
 
 
@@ -345,26 +362,24 @@ class MultisetComparison:
         return self.equal
 
 
-def _expand(values) -> list[complex]:
+def _expand(values) -> np.ndarray:
     if isinstance(values, Spectrum):
-        return values.expand()
-    return [complex(v) for v in values]
+        return np.repeat(values._values, values._counts)
+    return np.asarray(values, dtype=complex)
 
 
 def _block_pairing_distance(x: np.ndarray, y: np.ndarray, tol: float) -> float:
     """Largest distance of the block pairing of two equal-sized arrays.
 
-    Both arrays are pooled and cut wherever the sorted real parts jump by
-    more than tol; no pair within tol can straddle such a cut.  When every
+    Both arrays are pooled and cut by the real-part gap cut of the grouping
+    rule; no pair within tol can straddle such a cut.  When every
     block holds as many values of x as of y, each side is sorted by (block,
     imag, real) and paired position by position.  Otherwise no pairing
     within tol exists and the result is inf.
     """
     n = x.size
     pooled = np.concatenate([x, y])
-    order = np.argsort(pooled.real, kind="stable")
-    block = np.empty(2 * n, dtype=np.intp)
-    block[order] = np.concatenate(([0], np.cumsum(np.diff(pooled.real[order]) > tol)))
+    block = _gap_cut(pooled.real, np.zeros(2 * n, dtype=np.intp), tol)
     bx, by = block[:n], block[n:]
     blocks = int(block.max()) + 1
     if not np.array_equal(np.bincount(bx, minlength=blocks),
@@ -385,20 +400,17 @@ def multiset_equal(a, b, tol: float) -> MultisetComparison:
     decides, so a failure reports that distance.
     """
     xs, ys = _expand(a), _expand(b)
-    if len(xs) != len(ys):
+    if xs.size != ys.size:
         return MultisetComparison(False, math.inf)
-    if not xs:
+    if not xs.size:
         return MultisetComparison(True, 0.0)
-    dist = _block_pairing_distance(np.array(xs, dtype=complex),
-                                   np.array(ys, dtype=complex), tol)
+    dist = _block_pairing_distance(xs, ys, tol)
     if dist <= tol:
         return MultisetComparison(True, dist)
     from scipy.optimize import linear_sum_assignment
 
-    key = lambda v: (v.real, v.imag)
-    xs_sorted = sorted(xs, key=key)
-    ys_sorted = sorted(ys, key=key)
-    cost = np.abs(np.subtract.outer(np.array(xs_sorted), np.array(ys_sorted)))
+    cost = np.abs(np.subtract.outer(xs[np.lexsort((xs.imag, xs.real))],
+                                    ys[np.lexsort((ys.imag, ys.real))]))
     rows, cols = linear_sum_assignment(cost)
     dist = float(cost[rows, cols].max())
     return MultisetComparison(dist <= tol, dist)
@@ -427,8 +439,7 @@ def per_character_rows(vg: VoltageGraph,
         indices = (j,)
         if vg.undirected and partner != i:
             indices += (spectra[partner][0],)
-        ordered = sorted((complex(v) for v in vals), key=lambda v: (-v.real, v.imag))
-        rows.append((indices, ordered))
+        rows.append((indices, vals[_order(vals)].astype(complex).tolist()))
     return rows
 
 

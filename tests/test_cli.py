@@ -119,6 +119,25 @@ def test_spectrum_direct_matches_characters(capsys, tmp_path):
     assert total1 == total2 == 24
 
 
+@pytest.mark.parametrize("orders, gens, k", [
+    ((8,), [1], 3), ((10,), [1], 3), ((5, 5), [(1, 0), (0, 1)], 2),
+], ids=["C8-k3", "C10-k3", "Z5xZ5-k2"])
+def test_spectrum_methods_group_directed_bases_alike(capsys, tmp_path, orders, gens, k):
+    """Degenerate complex eigenvalues get the same multiplicities from the
+    character route and the direct route."""
+    from voltlift import AbelianGroup, token_base_graph
+
+    base = tmp_path / "base.json"
+    vg = token_base_graph(AbelianGroup(*orders), gens, k, directed=True)
+    base.write_text(json.dumps(vg.to_json()))
+    columns = []
+    for method in ("characters", "direct"):
+        code, out, _ = run(capsys, "spectrum", "--in", str(base), "--method", method)
+        assert code == 0
+        columns.append(sorted(int(line.split(",")[2]) for line in out.splitlines()[1:]))
+    assert columns[0] == columns[1]
+
+
 def test_spectrum_irreps_method(capsys):
     code, out, _ = run(capsys, "spectrum", "--johnson-base", "5", "2",
                        "--method", "irreps")

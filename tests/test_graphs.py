@@ -110,6 +110,16 @@ def test_connection_set_checks_in_order(group, gens, directed, error, message):
         assert str(err.value) == message
 
 
+def test_cayley_names_a_refused_numpy_generator_as_a_list_would():
+    for gens in ([1.0, 4.0], np.array([1.0, 4.0])):
+        with pytest.raises(VoltliftError) as err:
+            cayley_graph(AbelianGroup(5), gens)
+        assert str(err.value) == "Z5 element coordinate 1.0 is not an integer"
+    with pytest.raises(VoltliftError) as err:
+        cayley_graph(AbelianGroup(5), np.array(["1", "4"]))
+    assert str(err.value) == "Z5 element coordinate '1' is not an integer"
+
+
 def test_connection_set_accepts_inverse_pairs_in_any_order():
     d7 = dihedral_group(7)
     assert cayley_graph(d7, [6, 7, 1, 9]).edge_count == 28

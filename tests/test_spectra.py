@@ -210,8 +210,8 @@ def test_spectrum_grouping_and_order():
 
 
 def _group_with_list_clusters(values, tol):
-    """Spectrum.group as it was written before the running sums: each value
-    is compared with a fresh sum() over the previous cluster."""
+    """Spectrum.group as a running-mean loop: each value joins the previous
+    cluster when it is within tol of that cluster's sum() / len()."""
     def mean(cluster):
         return sum(cluster) / len(cluster)
 
@@ -225,8 +225,45 @@ def _group_with_list_clusters(values, tol):
     return Spectrum([(mean(c), len(c)) for c in clusters], tol)
 
 
-def test_spectrum_group_running_sums_match_list_clusters():
-    rng = random.Random(3)
+def _split_groups(values, tol):
+    """The grouping rule by recursion on lists: split at every real-part
+    gap wider than tol, else at every imaginary-part gap, and recurse on
+    each piece until neither splits it."""
+    for part in (lambda v: v.real, lambda v: v.imag):
+        ordered = sorted(values, key=part)
+        pieces = [[ordered[0]]]
+        for prev, v in zip(ordered, ordered[1:]):
+            if part(v) - part(prev) > tol:
+                pieces.append([])
+            pieces[-1].append(v)
+        if len(pieces) > 1:
+            return [g for piece in pieces for g in _split_groups(piece, tol)]
+    return [values]
+
+
+def _split_reference_pairs(groups):
+    """(value, multiplicity) per group: members added from 0 in
+    (-re, im) order, divided by the count; pairs in the same order."""
+    pairs = []
+    for group in groups:
+        total = 0
+        for v in sorted(group, key=lambda v: (-v.real, v.imag)):
+            total += v
+        pairs.append((total / len(group), len(group)))
+    return sorted(pairs, key=lambda p: (-p[0].real, p[0].imag))
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for (v, m), (w, n) in zip(got, want):
+        assert m == n
+        assert (v.real, v.imag) == (w.real, w.imag)
+        assert math.copysign(1, v.real) == math.copysign(1, w.real)
+        assert math.copysign(1, v.imag) == math.copysign(1, w.imag)
+
+
+def _noisy_values(seed):
+    rng = random.Random(seed)
     # one large near-degenerate cluster whose chained noise drifts, a
     # conjugate pair with real-part noise, negative zeros and singletons
     values = [complex(2 + rng.uniform(-4e-7, 4e-7), rng.uniform(-4e-7, 4e-7))
@@ -235,15 +272,50 @@ def test_spectrum_group_running_sums_match_list_clusters():
                for s in (1, -1) for _ in range(300)]
     values += [complex(-0.0, -0.0)] * 7 + [rng.gauss(0, 3) for _ in range(200)]
     rng.shuffle(values)
+    return values
+
+
+def test_spectrum_group_matches_recursive_split_reference():
+    values = _noisy_values(3)
     for tol in (1e-6, 1e-9):
-        got = Spectrum.group(values, tol).pairs
-        want = _group_with_list_clusters(values, tol).pairs
-        assert len(got) == len(want)
-        for (v, m), (w, n) in zip(got, want):
-            assert m == n
-            assert (v.real, v.imag) == (w.real, w.imag)
-            assert math.copysign(1, v.real) == math.copysign(1, w.real)
-            assert math.copysign(1, v.imag) == math.copysign(1, w.imag)
+        groups = _split_groups(values, tol)
+        labels = spectra._gap_groups(np.array(values), tol)
+        got = sorted(sorted((v.real, v.imag) for v, g in zip(values, labels) if g == label)
+                     for label in set(labels.tolist()))
+        assert got == sorted(sorted((v.real, v.imag) for v in g) for g in groups)
+        _assert_same_bytes(Spectrum.group(values, tol).pairs, _split_reference_pairs(groups))
+    # the conjugate pair with real-part noise stays two groups of 300
+    pairs = Spectrum.group(values).pairs
+    assert (0.5 + 1.5j, 300) in pairs and (0.5 - 1.5j, 300) in pairs
+
+
+def test_spectrum_group_does_not_depend_on_input_order():
+    values = _noisy_values(5)
+    rng = random.Random(11)
+    for tol in (1e-6, 1e-9):
+        want = Spectrum.group(values, tol)
+        for _ in range(5):
+            rng.shuffle(values)
+            got = Spectrum.group(np.array(values), tol)
+            assert np.array(got.pairs).tobytes() == np.array(want.pairs).tobytes()
+
+
+def test_spectrum_group_matches_running_mean_on_separated_clusters():
+    """Clusters narrower than tol whose real parts lie more than 2 tol
+    apart are grouped alike by both rules, to the byte."""
+    rng = random.Random(7)
+    for tol in (1e-6, 1e-9):
+        values = []
+        for step in rng.sample(range(1, 1000), 60):
+            centre = complex(step * 3 * tol, rng.choice([0.0, -0.0, rng.uniform(-5, 5)]))
+            half = tol / 4
+            values += [centre + complex(rng.uniform(-half, half),
+                                        rng.choice([0.0, rng.uniform(-half, half)]))
+                       for _ in range(rng.randint(1, 20))]
+        values += [complex(-0.0, -0.0)] * 3
+        rng.shuffle(values)
+        _assert_same_bytes(Spectrum.group(values, tol).pairs,
+                           _group_with_list_clusters(values, tol).pairs)
 
 
 def test_spectrum_csv_format():

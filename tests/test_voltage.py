@@ -528,6 +528,15 @@ def test_voltage_index_array_errors(group, voltages, message):
     assert str(err.value).endswith(message)
 
 
+def test_voltage_graph_names_a_refused_numpy_voltage_as_a_list_would():
+    from voltlift import Digraph, VoltliftError
+
+    for voltages in ([1.0, 4.0], np.array([1.0, 4.0])):
+        with pytest.raises(VoltliftError) as err:
+            VoltageGraph(Z5, Digraph([0, 1], [(0, 1), (1, 0)]), voltages, [1, 0])
+        assert str(err.value) == "Z5 element coordinate 1.0 is not an integer"
+
+
 def test_d7_reflection_pairing_message():
     # the reflection 9 = r^2 s is its own inverse, so its loop has no partner
     with pytest.raises(InvalidPairing) as err:
