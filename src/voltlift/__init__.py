@@ -80,6 +80,7 @@ from .spectra import (
 from .tokens import token_configs, token_digraph, token_graph
 from .voltage import (
     BaseMatrix,
+    UnitSymmetry,
     VoltageGraph,
     lift_eigenvector,
     load_voltage_graph,

@@ -157,8 +157,7 @@ class AbelianGroup:
     def _inverse(self) -> np.ndarray:
         """Read-only (|G|,) array: entry a is index(elements[a]^-1), negated
         one cyclic factor at a time."""
-        inverse = sum(((-c) % n) * stride
-                      for c, n, stride in zip(self._coords, self.orders, self._strides))
+        inverse = self._index(-self._coords)
         inverse.flags.writeable = False
         return inverse
 
@@ -174,6 +173,30 @@ class AbelianGroup:
     def inverse_indices(self) -> np.ndarray:
         """Read-only array of shape (|G|,): entry a is index(elements[a]^-1)."""
         return self._inverse
+
+    def _index(self, coords) -> np.ndarray:
+        """Element indices of the residue tuples coords[:, ...], reduced mod n_k."""
+        return sum((c % n) * stride for c, n, stride in zip(coords, self.orders, self._strides))
+
+    def products(self, a, b) -> np.ndarray:
+        """index(elements[a] * elements[b]), elementwise over broadcast index arrays."""
+        a, b = np.broadcast_arrays(a, b)
+        return self._index(self._coords[:, a] + self._coords[:, b])
+
+    def coordinate_products(self, a, b) -> np.ndarray:
+        """Indices of the residue tuples (a_1*b_1, ..., a_r*b_r), elementwise
+        over broadcast index arrays.  For a unit u (every u_k a unit mod
+        n_k), b -> coordinate_products(u, b) is the automorphism g -> u*g,
+        and it maps the character j to j o u = u*j as it maps elements."""
+        a, b = np.broadcast_arrays(a, b)
+        return self._index(self._coords[:, a] * self._coords[:, b])
+
+    def units(self) -> np.ndarray:
+        """Indices, in element order, of the elements whose every coordinate
+        is a unit mod its order: the units u of coordinate_products."""
+        coords = self._coords
+        return np.flatnonzero(np.all([np.gcd(c, n) == 1 for c, n in zip(coords, self.orders)],
+                                     axis=0))
 
     def character_values(self, j) -> np.ndarray:
         """Values of the character j on all elements, in enumeration order.

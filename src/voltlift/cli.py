@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -226,9 +227,9 @@ def cmd_generate(args) -> int:
     elif args.kind == "token":
         if args.k is None:
             raise CliError("token generation needs --k")
-        if args.complete:
+        if args.complete is not None:
             obj = token_graph(complete_graph(args.complete), args.k)
-        elif args.directed_cycle:
+        elif args.directed_cycle is not None:
             obj = token_digraph(directed_cycle(args.directed_cycle), args.k)
         elif args.infile:
             host = graph_from_json(_read_json(args.infile))
@@ -262,6 +263,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.per_character and args.method != "characters":
+        raise CliError("--per-character needs --method characters")
     source = _load_source(args)
     coeffs = parse_coeffs(args)
     if args.method == "characters":
@@ -445,6 +448,14 @@ def cmd_reproduce(args) -> int:
     return 1 if failed else 0
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0."""
+    tol = _numbers([text], float, "--tol")[0]
+    if not math.isfinite(tol) or tol < 0:
+        raise CliError(f"--tol must be a finite number >= 0, got {text}")
+    return tol
+
+
 def _add_source_flags(parser):
     parser.add_argument("--johnson-base", "--johnson", dest="johnson_base",
                         nargs=2, type=int, metavar=("N", "K"))
@@ -488,7 +499,7 @@ def build_parser() -> _Parser:
     ver.add_argument("target", choices=["isomorphism", "spectrum-equivalence",
                                         "johnson-closed-form"])
     ver.add_argument("--n", type=int)
-    ver.add_argument("--tol", type=float, default=1e-8)
+    ver.add_argument("--tol", type=_tolerance, default=1e-8)
     ver.add_argument("--certificate", metavar="FILE")
     _add_source_flags(ver)
     ver.set_defaults(func=cmd_verify)

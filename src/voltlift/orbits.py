@@ -13,6 +13,11 @@ Subsets are sorted rows of element indices, looked up by combination rank,
 so the same arrays serve abelian and table-defined groups.  The builders
 hand voltages to VoltageGraph as one integer array of element indices, read
 from the translator and paired through the group's inverse table.
+
+Over an abelian group the builders also record unit symmetries (see
+``voltage``): a unit u with u*S = S is an automorphism of Cay(Gamma, S) and
+of its token graphs, and u*rep_i = t_i * rep_pi(i) locates the image of each
+representative in the decomposition.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AbelianGroup, _integer
+from .algebra import BLOCK_ENTRIES, AbelianGroup, _integer
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
 from .graphs import Digraph, Graph, _cayley_arcs, _label_to_json, _validate_connection_set
 from .tokens import _combination_ranker, _token_moves
-from .voltage import VoltageGraph, match_voltage_pairing
+from .voltage import UnitSymmetry, VoltageGraph, match_voltage_pairing
 
 
 class KSetDecomposition:
@@ -121,6 +126,50 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
     return KSetDecomposition(group, k, user, new_orbit, rebased)
 
 
+def _unit_symmetries(group, connection: np.ndarray, reps: np.ndarray,
+                     locate) -> list[UnitSymmetry]:
+    """Units u with u*S = S for the element indices ``connection`` of S,
+    each with its action on the base whose representatives are the sorted
+    rows ``reps``; ``locate(rows)`` gives the (orbit, translator) arrays of
+    sorted subset rows.  None unless the group is an AbelianGroup.
+
+    The candidate units are tested against S alone, in element order, a
+    block at a time.  A unit that fixes S is recorded when it lies outside
+    the group that -1 and the units recorded so far generate, so each one at
+    least doubles that group: with -1 the recorded units generate every unit
+    that fixes S, and there are at most log2 of their number.
+    """
+    if not isinstance(group, AbelianGroup):
+        return []
+    m = group.size
+    in_s = np.zeros(m, dtype=bool)
+    in_s[connection] = True
+    candidates = group.units()
+    step = max(1, BLOCK_ENTRIES // connection.size)
+    # u*S lies in S exactly when u*S = S, u being a bijection
+    fixes = np.concatenate([
+        in_s[group.coordinate_products(candidates[i:i + step, None], connection)].all(axis=1)
+        for i in range(0, candidates.size, step)])
+    one = group.element([1] * group.rank).index
+    generated = np.zeros(m, dtype=bool)
+    generated[[one, group.inverse_indices()[one]]] = True
+    symmetries = []
+    for u in candidates[fixes].tolist():
+        if generated[u]:
+            continue
+        elements = group.coordinate_products(u, np.arange(m))
+        # <H, u> is the union of the cosets u^i * H up to the first that is H
+        coset = np.flatnonzero(generated)
+        while True:
+            coset = elements[coset]
+            if generated[coset[0]]:
+                break
+            generated[coset] = True
+        perm, trans = locate(np.sort(elements[reps], axis=1))
+        symmetries.append(UnitSymmetry(group.elements()[u].key, elements, perm, trans))
+    return symmetries
+
+
 def token_base_graph(group, gens, k: int, representatives=None,
                      directed: bool = False) -> VoltageGraph:
     """Base graph whose lift is the k-token graph of Cay(group, gens).
@@ -139,7 +188,14 @@ def token_base_graph(group, gens, k: int, representatives=None,
     digraph = Digraph(dec.representatives, np.stack([rep, dec.orbit[moved]], axis=1))
     volts = dec.translator[moved]
     pairing = None if directed else match_voltage_pairing(digraph.arc_array(), volts, group)
-    return VoltageGraph(group, digraph, volts, pairing)
+
+    def locate(rows):
+        ranks = dec._rank(rows)
+        return dec.orbit[ranks], dec.translator[ranks]
+
+    reps = np.array(dec.representatives, dtype=np.intp)
+    return VoltageGraph(group, digraph, volts, pairing,
+                        _unit_symmetries(group, gens, reps, locate))
 
 
 def johnson_base(n: int, k: int) -> VoltageGraph:
@@ -186,7 +242,19 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     volts = np.array(residues, dtype=np.intp) % m
     digraph = Digraph([(0, ai) for ai in a], arcs)
     pairing = match_voltage_pairing(digraph.arc_array(), volts, group)
-    return VoltageGraph(group, digraph, volts, pairing)
+    vertex = np.full(m, -1, dtype=np.intp)
+    vertex[a] = np.arange(len(a))
+
+    def locate(rows):
+        # {p, q} is p + {0, a_i} when q - p = a_i, else q + {0, a_i} with p - q = a_i
+        p, q = rows.T
+        forward = vertex[(q - p) % m]
+        return np.where(forward >= 0, forward, vertex[(p - q) % m]), np.where(forward >= 0, p, q)
+
+    reps = np.array(digraph.labels, dtype=np.intp)
+    connection = np.concatenate([reps[:, 1], m - reps[:, 1]])
+    return VoltageGraph(group, digraph, volts, pairing,
+                        _unit_symmetries(group, connection, reps, locate))
 
 
 @dataclass

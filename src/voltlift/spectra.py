@@ -21,13 +21,18 @@ A character is its index tuple j, in the group's element order, and the
 base matrix at it scatters ``group.character_values(j)`` over the term
 arrays.  Arc counts and universal coefficients are real, so the base matrix
 at the conjugate character chi-bar (index -j) is the entrywise conjugate of
-the one at chi, and so is its spectrum.  The character route therefore
-solves one matrix per conjugate pair {chi, chi-bar}, the one whose character
-comes first in enumeration order, and gives its partner the conjugated
-eigenvalues.  A self-conjugate character (2 j_k = 0 mod n_k in every
-factor) takes only the values +-1, so the real part of its matrix is solved
-with the real solvers.  Per-irrep eigenproblems are solved one after
-another, in irrep list order.
+the one at chi, and so is its spectrum.  A unit symmetry u of the voltage
+graph (see ``voltage``) makes the matrix at u*j monomially similar to the
+one at j, so the two spectra are equal.  The character route therefore
+solves one matrix per orbit of the characters under the graph's checked
+units and inversion, j -> +-u*j: the one whose character comes first in
+enumeration order.  A unit image gets the same eigenvalues and an inverse
+image the conjugated ones.  With no units, as for a graph read from JSON,
+an orbit is a conjugate pair {chi, chi-bar}.  A self-conjugate character
+(2 j_k = 0 mod n_k in every factor) takes only the values +-1, so the real
+part of its matrix is solved with the real solvers; the units map it to
+self-conjugate characters only.  Per-irrep eigenproblems are solved one
+after another, in irrep list order.
 """
 
 from __future__ import annotations
@@ -252,29 +257,55 @@ def eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _character_orbits(vg: VoltageGraph) -> tuple[list[int], list[bool]]:
+    """For each character i: the first character of its orbit under the
+    unit symmetries of vg and inversion, and whether i's spectrum is the
+    conjugate of that character's.
+
+    Characters and elements share their enumeration, so the inverse table
+    and the units' element maps act on characters as they act on elements.
+    """
+    inverse = vg.group.inverse_indices().tolist()
+    maps = [sym.elements.tolist() for sym in vg.symmetries]
+    first = [-1] * vg.group.size
+    conjugated = [False] * vg.group.size
+    for i in range(vg.group.size):
+        if first[i] >= 0:
+            continue
+        first[i] = i
+        reached = [i]
+        while reached:
+            a = reached.pop()
+            for b, flip in [(image[a], False) for image in maps] + [(inverse[a], True)]:
+                if first[b] < 0:
+                    first[b], conjugated[b] = i, conjugated[a] != flip
+                    reached.append(b)
+    return first, conjugated
+
+
 def character_spectra(vg: VoltageGraph,
                       coeffs: UniversalCoefficients | None = None
                       ) -> CharacterSpectra:
     """(character index tuple j, eigenvalues) in character enumeration order.
 
-    Only the first character of each conjugate pair is solved; its partner
-    gets the conjugate eigenvalues.  Self-conjugate characters are solved
-    on the real part of their matrix.
+    Only the first character of each orbit under the units of vg and
+    inversion is solved; a unit image shares its eigenvalue array and an
+    inverse image gets the conjugates.  Self-conjugate characters are
+    solved on the real part of their matrix.
     """
     if not isinstance(vg.group, AbelianGroup):
         raise NonAbelianGroup("character spectra need an abelian group; use rep_spectrum")
     characters = enumerate_characters(vg.group)
-    # characters and elements share their enumeration, so the inverse
-    # table of the group pairs each character with its conjugate
-    conjugate = vg.group.inverse_indices()
+    first, conjugated = _character_orbits(vg)
+    inverse = vg.group.inverse_indices()
     spectra: list[np.ndarray] = []
     for i, j in enumerate(characters):
-        partner = int(conjugate[i])
-        if partner < i:
-            spectra.append(np.conj(spectra[partner]))
+        if first[i] < i:
+            solved = spectra[first[i]]
+            spectra.append(np.conj(solved) if conjugated[i] else solved)
             continue
         matrix = vg.character_matrix(j, coeffs)
-        spectra.append(eigenvalues(matrix.real if partner == i else matrix))
+        spectra.append(eigenvalues(matrix.real if inverse[i] == i else matrix))
     return list(zip(characters, spectra))
 
 

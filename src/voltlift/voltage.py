@@ -13,12 +13,22 @@ every g there is a lift arc (u, g) -> (v, g*w).
 Voltages are given as elements or coordinates, or as one integer ndarray of
 element indices, the form the builders in ``orbits`` hand over; either way
 they are checked as one index array and stored as elements.
+
+A voltage graph over an abelian group may carry unit symmetries.  A unit u
+(every u_k a unit mod n_k) acts on the group by the automorphism
+g -> u*g of ``AbelianGroup.coordinate_products``.  It is a symmetry of the
+voltage graph with base permutation pi and translators t when the arc
+multiset {(pi(a), pi(b), u*w + t_b - t_a)} over the arcs a -> b with voltage
+w is the arc multiset itself: then (v, g) -> (pi(v), u*g + t_v) is an
+automorphism of the lift, and the base matrix at the character u*j is
+monomially similar to the one at j.  The constructor checks each symmetry
+exactly, once, and refuses a wrong one.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,11 +141,24 @@ class BaseMatrix:
         return "\n".join("  ".join(c.ljust(width) for c in row).rstrip() for row in cells)
 
 
+class UnitSymmetry(NamedTuple):
+    """A unit u of an abelian group acting on a voltage graph, as in the
+    module docstring: ``elements[g]`` is the index of u*g, ``permutation[v]``
+    is pi(v) and ``translators[v]`` the element index of t_v."""
+
+    unit: tuple[int, ...]
+    elements: np.ndarray
+    permutation: np.ndarray
+    translators: np.ndarray
+
+
 class VoltageGraph:
-    """A base digraph with one voltage per arc over a declared group."""
+    """A base digraph with one voltage per arc over a declared group, and the
+    checked unit symmetries it was given (none unless a builder records them)."""
 
     def __init__(self, group, digraph: Digraph, voltages: Sequence | np.ndarray,
-                 pairing: Sequence[int] | None = None):
+                 pairing: Sequence[int] | None = None,
+                 symmetries: Sequence[UnitSymmetry] = ()):
         if isinstance(voltages, np.ndarray) and voltages.dtype.kind in "iu":
             volts = voltages  # element indices
         else:
@@ -164,6 +187,56 @@ class VoltageGraph:
         self.digraph = digraph
         self.voltages = tuple(map(group.elements().__getitem__, volts.tolist()))
         self.pairing = pairing
+        self.symmetries = tuple(self._checked_symmetry(sym, volts) for sym in symmetries)
+
+    def _checked_symmetry(self, sym: UnitSymmetry, volts: np.ndarray) -> UnitSymmetry:
+        """sym with read-only copies of its arrays, once its element map is
+        g -> u*g for a unit u and it maps the arc multiset onto itself;
+        otherwise a VoltliftError naming the unit and the first arc whose
+        image is not matched."""
+        group, n = self.group, self.n
+        if not isinstance(group, AbelianGroup):
+            raise VoltliftError("unit symmetries need an abelian group")
+        u = group.element(sym.unit)
+        unit, elements = u.key, group.coordinate_products(u.index, np.arange(group.size))
+        arrays = [np.array(a, dtype=np.intp) for a in sym[1:]]
+        for a in arrays:
+            a.flags.writeable = False
+        element_map, perm, trans = arrays
+        if np.bincount(elements, minlength=group.size).max() != 1:
+            raise VoltliftError(f"{unit} is not a unit of {group.name}")
+        if not np.array_equal(element_map, elements):
+            raise VoltliftError(f"symmetry {unit}: element map is not g -> {unit}*g")
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise VoltliftError(
+                f"symmetry {unit}: permutation is not a permutation of the {n} vertices")
+        if trans.shape != (n,) or ((trans < 0) | (trans >= group.size)).any():
+            raise VoltliftError(f"symmetry {unit}: need one translator index per vertex")
+        tails, heads = self.digraph.arc_array().T
+        images = group.products(group.products(elements[volts], trans[heads]),
+                                group.inverse_indices()[trans[tails]])
+
+        def keys(t, h, w):
+            return (t.astype(np.int64) * n + h) * group.size + w
+
+        arcs = np.sort(keys(tails, heads, volts))
+        mapped = keys(perm[tails], perm[heads], images)
+        ordered = np.sort(mapped)
+        if not np.array_equal(ordered, arcs):
+            # the multisets have equal sizes, so some image occurs more often
+            # among the images than among the arcs
+            def count(sorted_keys):
+                return (np.searchsorted(sorted_keys, mapped, "right")
+                        - np.searchsorted(sorted_keys, mapped, "left"))
+
+            a = int(np.flatnonzero(count(ordered) > count(arcs))[0])
+            labels, els = self.digraph.labels, group.elements()
+            raise VoltliftError(
+                f"symmetry {unit} maps arc {a} ({labels[tails[a]]} -> {labels[heads[a]]}, "
+                f"voltage {els[volts[a]].key}) to {labels[perm[tails[a]]]} -> "
+                f"{labels[perm[heads[a]]]} with voltage {els[images[a]].key}, "
+                "more often than the base graph has that arc")
+        return UnitSymmetry(unit, element_map, perm, trans)
 
     @property
     def undirected(self) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from collections import Counter
@@ -69,6 +70,27 @@ def random_voltage_graph(rng: random.Random) -> VoltageGraph:
             els = group.elements()
             edges = [(0, 0, els[1])]
     return VoltageGraph.undirected_from_edges(group, list(range(n)), edges)
+
+
+def unit_orbits(orders, gens) -> list[list[int]]:
+    """Orbits of the characters of Z_{n1} x ... x Z_{nr}, as element indices
+    in lexicographic order, under j -> +-u*j for the diagonal units u with
+    u*S = S; by enumeration, each orbit sorted, ordered by first member."""
+    elements = list(itertools.product(*(range(n) for n in orders)))
+    index = {x: i for i, x in enumerate(elements)}
+
+    def scale(u, x):
+        return tuple(a * b % n for a, b, n in zip(u, x, orders))
+
+    s = {scale(g if isinstance(g, tuple) else (g,), (1,) * len(orders)) for g in gens}
+    units = [u for u in elements
+             if all(math.gcd(a, n) == 1 for a, n in zip(u, orders))
+             and {scale(u, x) for x in s} == s]
+    minus = tuple(n - 1 for n in orders)
+    orbits = {tuple(sorted({index[scale(sign, scale(u, j))] for u in units
+                            for sign in ((1,) * len(orders), minus)}))
+              for j in elements}
+    return [list(orbit) for orbit in sorted(orbits)]
 
 
 def dihedral_group(n: int) -> GenericGroup:

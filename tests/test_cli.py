@@ -86,10 +86,33 @@ def test_spectrum_per_character_solves_each_character_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "spectrum", "--johnson-base", "7", "3",
                      "--method", "characters", "--per-character")
     assert code == 0
-    assert len(calls) == 4  # the trivial character and three conjugate pairs over Z7
+    # one solve per orbit of j -> +-u*j over the units u of Z7, all of which
+    # fix S = Z7 - {0}: the trivial character and the other six
+    orbits = {frozenset(u * j % 7 for u in range(1, 7)) for j in range(7)}
+    assert len(calls) == len(orbits) == 2
     calls.clear()
     assert run(capsys, "reproduce", "t3")[0] == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("method", ["direct", "irreps"])
+def test_spectrum_per_character_needs_the_character_method(capsys, method):
+    code, out, err = run(capsys, "spectrum", "--johnson-base", "7", "3",
+                         "--method", method, "--per-character")
+    assert code == 2
+    assert out == ""
+    assert err == "voltlift: error: --per-character needs --method characters\n"
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--complete", "complete_graph needs n >= 1"),
+    ("--directed-cycle", "directed_cycle needs n >= 1"),
+])
+def test_generate_token_passes_a_zero_size_to_the_constructor(capsys, flag, message):
+    code, out, err = run(capsys, "generate", "token", flag, "0", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"voltlift: error: {message}\n"
 
 
 def test_spectrum_direct_laplacian_round_trip(capsys, tmp_path):
@@ -270,6 +293,9 @@ MALFORMED = {
     "generator-not-int": ["spectrum", "--token-cayley", "Z5", "--gens", "1,b", "--k", "2"],
     "circulant-not-int": ["spectrum", "--circulant-linegraph", "12", "2,x"],
     "tol-not-float": ["verify", "spectrum-equivalence", "--johnson", "5", "2", "--tol", "x"],
+    "tol-nan": ["verify", "spectrum-equivalence", "--johnson", "7", "3", "--tol", "nan"],
+    "tol-inf": ["verify", "spectrum-equivalence", "--johnson", "7", "3", "--tol", "inf"],
+    "tol-negative": ["verify", "johnson-closed-form", "--n", "7", "--k", "3", "--tol", "-1e-8"],
     "n-missing": ["verify", "johnson-closed-form", "--k", "3"],
     "token-k-missing": ["generate", "token", "--complete", "5"],
     "truncated-json": ["spectrum", "--in", "TRUNCATED"],

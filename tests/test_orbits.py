@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import itertools
 from itertools import combinations
 from pathlib import Path
 
@@ -191,6 +192,67 @@ def test_circulant_linegraph_base_m7_matches_johnson_base():
     lg = circulant_linegraph_base(7, (1, 2, 3)).base_matrix()
     jb = johnson_base(7, 2).base_matrix()
     assert lg.entries == jb.entries
+
+
+Z7Z7_UNITS = [(1, 2), (2, 4), (4, 1), (6, 5), (5, 3), (3, 6)]
+
+
+@pytest.mark.parametrize("build, orders, connection", [
+    (lambda: johnson_base(17, 5), (17,), range(1, 17)),
+    (lambda: johnson_base(15, 4), (15,), range(1, 15)),
+    (lambda: circulant_linegraph_base(13, [1, 5]), (13,), [1, 5, 8, 12]),
+    (lambda: circulant_linegraph_base(12, [2, 3]), (12,), [2, 3, 9, 10]),
+    (lambda: token_base_graph(AbelianGroup(13), [1, 3, 9], 4, directed=True),
+     (13,), [1, 3, 9]),
+    (lambda: token_base_graph(AbelianGroup(10), [1, 3], 3, directed=True), (10,), [1, 3]),
+    (lambda: token_base_graph(AbelianGroup(7, 7), Z7Z7_UNITS, 2), (7, 7), Z7Z7_UNITS),
+    (lambda: token_base_graph(AbelianGroup(3, 3), [(1, 0), (2, 0), (0, 1), (0, 2)], 2,
+                              representatives=[(0, 3), (0, 1), (0, 4), (0, 7)]),
+     (3, 3), [(1, 0), (2, 0), (0, 1), (0, 2)]),
+], ids=["J(17,5)", "J(15,4)", "L(C13;1,5)", "L(C12;2,3)", "Z13-directed", "Z10-directed",
+        "Z7xZ7", "Z3xZ3-custom-reps"])
+def test_builders_record_units_that_with_minus_one_generate_the_stabiliser(
+        build, orders, connection):
+    """The recorded units fix S, with -1 they generate every diagonal unit
+    that fixes S, there are at most log2 of those, and each one's base
+    permutation and translators send rep_i to u*rep_i, by enumeration."""
+    vg = build()
+    elements = list(itertools.product(*(range(n) for n in orders)))
+
+    def scale(u, x):
+        return tuple(a * b % n for a, b, n in zip(u, x, orders))
+
+    s = {scale(g if isinstance(g, tuple) else (g,), (1,) * len(orders)) for g in connection}
+    stabiliser = {u for u in elements if all(math.gcd(a, n) == 1 for a, n in zip(u, orders))
+                  and {scale(u, x) for x in s} == s}
+    recorded = [sym.unit for sym in vg.symmetries]
+    assert set(recorded) <= stabiliser
+    assert len(recorded) <= math.ceil(math.log2(len(stabiliser)))
+    generated = {(1,) * len(orders), tuple(n - 1 for n in orders)}
+    while True:
+        grown = generated | {scale(u, v) for u in recorded for v in generated}
+        if grown == generated:
+            break
+        generated = grown
+    assert stabiliser <= {tuple(x % n for x, n in zip(u, orders)) for u in generated}
+    index = {x: i for i, x in enumerate(elements)}
+    for sym in vg.symmetries:
+        for i, rep in enumerate(vg.labels):
+            image = {scale(sym.unit, elements[x]) for x in rep}
+            t = elements[sym.translators[i]]
+            rep_pi = vg.labels[sym.permutation[i]]
+            moved = {index[tuple((a + b) % n for a, b, n in zip(t, elements[x], orders))]
+                     for x in rep_pi}
+            assert {index[x] for x in image} == moved
+
+
+def test_builders_record_no_units_over_a_generic_group_or_a_trivial_stabiliser():
+    assert token_base_graph(dihedral_group(7), [1, 6], 3).symmetries == ()
+    # 3 and 5 send {1, 2, 6, 7} to {2, 3, 5, 6}, and -1 = 7 is never recorded
+    assert token_base_graph(AbelianGroup(8), [1, 7, 2, 6], 3).symmetries == ()
+    # the only diagonal unit of Z2^3 is the identity
+    assert token_base_graph(AbelianGroup(2, 2, 2), [(1, 0, 0), (0, 1, 0)], 1,
+                            directed=True).symmetries == ()
 
 
 def test_circulant_linegraph_base_validation():

@@ -45,12 +45,13 @@ from voltlift import (
     token_base_graph,
     token_digraph,
     token_graph,
+    voltage_graph_from_json,
 )
 from voltlift import spectra
 from voltlift.orbits import circulant_linegraph_base
 from voltlift.spectra import HERMITIAN_TOL
 
-from helpers import random_voltage_graph, s3_group_and_irreps
+from helpers import random_voltage_graph, s3_group_and_irreps, unit_orbits
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -598,8 +599,9 @@ def test_per_character_rows_grouping():
     assert [v.real for v in rows[1][1]] == pytest.approx([1, -2])
 
 
-# (group orders, connection set, k, directed, solved characters of |G|):
-# one solve per self-conjugate character and one per conjugate pair
+# (group orders, connection set, k, directed, solved characters of |G| with
+# no unit symmetries): one solve per self-conjugate character and one per
+# conjugate pair.  The builder's graph solves one per unit orbit: 4, 6 and 8
 PAIRED_SOLVES = [
     ((10,), [1, 9, 3, 7], 3, False, 6),
     ((10,), [1, 3], 3, True, 6),
@@ -620,6 +622,13 @@ def _record_solves(monkeypatch):
     return seen
 
 
+def _solved_kinds(group, firsts) -> list[str]:
+    """The dtype kind of the matrix solved at each character in firsts: real
+    for a self-conjugate character, complex otherwise."""
+    conjugate = group.inverse_indices()
+    return ["f" if conjugate[i] == i else "c" for i in firsts]
+
+
 @pytest.mark.parametrize("orders,gens,k,directed,solves", PAIRED_SOLVES)
 def test_lift_spectrum_solves_once_per_conjugate_pair(monkeypatch, orders, gens, k,
                                                       directed, solves):
@@ -627,15 +636,83 @@ def test_lift_spectrum_solves_once_per_conjugate_pair(monkeypatch, orders, gens,
     vg = token_base_graph(group, gens, k, directed=directed)
     seen = _record_solves(monkeypatch)
     lift = lift_spectrum(vg)
-    # each character at or before its partner is solved, a self-conjugate
-    # one on a real matrix
-    conjugate = group.inverse_indices()
-    expected = [("f" if p == i else "c") for i, p in enumerate(conjugate) if p >= i]
-    assert [m.dtype.kind for m in seen] == expected
-    assert len(seen) == solves < group.size
+    # the first character of each orbit under j -> +-u*j is solved
+    firsts = [orbit[0] for orbit in unit_orbits(orders, gens)]
+    assert [m.dtype.kind for m in seen] == _solved_kinds(group, firsts)
+    assert len(seen) == len(firsts) <= solves < group.size
     cayley = cayley_graph(group, gens, directed=directed)
     target = token_digraph(cayley, k) if directed else token_graph(cayley, k)
     assert multiset_equal(lift, direct_spectrum(target), 1e-8).equal
+
+
+@pytest.mark.parametrize("orders,gens,k,directed,solves", PAIRED_SOLVES)
+def test_graph_read_from_json_solves_once_per_conjugate_pair(monkeypatch, orders, gens, k,
+                                                             directed, solves):
+    vg = token_base_graph(AbelianGroup(*orders), gens, k, directed=directed)
+    loaded = voltage_graph_from_json(vg.to_json())
+    assert loaded.symmetries == ()
+    built = lift_spectrum(vg)
+    seen = _record_solves(monkeypatch)
+    lift = lift_spectrum(loaded)
+    # each character at or before its partner is solved
+    conjugate = loaded.group.inverse_indices()
+    firsts = [i for i, p in enumerate(conjugate) if p >= i]
+    assert [m.dtype.kind for m in seen] == _solved_kinds(loaded.group, firsts)
+    assert len(seen) == solves
+    assert multiset_equal(lift, built, 1e-12).equal
+    assert [m for _, m in lift.pairs] == [m for _, m in built.pairs]
+
+
+def _johnson_laplacian(n, k):
+    return Spectrum.from_pairs([(k * (n - k) - v, m) for v, m in johnson_spectrum(n, k).pairs])
+
+
+Z13 = AbelianGroup(13)
+Z7Z7 = AbelianGroup(7, 7)
+UNITS_7x7 = [(1, 2), (2, 4), (4, 1), (6, 5), (5, 3), (3, 6)]  # (2, 2) maps each to the next
+
+# (label, base, group orders and connection set, unit orbits, reference
+# spectra for adjacency and Laplacian)
+UNIT_ORBIT_CASES = [
+    ("J(17,5)", lambda: johnson_base(17, 5), ((17,), range(1, 17)), 2,
+     lambda: (johnson_spectrum(17, 5), _johnson_laplacian(17, 5))),
+    ("J(15,4)", lambda: johnson_base(15, 4), ((15,), range(1, 15)), 4,
+     lambda: (johnson_spectrum(15, 4), _johnson_laplacian(15, 4))),
+    ("L(Cay(Z13;+-1,+-5))", lambda: circulant_linegraph_base(13, [1, 5]),
+     ((13,), [1, 5, 8, 12]), 4,
+     lambda: line_graph(cayley_graph(Z13, [1, 5, 8, 12]))),
+    ("Z13 +-{1,3,9} k=4", lambda: token_base_graph(Z13, [1, 3, 9, 12, 10, 4], 4),
+     ((13,), [1, 3, 9, 12, 10, 4]), 3,
+     lambda: token_graph(cayley_graph(Z13, [1, 3, 9, 12, 10, 4]), 4)),
+    # the unit 3 fixes S, and inversion joins its orbits to their negatives
+    ("Z13 {1,3,9} k=4 directed", lambda: token_base_graph(Z13, [1, 3, 9], 4, directed=True),
+     ((13,), [1, 3, 9]), 3,
+     lambda: token_digraph(cayley_graph(Z13, [1, 3, 9], directed=True), 4)),
+    ("Z7xZ7 k=2", lambda: token_base_graph(Z7Z7, UNITS_7x7, 2), ((7, 7), UNITS_7x7), 9,
+     lambda: token_graph(cayley_graph(Z7Z7, UNITS_7x7), 2)),
+]
+
+
+@pytest.mark.parametrize("label,build,connection,orbits,reference", UNIT_ORBIT_CASES,
+                         ids=[c[0] for c in UNIT_ORBIT_CASES])
+def test_character_route_solves_once_per_unit_orbit(monkeypatch, label, build, connection,
+                                                    orbits, reference):
+    vg = build()
+    assert vg.symmetries
+    firsts = [orbit[0] for orbit in unit_orbits(*connection)]
+    assert len(firsts) == orbits
+    seen = _record_solves(monkeypatch)
+    lifts = [lift_spectrum(vg, coeffs)
+             for coeffs in (None, UniversalCoefficients.laplacian())]
+    assert [m.dtype.kind for m in seen] == 2 * _solved_kinds(vg.group, firsts)
+    monkeypatch.undo()
+    expected = reference()
+    if not isinstance(expected, tuple):
+        expected = (direct_spectrum(expected),
+                    direct_spectrum(expected, UniversalCoefficients.laplacian()))
+    for lift, oracle in zip(lifts, expected):
+        assert multiset_equal(lift, oracle, 1e-8).equal
+        assert [m for _, m in lift.pairs] == [m for _, m in oracle.pairs]
 
 
 def test_conjugate_character_gets_the_exact_conjugate_values():
@@ -663,7 +740,8 @@ def test_per_character_rows_reuse_given_spectra(monkeypatch):
     assert seen == []
     assert rows == per_character_rows(vg)
     assert lift.pairs == lift_spectrum(vg).pairs
-    assert len(seen) == 2 * 4  # trivial plus three conjugate pairs, twice
+    # one solve per unit orbit ({0} and the six units of Z7), twice
+    assert len(seen) == 2 * len(unit_orbits((7,), range(1, 7))) == 2 * 2
 
 
 def test_johnson_closed_form_full_sweep():

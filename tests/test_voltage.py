@@ -14,6 +14,7 @@ from voltlift import (
     InvalidPairing,
     LengthMismatch,
     Representation,
+    UnitSymmetry,
     VoltageGraph,
     cayley_graph,
     check_representation,
@@ -526,6 +527,60 @@ def test_voltage_index_array_errors(group, voltages, message):
     with pytest.raises(VoltliftError) as err:
         VoltageGraph(group, Digraph([0, 1], [(0, 1), (1, 0)]), voltages, [1, 0])
     assert str(err.value).endswith(message)
+
+
+def _rebuilt(vg, symmetries):
+    volts = np.array([w.index for w in vg.voltages])
+    return VoltageGraph(vg.group, vg.digraph, volts, vg.pairing, symmetries)
+
+
+def test_builder_symmetry_passes_its_check_as_read_only_arrays():
+    vg = johnson_base(7, 3)
+    (sym,) = vg.symmetries
+    assert sym.unit == (2,)
+    assert sym.elements.tolist() == [2 * g % 7 for g in range(7)]
+    (checked,) = _rebuilt(vg, [sym._replace(permutation=sym.permutation.tolist())]).symmetries
+    assert checked.unit == sym.unit
+    for got, given in zip(checked[1:], sym[1:]):
+        assert np.array_equal(got, given) and not got.flags.writeable
+
+
+J73_SYMMETRY = johnson_base(7, 3).symmetries[0]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"permutation": J73_SYMMETRY.permutation[[1, 0, 2, 3, 4]]},
+     "symmetry (2,) maps arc 0 ((0, 1, 2) -> (0, 1, 2), voltage (1,)) to (0, 1, 3) -> "
+     "(0, 1, 3) with voltage (2,), more often than the base graph has that arc"),
+    ({"translators": (J73_SYMMETRY.translators + [1, 0, 0, 0, 0]) % 7},
+     "symmetry (2,) maps arc 1 ((0, 1, 2) -> (0, 1, 3), voltage (1,)) to (0, 2, 4) -> "
+     "(0, 1, 3) with voltage (0,), more often than the base graph has that arc"),
+    ({"unit": (3,)}, "symmetry (3,): element map is not g -> (3,)*g"),
+    ({"unit": (0,), "elements": np.zeros(7, dtype=int)}, "(0,) is not a unit of Z7"),
+    ({"permutation": np.zeros(5, dtype=int)},
+     "symmetry (2,): permutation is not a permutation of the 5 vertices"),
+    ({"translators": np.full(5, 7)}, "symmetry (2,): need one translator index per vertex"),
+], ids=["permutation", "translator", "element-map", "not-a-unit", "not-a-permutation",
+        "translator-out-of-range"])
+def test_tampered_symmetry_is_refused(change, message):
+    from voltlift import VoltliftError
+
+    with pytest.raises(VoltliftError) as err:
+        _rebuilt(johnson_base(7, 3), [J73_SYMMETRY._replace(**change)])
+    assert str(err.value) == message
+
+
+def test_directed_base_refuses_a_unit_that_maps_s_to_its_inverses():
+    from voltlift import VoltliftError
+
+    vg = token_base_graph(AbelianGroup(7), [1, 2, 4], 3, directed=True)
+    assert [sym.unit for sym in vg.symmetries] == [(2,)]
+    # -1 maps S to -S: the arcs go to the reverse digraph, whatever pi and t are
+    dec = k_set_decomposition(AbelianGroup(7), 3)
+    perm, trans = zip(*(dec.locate([-x % 7 for x in rep]) for rep in vg.labels))
+    minus = UnitSymmetry((6,), np.arange(0, -7, -1) % 7, perm, trans)
+    with pytest.raises(VoltliftError, match=r"^symmetry \(6,\) maps arc 0 "):
+        _rebuilt(vg, [minus])
 
 
 def test_voltage_graph_names_a_refused_numpy_voltage_as_a_list_would():
