@@ -21,17 +21,14 @@ import cmath
 import itertools
 import math
 import operator
-import random
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import IncompleteRepresentation, MismatchedGroups, NonAbelianGroup, VoltliftError
 from .graphs import _json_field, _json_indices
 
-EXHAUSTIVE_ASSOC_LIMIT = 64
-ASSOC_SAMPLES = 10_000
 # entries per block of the blocked array checks here and in spectra
 BLOCK_ENTRIES = 2**15
 
@@ -248,14 +245,36 @@ class AbelianGroup:
         return {"orders": list(self.orders)}
 
 
+def _light_generators(t: np.ndarray, e: int) -> Iterator[int]:
+    """Element indices g_1, g_2, ... of the Latin table t with identity e
+    such that every element is a product (...((e g_i) g_j) ...) g_l of them:
+    each is the least element not yet reached from e by right multiplication
+    with the ones before it, yielded before the next is sought.  For a group
+    each one at least doubles the subgroup reached, so there are at most
+    log2(n) of them."""
+    n = len(t)
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        yield gens[-1]
+        new = np.flatnonzero(reached)
+        while new.size:
+            hit = np.zeros(n, dtype=bool)
+            hit[t[np.ix_(new, gens)]] = True
+            new = np.flatnonzero(hit & ~reached)
+            reached |= hit
+
+
 class GenericGroup:
     """A finite group given by a row-major multiplication table of indices.
 
     The group holds one read-only (n, n) intp table, its inverse array and
     its identity index.  Construction checks the table with array
     operations: Latin rows, then Latin columns, a two-sided identity and
-    two-sided inverses.  Associativity, (ab)c = a(bc), is checked
-    exhaustively up to order 64 and on 10^4 pseudo-random triples above that.
+    two-sided inverses.  Associativity, (ab)c = a(bc), is checked exactly
+    for every order by Light's test (see ``_light_generators``).
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str | None = None):
@@ -281,18 +300,14 @@ class GenericGroup:
         inverse = np.argmax(t == e, axis=1)
         if (t[inverse, full] != e).any():
             raise VoltliftError("one-sided inverse found; table inconsistent")
-        if n <= EXHAUSTIVE_ASSOC_LIMIT:
-            # entry [a, b, c] of t[t] is (ab)c and of t[:, t] is a(bc)
-            bad = np.argwhere(t[t] != t[:, t])
-        else:
-            rng = random.Random(0xA55)
-            triples = np.array([[rng.randrange(n) for _ in range(3)]
-                                for _ in range(ASSOC_SAMPLES)], dtype=np.intp)
-            a, b, c = triples.T
-            bad = triples[t[t[a, b], c] != t[a, t[b, c]]]
-        if len(bad):  # the first triple in lexicographic or sampling order
-            a, b, c = bad[0]
-            raise VoltliftError(f"table is not associative at ({a},{b},{c})")
+        # Light's test: the c with (ab)c = a(bc) for all a, b are closed under
+        # products, so checking c over a generating set covers every triple
+        if any((t[:, g][t] != t[:, t[:, g]]).any() for g in _light_generators(t, e)):
+            for a in range(n):  # the lexicographically first failing triple
+                bad = np.argwhere(t[t[a]] != t[a][t])
+                if len(bad):
+                    b, c = bad[0]
+                    raise VoltliftError(f"table is not associative at ({a},{b},{c})")
         t.flags.writeable = False
         inverse.flags.writeable = False
         self._table = t

@@ -169,53 +169,38 @@ def _dump_json(data, out: str | None):
     _write(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
 
 
-def _circulant_args(args) -> tuple[int, tuple[int, ...]]:
-    """(M, A_LIST) of --circulant-linegraph as an int and an int tuple."""
-    m, a_list = args.circulant_linegraph
-    m = _numbers([m], int, "--circulant-linegraph M")[0]
-    return m, tuple(_numbers(a_list.split(","), int, "--circulant-linegraph A_LIST"))
-
-
-def _load_source(args):
-    """Resolve the object a spectrum/verify command works on."""
-    if args.johnson_base:
-        return johnson_base(*args.johnson_base)
-    if args.circulant_linegraph:
-        return circulant_linegraph_base(*_circulant_args(args))
-    if args.token_cayley:
-        group = parse_group(args.token_cayley)
-        if not args.gens or args.k is None:
-            raise CliError("--token-cayley needs --gens and --k")
-        gens = parse_generators(group, args.gens)
-        reps = parse_representatives(group, args.representatives) if args.representatives else None
-        return token_base_graph(group, gens, args.k, representatives=reps)
-    if args.infile:
-        data = _read_json(args.infile)
-        if isinstance(data, dict) and "group" in data:
-            return voltage_graph_from_json(data)
-        return graph_from_json(data)
-    raise CliError("no input source given")
-
-
 def _circulant_line_graph(m: int, a) -> Graph:
     """L(Cay(Z_m; +-a_1, ..., +-a_s)), the brute-force circulant line graph."""
     gens = sorted({x % m for x in a} | {(-x) % m for x in a})
     return line_graph(cayley_graph(AbelianGroup(m), gens))
 
 
-def _brute_force_target(args) -> Graph | None:
-    """The graph a constructive base source should lift to, built directly;
-    None for a source read from a file."""
+def _load_source(args):
+    """Resolve the object a generate/spectrum/verify command works on, with
+    a callable that builds the graph a constructive base should lift to
+    (None for a source read from a file)."""
     if args.johnson_base:
         n, k = args.johnson_base
-        return token_graph(complete_graph(n), k)
+        return johnson_base(n, k), lambda: token_graph(complete_graph(n), k)
     if args.circulant_linegraph:
-        return _circulant_line_graph(*_circulant_args(args))
+        m, a_list = args.circulant_linegraph
+        m = _numbers([m], int, "--circulant-linegraph M")[0]
+        a = tuple(_numbers(a_list.split(","), int, "--circulant-linegraph A_LIST"))
+        return circulant_linegraph_base(m, a), lambda: _circulant_line_graph(m, a)
     if args.token_cayley:
         group = parse_group(args.token_cayley)
+        if not args.gens or args.k is None:
+            raise CliError("--token-cayley needs --gens and --k")
         gens = parse_generators(group, args.gens)
-        return token_graph(cayley_graph(group, gens), args.k)
-    return None
+        reps = parse_representatives(group, args.representatives) if args.representatives else None
+        return (token_base_graph(group, gens, args.k, representatives=reps),
+                lambda: token_graph(cayley_graph(group, gens), args.k))
+    if args.infile:
+        data = _read_json(args.infile)
+        if isinstance(data, dict) and "group" in data:
+            return voltage_graph_from_json(data), None
+        return graph_from_json(data), None
+    raise CliError("no input source given")
 
 
 def cmd_generate(args) -> int:
@@ -246,7 +231,7 @@ def cmd_generate(args) -> int:
         obj = voltage_graph_from_json(_read_json(args.infile)).lift()
         data = obj.to_json()
     elif args.kind == "base":
-        obj = _load_source(args)
+        obj, _ = _load_source(args)
         if not isinstance(obj, VoltageGraph):
             raise CliError("base generation needs a base-graph source")
         data = obj.to_json()
@@ -265,7 +250,7 @@ def cmd_generate(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.per_character and args.method != "characters":
         raise CliError("--per-character needs --method characters")
-    source = _load_source(args)
+    source, _ = _load_source(args)
     coeffs = parse_coeffs(args)
     if args.method == "characters":
         if not isinstance(source, VoltageGraph):
@@ -307,13 +292,12 @@ def _print(line=""):
 def cmd_verify(args) -> int:
     tol = args.tol
     if args.target == "isomorphism":
-        vg = _load_source(args)
+        vg, target = _load_source(args)
         if not isinstance(vg, VoltageGraph):
             raise CliError("verify isomorphism needs a voltage graph source")
-        target = _brute_force_target(args)
         if target is None:
             raise CliError("verify isomorphism needs a constructive source")
-        result = verify_natural_isomorphism(vg, target)
+        result = verify_natural_isomorphism(vg, target())
         if result.ok:
             line = f"PASS isomorphism: {len(result.vertex_map)} vertices mapped"
             if args.certificate:
@@ -325,11 +309,10 @@ def cmd_verify(args) -> int:
         return 1
 
     if args.target == "spectrum-equivalence":
-        vg = _load_source(args)
+        vg, target = _load_source(args)
         if not isinstance(vg, VoltageGraph):
             raise CliError("verify spectrum-equivalence needs a voltage graph source")
-        target = _brute_force_target(args)
-        oracle = direct_spectrum(vg.lift() if target is None else target)
+        oracle = direct_spectrum(vg.lift() if target is None else target())
         computed = lift_spectrum(vg)
         cmp = multiset_equal(computed, oracle, tol)
         if cmp.equal:
@@ -535,3 +518,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

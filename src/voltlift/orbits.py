@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -71,21 +71,33 @@ class KSetDecomposition:
 def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
     """Decompose all k-subsets of the group into free left-translation orbits.
 
-    Raises NotFreeAction (reporting the offending subset) as soon as some
-    orbit is smaller than |Gamma|.  A custom representative list (one subset
-    per orbit, any order) re-bases the voltages on those subsets.
+    A custom representative list (one subset per orbit, any order) numbers
+    the orbits in its order and bases the voltages on its subsets; the other
+    orbits take their lexicographic minima.  Raises NotFreeAction (reporting
+    the offending subset) as soon as some orbit is smaller than |Gamma|.
     """
     n = group.size
     k = _integer(k, "token count")
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     rank = _combination_ranker(n, k)
+    user = [] if representatives is None else [
+        tuple(sorted(_integer(i, "representative entry") for i in r)) for r in representatives]
+    for r in user:
+        if len(r) != k or len(set(r)) != k or not all(0 <= i < n for i in r):
+            raise VoltliftError(f"{r} is not a valid {k}-subset of the group")
     orbit = np.full(math.comb(n, k), -1, dtype=np.intp)
     translator = np.empty_like(orbit)
     reps: list[tuple[int, ...]] = []
-    # lexicographic order is rank order; each new subset is its orbit's minimum
-    for r, subset in enumerate(combinations(range(n), k)):
+    # the user's subsets first, then in lexicographic (rank) order each subset
+    # not yet reached, which is its orbit's minimum
+    firsts = chain(((int(rank(np.array(r, dtype=np.intp))), r) for r in user),
+                   enumerate(combinations(range(n), k)))
+    for r, subset in firsts:
         if orbit[r] >= 0:
+            if len(reps) < len(user):
+                raise VoltliftError(
+                    f"{subset} repeats the orbit of representative {reps[orbit[r]]}")
             continue
         # row g ranks the sorted subset elements[g] * subset
         translates = rank(np.sort(group.right_columns(subset), axis=1))
@@ -100,30 +112,9 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
         translator[translates] = np.arange(n)
         reps.append(subset)
     assert len(reps) * n == math.comb(n, k)
-    dec = KSetDecomposition(group, k, reps, orbit, translator)
-    if representatives is None:
-        return dec
-
-    # re-base on user-supplied representatives (e.g. to match published tables)
-    user = [tuple(sorted(_integer(i, "representative entry") for i in r))
-            for r in representatives]
-    if len(user) != len(reps):
+    if representatives is not None and len(user) != len(reps):
         raise VoltliftError(f"expected {len(reps)} representatives, got {len(user)}")
-    seen_orbits, g0 = {}, []
-    for r in user:
-        try:
-            old_idx, g = dec.locate(r)
-        except KeyError:
-            raise VoltliftError(f"{r} is not a valid {k}-subset of the group") from None
-        if old_idx in seen_orbits:
-            raise VoltliftError(f"{r} repeats the orbit of representative {seen_orbits[old_idx]}")
-        seen_orbits[old_idx] = r
-        g0.append(g)
-    # g * rep_old = subset and g0 * rep_old = rep_new, so
-    # subset = (g * g0^-1) * rep_new
-    new_orbit = np.argsort(list(seen_orbits))[orbit]
-    rebased = group.right_columns(group.inverse_indices()[g0])[translator, new_orbit]
-    return KSetDecomposition(group, k, user, new_orbit, rebased)
+    return KSetDecomposition(group, k, reps, orbit, translator)
 
 
 def _unit_symmetries(group, connection: np.ndarray, reps: np.ndarray,

@@ -89,8 +89,9 @@ def _entry_str(group, entry: dict[int, int]) -> str:
 
 class BaseMatrix:
     """Square matrix over the group algebra indexed by base vertices, held as
-    term arrays (row, column, voltage index, arc count), one tuple per rank:
-    rank r holds every entry's r-th distinct voltage in arc order."""
+    one term table: arrays (row, column, voltage index, arc count) with one
+    term per distinct voltage of an entry, ordered by entry u*n + v and
+    within an entry by the voltage's first arc."""
 
     def __init__(self, group, labels, terms):
         self.group = group
@@ -104,23 +105,22 @@ class BaseMatrix:
     @property
     def entries(self) -> tuple[tuple[dict[int, int], ...], ...]:
         """Entry (u, v) as a {voltage index: arc count} dict in first-occurrence
-        order, empty for zero; built from the term arrays on each call."""
+        order, empty for zero; built from the term table on each call."""
         entries = [[{} for _ in range(self.n)] for _ in range(self.n)]
-        for terms in self.terms:
-            for i, j, g, c in zip(*(t.tolist() for t in terms)):
-                entries[i][j][g] = c
+        for i, j, g, c in zip(*(t.tolist() for t in self.terms)):
+            entries[i][j][g] = c
         return tuple(map(tuple, entries))
 
     def _scatter(self, mats: np.ndarray) -> np.ndarray:
         """Block matrix with block (u, v) = sum count * mats[g], from one d x d
-        matrix per group element; d*|V| square.  Every block adds its terms
-        to 0 in rank order, one scatter per rank (no block repeats within a
-        rank), so each sum is rounded as a term-by-term loop rounds it."""
+        matrix per group element; d*|V| square.  One unbuffered scatter adds
+        the terms to 0 in table order, so each block sums its terms in
+        first-occurrence order, as a term-by-term loop does."""
         d, n = mats.shape[-1], self.n
+        rows, cols, volts, counts = self.terms
         out = np.zeros((n, d, n, d), dtype=complex)
-        blocks = out.transpose(0, 2, 1, 3)  # blocks[u, v] is block (u, v), a view
-        for rows, cols, volts, counts in self.terms:
-            blocks[rows, cols] += counts[:, None, None] * mats[volts]
+        # out.transpose(0, 2, 1, 3)[u, v] is block (u, v), a view
+        np.add.at(out.transpose(0, 2, 1, 3), (rows, cols), counts[:, None, None] * mats[volts])
         return out.reshape(n * d, n * d)
 
     def evaluate(self, j) -> np.ndarray:
@@ -293,14 +293,11 @@ class VoltageGraph:
         volts = np.fromiter((w.index for w in self.voltages), dtype=np.intp)
         keys, first, counts = np.unique((tails * n + heads) * m + volts,
                                         return_index=True, return_counts=True)
-        # by entry u*n + v, each entry's terms in first-occurrence order;
-        # a term's rank is its position among its entry's terms
+        # by entry u*n + v, each entry's terms in first-occurrence order
         order = np.lexsort((first, keys // m))
         entry, volts = np.divmod(keys[order], m)
-        ranks = np.arange(len(entry)) - np.searchsorted(entry, entry)
-        return BaseMatrix(self.group, self.digraph.labels, [
-            (entry[sel] // n, entry[sel] % n, volts[sel], counts[order][sel])
-            for sel in (ranks == r for r in range(ranks.max(initial=-1) + 1))])
+        rows, cols = np.divmod(entry, n)
+        return BaseMatrix(self.group, self.digraph.labels, (rows, cols, volts, counts[order]))
 
     def character_matrix(self, j,
                          coeffs: UniversalCoefficients | None = None) -> np.ndarray:

@@ -110,7 +110,8 @@ def test_generic_group_rejects_non_associative_loop():
 
 
 def _old_validation(table):
-    """The removed loop validation of GenericGroup.__init__: the first error
+    """The removed loop validation of GenericGroup.__init__, with every
+    associativity triple checked in lexicographic order: the first error
     message it raised, else (identity, inverses)."""
     table = tuple(tuple(int(x) for x in row) for row in table)
     n = len(table)
@@ -139,13 +140,7 @@ def _old_validation(table):
                 inverse[a] = b
                 break
     t = table
-    if n <= 64:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        rng = random.Random(0xA55)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(10_000))
-    for a, b, c in triples:
+    for a, b, c in itertools.product(range(n), repeat=3):
         if t[t[a][b]][c] != t[a][t[b][c]]:
             return f"table is not associative at ({a},{b},{c})"
     return identity, inverse
@@ -232,7 +227,7 @@ def test_array_validation_matches_the_old_loops():
     }
     for table in ([], [[0, 1], [1]], [[0]]):
         assert _new_validation(table) == _old_validation(table)
-    # order 65: associativity on the 10^4 sampled triples
+    # order 65: the lexicographically first failing triple of all 65^3
     z13 = range(13)
     product = [[13 * LOOP5[a][b] + (x + y) % 13 for b in range(5) for y in z13]
                for a in range(5) for x in z13]
@@ -241,6 +236,44 @@ def test_array_validation_matches_the_old_loops():
     group = GenericGroup.from_group(AbelianGroup(5, 13))
     table = np.reshape(group.to_json()["table"], (65, 65)).tolist()
     assert _new_validation(table) == _old_validation(table)
+
+
+def _z2_z100_with_swapped_intercalate():
+    """Z2 x Z100, (x, y) at index 100x + y, with the intercalate of rows 2,
+    102 and columns 19, 119 swapped: a Latin square with identity 0 and
+    two-sided inverses whose operation fails associativity on 3,152 of its
+    8 * 10^6 triples, first at (1, 1, 19): (1*1)*19 = 121 but 1*(1*19) = 21."""
+    table = [[100 * ((x // 100 + y // 100) % 2) + (x + y) % 100 for y in range(200)]
+             for x in range(200)]
+    for row, col in [(2, 19), (2, 119), (102, 19), (102, 119)]:
+        table[row][col] = 121 if table[row][col] == 21 else 21
+    return table
+
+
+def test_associativity_is_exact_above_order_64():
+    table = _z2_z100_with_swapped_intercalate()
+    t = np.array(table)
+    failing = sum(int((t[t[a]] != t[a][t]).sum()) for a in range(200))
+    assert failing == 3152
+    with pytest.raises(VoltliftError, match=r"^table is not associative at \(1,1,19\)$"):
+        GenericGroup(table)
+
+
+@pytest.mark.parametrize("group", [AbelianGroup(1000), AbelianGroup(2, 100),
+                                   AbelianGroup(2, 2, 2, 3), dihedral_group(17)],
+                         ids=["z1000", "z2xz100", "z2^3xz3", "d17"])
+def test_light_generators_of_a_group(group):
+    """Each generator at least doubles the subgroup reached, and together
+    they reach every element by right multiplication from the identity."""
+    t = group.right_columns(np.arange(group.size))
+    gens = list(algebra._light_generators(t, group.identity.index))
+    assert len(gens) <= math.log2(group.size)
+    reached = {group.identity.index}
+    frontier = list(reached)
+    while frontier:
+        frontier = [p for p in {int(t[x, g]) for x in frontier for g in gens} - reached]
+        reached.update(frontier)
+    assert len(reached) == group.size
 
 
 def test_group_json_round_trip():

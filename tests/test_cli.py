@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, file round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import voltlift
 from voltlift.cli import main
 
 # constructive sources and the vertex count of the graph each lifts to
@@ -388,3 +393,21 @@ def test_byte_determinism(capsys):
     second = run(capsys, "spectrum", "--johnson-base", "7", "3",
                  "--method", "characters", "--per-character")
     assert first == second
+
+
+@pytest.mark.parametrize("module, argv, code, stdout_end, stderr", [
+    ("voltlift.cli", ["verify", "spectrum-equivalence", "--johnson", "7", "3", "--tol", "nan"],
+     2, "", "voltlift: error: --tol must be a finite number >= 0, got nan\n"),
+    ("voltlift", ["reproduce", "t1"], 0, "PASS\n", ""),
+], ids=["cli-module-bad-tol", "package-reproduce"])
+def test_python_dash_m_runs_the_cli(module, argv, code, stdout_end, stderr):
+    """python -m voltlift.cli and python -m voltlift run the command line
+    and exit with its code."""
+    src = str(Path(voltlift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (code, stderr)
+    assert done.stdout.endswith(stdout_end)
+

@@ -17,13 +17,16 @@ from voltlift import (
     Digraph,
     Graph,
     InvalidGenerators,
+    InvalidPairing,
     NotCoprime,
     NotFreeAction,
     cayley_graph,
     circulant_linegraph_base,
     complete_graph,
     johnson_base,
+    johnson_spectrum,
     k_set_decomposition,
+    lift_spectrum,
     line_graph,
     token_base_graph,
     token_graph,
@@ -155,6 +158,78 @@ def test_johnson_base_sizes_and_row_sums():
         b = vg.base_matrix()
         m = b.evaluate((0,)).real
         assert m.sum(axis=1) == pytest.approx([k * (n - k)] * vg.n)
+
+
+@pytest.mark.parametrize("n, k", [
+    pytest.param(n, k, marks=[] if n % 2 else pytest.mark.xfail(
+        raises=InvalidPairing, strict=True,
+        reason="the involution n/2 labels a loop, which needs semi-edges"))
+    for n in range(2, 14) for k in range(1, n // 2 + 1) if math.gcd(n, k) == 1
+], ids=lambda x: str(x))
+def test_johnson_base_lifts_to_the_closed_form(n, k):
+    """Exactly the multiplicities of johnson_spectrum(n, k), values to 1e-8."""
+    got = lift_spectrum(johnson_base(n, k)).pairs
+    expected = johnson_spectrum(n, k).pairs
+    got, expected = (sorted(pairs, key=lambda p: p[0].real) for pairs in (got, expected))
+    assert [c for _, c in got] == [c for _, c in expected]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(got, expected)) <= 1e-8
+
+
+# the base the two-pass decomposition (lexicographic orbits, then re-based on
+# the supplied representatives) built for Z3xZ3, S = {+-(1,0), +-(0,1)}, k = 2
+# and the representatives {00,10}, {00,01}, {00,11}, {00,21}: arcs as (tail,
+# head, voltage, paired_with), and the printed base matrix
+Z3Z3_REBASED_ARCS = [
+    (0, 0, (1, 0), 3), (0, 3, (1, 0), 27), (0, 2, (0, 2), 14), (0, 0, (2, 0), 0),
+    (0, 2, (0, 0), 19), (0, 3, (1, 2), 22), (1, 3, (1, 0), 21), (1, 2, (2, 0), 12),
+    (1, 1, (0, 1), 11), (1, 2, (0, 0), 17), (1, 3, (0, 0), 24), (1, 1, (0, 2), 8),
+    (2, 1, (1, 0), 7), (2, 3, (2, 0), 20), (2, 0, (0, 1), 2), (2, 3, (1, 1), 26),
+    (2, 3, (0, 0), 25), (2, 1, (0, 0), 9), (2, 3, (1, 2), 23), (2, 0, (0, 0), 4),
+    (3, 2, (1, 0), 13), (3, 1, (2, 0), 6), (3, 0, (2, 1), 5), (3, 2, (2, 1), 18),
+    (3, 1, (0, 0), 10), (3, 2, (0, 0), 16), (3, 2, (2, 2), 15), (3, 0, (2, 0), 1),
+]
+Z3Z3_REBASED_MATRIX = (
+    "1/z1 + z1                 0                         1 + 1/z2                  z1 + z1/z2\n"
+    "0                         1/z2 + z2                 1 + 1/z1                  1 + z1\n"
+    "1 + z2                    1 + z1                    0                         "
+    "1 + 1/z1 + z1/z2 + z1*z2\n"
+    "1/z1 + z2/z1              1 + 1/z1                  1 + z1 + 1/z1/z2 + z2/z1  0"
+)
+
+
+def test_rebased_z3z3_base_is_unchanged():
+    group = AbelianGroup(3, 3)
+    vg = token_base_graph(group, Z3Z3_GENS, 2, representatives=Z3Z3_TABLE_REPS)
+    assert vg.to_json() == {
+        "group": {"orders": [3, 3]},
+        "vertices": [[0, 3], [0, 1], [0, 4], [0, 7]],
+        "arcs": [{"tail": t, "head": h, "voltage": list(w), "paired_with": p}
+                 for t, h, w, p in Z3Z3_REBASED_ARCS],
+    }
+    assert str(vg.base_matrix()) == Z3Z3_REBASED_MATRIX
+
+
+def test_custom_representatives_are_checked_in_the_one_pass():
+    group = AbelianGroup(3, 3)
+    cases = [
+        ([(0, 3), (0, 1), (0, 4)], "expected 4 representatives, got 3"),
+        ([], "expected 4 representatives, got 0"),
+        ([(0, 3), (0, 6), (0, 4), (0, 7)], "(0, 6) repeats the orbit of representative (0, 3)"),
+        # a fifth subset must repeat one of the four orbits
+        (Z3Z3_TABLE_REPS + [(0, 2)], "(0, 2) repeats the orbit of representative (0, 1)"),
+        ([(0, 0), (0, 1), (0, 4), (0, 7)], "(0, 0) is not a valid 2-subset of the group"),
+        ([(0, 1, 2), (0, 1), (0, 4), (0, 7)],
+         "(0, 1, 2) is not a valid 2-subset of the group"),
+        ([(0, 9), (0, 1), (0, 4), (0, 7)], "(0, 9) is not a valid 2-subset of the group"),
+    ]
+    for reps, message in cases:
+        with pytest.raises(VoltliftError) as err:
+            k_set_decomposition(group, 2, reps)
+        assert str(err.value) == message
+    # the supplied subsets are orbits 0..3, in the order given
+    dec = k_set_decomposition(group, 2, [(4, 8), (2, 5), (1, 3), (6, 7)])
+    assert dec.representatives == ((4, 8), (2, 5), (1, 3), (6, 7))
+    assert [dec.locate(r) for r in dec.representatives] == [(i, 0) for i in range(4)]
 
 
 def test_johnson_base_rejects_gcd():

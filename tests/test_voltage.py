@@ -357,6 +357,18 @@ def test_base_matrix_entries_and_evaluate_match_loops(case):
         assert m.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("case", _EVALUATE_CASES)
+def test_base_matrix_is_one_term_table(case):
+    """Row, column, voltage index and count arrays: one term per distinct
+    voltage of an entry, by entry and then by the voltage's first arc."""
+    vg = _EVALUATE_CASES[case]()
+    terms = vg.base_matrix().terms
+    assert len(terms) == 4 and all(t.dtype == np.intp for t in terms)
+    assert list(zip(*(t.tolist() for t in terms))) == [
+        (u, v, g, c) for u, row in enumerate(_entries_loop(vg))
+        for v, entry in enumerate(row) for g, c in entry.items()]
+
+
 def test_lift_eigenvector_residuals():
     vg = johnson_base(5, 2)
     lift_adj = vg.lift().adjacency_matrix()
