@@ -20,7 +20,6 @@ from .algebra import (
     representations_to_json,
 )
 from .errors import (
-    CompletenessWarning,
     DimensionTooLarge,
     IdentityInS,
     IncompleteIrreps,
@@ -50,7 +49,6 @@ from .graphs import (
     directed_cycle,
     graph_from_json,
     line_graph,
-    load_graph,
     match_digon_pairing,
 )
 from .orbits import (
@@ -83,7 +81,6 @@ from .voltage import (
     UnitSymmetry,
     VoltageGraph,
     lift_eigenvector,
-    load_voltage_graph,
     match_voltage_pairing,
     voltage_graph_from_json,
 )

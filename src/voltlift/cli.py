@@ -179,6 +179,8 @@ def _load_source(args):
     """Resolve the object a generate/spectrum/verify command works on, with
     a callable that builds the graph a constructive base should lift to
     (None for a source read from a file)."""
+    if args.directed and not args.token_cayley:
+        raise CliError("--directed applies to --token-cayley only")
     if args.johnson_base:
         n, k = args.johnson_base
         return johnson_base(n, k), lambda: token_graph(complete_graph(n), k)
@@ -191,10 +193,12 @@ def _load_source(args):
         group = parse_group(args.token_cayley)
         if not args.gens or args.k is None:
             raise CliError("--token-cayley needs --gens and --k")
-        gens = parse_generators(group, args.gens)
+        gens = parse_generators(group, args.gens, symmetrize=not args.directed)
         reps = parse_representatives(group, args.representatives) if args.representatives else None
-        return (token_base_graph(group, gens, args.k, representatives=reps),
-                lambda: token_graph(cayley_graph(group, gens), args.k))
+        tokens = token_digraph if args.directed else token_graph
+        return (token_base_graph(group, gens, args.k, representatives=reps,
+                                 directed=args.directed),
+                lambda: tokens(cayley_graph(group, gens, directed=args.directed), args.k))
     if args.infile:
         data = _read_json(args.infile)
         if isinstance(data, dict) and "group" in data:
@@ -447,6 +451,7 @@ def _add_source_flags(parser):
     parser.add_argument("--gens", metavar="LIST")
     parser.add_argument("--k", type=int, metavar="K")
     parser.add_argument("--representatives", metavar="SUBSETS")
+    parser.add_argument("--directed", action="store_true")
     parser.add_argument("--in", dest="infile", metavar="FILE")
 
 
@@ -457,7 +462,6 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="emit graph / voltage graph JSON")
     gen.add_argument("kind", choices=["cayley", "token", "lift", "base"])
     gen.add_argument("--group", metavar="GROUP")
-    gen.add_argument("--directed", action="store_true")
     gen.add_argument("--complete", type=int, metavar="N")
     gen.add_argument("--directed-cycle", dest="directed_cycle", type=int, metavar="N")
     gen.add_argument("--out", default="-")

@@ -72,7 +72,3 @@ class NotRegularSpectrum(VoltliftError):
 
 class LengthMismatch(VoltliftError):
     """Vector length does not match the number of base vertices."""
-
-
-class CompletenessWarning(UserWarning):
-    """Sum of squared irrep dimensions does not equal the group order."""

@@ -1,14 +1,15 @@
 """Digraphs and graphs with multi-arcs, plus the standard constructors.
 
 A :class:`Digraph` is an ordered vertex list with a multiset of arcs.  A
-:class:`Graph` is a digraph whose arcs are matched into digons (opposite arc
-pairs); loops are stored as two parallel self-arcs paired with each other.
+:class:`Graph` is a :class:`Digraph` whose arcs are matched into digons
+(opposite arc pairs); loops are stored as two parallel self-arcs paired with
+each other.  Everything that reads arcs takes either.
 Vertex order is fixed at construction and determines matrix row order.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class UniversalCoefficients:
-    """Real coefficients of U = c1*A + c2*D + c3*I + c4*J with c1 != 0."""
+    """Finite real coefficients of U = c1*A + c2*D + c3*I + c4*J with c1 != 0."""
 
     c1: float
     c2: float = 0.0
@@ -39,6 +40,8 @@ class UniversalCoefficients:
         # the character route pairs conjugate characters, which needs real U
         if not all(isinstance(c, numbers.Real) for c in (self.c1, self.c2, self.c3, self.c4)):
             raise VoltliftError("universal matrix coefficients must be real")
+        if not all(map(math.isfinite, (self.c1, self.c2, self.c3, self.c4))):
+            raise VoltliftError("universal matrix coefficients must be finite")
         if self.c1 == 0:
             raise VoltliftError("universal matrix requires c1 != 0")
 
@@ -157,11 +160,12 @@ class Digraph:
         return f"Digraph({self.n} vertices, {self.arc_count} arcs)"
 
 
-class Graph:
+class Graph(Digraph):
     """A digraph whose arcs pair into digons; the pairing is involutive.
 
-    The pairing is held as a read-only integer array: arc i pairs with arc
-    pairing[i]."""
+    It shares the labels, label index and arc array of the digraph it is
+    built from, and holds the pairing as a read-only integer array: arc i
+    pairs with arc pairing[i]."""
 
     def __init__(self, digraph: Digraph, pairing: Sequence[int] | np.ndarray):
         pairing = np.array(pairing, dtype=np.intp)
@@ -181,7 +185,7 @@ class Graph:
                 raise InvalidPairing(f"pairing is not an involutive perfect matching at arc {i}")
             raise InvalidPairing(f"arcs {i} and {pairing[i]} are not mutually reversed")
         pairing.flags.writeable = False
-        self.digraph = digraph
+        self.labels, self.label_index, self._arcs = digraph.labels, digraph.label_index, arcs
         self._pairing = pairing
 
     @classmethod
@@ -195,26 +199,13 @@ class Graph:
         return cls(Digraph(labels, arcs), np.arange(len(arcs)) ^ 1)
 
     @property
-    def labels(self):
-        return self.digraph.labels
-
-    @property
-    def label_index(self):
-        return self.digraph.label_index
-
-    @property
-    def n(self) -> int:
-        return self.digraph.n
-
-    @property
     def pairing(self) -> tuple[int, ...]:
         """The pairing as a tuple, built from the array on each call."""
         return tuple(self._pairing.tolist())
 
     def edge_array(self) -> np.ndarray:
         """One (tail, head) row per digon pair, in first-arc order."""
-        arcs = self.digraph.arc_array()
-        return arcs[self._pairing > np.arange(len(arcs))]
+        return self._arcs[self._pairing > np.arange(self.arc_count)]
 
     def edges(self) -> list[tuple[int, int]]:
         """One (tail, head) per digon pair, in first-arc order."""
@@ -222,23 +213,16 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self.digraph.arc_count // 2
+        return self.arc_count // 2
 
     def degrees(self) -> list[int]:
-        return self.digraph.out_degrees()
+        return self.out_degrees()
 
     def has_loops(self) -> bool:
-        arcs = self.digraph.arc_array()
-        return bool((arcs[:, 0] == arcs[:, 1]).any())
-
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.digraph.adjacency_matrix()
-
-    def universal_matrix(self, coeffs: UniversalCoefficients) -> np.ndarray:
-        return self.digraph.universal_matrix(coeffs)
+        return bool((self._arcs[:, 0] == self._arcs[:, 1]).any())
 
     def to_json(self) -> dict:
-        data = self.digraph.to_json()
+        data = super().to_json()
         data["undirected"] = True
         return data
 
@@ -341,12 +325,7 @@ def graph_from_json(data: dict) -> Graph | Digraph:
     return digraph
 
 
-def load_graph(path) -> Graph | Digraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
-
-
-def adjacency_csv(graph: Graph | Digraph) -> str:
+def adjacency_csv(graph: Digraph) -> str:
     """Row-major adjacency matrix as integer CSV."""
     a = graph.adjacency_matrix()
     lines = [",".join(str(int(x)) for x in row) for row in a]

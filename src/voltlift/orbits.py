@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import BLOCK_ENTRIES, AbelianGroup, _integer
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
-from .graphs import Digraph, Graph, _cayley_arcs, _label_to_json, _validate_connection_set
+from .graphs import Digraph, _cayley_arcs, _label_to_json, _validate_connection_set
 from .tokens import _combination_ranker, _token_moves
 from .voltage import UnitSymmetry, VoltageGraph, match_voltage_pairing
 
@@ -273,7 +273,7 @@ class IsomorphismResult:
         ]
 
 
-def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph) -> IsomorphismResult:
+def verify_natural_isomorphism(vg: VoltageGraph, target: Digraph) -> IsomorphismResult:
     """Check that (rep, g) -> g * rep is an isomorphism from lift(vg) onto target.
 
     Verifies the map is a bijection of vertex sets and preserves the arc
@@ -283,8 +283,7 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph) -> Iso
     group = vg.group
     els = group.elements()
     m = len(els)
-    target_digraph = target.digraph if isinstance(target, Graph) else target
-    n = target_digraph.n
+    n = target.n
 
     # row rep*m + g: the sorted indices of elements[g] * rep
     reps = np.array(vg.digraph.labels, dtype=np.intp)
@@ -292,7 +291,7 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph) -> Iso
     images = list(map(tuple, translates.reshape(len(reps) * m, reps.shape[-1]).tolist()))
     if len(images) != n:
         return IsomorphismResult(False, detail=f"lift has {len(images)} vertices, target {n}")
-    index = target_digraph.label_index
+    index = target.label_index
     where = np.fromiter((index.get(img, -1) for img in images), dtype=np.intp, count=n)
     missing = where < 0
     if missing.any() or np.bincount(where[~missing], minlength=n).max(initial=0) > 1:
@@ -311,10 +310,9 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph) -> Iso
         return IsomorphismResult(False, detail=f"map hits target vertex {images[pos]} twice")
 
     lift = vg.lift()
-    lift_digraph = lift.digraph if isinstance(lift, Graph) else lift
     # arc t -> h as the int64 key t*n + h; lift arcs go through the vertex map
-    mapped_arcs = where[lift_digraph.arc_array()]
-    target_arcs = target_digraph.arc_array()
+    mapped_arcs = where[lift.arc_array()]
+    target_arcs = target.arc_array()
     mapped = mapped_arcs[:, 0].astype(np.int64) * n + mapped_arcs[:, 1]
     direct = target_arcs[:, 0].astype(np.int64) * n + target_arcs[:, 1]
     if not np.array_equal(np.sort(mapped), np.sort(direct)):
@@ -331,9 +329,9 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Graph | Digraph) -> Iso
                 return IsomorphismResult(
                     False,
                     detail=(
-                        f"arc {target_digraph.labels[t]} -> {target_digraph.labels[h]} has "
+                        f"arc {target.labels[t]} -> {target.labels[h]} has "
                         f"multiplicity {count[side][key]} in the {side} but "
                         f"{count[other][key]} in the {other}"
                     ),
                 )
-    return IsomorphismResult(True, vertex_map=tuple(zip(lift_digraph.labels, images)))
+    return IsomorphismResult(True, vertex_map=tuple(zip(lift.labels, images)))

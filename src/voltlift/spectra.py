@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,7 +54,6 @@ from .algebra import (
     irreps_completeness_defect,
 )
 from .errors import (
-    CompletenessWarning,
     DimensionTooLarge,
     IncompleteIrreps,
     KOutOfRange,
@@ -64,7 +62,7 @@ from .errors import (
     NotRegularSpectrum,
     VoltliftError,
 )
-from .graphs import Digraph, Graph, UniversalCoefficients
+from .graphs import Digraph, UniversalCoefficients
 from .voltage import VoltageGraph
 
 MAX_DIMENSION = 4096
@@ -323,25 +321,20 @@ def lift_spectrum(vg: VoltageGraph,
 
 def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation]) -> Spectrum:
     """Union over irreps rho of d_rho copies of spec(rho applied to the base
-    matrix); with a complete irrep list this is the lift spectrum."""
+    matrix); with a complete irrep list this is the lift spectrum.  A list
+    whose squared dimensions do not sum to |group| raises IncompleteIrreps
+    before any solve."""
     defect = irreps_completeness_defect(vg.group, irreps)
     if defect != 0:
-        warnings.warn(
-            f"sum of squared irrep dimensions differs from |group| by {defect}",
-            CompletenessWarning,
-            stacklevel=2,
-        )
+        raise IncompleteIrreps(
+            f"sum of squared irrep dimensions differs from |group| by {defect}")
     base = vg.base_matrix()
-    values = np.concatenate([np.empty(0)] + [
+    return Spectrum.group(np.concatenate([
         np.tile(eigenvalues(base.apply_representation(rho)), rho.dimension)
-        for rho in irreps])
-    expected = vg.n * vg.group.size
-    if values.size != expected:
-        raise IncompleteIrreps(f"irreps yield {values.size} eigenvalues, expected {expected}")
-    return Spectrum.group(values)
+        for rho in irreps]))
 
 
-def direct_spectrum(graph: Graph | Digraph,
+def direct_spectrum(graph: Digraph,
                     coeffs: UniversalCoefficients | None = None) -> Spectrum:
     """Brute-force spectrum of the universal matrix (adjacency by default)."""
     coeffs = coeffs or UniversalCoefficients.adjacency()
@@ -428,10 +421,11 @@ def multiset_equal(a, b, tol: float) -> MultisetComparison:
     it accepts when that concrete pairing is within tol.  It settles real
     spectra and conjugate pairs whose real parts differ by rounding noise.
     Anything else goes to an optimal assignment, whose largest distance
-    decides, so a failure reports that distance.
+    decides, so a failure reports that distance.  Multisets of different
+    sizes, or holding a NaN or an infinity, are unequal at distance inf.
     """
     xs, ys = _expand(a), _expand(b)
-    if xs.size != ys.size:
+    if xs.size != ys.size or not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         return MultisetComparison(False, math.inf)
     if not xs.size:
         return MultisetComparison(True, 0.0)

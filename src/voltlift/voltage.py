@@ -27,7 +27,6 @@ exactly, once, and refuses a wrong one.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -169,11 +168,10 @@ class VoltageGraph:
         if outside.size:
             raise VoltliftError(f"voltage index {outside[0]} out of range 0..{group.size - 1}")
         if pairing is not None:
-            pairing = Graph(digraph, pairing).pairing
-            partners = np.array(pairing, dtype=np.intp)
+            pairing = Graph(digraph, pairing)._pairing
             tails, heads = digraph.arc_array().T
             inverses = group.inverse_indices()[volts]
-            not_inverse = volts[partners] != inverses
+            not_inverse = volts[pairing] != inverses
             bad = np.flatnonzero(not_inverse | ((tails == heads) & (volts == inverses)))
             if bad.size:
                 i = int(bad[0])
@@ -186,7 +184,7 @@ class VoltageGraph:
         self.group = group
         self.digraph = digraph
         self.voltages = tuple(map(group.elements().__getitem__, volts.tolist()))
-        self.pairing = pairing
+        self._pairing = pairing
         self.symmetries = tuple(self._checked_symmetry(sym, volts) for sym in symmetries)
 
     def _checked_symmetry(self, sym: UnitSymmetry, volts: np.ndarray) -> UnitSymmetry:
@@ -240,7 +238,13 @@ class VoltageGraph:
 
     @property
     def undirected(self) -> bool:
-        return self.pairing is not None
+        return self._pairing is not None
+
+    @property
+    def pairing(self) -> tuple[int, ...] | None:
+        """The pairing as a tuple, built from the array on each call; None
+        when directed."""
+        return None if self._pairing is None else tuple(self._pairing.tolist())
 
     @property
     def labels(self):
@@ -283,7 +287,7 @@ class VoltageGraph:
         if not self.undirected:
             return digraph
         # (u, g) -> (v, g*w) pairs with (v, g*w) -> (u, g) on the partner arc
-        partners = np.asarray(self.pairing, dtype=np.intp)[:, None] * m + shifted
+        partners = self._pairing[:, None] * m + shifted
         return Graph(digraph, partners.ravel())
 
     def base_matrix(self) -> BaseMatrix:
@@ -381,11 +385,6 @@ def voltage_graph_from_json(data: dict) -> VoltageGraph:
             raise InvalidPairing("mixed paired and unpaired arcs in voltage graph JSON")
         return VoltageGraph(group, Digraph(labels, arcs), voltages, pairing)
     return VoltageGraph(group, Digraph(labels, arcs), voltages)
-
-
-def load_voltage_graph(path) -> VoltageGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return voltage_graph_from_json(json.load(fh))
 
 
 def lift_eigenvector(vg: VoltageGraph, x, j) -> np.ndarray:

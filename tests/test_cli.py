@@ -166,6 +166,42 @@ def test_spectrum_methods_group_directed_bases_alike(capsys, tmp_path, orders, g
     assert columns[0] == columns[1]
 
 
+def test_directed_token_cayley_solves_one_matrix_per_unit_orbit(capsys, tmp_path, monkeypatch):
+    """The builder's directed base keeps its units, so Z13 S={1,3,9} k=4
+    solves 3 matrices; the same base read back from JSON solves one per
+    conjugate pair, 7.  Both routes print the direct multiplicities."""
+    from voltlift import spectra
+
+    source = ["--token-cayley", "Z13", "--gens", "1,3,9", "--k", "4", "--directed"]
+    base = tmp_path / "base.json"
+    assert run(capsys, "generate", "base", *source, "--out", str(base))[0] == 0
+    assert all(arc["paired_with"] is None for arc in json.loads(base.read_text())["arcs"])
+    calls = []
+    solve = spectra.eigenvalues
+    monkeypatch.setattr(spectra, "eigenvalues", lambda m: calls.append(1) or solve(m))
+    code, characters, _ = run(capsys, "spectrum", *source)
+    assert code == 0 and len(calls) == 3
+    calls.clear()
+    assert run(capsys, "spectrum", "--in", str(base))[0] == 0
+    assert len(calls) == 7
+    code, direct, _ = run(capsys, "spectrum", *source, "--method", "direct")
+    assert code == 0
+
+    def multiplicities(csv):
+        return [int(line.split(",")[2]) for line in csv.splitlines()[1:]]
+
+    assert sum(multiplicities(direct)) == 715
+    assert multiplicities(characters) == multiplicities(direct)
+
+
+@pytest.mark.parametrize("target", ["isomorphism", "spectrum-equivalence"])
+def test_verify_directed_token_cayley(capsys, target):
+    code, out, _ = run(capsys, "verify", target, "--token-cayley", "Z8", "--gens", "1",
+                       "--k", "3", "--directed")
+    assert code == 0
+    assert out.startswith(f"PASS {target}")
+
+
 def test_spectrum_irreps_method(capsys):
     code, out, _ = run(capsys, "spectrum", "--johnson-base", "5", "2",
                        "--method", "irreps")
@@ -293,6 +329,9 @@ MALFORMED_GRAPHS = {
 MALFORMED = {
     "k-not-int": ["spectrum", "--token-cayley", "Z5", "--gens", "1", "--k", "x"],
     "universal-not-float": ["spectrum", "--johnson", "5", "2", "--universal", "1,a,0,0"],
+    "universal-nan": ["spectrum", "--johnson", "7", "3", "--universal", "nan,0,0,0"],
+    "universal-inf": ["spectrum", "--johnson", "7", "3", "--universal", "1,0,inf,0"],
+    "directed-without-token-cayley": ["spectrum", "--johnson", "7", "3", "--directed"],
     "representative-not-int": ["spectrum", "--token-cayley", "Z5", "--gens", "1",
                                "--k", "2", "--representatives", "0a/02/03"],
     "generator-not-int": ["spectrum", "--token-cayley", "Z5", "--gens", "1,b", "--k", "2"],

@@ -1,6 +1,7 @@
 """Graph/digraph containers, constructors, matrices, serialization."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_cayley_vertex_transitivity():
     gens = [group.element(c) for c in [(1, 0), (2, 0), (0, 1), (0, 2)]]
     g = cayley_graph(group, gens)
     arcs = set()
-    for t, h in g.digraph.arcs:
+    for t, h in g.arcs:
         arcs.add((t, h))
     els = group.elements()
     for _ in range(5):
@@ -226,10 +227,9 @@ def test_line_graph_rejects_loops():
     ids=["k3", "loopy-multi-digraph", "graph-with-loop", "no-arcs"],
 )
 def test_universal_matrix_presets(g):
-    arcs = g.digraph.arcs if isinstance(g, Graph) else g.arcs
     a = np.zeros((g.n, g.n))
     degree = np.zeros(g.n)
-    for tail, head in arcs:
+    for tail, head in g.arcs:
         a[tail, head] += 1.0
         degree[tail] += 1.0
     assert np.array_equal(g.adjacency_matrix(), a)
@@ -253,6 +253,35 @@ def test_universal_matrix_presets(g):
     with pytest.raises(VoltliftError, match="must be real"):
         UniversalCoefficients(1.0, 0.0, 1j, 0.0)
     assert UniversalCoefficients(np.float64(2.0), 1, np.int64(0)).c1 == 2.0
+
+
+@pytest.mark.parametrize("coeffs", [
+    (math.nan, 0.0, 0.0, 0.0),
+    (1.0, math.inf, 0.0, 0.0),
+    (1.0, 0.0, -math.inf, 0.0),
+    (1.0, 0.0, 0.0, np.float64("nan")),
+], ids=["c1-nan", "c2-inf", "c3-minus-inf", "c4-numpy-nan"])
+def test_universal_coefficients_must_be_finite(coeffs):
+    with pytest.raises(VoltliftError, match="universal matrix coefficients must be finite"):
+        UniversalCoefficients(*coeffs)
+
+
+def test_graph_is_a_digraph_sharing_its_arrays():
+    digraph = Digraph(["a", "b", "c"], [(0, 1), (1, 0), (1, 2), (2, 1), (2, 2), (2, 2)])
+    g = Graph(digraph, [1, 0, 3, 2, 5, 4])
+    assert isinstance(g, Digraph)
+    assert g.labels is digraph.labels
+    assert g.label_index is digraph.label_index
+    assert g.arc_array() is digraph.arc_array()
+    assert not hasattr(g, "digraph")
+    # the matrices and vertex data are Digraph's own, not wrappers
+    for name in ("labels", "label_index", "n", "adjacency_matrix", "universal_matrix"):
+        assert name not in vars(Graph)
+    assert np.array_equal(g.universal_matrix(UniversalCoefficients.laplacian()),
+                          digraph.universal_matrix(UniversalCoefficients.laplacian()))
+    assert g.edges() == [(0, 1), (1, 2), (2, 2)]
+    assert (g.n, g.arc_count, g.edge_count, g.degrees()) == (3, 6, 3, [1, 2, 3])
+    assert repr(g) == "Graph(3 vertices, 3 edges)"
 
 
 def test_out_degree_diagonal_for_digraphs():

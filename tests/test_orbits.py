@@ -420,7 +420,7 @@ def test_corrupted_voltage_fails_isomorphism():
     same_orbit = VoltageGraph(vg.group, Digraph([(0, 1), (1, 2)], []), [])
     # the target with vertex (3, 4) relabelled
     relabelled = Graph(Digraph([(3, 9) if c == (3, 4) else c for c in target.labels],
-                               target.digraph.arcs), target.pairing)
+                               target.arcs), target.pairing)
     cases = [
         (corrupted, target,
          "arc (0, 1) -> (1, 4) has multiplicity 2 in the mapped lift but 1 in the target"),

@@ -14,7 +14,6 @@ import pytest
 
 from voltlift import (
     AbelianGroup,
-    CompletenessWarning,
     DimensionTooLarge,
     Graph,
     IncompleteIrreps,
@@ -465,6 +464,20 @@ def test_multiset_equal_assignment_fallback_decides(monkeypatch, a, b):
     assert cmp.max_distance == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("a, b", [
+    ([math.nan], [math.nan]),
+    ([1, math.inf], [1, math.inf]),
+    ([1 + 1j, math.nan], [1 + 1j, 0]),
+], ids=["nan", "inf", "complex-and-nan"])
+def test_multiset_equal_refuses_non_finite_values(monkeypatch, a, b):
+    calls = _count_assignment_calls(monkeypatch)
+    for x, y in ((a, b), (b, a)):
+        cmp = multiset_equal(x, y, 1e-8)
+        assert cmp.equal is False
+        assert cmp.max_distance == math.inf
+    assert calls == []
+
+
 def test_multiset_equal_block_pairing_needs_no_assignment(monkeypatch):
     calls = _count_assignment_calls(monkeypatch)
     lift, direct = _directed_cycle_token_spectra(8, 3)
@@ -529,21 +542,23 @@ def test_rep_spectrum_missing_character_raises():
     vg = johnson_base(5, 2)
     irreps = [Representation.from_character(vg.group, j)
               for j in enumerate_characters(vg.group)][:-1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CompletenessWarning)
-        with pytest.raises(IncompleteIrreps):
-            rep_spectrum(vg, irreps)
+    with pytest.raises(IncompleteIrreps):
+        rep_spectrum(vg, irreps)
 
 
-def test_rep_spectrum_warns_on_incomplete_list():
+def test_rep_spectrum_refuses_an_incomplete_list_before_any_solve(monkeypatch):
     vg = johnson_base(5, 2)
+    # 3 of the 5 characters of Z5
     irreps = [Representation.from_character(vg.group, j)
-              for j in enumerate_characters(vg.group)][:-1]
-    with pytest.warns(CompletenessWarning):
-        try:
+              for j in enumerate_characters(vg.group)][:3]
+    solved = []
+    monkeypatch.setattr(spectra, "eigenvalues", solved.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IncompleteIrreps,
+                           match=r"squared irrep dimensions differs from \|group\| by -2"):
             rep_spectrum(vg, irreps)
-        except IncompleteIrreps:
-            pass
+    assert solved == []
 
 
 def test_rep_spectrum_nonabelian_s3():

@@ -34,6 +34,20 @@ def test_one_token_digraph_is_the_digraph():
     assert np.array_equal(t.adjacency_matrix(), d.adjacency_matrix())
 
 
+@pytest.mark.parametrize("name", ["cycle", "complete", "loopy-multigraph"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_token_digraph_of_a_graph_follows_its_arcs(name, k):
+    """A Graph is a Digraph, so token_digraph takes it and sees its arcs."""
+    host = HOSTS[name]
+    t = token_digraph(host, k)
+    expected = token_digraph(Digraph(host.labels, host.arc_array()), k)
+    assert type(t) is Digraph
+    assert t.labels == expected.labels
+    assert t.arcs == expected.arcs
+    # every move and its reverse: the arcs of the token graph, in another order
+    assert sorted(t.arcs) == sorted(token_graph(host, k).arcs)
+
+
 def test_two_tokens_of_k5_is_johnson():
     t = token_graph(complete_graph(5), 2)
     assert t.n == 10
@@ -175,7 +189,7 @@ def test_builders_match_per_configuration_loop(host, k):
     if isinstance(host, Graph):
         moves = _moves_per_configuration(host.edges(), configs)
         t = token_graph(host, k)
-        assert t.digraph.arcs == tuple(arc for u, v in moves for arc in ((u, v), (v, u)))
+        assert t.arcs == tuple(arc for u, v in moves for arc in ((u, v), (v, u)))
         assert t.pairing == tuple(i ^ 1 for i in range(2 * len(moves)))
     else:
         moves = _moves_per_configuration(host.arcs, configs)

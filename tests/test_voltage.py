@@ -9,6 +9,7 @@ import pytest
 
 from voltlift import (
     AbelianGroup,
+    Digraph,
     GenericGroup,
     Graph,
     InvalidPairing,
@@ -52,6 +53,25 @@ def test_loop_pair_lifts_to_cycle():
     assert isinstance(lifted, Graph)
     expected = cycle_graph(5).adjacency_matrix()
     assert np.array_equal(lifted.adjacency_matrix(), expected)
+
+
+@pytest.mark.parametrize("make, undirected", [
+    (lambda: johnson_base(7, 3), True),
+    (lambda: circulant_linegraph_base(13, [1, 3, 4]), True),
+    (lambda: token_base_graph(dihedral_group(7), [1, 6, 3, 4], 3), True),
+    (lambda: token_base_graph(AbelianGroup(7), [3], 3, directed=True), False),
+], ids=["johnson", "circulant-linegraph", "d7-generic", "directed-token"])
+def test_lift_is_a_digraph_and_the_pairing_one_array(make, undirected):
+    vg = make()
+    lifted = vg.lift()
+    assert isinstance(lifted, Digraph)
+    assert isinstance(lifted, Graph) == vg.undirected == undirected
+    if undirected:
+        stored = vg._pairing
+        assert stored.dtype == np.intp and not stored.flags.writeable
+        assert vg.pairing == tuple(stored.tolist())
+    else:
+        assert vg._pairing is None and vg.pairing is None
 
 
 def test_c5_base_lifts_to_token_digraph():
@@ -133,9 +153,8 @@ def test_lift_matches_elementwise_reference(make):
     vg = make()
     labels, arcs, pairing = _elementwise_lift(vg)
     lifted = vg.lift()
-    digraph = lifted.digraph if vg.undirected else lifted
     assert list(lifted.labels) == labels
-    assert list(digraph.arcs) == arcs
+    assert list(lifted.arcs) == arcs
     assert (list(lifted.pairing) if vg.undirected else None) == pairing
 
 
@@ -152,9 +171,8 @@ def test_lift_counts():
     for _ in range(10):
         vg = random_voltage_graph(rng)
         lifted = vg.lift()
-        digraph = lifted.digraph if isinstance(lifted, Graph) else lifted
-        assert digraph.n == vg.n * vg.group.size
-        assert digraph.arc_count == vg.digraph.arc_count * vg.group.size
+        assert lifted.n == vg.n * vg.group.size
+        assert lifted.arc_count == vg.digraph.arc_count * vg.group.size
 
 
 def test_johnson_base_matrix_entries():
@@ -685,7 +703,7 @@ def test_plain_pairing_matches_greedy_loop():
     z12, z34 = AbelianGroup(12), AbelianGroup(3, 4)
     for graph in [cayley_graph(z12, [1, 11, 6]), cayley_graph(z34, [(1, 0), (2, 0), (0, 2)]),
                   cayley_graph(dihedral_group(5), [1, 4, 5, 7])]:
-        assert list(graph.pairing) == _greedy_pairing(graph.digraph.arcs)
+        assert list(graph.pairing) == _greedy_pairing(graph.arcs)
     arcs = [[0, 1], [1, 0], [0, 1], [1, 2], [1, 0], [2, 1],
             [0, 0], [0, 0], [1, 1], [1, 1], [0, 0], [0, 0]]
     graph = graph_from_json({"vertices": [0, 1, 2], "arcs": arcs, "undirected": True})
