@@ -20,14 +20,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import IncompleteRepresentation, MismatchedGroups, NonAbelianGroup, VoltliftError
-from .graphs import _json_field, _json_indices
+from .graphs import _integer, _json_field, _json_indices
 
 # entries per block of the blocked array checks here and in spectra
 BLOCK_ENTRIES = 2**15
@@ -77,16 +76,6 @@ class GroupElement:
 def _require_same_group(a, b):
     if a is not b and a != b:
         raise MismatchedGroups(f"elements of {a!r} and {b!r} cannot be combined")
-
-
-def _integer(value, what: str) -> int:
-    """value as an int (anything with __index__), else a VoltliftError naming
-    it as `what`: floats and strings are refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        shown = value.item() if isinstance(value, np.generic) else value
-        raise VoltliftError(f"{what} {shown!r} is not an integer") from None
 
 
 class AbelianGroup:

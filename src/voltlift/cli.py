@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
@@ -38,6 +37,7 @@ from .orbits import (
 )
 from .spectra import (
     Spectrum,
+    _checked_tol,
     _order,
     character_spectra,
     direct_spectrum,
@@ -53,6 +53,12 @@ from .voltage import VoltageGraph, voltage_graph_from_json
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises CliError on a usage error, and matches flags only in full:
+    an abbreviation such as --directed for --directed-cycle is refused."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CliError(message)
 
@@ -137,8 +143,6 @@ def parse_representatives(group: AbelianGroup, text: str):
 
 
 def parse_coeffs(args) -> UniversalCoefficients | None:
-    if sum(map(bool, (args.laplacian, args.signless, args.universal))) > 1:
-        raise CliError("choose at most one of --laplacian/--signless/--universal")
     if args.laplacian:
         return UniversalCoefficients.laplacian()
     if args.signless:
@@ -178,18 +182,21 @@ def _circulant_line_graph(m: int, a) -> Graph:
 def _load_source(args):
     """Resolve the object a generate/spectrum/verify command works on, with
     a callable that builds the graph a constructive base should lift to
-    (None for a source read from a file)."""
-    if args.directed and not args.token_cayley:
-        raise CliError("--directed applies to --token-cayley only")
-    if args.johnson_base:
+    (None for a source read from a file).  The parser admits exactly one
+    source."""
+    token_flags = (args.gens, args.k, args.representatives, args.directed or None)
+    if args.token_cayley is None and any(flag is not None for flag in token_flags):
+        raise CliError("--gens, --k, --representatives and --directed apply to "
+                       "--token-cayley only")
+    if args.johnson_base is not None:
         n, k = args.johnson_base
         return johnson_base(n, k), lambda: token_graph(complete_graph(n), k)
-    if args.circulant_linegraph:
+    if args.circulant_linegraph is not None:
         m, a_list = args.circulant_linegraph
         m = _numbers([m], int, "--circulant-linegraph M")[0]
         a = tuple(_numbers(a_list.split(","), int, "--circulant-linegraph A_LIST"))
         return circulant_linegraph_base(m, a), lambda: _circulant_line_graph(m, a)
-    if args.token_cayley:
+    if args.token_cayley is not None:
         group = parse_group(args.token_cayley)
         if not args.gens or args.k is None:
             raise CliError("--token-cayley needs --gens and --k")
@@ -199,12 +206,16 @@ def _load_source(args):
         return (token_base_graph(group, gens, args.k, representatives=reps,
                                  directed=args.directed),
                 lambda: tokens(cayley_graph(group, gens, directed=args.directed), args.k))
-    if args.infile:
-        data = _read_json(args.infile)
-        if isinstance(data, dict) and "group" in data:
-            return voltage_graph_from_json(data), None
-        return graph_from_json(data), None
-    raise CliError("no input source given")
+    data = _read_json(args.infile)
+    if isinstance(data, dict) and "group" in data:
+        return voltage_graph_from_json(data), None
+    return graph_from_json(data), None
+
+
+def _voltage_graph(source, what: str) -> VoltageGraph:
+    if not isinstance(source, VoltageGraph):
+        raise CliError(f"{what} needs a voltage graph source")
+    return source
 
 
 def cmd_generate(args) -> int:
@@ -212,41 +223,22 @@ def cmd_generate(args) -> int:
         group = parse_group(args.group)
         gens = parse_generators(group, args.gens, symmetrize=not args.directed)
         obj = cayley_graph(group, gens, directed=args.directed)
-        data = obj.to_json()
     elif args.kind == "token":
-        if args.k is None:
-            raise CliError("token generation needs --k")
         if args.complete is not None:
-            obj = token_graph(complete_graph(args.complete), args.k)
+            host = complete_graph(args.complete)
         elif args.directed_cycle is not None:
-            obj = token_digraph(directed_cycle(args.directed_cycle), args.k)
-        elif args.infile:
-            host = graph_from_json(_read_json(args.infile))
-            if isinstance(host, Graph):
-                obj = token_graph(host, args.k)
-            else:
-                obj = token_digraph(host, args.k)
+            host = directed_cycle(args.directed_cycle)
         else:
-            raise CliError("token generation needs --complete, --directed-cycle, or --in")
-        data = obj.to_json()
-    elif args.kind == "lift":
-        if not args.infile:
-            raise CliError("lift generation needs --in VOLTAGE_JSON")
-        obj = voltage_graph_from_json(_read_json(args.infile)).lift()
-        data = obj.to_json()
-    elif args.kind == "base":
-        obj, _ = _load_source(args)
-        if not isinstance(obj, VoltageGraph):
-            raise CliError("base generation needs a base-graph source")
-        data = obj.to_json()
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown kind {args.kind}")
-    _dump_json(data, args.out)
+            host = graph_from_json(_read_json(args.infile))
+        obj = (token_graph if isinstance(host, Graph) else token_digraph)(host, args.k)
+    else:
+        obj = _voltage_graph(_load_source(args)[0], f"generate {args.kind}")
+        if args.kind == "lift":
+            obj = obj.lift()
+    _dump_json(obj.to_json(), args.out)
     if args.dot:
         _write(obj.to_dot(), args.dot)
-    if args.adjacency_csv:
-        if isinstance(obj, VoltageGraph):
-            raise CliError("--adjacency-csv applies to graphs, not voltage graphs")
+    if args.kind != "base" and args.adjacency_csv:
         _write(adjacency_csv(obj), args.adjacency_csv)
     return 0
 
@@ -254,34 +246,32 @@ def cmd_generate(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.per_character and args.method != "characters":
         raise CliError("--per-character needs --method characters")
+    if args.irreps and args.method != "irreps":
+        raise CliError("--irreps needs --method irreps")
     source, _ = _load_source(args)
     coeffs = parse_coeffs(args)
+    per_char = None
     if args.method == "characters":
-        if not isinstance(source, VoltageGraph):
-            raise CliError("--method characters needs a voltage graph source")
-        spectra = character_spectra(source, coeffs)
-        spectrum = lift_spectrum(source, spectra=spectra)
-        per_char = per_character_csv(source, spectra=spectra) if args.per_character else None
+        vg = _voltage_graph(source, "--method characters")
+        spectra = character_spectra(vg, coeffs)
+        spectrum = lift_spectrum(vg, spectra=spectra)
+        if args.per_character:
+            per_char = per_character_csv(vg, spectra=spectra)
     elif args.method == "irreps":
-        if not isinstance(source, VoltageGraph):
-            raise CliError("--method irreps needs a voltage graph source")
+        vg = _voltage_graph(source, "--method irreps")
         if args.irreps:
-            irreps = representations_from_json(source.group, _read_json(args.irreps))
-        elif isinstance(source.group, AbelianGroup):
-            irreps = [Representation.from_character(source.group, j)
-                      for j in enumerate_characters(source.group)]
+            irreps = representations_from_json(vg.group, _read_json(args.irreps))
+        elif isinstance(vg.group, AbelianGroup):
+            irreps = [Representation.from_character(vg.group, j)
+                      for j in enumerate_characters(vg.group)]
         else:
             raise CliError("--method irreps needs --irreps FILE for this group")
         if coeffs is not None:
             raise CliError("universal coefficients are not supported with --method irreps")
-        spectrum = rep_spectrum(source, irreps)
-        per_char = None
-    elif args.method == "direct":
+        spectrum = rep_spectrum(vg, irreps)
+    else:
         graph = source.lift() if isinstance(source, VoltageGraph) else source
         spectrum = direct_spectrum(graph, coeffs)
-        per_char = None
-    else:  # pragma: no cover
-        raise CliError(f"unknown method {args.method}")
     text = spectrum.to_csv()
     if per_char:
         text = per_char + "\n" + text
@@ -294,11 +284,20 @@ def _print(line=""):
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol
+    if args.target == "johnson-closed-form":
+        n, k = args.n, args.k
+        closed = johnson_spectrum(n, k)
+        oracle = direct_spectrum(token_graph(complete_graph(n), k))
+        cmp = multiset_equal(closed, oracle, args.tol)
+        if cmp.equal:
+            _print(f"PASS johnson-closed-form: J({n},{k}) max distance {cmp.max_distance:.2e}")
+            return 0
+        _print(f"FAIL johnson-closed-form: max distance {cmp.max_distance:.2e} > {args.tol}")
+        return 1
+
+    source, target = _load_source(args)
+    vg = _voltage_graph(source, f"verify {args.target}")
     if args.target == "isomorphism":
-        vg, target = _load_source(args)
-        if not isinstance(vg, VoltageGraph):
-            raise CliError("verify isomorphism needs a voltage graph source")
         if target is None:
             raise CliError("verify isomorphism needs a constructive source")
         result = verify_natural_isomorphism(vg, target())
@@ -312,33 +311,13 @@ def cmd_verify(args) -> int:
         _print(f"FAIL isomorphism: {result.detail}")
         return 1
 
-    if args.target == "spectrum-equivalence":
-        vg, target = _load_source(args)
-        if not isinstance(vg, VoltageGraph):
-            raise CliError("verify spectrum-equivalence needs a voltage graph source")
-        oracle = direct_spectrum(vg.lift() if target is None else target())
-        computed = lift_spectrum(vg)
-        cmp = multiset_equal(computed, oracle, tol)
-        if cmp.equal:
-            _print(f"PASS spectrum-equivalence: max pairing distance {cmp.max_distance:.2e}")
-            return 0
-        _print(f"FAIL spectrum-equivalence: max pairing distance {cmp.max_distance:.2e} > {tol}")
-        return 1
-
-    if args.target == "johnson-closed-form":
-        n, k = args.n, args.k
-        if n is None or k is None:
-            raise CliError("johnson-closed-form needs --n and --k")
-        closed = johnson_spectrum(n, k)
-        oracle = direct_spectrum(token_graph(complete_graph(n), k))
-        cmp = multiset_equal(closed, oracle, tol)
-        if cmp.equal:
-            _print(f"PASS johnson-closed-form: J({n},{k}) max distance {cmp.max_distance:.2e}")
-            return 0
-        _print(f"FAIL johnson-closed-form: max distance {cmp.max_distance:.2e} > {tol}")
-        return 1
-
-    raise CliError(f"unknown verify target {args.target}")  # pragma: no cover
+    oracle = direct_spectrum(vg.lift() if target is None else target())
+    cmp = multiset_equal(lift_spectrum(vg), oracle, args.tol)
+    if cmp.equal:
+        _print(f"PASS spectrum-equivalence: max pairing distance {cmp.max_distance:.2e}")
+        return 0
+    _print(f"FAIL spectrum-equivalence: max pairing distance {cmp.max_distance:.2e} > {args.tol}")
+    return 1
 
 
 def _values_match(got, expected, tol) -> bool:
@@ -410,7 +389,7 @@ def cmd_reproduce(args) -> int:
             line += f"  [documented discrepancy: {ref['notes']['1.540']}]"
         _print(line)
         failed = not cmp.equal
-    elif table == "s32-examples":
+    else:
         for m, ref in sorted(reference.S32_EXAMPLES.items()):
             a = ref["generators"]
             vg = circulant_linegraph_base(m, a)
@@ -429,67 +408,81 @@ def cmd_reproduce(args) -> int:
                 _print(f"  vs published {printed}: "
                        f"{'PASS' if printed_cmp.equal else 'FAIL'}")
                 failed = failed or not printed_cmp.equal
-    else:  # pragma: no cover
-        raise CliError(f"unknown table {table}")
     _print("FAIL" if failed else "PASS")
     return 1 if failed else 0
 
 
 def _tolerance(text: str) -> float:
     """A --tol value: a finite number >= 0."""
-    tol = _numbers([text], float, "--tol")[0]
-    if not math.isfinite(tol) or tol < 0:
-        raise CliError(f"--tol must be a finite number >= 0, got {text}")
-    return tol
-
-
-def _add_source_flags(parser):
-    parser.add_argument("--johnson-base", "--johnson", dest="johnson_base",
-                        nargs=2, type=int, metavar=("N", "K"))
-    parser.add_argument("--circulant-linegraph", nargs=2, metavar=("M", "A_LIST"))
-    parser.add_argument("--token-cayley", metavar="GROUP")
-    parser.add_argument("--gens", metavar="LIST")
-    parser.add_argument("--k", type=int, metavar="K")
-    parser.add_argument("--representatives", metavar="SUBSETS")
-    parser.add_argument("--directed", action="store_true")
-    parser.add_argument("--in", dest="infile", metavar="FILE")
+    return _checked_tol(_numbers([text], float, "--tol")[0], "--tol")
 
 
 def build_parser() -> _Parser:
+    """One parser per leaf command, declaring exactly the flags it reads."""
+    # every command that reads a source takes exactly one of the four, and
+    # the flags --token-cayley reads
+    source = _Parser(add_help=False)
+    one = source.add_mutually_exclusive_group(required=True)
+    one.add_argument("--johnson-base", "--johnson", dest="johnson_base",
+                     nargs=2, type=int, metavar=("N", "K"))
+    one.add_argument("--circulant-linegraph", nargs=2, metavar=("M", "A_LIST"))
+    one.add_argument("--token-cayley", metavar="GROUP")
+    one.add_argument("--in", dest="infile", metavar="FILE")
+    source.add_argument("--gens", metavar="LIST")
+    source.add_argument("--k", type=int, metavar="K")
+    source.add_argument("--representatives", metavar="SUBSETS")
+    source.add_argument("--directed", action="store_true")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default="-")
+    out.add_argument("--dot", metavar="FILE")
+    graph_out = _Parser(add_help=False, parents=[out])
+    graph_out.add_argument("--adjacency-csv", metavar="FILE")
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=1e-8)
+
     parser = _Parser(prog="voltlift")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="emit graph / voltage graph JSON")
-    gen.add_argument("kind", choices=["cayley", "token", "lift", "base"])
-    gen.add_argument("--group", metavar="GROUP")
-    gen.add_argument("--complete", type=int, metavar="N")
-    gen.add_argument("--directed-cycle", dest="directed_cycle", type=int, metavar="N")
-    gen.add_argument("--out", default="-")
-    gen.add_argument("--dot", metavar="FILE")
-    gen.add_argument("--adjacency-csv", dest="adjacency_csv", metavar="FILE")
-    _add_source_flags(gen)
     gen.set_defaults(func=cmd_generate)
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    cayley = kinds.add_parser("cayley", parents=[graph_out], help="a Cayley graph")
+    cayley.add_argument("--group", required=True, metavar="GROUP")
+    cayley.add_argument("--gens", required=True, metavar="LIST")
+    cayley.add_argument("--directed", action="store_true")
+    token = kinds.add_parser("token", parents=[graph_out], help="a k-token graph")
+    host = token.add_mutually_exclusive_group(required=True)
+    host.add_argument("--complete", type=int, metavar="N")
+    host.add_argument("--directed-cycle", type=int, metavar="N")
+    host.add_argument("--in", dest="infile", metavar="FILE")
+    token.add_argument("--k", type=int, required=True, metavar="K")
+    kinds.add_parser("lift", parents=[source, graph_out], help="the lift of a base")
+    kinds.add_parser("base", parents=[source, out], help="a voltage graph base")
 
-    spect = sub.add_parser("spectrum", help="compute a spectrum as CSV")
+    spect = sub.add_parser("spectrum", parents=[source], help="compute a spectrum as CSV")
     spect.add_argument("--method", choices=["characters", "direct", "irreps"],
                        default="characters")
     spect.add_argument("--irreps", metavar="FILE")
-    spect.add_argument("--laplacian", action="store_true")
-    spect.add_argument("--signless", action="store_true")
-    spect.add_argument("--universal", metavar="C1,C2,C3,C4")
-    spect.add_argument("--per-character", dest="per_character", action="store_true")
+    matrix = spect.add_mutually_exclusive_group()
+    matrix.add_argument("--laplacian", action="store_true")
+    matrix.add_argument("--signless", action="store_true")
+    matrix.add_argument("--universal", metavar="C1,C2,C3,C4")
+    spect.add_argument("--per-character", action="store_true")
     spect.add_argument("--out", default="-")
-    _add_source_flags(spect)
     spect.set_defaults(func=cmd_spectrum)
 
     ver = sub.add_parser("verify", help="check constructions against oracles")
-    ver.add_argument("target", choices=["isomorphism", "spectrum-equivalence",
-                                        "johnson-closed-form"])
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--tol", type=_tolerance, default=1e-8)
-    ver.add_argument("--certificate", metavar="FILE")
-    _add_source_flags(ver)
     ver.set_defaults(func=cmd_verify)
+    targets = ver.add_subparsers(dest="target", required=True)
+    iso = targets.add_parser("isomorphism", parents=[source],
+                             help="the lift is isomorphic to its target")
+    iso.add_argument("--certificate", metavar="FILE")
+    targets.add_parser("spectrum-equivalence", parents=[source, tol],
+                       help="lift and direct spectra agree")
+    closed = targets.add_parser("johnson-closed-form", parents=[tol],
+                                help="the closed-form J(n,k) spectrum is right")
+    closed.add_argument("--n", type=int, required=True)
+    closed.add_argument("--k", type=int, required=True)
 
     rep = sub.add_parser("reproduce", help="recompute stored reference tables")
     rep.add_argument("table", choices=["t1", "t2", "t3", "t5", "c5-digraph",
@@ -506,16 +499,10 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse --help
             return int(exc.code or 0)
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"voltlift: error: {exc}\n")
-        return 2
     except (DimensionTooLarge, NoConvergence) as exc:
         sys.stderr.write(f"voltlift: numeric failure: {exc}\n")
         return 3
-    except VoltliftError as exc:
-        sys.stderr.write(f"voltlift: error: {exc}\n")
-        return 2
-    except OSError as exc:  # missing, unreadable or unwritable file
+    except (VoltliftError, OSError) as exc:  # OSError: a missing, unreadable or unwritable file
         sys.stderr.write(f"voltlift: error: {exc}\n")
         return 2
 

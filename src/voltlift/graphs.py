@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -62,19 +62,42 @@ class UniversalCoefficients:
         return cls(-2.0, 0.0, -1.0, 1.0)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int (anything with __index__), else a VoltliftError naming
+    it as `what`: floats and strings are refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise VoltliftError(f"{what} {shown!r} is not an integer") from None
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """values as a new intp array of the same shape.  An intp ndarray, as the
+    builders pass, gets only a dtype test; anything else has each entry
+    checked by _integer, so floats and strings are refused, not truncated.
+    An entry beyond intp raises OverflowError."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.intp):
+        values = np.array(values, dtype=object)
+        for value in values.flat:
+            _integer(value, what)
+    return values.astype(np.intp)
+
+
 def _arc_rows(arcs, n: int) -> np.ndarray:
     """The arcs as a read-only (A, 2) intp array of (tail, head) rows, each
-    index in range(n); raises for the first malformed or out-of-range arc."""
-    rows = arcs if isinstance(arcs, np.ndarray) else list(arcs)
+    index in range(n); raises for the first malformed, non-integer or
+    out-of-range arc."""
+    rows = arcs if isinstance(arcs, np.ndarray) else np.array(list(arcs), dtype=object)
+    if rows.shape == (0,):
+        rows = np.empty((0, 2), dtype=np.intp)
     try:
-        a = np.array(rows, dtype=np.intp)
-    except (ValueError, OverflowError):
-        a = None  # ragged rows, or an entry that is not a machine integer
-    if a is not None and a.shape == (0,):
-        a = np.empty((0, 2), dtype=np.intp)
-    if a is None or a.ndim != 2 or a.shape[1] != 2:
+        a = _integers(rows, "arc entry") if rows.ndim == 2 and rows.shape[1] == 2 else None
+    except OverflowError:
+        a = None  # an entry beyond intp
+    if a is None:
         for row in rows:
-            tail, head = map(int, row)  # Python's own error for the first bad row
+            tail, head = row  # Python's own error for the first bad row
         raise VoltliftError(f"arcs must be (tail, head) integer rows in vertex range 0..{n-1}")
     bad = np.flatnonzero(((a < 0) | (a >= n)).any(axis=1))
     if bad.size:
@@ -168,7 +191,7 @@ class Graph(Digraph):
     pairs with arc pairing[i]."""
 
     def __init__(self, digraph: Digraph, pairing: Sequence[int] | np.ndarray):
-        pairing = np.array(pairing, dtype=np.intp)
+        pairing = _integers(pairing, "pairing entry")
         arcs = digraph.arc_array()
         count = len(arcs)
         if pairing.shape != (count,):
@@ -193,7 +216,7 @@ class Graph(Digraph):
                    edges: Sequence[tuple[int, int]] | np.ndarray) -> "Graph":
         """Build from an edge multiset; edge e becomes the digon of arcs 2e
         (its stored direction) and 2e + 1 (the reverse)."""
-        edges = np.asarray(edges, dtype=np.intp)
+        edges = _integers(edges, "edge entry")
         # Digraph checks the rows; a bad edge is first seen as its arc 2e
         arcs = np.stack([edges, edges[..., ::-1]], axis=1).reshape(-1, *edges.shape[1:])
         return cls(Digraph(labels, arcs), np.arange(len(arcs)) ^ 1)
@@ -252,13 +275,13 @@ def match_digon_pairing(arcs: Sequence[tuple[int, int]], volts=None, group=None)
     order, found with one lexsort.  On failure the lowest-index arc left over
     is named, with its voltage as an element key.
     """
-    a = np.asarray(arcs, dtype=np.intp).reshape(-1, 2)
+    a = _integers(arcs, "arc entry").reshape(-1, 2)
     count = len(a)
     if not count:
         return []
     keys, reverse = [a[:, 0], a[:, 1]], [a[:, 1], a[:, 0]]
     if volts is not None:
-        volts = np.asarray(volts, dtype=np.intp)
+        volts = _integers(volts, "voltage index")
         keys.append(volts)
         reverse.append(group.inverse_indices()[volts])
     # every key and reverse key gets the id of its distinct key tuple; ties
@@ -355,25 +378,34 @@ def _label_str(label) -> str:
     return str(label)
 
 
+def _cycle_arcs(n: int) -> np.ndarray:
+    """Rows (i, i + 1 mod n) for i in range(n)."""
+    i = np.arange(n)
+    return np.stack([i, (i + 1) % n], axis=1)
+
+
 def complete_graph(n: int) -> Graph:
     """K_n on vertices 0..n-1, edges in lexicographic order."""
+    n = _integer(n, "vertex count")
     if n < 1:
         raise VoltliftError("complete_graph needs n >= 1")
-    return Graph.from_edges(range(n), list(combinations(range(n), 2)))
+    return Graph.from_edges(range(n), np.stack(np.triu_indices(n, 1), axis=1))
 
 
 def cycle_graph(n: int) -> Graph:
     """Undirected cycle C_n, n >= 3."""
+    n = _integer(n, "vertex count")
     if n < 3:
         raise VoltliftError("cycle_graph needs n >= 3")
-    return Graph.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(range(n), _cycle_arcs(n))
 
 
 def directed_cycle(n: int) -> Digraph:
     """Directed cycle with arcs i -> i+1 (mod n)."""
+    n = _integer(n, "vertex count")
     if n < 1:
         raise VoltliftError("directed_cycle needs n >= 1")
-    return Digraph(range(n), [(i, (i + 1) % n) for i in range(n)])
+    return Digraph(range(n), _cycle_arcs(n))
 
 
 def _validate_connection_set(group, gens, directed: bool) -> np.ndarray:

@@ -29,9 +29,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import BLOCK_ENTRIES, AbelianGroup, _integer
+from .algebra import BLOCK_ENTRIES, AbelianGroup
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
-from .graphs import Digraph, _cayley_arcs, _label_to_json, _validate_connection_set
+from .graphs import (
+    Digraph,
+    _cayley_arcs,
+    _integer,
+    _label_to_json,
+    _validate_connection_set,
+)
 from .tokens import _combination_ranker, _token_moves
 from .voltage import UnitSymmetry, VoltageGraph, match_voltage_pairing
 
@@ -231,7 +237,7 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
             residues += family
     # an element of Z_m has its residue as its index
     volts = np.array(residues, dtype=np.intp) % m
-    digraph = Digraph([(0, ai) for ai in a], arcs)
+    digraph = Digraph([(0, ai) for ai in a], np.array(arcs, dtype=np.intp))
     pairing = match_voltage_pairing(digraph.arc_array(), volts, group)
     vertex = np.full(m, -1, dtype=np.intp)
     vertex[a] = np.arange(len(a))

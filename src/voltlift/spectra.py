@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -49,7 +50,6 @@ from .algebra import (
     BLOCK_ENTRIES,
     AbelianGroup,
     Representation,
-    _integer,
     enumerate_characters,
     irreps_completeness_defect,
 )
@@ -62,7 +62,7 @@ from .errors import (
     NotRegularSpectrum,
     VoltliftError,
 )
-from .graphs import Digraph, UniversalCoefficients
+from .graphs import Digraph, UniversalCoefficients, _integer
 from .voltage import VoltageGraph
 
 MAX_DIMENSION = 4096
@@ -73,6 +73,14 @@ RESIDUAL_TOL = 1e-8
 # (character index tuple, eigenvalues of the matrix at it), in character
 # enumeration order
 CharacterSpectra = list[tuple[tuple[int, ...], np.ndarray]]
+
+
+def _checked_tol(tol, name: str = "tol") -> float:
+    """tol, if it is a finite real number >= 0; else a VoltliftError naming
+    it as `name`."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise VoltliftError(f"{name} must be a finite number >= 0, got {tol}")
+    return tol
 
 
 def _order(values: np.ndarray) -> np.ndarray:
@@ -116,7 +124,9 @@ class Spectrum:
     @classmethod
     def group(cls, values: Iterable[complex],
               tol: float = DEFAULT_GROUPING_TOL) -> "Spectrum":
-        """Group raw eigenvalues by the module's gap-cut rule at tol."""
+        """Group raw eigenvalues by the module's gap-cut rule at tol, a
+        finite number >= 0."""
+        tol = _checked_tol(tol)
         values = np.asarray(values if isinstance(values, np.ndarray) else list(values), complex)
         labels = _gap_groups(values, tol)
         order = _order(values)
@@ -130,7 +140,15 @@ class Spectrum:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[complex, int]],
                    tol: float = DEFAULT_GROUPING_TOL) -> "Spectrum":
-        return cls.group([complex(v) for v, m in pairs for _ in range(int(m))], tol)
+        """Regroup (value, multiplicity) pairs; each multiplicity must be an
+        integer >= 1."""
+        values = []
+        for v, m in pairs:
+            m = _integer(m, "multiplicity")
+            if m < 1:
+                raise VoltliftError("multiplicities must be >= 1")
+            values += [complex(v)] * m
+        return cls.group(values, tol)
 
     @property
     def pairs(self) -> tuple[tuple[complex, int], ...]:
@@ -423,7 +441,9 @@ def multiset_equal(a, b, tol: float) -> MultisetComparison:
     Anything else goes to an optimal assignment, whose largest distance
     decides, so a failure reports that distance.  Multisets of different
     sizes, or holding a NaN or an infinity, are unequal at distance inf.
+    tol must be a finite number >= 0.
     """
+    tol = _checked_tol(tol)
     xs, ys = _expand(a), _expand(b)
     if xs.size != ys.size or not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         return MultisetComparison(False, math.inf)

@@ -12,9 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import _integer
 from .errors import KOutOfRange
-from .graphs import Digraph, Graph
+from .graphs import Digraph, Graph, _integer
 
 
 def token_configs(n: int, k: int) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file round trips, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import voltlift
-from voltlift.cli import main
+from voltlift.cli import build_parser, main
 
 # constructive sources and the vertex count of the graph each lifts to
 CONSTRUCTIVE_SOURCES = [
@@ -287,6 +288,58 @@ def test_exit_code_2_on_bad_params(capsys):
     assert run(capsys, "generate", "token", "--complete", "5", "--k", "9")[0] == 2
 
 
+def _leaf_flags(parser, path=()):
+    """(command, flags it accepts) for every leaf command under parser."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        flags = {flag for a in parser._actions for flag in a.option_strings}
+        yield " ".join(path), flags - {"-h", "--help"}
+    for sub in subparsers:
+        for name, child in sub.choices.items():
+            yield from _leaf_flags(child, path + (name,))
+
+
+# --johnson is an alias of --johnson-base; the rest are read with --token-cayley
+SOURCE_FLAGS = {"--johnson-base", "--johnson", "--circulant-linegraph", "--token-cayley",
+                "--in", "--gens", "--k", "--representatives", "--directed"}
+LEAF_FLAGS = {
+    "generate cayley": {"--group", "--gens", "--directed", "--out", "--dot", "--adjacency-csv"},
+    "generate token": {"--complete", "--directed-cycle", "--in", "--k", "--out", "--dot",
+                       "--adjacency-csv"},
+    "generate lift": SOURCE_FLAGS | {"--out", "--dot", "--adjacency-csv"},
+    "generate base": SOURCE_FLAGS | {"--out", "--dot"},
+    "spectrum": SOURCE_FLAGS | {"--method", "--irreps", "--laplacian", "--signless",
+                                "--universal", "--per-character", "--out"},
+    "verify isomorphism": SOURCE_FLAGS | {"--certificate"},
+    "verify spectrum-equivalence": SOURCE_FLAGS | {"--tol"},
+    "verify johnson-closed-form": {"--n", "--k", "--tol"},
+    "reproduce": set(),
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    leaves = dict(_leaf_flags(build_parser()))
+    assert leaves == LEAF_FLAGS
+    # one (command, flag) pair per flag, the alias not counted
+    assert sum(len(flags - {"--johnson"}) for flags in leaves.values()) == 70
+
+
+@pytest.mark.parametrize("source", [s for s, _ in CONSTRUCTIVE_SOURCES]
+                         + [["--token-cayley", "Z8", "--gens", "1", "--k", "3", "--directed"]],
+                         ids=SOURCE_IDS + ["directed-token-cayley"])
+def test_generate_lift_of_a_source_equals_the_lift_of_its_base_file(capsys, tmp_path, source):
+    base = tmp_path / "base.json"
+    assert run(capsys, "generate", "base", *source, "--out", str(base))[0] == 0
+    outputs = []
+    for argv in (source, ["--in", str(base)]):
+        dot, csv = tmp_path / "lift.dot", tmp_path / "lift.csv"
+        code, out, err = run(capsys, "generate", "lift", *argv, "--dot", str(dot),
+                             "--adjacency-csv", str(csv))
+        assert (code, err) == (0, "")
+        outputs.append((out, dot.read_bytes(), csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 # graph and voltage graph files that are valid JSON but not valid graphs
 MALFORMED_GRAPHS = {
     "NOT_OBJECT": 5,
@@ -344,8 +397,8 @@ MALFORMED = {
     "token-k-missing": ["generate", "token", "--complete", "5"],
     "truncated-json": ["spectrum", "--in", "TRUNCATED"],
     "in-is-a-directory": ["spectrum", "--in", "TMPDIR"],
-    # generate lift reads a voltage graph whether or not it names a group
     "json-not-object": ["spectrum", "--in", "NOT_OBJECT"],
+    # a file without a group is a plain graph, which has no lift to generate
     "voltage-json-no-group": ["generate", "lift", "--in", "NO_GROUP"],
     "voltage-json-no-vertices": ["spectrum", "--in", "NO_VERTICES"],
     "graph-json-no-arcs": ["spectrum", "--in", "NO_ARCS"],
@@ -363,6 +416,19 @@ MALFORMED = {
     "group-json-not-latin": ["spectrum", "--in", "GROUP_NOT_LATIN"],
     "group-json-entry-beyond-intp": ["spectrum", "--in", "GROUP_ENTRY_BEYOND_INTP"],
     "graph-json-object-label": ["spectrum", "--in", "OBJECT_LABEL"],
+    "two-sources": ["spectrum", "--johnson", "7", "3", "--token-cayley", "Z5", "--gens", "1",
+                    "--k", "2"],
+    "k-beside-johnson": ["spectrum", "--johnson", "7", "3", "--k", "5"],
+    "irreps-with-characters": ["spectrum", "--johnson", "5", "2", "--method", "characters",
+                               "--irreps", "IRREPS_NOT_LIST"],
+    "laplacian-and-signless": ["spectrum", "--johnson", "5", "2", "--laplacian", "--signless"],
+    "directed-token-of-complete": ["generate", "token", "--complete", "4", "--k", "2",
+                                   "--directed"],
+    "base-adjacency-csv": ["generate", "base", "--johnson", "7", "3", "--adjacency-csv", "NEW"],
+    "closed-form-with-source": ["verify", "johnson-closed-form", "--n", "6", "--k", "2",
+                                "--johnson", "7", "3"],
+    "abbreviated-flag": ["spectrum", "--johnson", "5", "2", "--lap"],
+    "cayley-without-group": ["generate", "cayley", "--gens", "1"],
     **{f"irreps-json-{name[7:].lower().replace('_', '-')}":
        ["spectrum", "--in", "S3_GRAPH", "--method", "irreps", "--irreps", name]
        for name in MALFORMED_GRAPHS if name.startswith("IRREPS_")},
@@ -371,16 +437,21 @@ MALFORMED = {
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    """Each call exits 2 with one error line, no output and no file written."""
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"vertices": [0, 1')
-    paths = {"TRUNCATED": str(truncated), "TMPDIR": str(tmp_path)}
+    paths = {"TRUNCATED": str(truncated), "TMPDIR": str(tmp_path),
+             "NEW": str(tmp_path / "new.csv")}
     for name, data in MALFORMED_GRAPHS.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    files = sorted(tmp_path.iterdir())
     argv = [paths.get(a, a) for a in argv]
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("voltlift: error:")
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def test_check_rows_fails_on_missing_rows_and_values(capsys):

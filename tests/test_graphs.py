@@ -27,6 +27,8 @@ from voltlift import (
     token_base_graph,
 )
 
+from voltlift.graphs import match_digon_pairing
+
 from helpers import dihedral_group
 
 
@@ -335,6 +337,47 @@ INVALID_CONTAINERS = {
                                          [1, 0, 2, 3]),
                            InvalidPairing, "arcs 0 and 1 are not mutually reversed"),
 }
+
+
+# arc rows, pairings, edges, voltages and sizes that are not integers, with
+# the message naming the first one; floats and strings were truncated or parsed
+NON_INTEGERS = {
+    "arc-float": (lambda: Digraph([0, 1, 2], [(0, 1.9)]), "arc entry 1.9 is not an integer"),
+    "arc-string": (lambda: Digraph([0, 1, 2], [(0, "1")]), "arc entry '1' is not an integer"),
+    "arc-float-array": (lambda: Digraph([0, 1], np.array([[0, 1.0]])),
+                        "arc entry 0.0 is not an integer"),
+    "pairing-float": (lambda: Graph(Digraph([0, 1], [(0, 1), (1, 0)]), [1.7, 0.2]),
+                      "pairing entry 1.7 is not an integer"),
+    "edge-float": (lambda: Graph.from_edges([0, 1], [(0, 1), (1, 0.0)]),
+                   "edge entry 0.0 is not an integer"),
+    "digon-arc-float": (lambda: match_digon_pairing([(0, 1), (1, 0.5)]),
+                        "arc entry 0.5 is not an integer"),
+    "digon-voltage-float": (lambda: match_digon_pairing([(0, 0), (0, 0)], [1.0, 4.0],
+                                                        AbelianGroup(5)),
+                            "voltage index 1.0 is not an integer"),
+    "complete-float": (lambda: complete_graph(3.0), "vertex count 3.0 is not an integer"),
+    "cycle-string": (lambda: cycle_graph("5"), "vertex count '5' is not an integer"),
+    "directed-cycle-float": (lambda: directed_cycle(4.5), "vertex count 4.5 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("build, message", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_graph_layer_refuses_non_integers(build, message):
+    with pytest.raises(VoltliftError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_graph_layer_takes_integers_of_any_type():
+    d = Digraph([0, 1], [(np.int32(0), 1), (1, np.int64(0))])
+    assert d.arcs == ((0, 1), (1, 0))
+    assert Digraph([0, 1], np.array([[0, 1]], dtype=np.int32)).arcs == ((0, 1),)
+    assert Graph(d, np.array([1, 0], dtype=np.int32)).pairing == (1, 0)
+    assert match_digon_pairing([(0, 0), (0, 0)], np.array([1, 4], dtype=np.int16),
+                               AbelianGroup(5)) == [1, 0]
+    assert complete_graph(np.int64(3)).edges() == [(0, 1), (0, 2), (1, 2)]
+    assert cycle_graph(np.intp(3)).edge_count == 3
+    assert directed_cycle(np.int32(1)).arcs == ((0, 0),)
 
 
 @pytest.mark.parametrize("build, kind, message", INVALID_CONTAINERS.values(),

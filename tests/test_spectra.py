@@ -478,6 +478,44 @@ def test_multiset_equal_refuses_non_finite_values(monkeypatch, a, b):
     assert calls == []
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf, "1e-6", None],
+                         ids=["nan", "negative", "inf", "minus-inf", "string", "none"])
+def test_grouping_and_comparison_refuse_a_bad_tolerance(tol):
+    """One rule: a tolerance is a finite real number >= 0.  A NaN grouped
+    [1, 5, -3] into one value, a negative one split [1, 1, 2] into three,
+    and a NaN made [1, 2] and [2, 1] unequal at distance 0."""
+    for call in (lambda: Spectrum.group([1, 5, -3], tol),
+                 lambda: Spectrum.from_pairs([(1, 2), (2, 1)], tol),
+                 lambda: multiset_equal([1, 2], [2, 1], tol)):
+        with pytest.raises(VoltliftError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"tol must be a finite number >= 0, got {tol}"
+
+
+def test_grouping_and_comparison_take_any_finite_tolerance():
+    assert Spectrum.group([1, 1, 2], 0).pairs == ((2, 1), (1, 2))
+    assert Spectrum.group([1, 1.5, 2], np.float64(0.5)).pairs == ((1.5, 3),)
+    assert multiset_equal([1, 2], [2, 1], 0) == spectra.MultisetComparison(True, 0.0)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(1, 2.7), (3, 1)], "multiplicity 2.7 is not an integer"),
+    ([(1, "2")], "multiplicity '2' is not an integer"),
+    ([(1, np.float64(2.0))], "multiplicity 2.0 is not an integer"),
+    ([(1, 2), (3, 0)], "multiplicities must be >= 1"),
+    ([(1, -1)], "multiplicities must be >= 1"),
+], ids=["float", "string", "numpy-float", "zero", "negative"])
+def test_from_pairs_refuses_a_multiplicity_that_is_not_a_positive_integer(pairs, message):
+    """Spectrum.from_pairs([(1, 2.7), (3, 0)]) was {1^[2]}."""
+    with pytest.raises(VoltliftError) as excinfo:
+        Spectrum.from_pairs(pairs)
+    assert str(excinfo.value) == message
+
+
+def test_from_pairs_takes_numpy_integer_multiplicities():
+    assert Spectrum.from_pairs([(1, np.int64(2)), (3, np.intp(1))]).pairs == ((3, 1), (1, 2))
+
+
 def test_multiset_equal_block_pairing_needs_no_assignment(monkeypatch):
     calls = _count_assignment_calls(monkeypatch)
     lift, direct = _directed_cycle_token_spectra(8, 3)
