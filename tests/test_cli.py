@@ -437,7 +437,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
-    """Each call exits 2 with one error line, no output and no file written."""
+    """Each call exits 2 with an error on stderr, no output and no file written."""
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"vertices": [0, 1')
     paths = {"TRUNCATED": str(truncated), "TMPDIR": str(tmp_path),
