@@ -169,15 +169,7 @@ class Digraph:
         }
 
     def to_dot(self, name: str = "G") -> str:
-        lines = [f"digraph {name} {{"]
-        for label in self.labels:
-            lines.append(f'  "{_label_str(label)}";')
-        for tail, head in self._arcs.tolist():
-            lines.append(
-                f'  "{_label_str(self.labels[tail])}" -> "{_label_str(self.labels[head])}";'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot(name, self.labels, self._arcs)
 
     def __repr__(self) -> str:
         return f"Digraph({self.n} vertices, {self.arc_count} arcs)"
@@ -250,22 +242,16 @@ class Graph(Digraph):
         return data
 
     def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
-        for label in self.labels:
-            lines.append(f'  "{_label_str(label)}";')
-        for tail, head in self.edges():
-            lines.append(
-                f'  "{_label_str(self.labels[tail])}" -- "{_label_str(self.labels[head])}";'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot(name, self.labels, self.edge_array(), undirected=True)
 
     def __repr__(self) -> str:
         return f"Graph({self.n} vertices, {self.edge_count} edges)"
 
 
-def match_digon_pairing(arcs: Sequence[tuple[int, int]], volts=None, group=None) -> list[int]:
-    """Match arcs into digons; raises InvalidPairing if impossible.
+def match_digon_pairing(arcs: Sequence[tuple[int, int]], volts=None, group=None) -> np.ndarray:
+    """Match arcs into digons: an intp array whose entry i is the partner of
+    arc i, which Graph takes on its dtype alone; raises InvalidPairing if
+    impossible.
 
     With voltages (one element index of `group` per arc), an arc only pairs
     with a reversed arc that carries the inverse voltage, read from the
@@ -278,7 +264,7 @@ def match_digon_pairing(arcs: Sequence[tuple[int, int]], volts=None, group=None)
     a = _integers(arcs, "arc entry").reshape(-1, 2)
     count = len(a)
     if not count:
-        return []
+        return np.empty(0, dtype=np.intp)
     keys, reverse = [a[:, 0], a[:, 1]], [a[:, 1], a[:, 0]]
     if volts is not None:
         volts = _integers(volts, "voltage index")
@@ -304,7 +290,7 @@ def match_digon_pairing(arcs: Sequence[tuple[int, int]], volts=None, group=None)
         key = tuple(a[i].tolist()) + (() if volts is None else (group.elements()[volts[i]].key,))
         raise InvalidPairing(f"arc {i} {key} has no unmatched reverse"
                              + ("" if volts is None else " with inverse voltage"))
-    return by_key[first[reverse_id] + want].tolist()
+    return by_key[first[reverse_id] + want]
 
 
 _JSON_KINDS = {list: "list", dict: "object", int: "integer"}
@@ -376,6 +362,22 @@ def _label_str(label) -> str:
     if isinstance(label, tuple):
         return "(" + ",".join(_label_str(x) for x in label) + ")"
     return str(label)
+
+
+def _dot(name: str, labels, rows: np.ndarray, undirected: bool = False,
+         arc_labels=None) -> str:
+    """DOT text: one line per vertex, then one per (tail, head) row, joined
+    by -- when undirected and by -> otherwise; ``arc_labels``, when given,
+    labels the rows in order."""
+    names = [f'"{_label_str(label)}"' for label in labels]
+    link = "--" if undirected else "->"
+    lines = [f"{'graph' if undirected else 'digraph'} {name} {{"]
+    lines += [f"  {vertex};" for vertex in names]
+    for i, (tail, head) in enumerate(rows.tolist()):
+        suffix = "" if arc_labels is None else f' [label="{arc_labels[i]}"]'
+        lines.append(f"  {names[tail]} {link} {names[head]}{suffix};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _cycle_arcs(n: int) -> np.ndarray:

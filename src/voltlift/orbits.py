@@ -12,7 +12,8 @@ an abelian group g*X = X*g, so the two conventions agree.
 Subsets are sorted rows of element indices, looked up by combination rank,
 so the same arrays serve abelian and table-defined groups.  The builders
 hand voltages to VoltageGraph as one integer array of element indices, read
-from the translator and paired through the group's inverse table.
+from the translator, and the digon pairing as the intp array that
+match_voltage_pairing finds through the group's inverse table.
 
 Over an abelian group the builders also record unit symmetries (see
 ``voltage``): a unit u with u*S = S is an automorphism of Cay(Gamma, S) and
@@ -45,23 +46,30 @@ from .voltage import UnitSymmetry, VoltageGraph, match_voltage_pairing
 class KSetDecomposition:
     """Orbits of left translation on k-subsets, all of size |Gamma|.
 
-    ``representatives`` holds one sorted index tuple per orbit (the
-    lexicographic minimum unless a custom list was supplied).  The k-subset
-    of combination rank r is g * representatives[orbit[r]], where g is the
-    element of index translator[r].
+    The representatives are one read-only (orbits, k) intp array of sorted
+    element-index rows, one per orbit (the lexicographic minimum unless a
+    custom list was supplied).  The k-subset of combination rank r is
+    g * representatives[orbit[r]], where g is the element of index
+    translator[r].
     """
 
     def __init__(self, group, k, representatives, orbit, translator):
         self.group = group
         self.k = k
-        self.representatives = tuple(tuple(r) for r in representatives)
+        self._reps = np.array(representatives, dtype=np.intp)
+        self._reps.flags.writeable = False
         self.orbit = orbit
         self.translator = translator
         self._rank = _combination_ranker(group.size, k)
 
     @property
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        """The representatives as index tuples, built from the array on each call."""
+        return tuple(map(tuple, self._reps.tolist()))
+
+    @property
     def num_orbits(self) -> int:
-        return len(self.representatives)
+        return len(self._reps)
 
     def locate(self, subset) -> tuple[int, int]:
         """(i, g) with elements[g] * representatives[i] = subset, g an element
@@ -154,16 +162,13 @@ def _unit_symmetries(group, connection: np.ndarray, reps: np.ndarray,
     for u in candidates[fixes].tolist():
         if generated[u]:
             continue
-        elements = group.coordinate_products(u, np.arange(m))
         # <H, u> is the union of the cosets u^i * H up to the first that is H
-        coset = np.flatnonzero(generated)
-        while True:
-            coset = elements[coset]
-            if generated[coset[0]]:
-                break
+        coset = group.coordinate_products(u, np.flatnonzero(generated))
+        while not generated[coset[0]]:
             generated[coset] = True
-        perm, trans = locate(np.sort(elements[reps], axis=1))
-        symmetries.append(UnitSymmetry(group.elements()[u].key, elements, perm, trans))
+            coset = group.coordinate_products(u, coset)
+        perm, trans = locate(np.sort(group.coordinate_products(u, reps), axis=1))
+        symmetries.append(UnitSymmetry(group.elements()[u].key, perm, trans))
     return symmetries
 
 
@@ -180,7 +185,7 @@ def token_base_graph(group, gens, k: int, representatives=None,
     dec = k_set_decomposition(group, k, representatives)
     # Cayley arcs a -> a*s run tail-major, then by generator, so sorting the
     # moves stably by representative orders each one's by token, then generator
-    moves = _token_moves(_cayley_arcs(group, gens), dec.representatives, group.size)
+    moves = _token_moves(_cayley_arcs(group, gens), dec._reps, group.size)
     rep, moved = moves[np.argsort(moves[:, 0], kind="stable")].T
     digraph = Digraph(dec.representatives, np.stack([rep, dec.orbit[moved]], axis=1))
     volts = dec.translator[moved]
@@ -190,9 +195,8 @@ def token_base_graph(group, gens, k: int, representatives=None,
         ranks = dec._rank(rows)
         return dec.orbit[ranks], dec.translator[ranks]
 
-    reps = np.array(dec.representatives, dtype=np.intp)
     return VoltageGraph(group, digraph, volts, pairing,
-                        _unit_symmetries(group, gens, reps, locate))
+                        _unit_symmetries(group, gens, dec._reps, locate))
 
 
 def johnson_base(n: int, k: int) -> VoltageGraph:

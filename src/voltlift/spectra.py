@@ -114,12 +114,12 @@ class Spectrum:
 
     def __init__(self, pairs: Sequence[tuple[complex, int]], grouping_tol: float):
         values = np.array([complex(v) for v, _ in pairs], dtype=complex)
-        counts = np.array([int(m) for _, m in pairs], dtype=np.intp)
-        order = _order(values)
-        self._values, self._counts = values[order], counts[order]
-        self.grouping_tol = grouping_tol
+        counts = np.array([_integer(m, "multiplicity") for _, m in pairs], dtype=np.intp)
         if (counts < 1).any():
             raise VoltliftError("multiplicities must be >= 1")
+        order = _order(values)
+        self._values, self._counts = values[order], counts[order]
+        self.grouping_tol = _checked_tol(grouping_tol)
 
     @classmethod
     def group(cls, values: Iterable[complex],
@@ -279,13 +279,15 @@ def _character_orbits(vg: VoltageGraph) -> tuple[list[int], list[bool]]:
     conjugate of that character's.
 
     Characters and elements share their enumeration, so the inverse table
-    and the units' element maps act on characters as they act on elements.
+    and each unit's map g -> u*g act on characters as they act on elements.
     """
-    inverse = vg.group.inverse_indices().tolist()
-    maps = [sym.elements.tolist() for sym in vg.symmetries]
-    first = [-1] * vg.group.size
-    conjugated = [False] * vg.group.size
-    for i in range(vg.group.size):
+    group, m = vg.group, vg.group.size
+    inverse = group.inverse_indices().tolist()
+    maps = [group.coordinate_products(group.element(sym.unit).index, np.arange(m)).tolist()
+            for sym in vg.symmetries]
+    first = [-1] * m
+    conjugated = [False] * m
+    for i in range(m):
         if first[i] >= 0:
             continue
         first[i] = i

@@ -39,7 +39,7 @@ def _token_moves(arcs: np.ndarray, configs, n: int) -> np.ndarray:
     """(config index, moved config rank) rows for every token sliding along
     one of the arcs (u, v) onto an unoccupied head, arc-major then config
     order; the configs may be any sorted k-subsets of range(n)."""
-    rows = np.array(configs, dtype=np.intp)
+    rows = np.asarray(configs, dtype=np.intp)
     count, k = rows.shape
     occupied = np.zeros((count, n), dtype=bool)
     occupied[np.arange(count)[:, None], rows] = True

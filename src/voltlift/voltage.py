@@ -12,17 +12,20 @@ every g there is a lift arc (u, g) -> (v, g*w).
 
 Voltages are given as elements or coordinates, or as one integer ndarray of
 element indices, the form the builders in ``orbits`` hand over; either way
-they are checked as one index array and stored as elements.
+they are checked as one index array and stored as elements.  The builders
+hand over the pairing as the intp array ``match_voltage_pairing`` returns,
+which is checked without a per-entry pass.
 
-A voltage graph over an abelian group may carry unit symmetries.  A unit u
-(every u_k a unit mod n_k) acts on the group by the automorphism
-g -> u*g of ``AbelianGroup.coordinate_products``.  It is a symmetry of the
-voltage graph with base permutation pi and translators t when the arc
-multiset {(pi(a), pi(b), u*w + t_b - t_a)} over the arcs a -> b with voltage
-w is the arc multiset itself: then (v, g) -> (pi(v), u*g + t_v) is an
-automorphism of the lift, and the base matrix at the character u*j is
-monomially similar to the one at j.  The constructor checks each symmetry
-exactly, once, and refuses a wrong one.
+A voltage graph over an abelian group may carry unit symmetries, each a
+``UnitSymmetry`` (unit, permutation, translators).  A unit u (every u_k a
+unit mod n_k) acts on the group by the automorphism g -> u*g of
+``AbelianGroup.coordinate_products``, computed from u where it is needed.
+It is a symmetry of the voltage graph with base permutation pi and
+translators t when the arc multiset {(pi(a), pi(b), u*w + t_b - t_a)} over
+the arcs a -> b with voltage w is the arc multiset itself: then
+(v, g) -> (pi(v), u*g + t_v) is an automorphism of the lift, and the base
+matrix at the character u*j is monomially similar to the one at j.  The
+constructor checks each symmetry exactly, once, and refuses a wrong one.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from .graphs import (
     Digraph,
     Graph,
     UniversalCoefficients,
+    _dot,
     _json_field,
     _json_indices,
     _label_from_json,
-    _label_str,
     _label_to_json,
     match_digon_pairing,
 )
@@ -142,11 +145,11 @@ class BaseMatrix:
 
 class UnitSymmetry(NamedTuple):
     """A unit u of an abelian group acting on a voltage graph, as in the
-    module docstring: ``elements[g]`` is the index of u*g, ``permutation[v]``
-    is pi(v) and ``translators[v]`` the element index of t_v."""
+    module docstring: ``unit`` is the element key of u, ``permutation[v]`` is
+    pi(v) and ``translators[v]`` the element index of t_v.  The element map
+    g -> u*g is ``group.coordinate_products(u, g)``."""
 
     unit: tuple[int, ...]
-    elements: np.ndarray
     permutation: np.ndarray
     translators: np.ndarray
 
@@ -188,23 +191,19 @@ class VoltageGraph:
         self.symmetries = tuple(self._checked_symmetry(sym, volts) for sym in symmetries)
 
     def _checked_symmetry(self, sym: UnitSymmetry, volts: np.ndarray) -> UnitSymmetry:
-        """sym with read-only copies of its arrays, once its element map is
-        g -> u*g for a unit u and it maps the arc multiset onto itself;
-        otherwise a VoltliftError naming the unit and the first arc whose
-        image is not matched."""
+        """sym with read-only copies of its arrays, once u is a unit of the
+        group and sym maps the arc multiset onto itself; otherwise a
+        VoltliftError naming the unit and the first arc whose image is not
+        matched."""
         group, n = self.group, self.n
         if not isinstance(group, AbelianGroup):
             raise VoltliftError("unit symmetries need an abelian group")
         u = group.element(sym.unit)
         unit, elements = u.key, group.coordinate_products(u.index, np.arange(group.size))
-        arrays = [np.array(a, dtype=np.intp) for a in sym[1:]]
-        for a in arrays:
-            a.flags.writeable = False
-        element_map, perm, trans = arrays
+        perm, trans = (np.array(a, dtype=np.intp) for a in sym[1:])
+        perm.flags.writeable = trans.flags.writeable = False
         if np.bincount(elements, minlength=group.size).max() != 1:
             raise VoltliftError(f"{unit} is not a unit of {group.name}")
-        if not np.array_equal(element_map, elements):
-            raise VoltliftError(f"symmetry {unit}: element map is not g -> {unit}*g")
         if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
             raise VoltliftError(
                 f"symmetry {unit}: permutation is not a permutation of the {n} vertices")
@@ -234,7 +233,7 @@ class VoltageGraph:
                 f"voltage {els[volts[a]].key}) to {labels[perm[tails[a]]]} -> "
                 f"{labels[perm[heads[a]]]} with voltage {els[images[a]].key}, "
                 "more often than the base graph has that arc")
-        return UnitSymmetry(unit, element_map, perm, trans)
+        return UnitSymmetry(unit, perm, trans)
 
     @property
     def undirected(self) -> bool:
@@ -334,16 +333,8 @@ class VoltageGraph:
         }
 
     def to_dot(self, name: str = "G") -> str:
-        lines = [f"digraph {name} {{"]
-        for label in self.digraph.labels:
-            lines.append(f'  "{_label_str(label)}";')
-        for (tail, head), w in zip(self.digraph.arc_array().tolist(), self.voltages):
-            lines.append(
-                f'  "{_label_str(self.digraph.labels[tail])}" -> '
-                f'"{_label_str(self.digraph.labels[head])}" [label="{w.key}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot(name, self.labels, self.digraph.arc_array(),
+                    arc_labels=[w.key for w in self.voltages])
 
     def __repr__(self) -> str:
         kind = "undirected" if self.undirected else "directed"

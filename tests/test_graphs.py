@@ -374,10 +374,19 @@ def test_graph_layer_takes_integers_of_any_type():
     assert Digraph([0, 1], np.array([[0, 1]], dtype=np.int32)).arcs == ((0, 1),)
     assert Graph(d, np.array([1, 0], dtype=np.int32)).pairing == (1, 0)
     assert match_digon_pairing([(0, 0), (0, 0)], np.array([1, 4], dtype=np.int16),
-                               AbelianGroup(5)) == [1, 0]
+                               AbelianGroup(5)).tolist() == [1, 0]
     assert complete_graph(np.int64(3)).edges() == [(0, 1), (0, 2), (1, 2)]
     assert cycle_graph(np.intp(3)).edge_count == 3
     assert directed_cycle(np.int32(1)).arcs == ((0, 0),)
+
+
+def test_match_digon_pairing_returns_an_intp_array():
+    for args, want in [(([(0, 1), (0, 0), (1, 0), (0, 0)],), [2, 3, 0, 1]),
+                       ((np.empty((0, 2), dtype=np.intp),), []),
+                       (([(0, 0), (0, 0)], [1, 4], AbelianGroup(5)), [1, 0])]:
+        pairing = match_digon_pairing(*args)
+        assert isinstance(pairing, np.ndarray) and pairing.dtype == np.intp
+        assert pairing.tolist() == want
 
 
 @pytest.mark.parametrize("build, kind, message", INVALID_CONTAINERS.values(),

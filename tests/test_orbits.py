@@ -330,6 +330,28 @@ def test_builders_record_no_units_over_a_generic_group_or_a_trivial_stabiliser()
                             directed=True).symmetries == ()
 
 
+@pytest.mark.parametrize("build", [lambda: johnson_base(13, 4),
+                                   lambda: cayley_graph(AbelianGroup(13), range(1, 13))],
+                         ids=["J(13,4)", "Cay(Z13,1..12)"])
+def test_builders_hand_over_their_pairing_without_a_per_entry_check(build, monkeypatch):
+    """The builders' pairing array is taken on its dtype alone: johnson_base(13, 4)
+    made 1,998 _integer calls, 1,980 of them one per arc of its pairing."""
+    from voltlift import algebra, graphs, orbits, spectra, tokens
+
+    calls = []
+    original = graphs._integer
+
+    def counted(value, what):
+        calls.append(what)
+        return original(value, what)
+
+    for module in (algebra, graphs, orbits, spectra, tokens):
+        monkeypatch.setattr(module, "_integer", counted)
+    built = build()
+    assert getattr(built, "digraph", built).arc_count > 100
+    assert len(calls) < 100 and "pairing entry" not in calls
+
+
 def test_circulant_linegraph_base_validation():
     with pytest.raises(InvalidGenerators):
         circulant_linegraph_base(12, (3, 2))

@@ -483,9 +483,11 @@ def test_multiset_equal_refuses_non_finite_values(monkeypatch, a, b):
 def test_grouping_and_comparison_refuse_a_bad_tolerance(tol):
     """One rule: a tolerance is a finite real number >= 0.  A NaN grouped
     [1, 5, -3] into one value, a negative one split [1, 1, 2] into three,
-    and a NaN made [1, 2] and [2, 1] unequal at distance 0."""
+    a NaN made [1, 2] and [2, 1] unequal at distance 0, and the constructor
+    stored a NaN as its grouping tolerance."""
     for call in (lambda: Spectrum.group([1, 5, -3], tol),
                  lambda: Spectrum.from_pairs([(1, 2), (2, 1)], tol),
+                 lambda: Spectrum([(1, 2), (2, 1)], tol),
                  lambda: multiset_equal([1, 2], [2, 1], tol)):
         with pytest.raises(VoltliftError) as excinfo:
             call()
@@ -506,10 +508,12 @@ def test_grouping_and_comparison_take_any_finite_tolerance():
     ([(1, -1)], "multiplicities must be >= 1"),
 ], ids=["float", "string", "numpy-float", "zero", "negative"])
 def test_from_pairs_refuses_a_multiplicity_that_is_not_a_positive_integer(pairs, message):
-    """Spectrum.from_pairs([(1, 2.7), (3, 0)]) was {1^[2]}."""
-    with pytest.raises(VoltliftError) as excinfo:
-        Spectrum.from_pairs(pairs)
-    assert str(excinfo.value) == message
+    """Spectrum.from_pairs([(1, 2.7), (3, 0)]) was {1^[2]}, and so was
+    Spectrum([(1, 2.7)], 1e-6): the constructor truncated the multiplicity."""
+    for build in (Spectrum.from_pairs, lambda pairs: Spectrum(pairs, 1e-6)):
+        with pytest.raises(VoltliftError) as excinfo:
+            build(pairs)
+        assert str(excinfo.value) == message
 
 
 def test_from_pairs_takes_numpy_integer_multiplicities():
