@@ -293,7 +293,7 @@ def match_digon_pairing(arcs: Sequence[tuple[int, int]], volts=None, group=None)
     return by_key[first[reverse_id] + want]
 
 
-_JSON_KINDS = {list: "list", dict: "object", int: "integer"}
+_JSON_KINDS = {list: "list", dict: "object", int: "integer", bool: "boolean"}
 
 
 def _json_field(data, name: str, kinds: tuple, what: str):
@@ -304,7 +304,7 @@ def _json_field(data, name: str, kinds: tuple, what: str):
     if name not in data:
         raise VoltliftError(f"{what} has no '{name}' field")
     value = data[name]
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
         expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
         raise VoltliftError(f"{what} field '{name}' is a {type(value).__name__}, "
                             f"expected {expected}")

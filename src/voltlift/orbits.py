@@ -12,8 +12,9 @@ an abelian group g*X = X*g, so the two conventions agree.
 Subsets are sorted rows of element indices, looked up by combination rank,
 so the same arrays serve abelian and table-defined groups.  The builders
 hand voltages to VoltageGraph as one integer array of element indices, read
-from the translator, and the digon pairing as the intp array that
-match_voltage_pairing finds through the group's inverse table.
+from the translator.  An undirected builder hands over its base as a Graph
+whose digon pairing is the intp array that match_voltage_pairing finds
+through the group's inverse table.
 
 Over an abelian group the builders also record unit symmetries (see
 ``voltage``): a unit u with u*S = S is an automorphism of Cay(Gamma, S) and
@@ -34,6 +35,7 @@ from .algebra import BLOCK_ENTRIES, AbelianGroup
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
 from .graphs import (
     Digraph,
+    Graph,
     _cayley_arcs,
     _integer,
     _label_to_json,
@@ -189,14 +191,15 @@ def token_base_graph(group, gens, k: int, representatives=None,
     rep, moved = moves[np.argsort(moves[:, 0], kind="stable")].T
     digraph = Digraph(dec.representatives, np.stack([rep, dec.orbit[moved]], axis=1))
     volts = dec.translator[moved]
-    pairing = None if directed else match_voltage_pairing(digraph.arc_array(), volts, group)
+    if not directed:
+        digraph = Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts, group))
 
     def locate(rows):
         ranks = dec._rank(rows)
         return dec.orbit[ranks], dec.translator[ranks]
 
-    return VoltageGraph(group, digraph, volts, pairing,
-                        _unit_symmetries(group, gens, dec._reps, locate))
+    return VoltageGraph(group, digraph, volts,
+                        symmetries=_unit_symmetries(group, gens, dec._reps, locate))
 
 
 def johnson_base(n: int, k: int) -> VoltageGraph:
@@ -226,8 +229,7 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     """
     m = _integer(m, "cyclic order")
     a = [_integer(x, "generator") for x in a_list]
-    if not a or any(x <= 0 for x in a) or any(x >= y for x, y in zip(a, a[1:])) \
-            or len(set(a)) != len(a):
+    if not a or any(x <= 0 for x in a) or any(x >= y for x, y in zip(a, a[1:])):
         raise InvalidGenerators(f"need 0 < a_1 < ... < a_s, got {a_list}")
     if m < 2 * a[-1] + 1:
         raise InvalidGenerators(f"need m >= 2*a_s+1 = {2*a[-1]+1}, got m={m}")
@@ -242,7 +244,7 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     # an element of Z_m has its residue as its index
     volts = np.array(residues, dtype=np.intp) % m
     digraph = Digraph([(0, ai) for ai in a], np.array(arcs, dtype=np.intp))
-    pairing = match_voltage_pairing(digraph.arc_array(), volts, group)
+    graph = Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts, group))
     vertex = np.full(m, -1, dtype=np.intp)
     vertex[a] = np.arange(len(a))
 
@@ -254,8 +256,8 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
 
     reps = np.array(digraph.labels, dtype=np.intp)
     connection = np.concatenate([reps[:, 1], m - reps[:, 1]])
-    return VoltageGraph(group, digraph, volts, pairing,
-                        _unit_symmetries(group, connection, reps, locate))
+    return VoltageGraph(group, graph, volts,
+                        symmetries=_unit_symmetries(group, connection, reps, locate))
 
 
 @dataclass

@@ -142,13 +142,7 @@ class Spectrum:
                    tol: float = DEFAULT_GROUPING_TOL) -> "Spectrum":
         """Regroup (value, multiplicity) pairs; each multiplicity must be an
         integer >= 1."""
-        values = []
-        for v, m in pairs:
-            m = _integer(m, "multiplicity")
-            if m < 1:
-                raise VoltliftError("multiplicities must be >= 1")
-            values += [complex(v)] * m
-        return cls.group(values, tol)
+        return cls.group(cls(list(pairs), tol).expand(), tol)
 
     @property
     def pairs(self) -> tuple[tuple[complex, int], ...]:

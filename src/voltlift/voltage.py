@@ -1,10 +1,10 @@
 """Voltage graphs, their lifts, base matrices, and eigenvector lifting.
 
-A voltage graph is a base digraph whose arcs carry group elements.  In
-undirected mode the arcs are paired into digons and opposite arcs must carry
-inverse voltages; a loop is a pair of self-arcs with voltages g, g^-1.  Loop
-pairs whose voltage is an involution (g = g^-1, identity included) are
-rejected: they would need semi-edge semantics, which are out of scope.
+A voltage graph is a base digraph whose arcs carry group elements.  It is
+undirected exactly when the base is a ``Graph``: then opposite arcs of a
+digon must carry inverse voltages; a loop is a pair of self-arcs with
+voltages g, g^-1.  Loop pairs whose voltage is an involution (g = g^-1,
+identity included) are rejected: semi-edges are out of scope.
 
 The lift has vertex set V x Gamma ordered base-major: vertex (u, g) sits at
 index u*|Gamma| + index(g).  For every base arc a: u -> v with voltage w and
@@ -12,9 +12,9 @@ every g there is a lift arc (u, g) -> (v, g*w).
 
 Voltages are given as elements or coordinates, or as one integer ndarray of
 element indices, the form the builders in ``orbits`` hand over; either way
-they are checked as one index array and stored as elements.  The builders
-hand over the pairing as the intp array ``match_voltage_pairing`` returns,
-which is checked without a per-entry pass.
+they are checked as one index array and stored as elements.  The pairing
+is the base ``Graph``'s own; the builders build it from the intp array
+``match_voltage_pairing`` returns, which is checked without a per-entry pass.
 
 A voltage graph over an abelian group may carry unit symmetries, each a
 ``UnitSymmetry`` (unit, permutation, translators).  A unit u (every u_k a
@@ -155,11 +155,11 @@ class UnitSymmetry(NamedTuple):
 
 
 class VoltageGraph:
-    """A base digraph with one voltage per arc over a declared group, and the
-    checked unit symmetries it was given (none unless a builder records them)."""
+    """A base digraph (a Graph when undirected) with one voltage per arc over a
+    declared group, and the checked unit symmetries it was given (none unless
+    a builder records them)."""
 
-    def __init__(self, group, digraph: Digraph, voltages: Sequence | np.ndarray,
-                 pairing: Sequence[int] | None = None,
+    def __init__(self, group, digraph: Digraph, voltages: Sequence | np.ndarray, *,
                  symmetries: Sequence[UnitSymmetry] = ()):
         if isinstance(voltages, np.ndarray) and voltages.dtype.kind in "iu":
             volts = voltages  # element indices
@@ -170,8 +170,8 @@ class VoltageGraph:
         outside = volts[(volts < 0) | (volts >= group.size)]
         if outside.size:
             raise VoltliftError(f"voltage index {outside[0]} out of range 0..{group.size - 1}")
-        if pairing is not None:
-            pairing = Graph(digraph, pairing)._pairing
+        if isinstance(digraph, Graph):
+            pairing = digraph._pairing
             tails, heads = digraph.arc_array().T
             inverses = group.inverse_indices()[volts]
             not_inverse = volts[pairing] != inverses
@@ -187,7 +187,6 @@ class VoltageGraph:
         self.group = group
         self.digraph = digraph
         self.voltages = tuple(map(group.elements().__getitem__, volts.tolist()))
-        self._pairing = pairing
         self.symmetries = tuple(self._checked_symmetry(sym, volts) for sym in symmetries)
 
     def _checked_symmetry(self, sym: UnitSymmetry, volts: np.ndarray) -> UnitSymmetry:
@@ -237,13 +236,12 @@ class VoltageGraph:
 
     @property
     def undirected(self) -> bool:
-        return self._pairing is not None
+        return isinstance(self.digraph, Graph)
 
     @property
     def pairing(self) -> tuple[int, ...] | None:
-        """The pairing as a tuple, built from the array on each call; None
-        when directed."""
-        return None if self._pairing is None else tuple(self._pairing.tolist())
+        """The base graph's pairing; None when directed."""
+        return self.digraph.pairing if self.undirected else None
 
     @property
     def labels(self):
@@ -255,13 +253,13 @@ class VoltageGraph:
 
     @classmethod
     def undirected_from_edges(cls, group, labels, edges) -> "VoltageGraph":
-        """Build from (u, v, voltage) triples; each becomes an arc pair."""
-        arcs, voltages = [], []
+        """Build from (u, v, voltage) triples; each becomes a Graph.from_edges digon."""
+        ends, voltages = [], []
         for u, v, w in edges:
             w = group.element(w)
-            arcs += [(u, v), (v, u)]
+            ends.append((u, v))
             voltages += [w, w.inverse()]
-        return cls(group, Digraph(labels, arcs), voltages, np.arange(len(arcs)) ^ 1)
+        return cls(group, Graph.from_edges(labels, ends), voltages)
 
     @classmethod
     def directed_from_arcs(cls, group, labels, arcs_with_voltages) -> "VoltageGraph":
@@ -286,7 +284,7 @@ class VoltageGraph:
         if not self.undirected:
             return digraph
         # (u, g) -> (v, g*w) pairs with (v, g*w) -> (u, g) on the partner arc
-        partners = self._pairing[:, None] * m + shifted
+        partners = self.digraph._pairing[:, None] * m + shifted
         return Graph(digraph, partners.ravel())
 
     def base_matrix(self) -> BaseMatrix:
@@ -330,6 +328,7 @@ class VoltageGraph:
             "arcs": [{"tail": tail, "head": head,
                       "voltage": list(w.key) if isinstance(w.key, tuple) else [w.key],
                       "paired_with": p} for (tail, head), w, p in arcs],
+            "undirected": self.undirected,
         }
 
     def to_dot(self, name: str = "G") -> str:
@@ -350,12 +349,13 @@ match_voltage_pairing = match_digon_pairing
 
 
 def voltage_graph_from_json(data: dict) -> VoltageGraph:
+    """Undirected as its ``undirected`` field says, or without the field when
+    an arc has a ``paired_with`` partner; then every arc needs one."""
     what = "voltage graph JSON"
     group = group_from_json(_json_field(data, "group", (dict,), what))
     labels = tuple(_label_from_json(label)
                    for label in _json_field(data, "vertices", (list,), what))
     arcs, voltages, pairing = [], [], []
-    any_paired = False
     for i, arc in enumerate(_json_field(data, "arcs", (list,), what)):
         where = f"{what} arcs[{i}]"
         arcs.append((_json_field(arc, "tail", (int,), where),
@@ -369,13 +369,16 @@ def voltage_graph_from_json(data: dict) -> VoltageGraph:
         else:
             raise VoltliftError(f"{where} voltage must be one element index")
         p = arc.get("paired_with")
-        pairing.append(-1 if p is None else _json_field(arc, "paired_with", (int,), where))
-        any_paired = any_paired or p is not None
-    if any_paired:
-        if any(p < 0 for p in pairing):
-            raise InvalidPairing("mixed paired and unpaired arcs in voltage graph JSON")
-        return VoltageGraph(group, Digraph(labels, arcs), voltages, pairing)
-    return VoltageGraph(group, Digraph(labels, arcs), voltages)
+        pairing.append(None if p is None else _json_field(arc, "paired_with", (int,), where))
+    paired = [p is not None for p in pairing]
+    undirected = _json_field(data, "undirected", (bool,), what) if "undirected" in data \
+        else any(paired)
+    if (not undirected) in paired:
+        i = paired.index(not undirected)
+        raise InvalidPairing(f"{what} is {'un' if undirected else ''}directed, but arcs[{i}] "
+                             f"has {'no' if undirected else 'a'} paired_with partner")
+    digraph = Digraph(labels, arcs)
+    return VoltageGraph(group, Graph(digraph, pairing) if undirected else digraph, voltages)
 
 
 def lift_eigenvector(vg: VoltageGraph, x, j) -> np.ndarray:

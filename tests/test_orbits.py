@@ -205,6 +205,7 @@ def test_rebased_z3z3_base_is_unchanged():
         "vertices": [[0, 3], [0, 1], [0, 4], [0, 7]],
         "arcs": [{"tail": t, "head": h, "voltage": list(w), "paired_with": p}
                  for t, h, w, p in Z3Z3_REBASED_ARCS],
+        "undirected": True,
     }
     assert str(vg.base_matrix()) == Z3Z3_REBASED_MATRIX
 
@@ -430,14 +431,14 @@ def test_corrupted_voltage_fails_isomorphism():
     )
     j = vg.pairing[pair]
     bad_voltages[pair], bad_voltages[j] = bad_voltages[j], bad_voltages[pair]
-    corrupted = VoltageGraph(vg.group, vg.digraph, bad_voltages, vg.pairing)
+    corrupted = VoltageGraph(vg.group, vg.digraph, bad_voltages)
     # drop the same digon pair instead: every mapped arc is right, but the
     # target keeps arcs that no lift arc reaches
     keep = [a for a in range(vg.digraph.arc_count) if a not in (pair, j)]
     renumber = {old: new for new, old in enumerate(keep)}
-    dropped = VoltageGraph(vg.group, Digraph(vg.labels, [vg.digraph.arcs[a] for a in keep]),
-                           [vg.voltages[a] for a in keep],
-                           [renumber[vg.pairing[a]] for a in keep])
+    kept = Digraph(vg.labels, [vg.digraph.arcs[a] for a in keep])
+    dropped = VoltageGraph(vg.group, Graph(kept, [renumber[vg.pairing[a]] for a in keep]),
+                           [vg.voltages[a] for a in keep])
     # two representatives of one orbit
     same_orbit = VoltageGraph(vg.group, Digraph([(0, 1), (1, 2)], []), [])
     # the target with vertex (3, 4) relabelled

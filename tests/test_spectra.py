@@ -506,7 +506,9 @@ def test_grouping_and_comparison_take_any_finite_tolerance():
     ([(1, np.float64(2.0))], "multiplicity 2.0 is not an integer"),
     ([(1, 2), (3, 0)], "multiplicities must be >= 1"),
     ([(1, -1)], "multiplicities must be >= 1"),
-], ids=["float", "string", "numpy-float", "zero", "negative"])
+    # every count is checked for an integer before any for its sign
+    ([(1, 0), (3, 2.7)], "multiplicity 2.7 is not an integer"),
+], ids=["float", "string", "numpy-float", "zero", "negative", "zero-then-float"])
 def test_from_pairs_refuses_a_multiplicity_that_is_not_a_positive_integer(pairs, message):
     """Spectrum.from_pairs([(1, 2.7), (3, 0)]) was {1^[2]}, and so was
     Spectrum([(1, 2.7)], 1e-6): the constructor truncated the multiplicity."""

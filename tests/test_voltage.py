@@ -65,13 +65,15 @@ def test_lift_is_a_digraph_and_the_pairing_one_array(make, undirected):
     vg = make()
     lifted = vg.lift()
     assert isinstance(lifted, Digraph)
-    assert isinstance(lifted, Graph) == vg.undirected == undirected
+    assert isinstance(lifted, Graph) == isinstance(vg.digraph, Graph) == vg.undirected \
+        == undirected
+    assert not hasattr(vg, "_pairing")
     if undirected:
-        stored = vg._pairing
+        stored = vg.digraph._pairing
         assert stored.dtype == np.intp and not stored.flags.writeable
-        assert vg.pairing == tuple(stored.tolist())
+        assert vg.pairing == vg.digraph.pairing == tuple(stored.tolist())
     else:
-        assert vg._pairing is None and vg.pairing is None
+        assert vg.pairing is None
 
 
 def test_c5_base_lifts_to_token_digraph():
@@ -414,10 +416,12 @@ def test_lift_eigenvector_formula_and_errors():
 def test_pairing_rejects_non_inverse_voltages():
     from voltlift import Digraph
 
-    d = Digraph([0, 1], [(0, 1), (1, 0)])
-    with pytest.raises(InvalidPairing):
-        VoltageGraph(AbelianGroup(5), d, [Z5.element(1), Z5.element(1)], [1, 0])
-    vg = VoltageGraph(AbelianGroup(5), d, [Z5.element(1), Z5.element(4)], [1, 0])
+    # a Graph base is undirected: it is never read as a directed one
+    d = Graph(Digraph([0, 1], [(0, 1), (1, 0)]), [1, 0])
+    with pytest.raises(InvalidPairing) as err:
+        VoltageGraph(AbelianGroup(5), d, [Z5.element(1), Z5.element(1)])
+    assert str(err.value) == "arcs 0 and 1 carry voltages that are not mutually inverse"
+    vg = VoltageGraph(AbelianGroup(5), d, [Z5.element(1), Z5.element(4)])
     assert vg.undirected
 
 
@@ -440,6 +444,79 @@ def test_voltage_json_round_trip():
         assert again.digraph.arcs == vg.digraph.arcs
         assert again.voltages == vg.voltages
         assert again.pairing == vg.pairing
+
+
+@pytest.mark.parametrize("make, undirected", [
+    (lambda: VoltageGraph.undirected_from_edges(Z5, [0], []), True),
+    (lambda: VoltageGraph(Z5, Graph(Digraph([0, 1], []), []), []), True),
+    (lambda: VoltageGraph(Z5, Digraph([0], []), []), False),
+    (lambda: johnson_base(7, 3), True),
+    (lambda: token_base_graph(AbelianGroup(7), [3], 3, directed=True), False),
+    (lambda: VoltageGraph.undirected_from_edges(Z5, [0, 1], [(0, 1, 2), (1, 1, 1)]), True),
+], ids=["arcless-from-edges", "arcless-graph", "arcless-directed", "johnson", "directed-token",
+        "from-edges"])
+def test_voltage_json_round_trip_keeps_undirected(make, undirected):
+    vg = make()
+    data = json.loads(json.dumps(vg.to_json()))
+    assert data["undirected"] is undirected
+    again = voltage_graph_from_json(data)
+    for graph in (vg, again):
+        assert graph.undirected == isinstance(graph.digraph, Graph) == undirected
+    assert again.pairing == vg.pairing
+    assert again.to_json() == vg.to_json()
+
+
+def test_voltage_json_without_the_field_is_undirected_when_an_arc_is_paired():
+    data = VoltageGraph.undirected_from_edges(Z5, [0, 1], [(0, 1, 2)]).to_json()
+    del data["undirected"]
+    assert voltage_graph_from_json(data).pairing == (1, 0)
+    for arc in data["arcs"]:
+        arc["paired_with"] = None
+    assert not voltage_graph_from_json(data).undirected
+    data["arcs"][0]["paired_with"] = 1
+    with pytest.raises(InvalidPairing) as err:
+        voltage_graph_from_json(data)
+    assert str(err.value) == ("voltage graph JSON is undirected, but arcs[1] has no "
+                              "paired_with partner")
+    data["arcs"] = []
+    assert not voltage_graph_from_json(data).undirected
+
+
+@pytest.mark.parametrize("undirected, paired_with, message", [
+    (True, [1, None], "is undirected, but arcs[1] has no paired_with partner"),
+    (True, [None, None], "is undirected, but arcs[0] has no paired_with partner"),
+    (False, [None, 0], "is directed, but arcs[1] has a paired_with partner"),
+    (False, [1, 0], "is directed, but arcs[0] has a paired_with partner"),
+], ids=["undirected-half-paired", "undirected-unpaired", "directed-half-paired",
+        "directed-paired"])
+def test_voltage_json_refuses_pairs_that_contradict_undirected(undirected, paired_with, message):
+    data = VoltageGraph.undirected_from_edges(Z5, [0, 1], [(0, 1, 2)]).to_json()
+    data["undirected"] = undirected
+    for arc, p in zip(data["arcs"], paired_with):
+        arc["paired_with"] = p
+    with pytest.raises(InvalidPairing) as err:
+        voltage_graph_from_json(data)
+    assert str(err.value) == "voltage graph JSON " + message
+
+
+def test_voltage_json_undirected_field_must_be_a_boolean():
+    from voltlift import VoltliftError
+
+    data = johnson_base(5, 2).to_json()
+    data["undirected"] = 1
+    with pytest.raises(VoltliftError) as err:
+        voltage_graph_from_json(data)
+    assert str(err.value) == ("voltage graph JSON field 'undirected' is a int, "
+                              "expected boolean")
+
+
+def test_voltage_graph_takes_no_pairing_argument():
+    graph = Graph(Digraph([0, 1], [(0, 1), (1, 0)]), [1, 0])
+    # the Graph carries the pairing, and symmetries are keyword-only
+    with pytest.raises(TypeError):
+        VoltageGraph(Z5, graph, [1, 4], [1, 0])
+    with pytest.raises(TypeError):
+        VoltageGraph(Z5, graph, [1, 4], pairing=[1, 0])
 
 
 def test_base_matrix_render():
@@ -533,9 +610,9 @@ def test_voltage_graph_from_index_array_equals_element_list(name):
     built = PAIRING_BUILDERS[name][0]()
     group, digraph = built.group, built.digraph
     volts = np.array([w.index for w in built.voltages])
-    from_elements = VoltageGraph(group, digraph, list(built.voltages), built.pairing)
+    from_elements = VoltageGraph(group, digraph, list(built.voltages))
     for array in (volts, volts.astype(np.int32), volts.astype(np.uint8)):
-        from_indices = VoltageGraph(group, digraph, array, built.pairing)
+        from_indices = VoltageGraph(group, digraph, array)
         assert from_indices.voltages == from_elements.voltages == built.voltages
         assert from_indices.pairing == from_elements.pairing == built.pairing
         assert from_indices.to_json() == from_elements.to_json() == built.to_json()
@@ -556,13 +633,13 @@ def test_voltage_index_array_errors(group, voltages, message):
     from voltlift import Digraph, VoltliftError
 
     with pytest.raises(VoltliftError) as err:
-        VoltageGraph(group, Digraph([0, 1], [(0, 1), (1, 0)]), voltages, [1, 0])
+        VoltageGraph(group, Graph(Digraph([0, 1], [(0, 1), (1, 0)]), [1, 0]), voltages)
     assert str(err.value).endswith(message)
 
 
 def _rebuilt(vg, symmetries):
     volts = np.array([w.index for w in vg.voltages])
-    return VoltageGraph(vg.group, vg.digraph, volts, vg.pairing, symmetries)
+    return VoltageGraph(vg.group, vg.digraph, volts, symmetries=symmetries)
 
 
 def test_builder_symmetry_passes_its_check_as_read_only_arrays():
@@ -622,7 +699,7 @@ def test_voltage_graph_names_a_refused_numpy_voltage_as_a_list_would():
 
     for voltages in ([1.0, 4.0], np.array([1.0, 4.0])):
         with pytest.raises(VoltliftError) as err:
-            VoltageGraph(Z5, Digraph([0, 1], [(0, 1), (1, 0)]), voltages, [1, 0])
+            VoltageGraph(Z5, Graph(Digraph([0, 1], [(0, 1), (1, 0)]), [1, 0]), voltages)
         assert str(err.value) == "Z5 element coordinate 1.0 is not an integer"
 
 
@@ -746,7 +823,7 @@ def _voltage_checks_loop(group, digraph, voltages, pairing):
 def test_voltage_graph_checks_match_loop(group, arcs, voltages, pairing):
     from voltlift import Digraph
 
-    digraph = Digraph([0, 1], arcs)
-    want = _voltage_checks_loop(group, digraph, voltages, pairing)
+    graph = Graph(Digraph([0, 1], arcs), pairing)
+    want = _voltage_checks_loop(group, graph, voltages, pairing)
     assert want is not None
-    assert _outcome(VoltageGraph, group, digraph, voltages, pairing) == want
+    assert _outcome(VoltageGraph, group, graph, voltages) == want
