@@ -329,7 +329,7 @@ def graph_from_json(data: dict) -> Graph | Digraph:
             raise VoltliftError(f"{what} arcs[{i}] must be [tail, head], got {row!r}")
         _json_indices(row, f"{what} arcs[{i}]")
     digraph = Digraph(labels, arcs)
-    if data.get("undirected"):
+    if "undirected" in data and _json_field(data, "undirected", (bool,), what):
         return Graph(digraph, match_digon_pairing(digraph.arc_array()))
     return digraph
 

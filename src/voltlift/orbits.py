@@ -10,16 +10,21 @@ rep_u -> g*rep_v translated by h is the lift arc (u, h) -> (v, h*g).  Over
 an abelian group g*X = X*g, so the two conventions agree.
 
 Subsets are sorted rows of element indices, looked up by combination rank,
-so the same arrays serve abelian and table-defined groups.  The builders
-hand voltages to VoltageGraph as one integer array of element indices, read
-from the translator.  An undirected builder hands over its base as a Graph
-whose digon pairing is the intp array that match_voltage_pairing finds
-through the group's inverse table.
+so the same arrays serve abelian and table-defined groups.  A decomposition
+may cover a family of k-subsets, a union of free orbits; the base then
+keeps the token moves into the family and lifts to the token graph induced
+on it.  Two edges are adjacent when they share one end, so L(Cay(Z_m; +-a))
+is the 2-token graph of K_m induced on the edges x + {0, a_i}.
+The builders hand voltages to VoltageGraph as one integer array of element
+indices, read from the translator.  An undirected builder hands over its
+base as a Graph whose digon pairing is the intp array that
+match_voltage_pairing finds through the group's inverse table.
 
 Over an abelian group the builders also record unit symmetries (see
 ``voltage``): a unit u with u*S = S is an automorphism of Cay(Gamma, S) and
 of its token graphs, and u*rep_i = t_i * rep_pi(i) locates the image of each
-representative in the decomposition.
+representative in the decomposition; on a family, u must also map the
+family onto itself.
 """
 
 from __future__ import annotations
@@ -46,13 +51,13 @@ from .voltage import UnitSymmetry, VoltageGraph, match_voltage_pairing
 
 
 class KSetDecomposition:
-    """Orbits of left translation on k-subsets, all of size |Gamma|.
+    """Orbits of left translation on a family of k-subsets, all of size |Gamma|.
 
     The representatives are one read-only (orbits, k) intp array of sorted
     element-index rows, one per orbit (the lexicographic minimum unless a
     custom list was supplied).  The k-subset of combination rank r is
     g * representatives[orbit[r]], where g is the element of index
-    translator[r].
+    translator[r]; both are -1 at a subset outside the family.
     """
 
     def __init__(self, group, k, representatives, orbit, translator):
@@ -73,6 +78,11 @@ class KSetDecomposition:
     def num_orbits(self) -> int:
         return len(self._reps)
 
+    def _lookup(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (orbit, translator) arrays of sorted k-subset rows."""
+        ranks = self._rank(rows)
+        return self.orbit[ranks], self.translator[ranks]
+
     def locate(self, subset) -> tuple[int, int]:
         """(i, g) with elements[g] * representatives[i] = subset, g an element
         index; a KeyError if subset is not a k-subset of element indices."""
@@ -80,38 +90,25 @@ class KSetDecomposition:
         if len(key) != self.k or len(set(key)) != self.k or not all(
                 isinstance(i, (int, np.integer)) and 0 <= i < self.group.size for i in key):
             raise KeyError(key)
-        r = self._rank(np.array(key, dtype=np.intp))
-        return int(self.orbit[r]), int(self.translator[r])
+        return tuple(int(x) for x in self._lookup(np.array(key, dtype=np.intp)))
 
 
-def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
-    """Decompose all k-subsets of the group into free left-translation orbits.
-
-    A custom representative list (one subset per orbit, any order) numbers
-    the orbits in its order and bases the voltages on its subsets; the other
-    orbits take their lexicographic minima.  Raises NotFreeAction (reporting
-    the offending subset) as soon as some orbit is smaller than |Gamma|.
-    """
+def _decompose(group, k: int, representatives, every_subset: bool) -> KSetDecomposition:
+    """The orbits of the sorted index tuples ``representatives``, which must
+    lie in distinct orbits, in their order; with ``every_subset`` then those
+    of the other k-subsets, each represented by its lexicographic minimum."""
     n = group.size
-    k = _integer(k, "token count")
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside 1..{n}")
     rank = _combination_ranker(n, k)
-    user = [] if representatives is None else [
-        tuple(sorted(_integer(i, "representative entry") for i in r)) for r in representatives]
-    for r in user:
-        if len(r) != k or len(set(r)) != k or not all(0 <= i < n for i in r):
-            raise VoltliftError(f"{r} is not a valid {k}-subset of the group")
     orbit = np.full(math.comb(n, k), -1, dtype=np.intp)
-    translator = np.empty_like(orbit)
+    translator = np.full_like(orbit, -1)
     reps: list[tuple[int, ...]] = []
-    # the user's subsets first, then in lexicographic (rank) order each subset
+    # the given subsets first, then in lexicographic (rank) order each subset
     # not yet reached, which is its orbit's minimum
-    firsts = chain(((int(rank(np.array(r, dtype=np.intp))), r) for r in user),
-                   enumerate(combinations(range(n), k)))
+    firsts = chain(((int(rank(np.array(r, dtype=np.intp))), r) for r in representatives),
+                   enumerate(combinations(range(n), k)) if every_subset else ())
     for r, subset in firsts:
         if orbit[r] >= 0:
-            if len(reps) < len(user):
+            if len(reps) < len(representatives):
                 raise VoltliftError(
                     f"{subset} repeats the orbit of representative {reps[orbit[r]]}")
             continue
@@ -127,36 +124,59 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
         orbit[translates] = len(reps)
         translator[translates] = np.arange(n)
         reps.append(subset)
-    assert len(reps) * n == math.comb(n, k)
-    if representatives is not None and len(user) != len(reps):
-        raise VoltliftError(f"expected {len(reps)} representatives, got {len(user)}")
     return KSetDecomposition(group, k, reps, orbit, translator)
 
 
-def _unit_symmetries(group, connection: np.ndarray, reps: np.ndarray,
-                     locate) -> list[UnitSymmetry]:
-    """Units u with u*S = S for the element indices ``connection`` of S,
-    each with its action on the base whose representatives are the sorted
-    rows ``reps``; ``locate(rows)`` gives the (orbit, translator) arrays of
-    sorted subset rows.  None unless the group is an AbelianGroup.
+def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
+    """Decompose all k-subsets of the group into free left-translation orbits.
 
-    The candidate units are tested against S alone, in element order, a
-    block at a time.  A unit that fixes S is recorded when it lies outside
-    the group that -1 and the units recorded so far generate, so each one at
-    least doubles that group: with -1 the recorded units generate every unit
-    that fixes S, and there are at most log2 of their number.
+    A custom representative list (one subset per orbit, any order) numbers
+    the orbits in its order and bases the voltages on its subsets; the other
+    orbits take their lexicographic minima.  Raises NotFreeAction (reporting
+    the offending subset) as soon as some orbit is smaller than |Gamma|.
+    """
+    n = group.size
+    k = _integer(k, "token count")
+    if not 1 <= k <= n:
+        raise KOutOfRange(f"k={k} outside 1..{n}")
+    user = [] if representatives is None else [
+        tuple(sorted(_integer(i, "representative entry") for i in r)) for r in representatives]
+    for r in user:
+        if len(r) != k or len(set(r)) != k or not all(0 <= i < n for i in r):
+            raise VoltliftError(f"{r} is not a valid {k}-subset of the group")
+    dec = _decompose(group, k, user, every_subset=True)
+    assert dec.num_orbits * n == math.comb(n, k)
+    if representatives is not None and len(user) != dec.num_orbits:
+        raise VoltliftError(f"expected {dec.num_orbits} representatives, got {len(user)}")
+    return dec
+
+
+def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> list[UnitSymmetry]:
+    """Units u with u*S = S for the element indices ``connection`` of S that
+    also map the family of ``dec`` onto itself, each with its action on the
+    representatives; none unless the group is an AbelianGroup.  The units
+    are tested in element order, a block at a time, and one that passes is
+    recorded when it lies outside the group that -1 and the units recorded
+    so far generate: each one at least doubles that group, so with -1 they
+    generate every unit that passes, and there are at most log2 of those.
     """
     if not isinstance(group, AbelianGroup):
         return []
     m = group.size
     in_s = np.zeros(m, dtype=bool)
     in_s[connection] = True
-    candidates = group.units()
-    step = max(1, BLOCK_ENTRIES // connection.size)
+    candidates, reps = group.units(), dec._reps
+    step = max(1, BLOCK_ENTRIES // max(connection.size, reps.size))
+    blocks = [candidates[i:i + step, None] for i in range(0, candidates.size, step)]
     # u*S lies in S exactly when u*S = S, u being a bijection
-    fixes = np.concatenate([
-        in_s[group.coordinate_products(candidates[i:i + step, None], connection)].all(axis=1)
-        for i in range(0, candidates.size, step)])
+    fixes = np.concatenate([in_s[group.coordinate_products(u, connection)].all(axis=1)
+                            for u in blocks])
+    if (dec.orbit < 0).any():
+        # likewise u maps the family, a union of orbits, onto itself when it
+        # maps each representative into it; all k-subsets always pass
+        fixes &= np.concatenate([
+            dec._lookup(np.sort(group.coordinate_products(u[..., None], reps)))[0].min(axis=1) >= 0
+            for u in blocks])
     one = group.element([1] * group.rank).index
     generated = np.zeros(m, dtype=bool)
     generated[[one, group.inverse_indices()[one]]] = True
@@ -169,9 +189,25 @@ def _unit_symmetries(group, connection: np.ndarray, reps: np.ndarray,
         while not generated[coset[0]]:
             generated[coset] = True
             coset = group.coordinate_products(u, coset)
-        perm, trans = locate(np.sort(group.coordinate_products(u, reps), axis=1))
+        perm, trans = dec._lookup(np.sort(group.coordinate_products(u, reps), axis=1))
         symmetries.append(UnitSymmetry(group.elements()[u].key, perm, trans))
     return symmetries
+
+
+def _token_base(group, gens: np.ndarray, dec: KSetDecomposition, directed: bool) -> VoltageGraph:
+    """Base graph on the representatives of ``dec``, one arc rep -> beta with
+    voltage g for every move along Cay(group, gens) from rep into the family,
+    onto g * beta: its lift is the k-token graph induced on the family."""
+    # Cayley arcs a -> a*s run tail-major, then by generator, so sorting the
+    # moves stably by representative orders each one's by token, then generator
+    moves = _token_moves(_cayley_arcs(group, gens), dec._reps, group.size)
+    moves = moves[dec.orbit[moves[:, 1]] >= 0]
+    rep, moved = moves[np.argsort(moves[:, 0], kind="stable")].T
+    digraph = Digraph(dec.representatives, np.stack([rep, dec.orbit[moved]], axis=1))
+    volts = dec.translator[moved]
+    if not directed:
+        digraph = Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts, group))
+    return VoltageGraph(group, digraph, volts, symmetries=_unit_symmetries(group, gens, dec))
 
 
 def token_base_graph(group, gens, k: int, representatives=None,
@@ -184,22 +220,7 @@ def token_base_graph(group, gens, k: int, representatives=None,
     rep -> beta with voltage g.
     """
     gens = _validate_connection_set(group, gens, directed)
-    dec = k_set_decomposition(group, k, representatives)
-    # Cayley arcs a -> a*s run tail-major, then by generator, so sorting the
-    # moves stably by representative orders each one's by token, then generator
-    moves = _token_moves(_cayley_arcs(group, gens), dec._reps, group.size)
-    rep, moved = moves[np.argsort(moves[:, 0], kind="stable")].T
-    digraph = Digraph(dec.representatives, np.stack([rep, dec.orbit[moved]], axis=1))
-    volts = dec.translator[moved]
-    if not directed:
-        digraph = Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts, group))
-
-    def locate(rows):
-        ranks = dec._rank(rows)
-        return dec.orbit[ranks], dec.translator[ranks]
-
-    return VoltageGraph(group, digraph, volts,
-                        symmetries=_unit_symmetries(group, gens, dec._reps, locate))
+    return _token_base(group, gens, k_set_decomposition(group, k, representatives), directed)
 
 
 def johnson_base(n: int, k: int) -> VoltageGraph:
@@ -216,16 +237,13 @@ def johnson_base(n: int, k: int) -> VoltageGraph:
 def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     """Base graph over Z_m whose lift is L(Cay(Z_m; +-a_1, ..., +-a_s)).
 
-    One vertex {0, a_i} per generator.  The arcs from vertex {0, a_i} follow
-    the four neighbour families of the principal-submatrix construction:
-
-      voltage 0        to every other vertex {0, a_j},
-      voltage -a_j     to every vertex {0, a_j} (the j = i case is a loop),
-      voltage a_i-a_j  to every other vertex {0, a_j},
-      voltage a_i      to every vertex {0, a_j} (the j = i case is a loop).
-
-    Requires 0 < a_1 < ... < a_s and m >= 2*a_s + 1, which keeps the loop
-    voltages +-a_i away from involutions.
+    Two edges of the circulant are adjacent when they share one end, which
+    is a token move of F_2(K_m) between 2-subsets that are edges, so the
+    base is the 2-token base of K_m restricted to the edge family: one
+    vertex {0, a_i} per generator, the representative of the edges
+    x + {0, a_i}.  Requires 0 < a_1 < ... < a_s and m >= 2*a_s + 1, which
+    keeps every edge orbit free and the loop voltages +-a_i away from
+    involutions.
     """
     m = _integer(m, "cyclic order")
     a = [_integer(x, "generator") for x in a_list]
@@ -234,30 +252,8 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     if m < 2 * a[-1] + 1:
         raise InvalidGenerators(f"need m >= 2*a_s+1 = {2*a[-1]+1}, got m={m}")
     group = AbelianGroup(m)
-    arcs, residues = [], []
-    for i, ai in enumerate(a):
-        for j, aj in enumerate(a):
-            # the j = i loops carry the families -a_i and a_i only
-            family = (-aj, ai) if j == i else (0, -aj, ai - aj, ai)
-            arcs += [(i, j)] * len(family)
-            residues += family
-    # an element of Z_m has its residue as its index
-    volts = np.array(residues, dtype=np.intp) % m
-    digraph = Digraph([(0, ai) for ai in a], np.array(arcs, dtype=np.intp))
-    graph = Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts, group))
-    vertex = np.full(m, -1, dtype=np.intp)
-    vertex[a] = np.arange(len(a))
-
-    def locate(rows):
-        # {p, q} is p + {0, a_i} when q - p = a_i, else q + {0, a_i} with p - q = a_i
-        p, q = rows.T
-        forward = vertex[(q - p) % m]
-        return np.where(forward >= 0, forward, vertex[(p - q) % m]), np.where(forward >= 0, p, q)
-
-    reps = np.array(digraph.labels, dtype=np.intp)
-    connection = np.concatenate([reps[:, 1], m - reps[:, 1]])
-    return VoltageGraph(group, graph, volts,
-                        symmetries=_unit_symmetries(group, connection, reps, locate))
+    edges = _decompose(group, 2, [(0, x) for x in a], every_subset=False)
+    return _token_base(group, np.arange(1, m, dtype=np.intp), edges, directed=False)
 
 
 @dataclass

@@ -28,10 +28,13 @@ def _combination_ranker(n: int, k: int):
     """rank(rows) maps each sorted k-subset row c_0 < ... < c_{k-1} of range(n)
     to its lexicographic index, C(n,k) - 1 minus the sum_i C(n-1-c_i, k-i)
     subsets after it; other rows get meaningless ranks."""
-    # C(a, b); the entries with a - b >= n - k are never read and may
-    # exceed int64, so they are left 0
-    binom = np.array([[math.comb(a, b) if a - b < n - k else 0 for b in range(k + 1)]
-                      for a in range(n)], dtype=np.int64)
+    # C(a, b) is the sum of C(j, b - 1) over j < a.  An entry with
+    # a - b < n - k sums only such entries; the others are never read and
+    # may wrap past int64
+    binom = np.zeros((n, k + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for b in range(1, k + 1):
+        binom[1:, b] = np.cumsum(binom[:-1, b - 1])
     return lambda rows: math.comb(n, k) - 1 - binom[n - 1 - rows, np.arange(k, 0, -1)].sum(-1)
 
 

@@ -57,13 +57,18 @@ def test_tracer_wraps_every_name_and_uninstall_restores_it():
         with tracer.job_span(0):
             vg = voltlift.johnson_base(5, 2)
             voltlift.lift_spectrum(vg)
+        with tracer.job_span(1):
+            line = voltlift.circulant_linegraph_base(13, [1, 5])
     finally:
         tracer.uninstall()
 
     assert _bindings(spans) == before
     recorded = {name for name, *_ in tracer.spans}
     for name in ("orbits.johnson_base", "orbits.token_base_graph",
+                 "orbits.circulant_linegraph_base",
                  "orbits.k_set_decomposition", "voltage.match_voltage_pairing",
                  "spectra.lift_spectrum", "voltage.character_matrix",
                  "voltage.base_matrix", "spectra.eigenvalues", "spectra.group"):
         assert name in recorded, name
+    # the builder is counted once: it builds through no traced builder
+    assert tracer.counts[1]["orbits.base_vertices"] == line.n

@@ -413,6 +413,18 @@ def test_json_round_trip():
     assert np.array_equal(again.adjacency_matrix(), und.adjacency_matrix())
 
 
+@pytest.mark.parametrize("flag, kind", [("no", "str"), (1, "int"), (None, "NoneType")])
+def test_graph_json_undirected_must_be_a_boolean(flag, kind):
+    """Only a JSON boolean sets the graph-JSON undirected flag, as in the
+    voltage-graph reader."""
+    data = {"vertices": [0, 1], "arcs": [[0, 1], [1, 0]], "undirected": flag}
+    with pytest.raises(VoltliftError) as err:
+        graph_from_json(data)
+    assert str(err.value) == f"graph JSON field 'undirected' is a {kind}, expected boolean"
+    data["undirected"] = False
+    assert type(graph_from_json(data)) is Digraph
+
+
 def test_dot_and_csv_exports():
     g = complete_graph(3)
     dot = g.to_dot()

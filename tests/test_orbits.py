@@ -419,6 +419,73 @@ def test_natural_isomorphism_circulant_linegraph():
     assert verify_natural_isomorphism(vg, target).ok
 
 
+def _circulant_generator_lists(m):
+    """Every valid a_list of circulant_linegraph_base over Z_m: the non-empty
+    increasing lists with 2*a_s + 1 <= m."""
+    half = range(1, (m - 1) // 2 + 1)
+    return [list(a) for size in range(1, len(half) + 1) for a in combinations(half, size)]
+
+
+def _four_family_base(m, a):
+    """The base of L(Cay(Z_m; +-a)) written out: from {0, a_i} an arc to
+    {0, a_j} with voltage 0, -a_j, a_i - a_j and a_i, the j = i loops
+    carrying -a_i and a_i only; with the units u of Z_m that fix +-a,
+    recorded in element order when -1 and the earlier ones do not generate
+    them, as (u, permutation, translators) with u*a_i = +-a_pi(i)."""
+    group = AbelianGroup(m)
+    arcs, residues = [], []
+    for i, ai in enumerate(a):
+        for j, aj in enumerate(a):
+            family = (-aj, ai) if j == i else (0, -aj, ai - aj, ai)
+            arcs += [(i, j)] * len(family)
+            residues += family
+    volts = np.array(residues, dtype=np.intp) % m
+    digraph = Digraph([(0, ai) for ai in a], np.array(arcs, dtype=np.intp))
+    vg = VoltageGraph(group, Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts,
+                                                                    group)), volts)
+    s = {x % m for x in a} | {-x % m for x in a}
+    where = {x: j for j, x in enumerate(a)}
+    generated, symmetries = {1, m - 1}, []
+    for u in range(1, m):
+        if math.gcd(u, m) != 1 or {u * x % m for x in s} != s or u in generated:
+            continue
+        while True:
+            grown = generated | {u * g % m for g in generated}
+            if grown == generated:
+                break
+            generated = grown
+        images = [u * x % m for x in a]
+        symmetries.append(((u,), [where.get(x, where.get(-x % m)) for x in images],
+                           [0 if x in where else x for x in images]))
+    return vg, symmetries
+
+
+def _voltage_arcs(vg):
+    return sorted((t, h, v.key) for (t, h), v in zip(vg.digraph.arcs, vg.voltages))
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_circulant_linegraph_base_matches_the_four_families(m):
+    """The 2-token base of K_m on the edge family is the written-out base,
+    arc for arc up to order, for every valid a_list."""
+    for a in _circulant_generator_lists(m):
+        vg = circulant_linegraph_base(m, a)
+        oracle, symmetries = _four_family_base(m, a)
+        assert vg.labels == oracle.labels
+        assert _voltage_arcs(vg) == _voltage_arcs(oracle), a
+        assert [(sym.unit, sym.permutation.tolist(), sym.translators.tolist())
+                for sym in vg.symmetries] == symmetries, a
+        assert str(vg.base_matrix()) == str(oracle.base_matrix()), a
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_circulant_linegraph_base_lifts_to_the_line_graph(m):
+    for a in _circulant_generator_lists(m):
+        gens = sorted({x % m for x in a} | {(-x) % m for x in a})
+        target = line_graph(cayley_graph(AbelianGroup(m), gens))
+        assert verify_natural_isomorphism(circulant_linegraph_base(m, a), target).ok, a
+
+
 def test_corrupted_voltage_fails_isomorphism():
     vg = johnson_base(5, 2)
     target = token_graph(complete_graph(5), 2)
