@@ -428,12 +428,6 @@ def _validate_connection_set(group, gens, directed: bool) -> np.ndarray:
     return idx
 
 
-def _cayley_arcs(group, gens: np.ndarray) -> np.ndarray:
-    """Arc g*|S| + j is g -> g*s_j, for the element indices gens of S."""
-    tails = np.repeat(np.arange(group.size), len(gens))
-    return np.stack([tails, group.right_columns(gens).ravel()], axis=1)
-
-
 def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
     """Cayley graph of `group` with connection set `gens` (arc g -> g*s).
 
@@ -443,7 +437,8 @@ def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
     """
     gens = _validate_connection_set(group, gens, directed)
     labels = [el.key for el in group.elements()]
-    digraph = Digraph(labels, _cayley_arcs(group, gens))
+    tails = np.repeat(np.arange(group.size), len(gens))
+    digraph = Digraph(labels, np.stack([tails, group.right_columns(gens).ravel()], axis=1))
     if directed:
         return digraph
     return Graph(digraph, match_digon_pairing(digraph.arc_array()))

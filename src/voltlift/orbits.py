@@ -10,21 +10,18 @@ rep_u -> g*rep_v translated by h is the lift arc (u, h) -> (v, h*g).  Over
 an abelian group g*X = X*g, so the two conventions agree.
 
 Subsets are sorted rows of element indices, looked up by combination rank,
-so the same arrays serve abelian and table-defined groups.  A decomposition
-may cover a family of k-subsets, a union of free orbits; the base then
-keeps the token moves into the family and lifts to the token graph induced
-on it.  Two edges are adjacent when they share one end, so L(Cay(Z_m; +-a))
-is the 2-token graph of K_m induced on the edges x + {0, a_i}.
-The builders hand voltages to VoltageGraph as one integer array of element
-indices, read from the translator.  An undirected builder hands over its
-base as a Graph whose digon pairing is the intp array that
+so the same arrays serve abelian and table-defined groups.  A base keeps
+the token moves into a family of free orbits, all k-subsets or only some:
+L(Cay(Z_m; +-a)) is F_2(K_m) induced on the edges x + {0, a_i}, since two
+edges are adjacent when they share one end.  The builders hand voltages to
+VoltageGraph as one integer array of element indices, read from the
+translator; an undirected builder hands over a Graph whose digon pairing
 match_voltage_pairing finds through the group's inverse table.
 
 Over an abelian group the builders also record unit symmetries (see
 ``voltage``): a unit u with u*S = S is an automorphism of Cay(Gamma, S) and
 of its token graphs, and u*rep_i = t_i * rep_pi(i) locates the image of each
-representative in the decomposition; on a family, u must also map the
-family onto itself.
+representative in the decomposition, whose family u must map onto itself.
 """
 
 from __future__ import annotations
@@ -38,26 +35,19 @@ import numpy as np
 
 from .algebra import BLOCK_ENTRIES, AbelianGroup
 from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
-from .graphs import (
-    Digraph,
-    Graph,
-    _cayley_arcs,
-    _integer,
-    _label_to_json,
-    _validate_connection_set,
-)
-from .tokens import _combination_ranker, _token_moves
+from .graphs import Digraph, Graph, _integer, _label_to_json, _validate_connection_set
+from .tokens import _combination_ranker
 from .voltage import UnitSymmetry, VoltageGraph, match_voltage_pairing
 
 
 class KSetDecomposition:
-    """Orbits of left translation on a family of k-subsets, all of size |Gamma|.
+    """Orbits of left translation on k-subsets, all of size |Gamma|.
 
     The representatives are one read-only (orbits, k) intp array of sorted
     element-index rows, one per orbit (the lexicographic minimum unless a
     custom list was supplied).  The k-subset of combination rank r is
     g * representatives[orbit[r]], where g is the element of index
-    translator[r]; both are -1 at a subset outside the family.
+    translator[r].
     """
 
     def __init__(self, group, k, representatives, orbit, translator):
@@ -93,22 +83,54 @@ class KSetDecomposition:
         return tuple(int(x) for x in self._lookup(np.array(key, dtype=np.intp)))
 
 
-def _decompose(group, k: int, representatives, every_subset: bool) -> KSetDecomposition:
-    """The orbits of the sorted index tuples ``representatives``, which must
-    lie in distinct orbits, in their order; with ``every_subset`` then those
-    of the other k-subsets, each represented by its lexicographic minimum."""
+class _Family(KSetDecomposition):
+    """The free orbits of the given k-subsets only, which must be distinct:
+    ``family`` holds the sorted combination ranks of their translates, and
+    orbit and translator run along it, so nothing is stored per k-subset."""
+
+    def __init__(self, group, k, representatives):
+        super().__init__(group, k, representatives, None, None)
+        # entry i*n + g ranks the sorted subset elements[g] * representatives[i]
+        ranks = self._rank(np.sort(group.right_columns(self._reps), axis=-1)).T.ravel()
+        order = np.argsort(ranks)
+        self.family, (self.orbit, self.translator) = ranks[order], np.divmod(order, group.size)
+        assert (np.diff(self.family) > 0).all(), "the orbits are not free and distinct"
+
+    def _lookup(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ranks = self._rank(rows)
+        at = np.minimum(np.searchsorted(self.family, ranks), self.family.size - 1)
+        hit = self.family[at] == ranks
+        return np.where(hit, self.orbit[at], -1), np.where(hit, self.translator[at], -1)
+
+
+def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
+    """Decompose all k-subsets of the group into free left-translation orbits.
+
+    A custom representative list (one subset per orbit, any order) numbers
+    the orbits in its order and bases the voltages on its subsets; the other
+    orbits take their lexicographic minima.  Raises NotFreeAction (reporting
+    the offending subset) as soon as some orbit is smaller than |Gamma|.
+    """
     n = group.size
+    k = _integer(k, "token count")
+    if not 1 <= k <= n:
+        raise KOutOfRange(f"k={k} outside 1..{n}")
     rank = _combination_ranker(n, k)
+    user = [] if representatives is None else [
+        tuple(sorted(_integer(i, "representative entry") for i in r)) for r in representatives]
+    for r in user:
+        if len(r) != k or len(set(r)) != k or not all(0 <= i < n for i in r):
+            raise VoltliftError(f"{r} is not a valid {k}-subset of the group")
     orbit = np.full(math.comb(n, k), -1, dtype=np.intp)
-    translator = np.full_like(orbit, -1)
+    translator = np.empty_like(orbit)
     reps: list[tuple[int, ...]] = []
-    # the given subsets first, then in lexicographic (rank) order each subset
+    # the user's subsets first, then in lexicographic (rank) order each subset
     # not yet reached, which is its orbit's minimum
-    firsts = chain(((int(rank(np.array(r, dtype=np.intp))), r) for r in representatives),
-                   enumerate(combinations(range(n), k)) if every_subset else ())
+    firsts = chain(((int(rank(np.array(r, dtype=np.intp))), r) for r in user),
+                   enumerate(combinations(range(n), k)))
     for r, subset in firsts:
         if orbit[r] >= 0:
-            if len(reps) < len(representatives):
+            if len(reps) < len(user):
                 raise VoltliftError(
                     f"{subset} repeats the orbit of representative {reps[orbit[r]]}")
             continue
@@ -124,31 +146,10 @@ def _decompose(group, k: int, representatives, every_subset: bool) -> KSetDecomp
         orbit[translates] = len(reps)
         translator[translates] = np.arange(n)
         reps.append(subset)
+    assert len(reps) * n == math.comb(n, k)
+    if representatives is not None and len(user) != len(reps):
+        raise VoltliftError(f"expected {len(reps)} representatives, got {len(user)}")
     return KSetDecomposition(group, k, reps, orbit, translator)
-
-
-def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
-    """Decompose all k-subsets of the group into free left-translation orbits.
-
-    A custom representative list (one subset per orbit, any order) numbers
-    the orbits in its order and bases the voltages on its subsets; the other
-    orbits take their lexicographic minima.  Raises NotFreeAction (reporting
-    the offending subset) as soon as some orbit is smaller than |Gamma|.
-    """
-    n = group.size
-    k = _integer(k, "token count")
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside 1..{n}")
-    user = [] if representatives is None else [
-        tuple(sorted(_integer(i, "representative entry") for i in r)) for r in representatives]
-    for r in user:
-        if len(r) != k or len(set(r)) != k or not all(0 <= i < n for i in r):
-            raise VoltliftError(f"{r} is not a valid {k}-subset of the group")
-    dec = _decompose(group, k, user, every_subset=True)
-    assert dec.num_orbits * n == math.comb(n, k)
-    if representatives is not None and len(user) != dec.num_orbits:
-        raise VoltliftError(f"expected {dec.num_orbits} representatives, got {len(user)}")
-    return dec
 
 
 def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> list[UnitSymmetry]:
@@ -158,25 +159,26 @@ def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> l
     are tested in element order, a block at a time, and one that passes is
     recorded when it lies outside the group that -1 and the units recorded
     so far generate: each one at least doubles that group, so with -1 they
-    generate every unit that passes, and there are at most log2 of those.
-    """
+    generate every unit that passes, and there are at most log2 of those."""
     if not isinstance(group, AbelianGroup):
         return []
-    m = group.size
+    m, reps = group.size, dec._reps
+    # u*S lies in S exactly when u*S = S, u being a bijection, and u maps a
+    # family onto itself when it maps each representative into it; every unit
+    # fixes S = Gamma \ {e} and the family of all k-subsets: test those empty
+    s = connection[:0] if connection.size == m - 1 else connection
+    tested = reps[:0] if dec.num_orbits * m == math.comb(m, dec.k) else reps
     in_s = np.zeros(m, dtype=bool)
-    in_s[connection] = True
-    candidates, reps = group.units(), dec._reps
-    step = max(1, BLOCK_ENTRIES // max(connection.size, reps.size))
-    blocks = [candidates[i:i + step, None] for i in range(0, candidates.size, step)]
-    # u*S lies in S exactly when u*S = S, u being a bijection
-    fixes = np.concatenate([in_s[group.coordinate_products(u, connection)].all(axis=1)
-                            for u in blocks])
-    if (dec.orbit < 0).any():
-        # likewise u maps the family, a union of orbits, onto itself when it
-        # maps each representative into it; all k-subsets always pass
-        fixes &= np.concatenate([
-            dec._lookup(np.sort(group.coordinate_products(u[..., None], reps)))[0].min(axis=1) >= 0
-            for u in blocks])
+    in_s[s] = True
+
+    def passes(u):
+        in_family = dec._lookup(np.sort(group.coordinate_products(u[..., None], tested)))[0] >= 0
+        return in_s[group.coordinate_products(u, s)].all(axis=1) & in_family.all(axis=1)
+
+    candidates = group.units()
+    step = max(1, BLOCK_ENTRIES // max(s.size, tested.size, 1))
+    fixes = np.concatenate([passes(candidates[i:i + step, None])
+                            for i in range(0, candidates.size, step)])
     one = group.element([1] * group.rank).index
     generated = np.zeros(m, dtype=bool)
     generated[[one, group.inverse_indices()[one]]] = True
@@ -198,13 +200,18 @@ def _token_base(group, gens: np.ndarray, dec: KSetDecomposition, directed: bool)
     """Base graph on the representatives of ``dec``, one arc rep -> beta with
     voltage g for every move along Cay(group, gens) from rep into the family,
     onto g * beta: its lift is the k-token graph induced on the family."""
-    # Cayley arcs a -> a*s run tail-major, then by generator, so sorting the
-    # moves stably by representative orders each one's by token, then generator
-    moves = _token_moves(_cayley_arcs(group, gens), dec._reps, group.size)
-    moves = moves[dec.orbit[moves[:, 1]] >= 0]
-    rep, moved = moves[np.argsort(moves[:, 0], kind="stable")].T
-    digraph = Digraph(dec.representatives, np.stack([rep, dec.orbit[moved]], axis=1))
-    volts = dec.translator[moved]
+    # heads[i, j, s] is token j of representative i moved along generator s,
+    # read from a table-defined group's columns; the free moves come in
+    # (representative, token, generator) order
+    reps = dec._reps
+    heads = (group.products(reps[..., None], gens) if isinstance(group, AbelianGroup)
+             else group.right_columns(gens)[reps])
+    rep, token, gen = np.nonzero((heads[..., None] != reps[:, None, None]).all(axis=-1))
+    moved = np.where(np.arange(dec.k) == token[:, None], heads[rep, token, gen, None], reps[rep])
+    target, volts = dec._lookup(np.sort(moved, axis=1))
+    keep = target >= 0
+    rep, target, volts = rep[keep], target[keep], volts[keep]
+    digraph = Digraph(dec.representatives, np.stack([rep, target], axis=1))
     if not directed:
         digraph = Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts, group))
     return VoltageGraph(group, digraph, volts, symmetries=_unit_symmetries(group, gens, dec))
@@ -237,13 +244,11 @@ def johnson_base(n: int, k: int) -> VoltageGraph:
 def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     """Base graph over Z_m whose lift is L(Cay(Z_m; +-a_1, ..., +-a_s)).
 
-    Two edges of the circulant are adjacent when they share one end, which
-    is a token move of F_2(K_m) between 2-subsets that are edges, so the
-    base is the 2-token base of K_m restricted to the edge family: one
-    vertex {0, a_i} per generator, the representative of the edges
-    x + {0, a_i}.  Requires 0 < a_1 < ... < a_s and m >= 2*a_s + 1, which
-    keeps every edge orbit free and the loop voltages +-a_i away from
-    involutions.
+    Two edges are adjacent when they share one end, a token move of F_2(K_m),
+    so this is the 2-token base of K_m on the edge family: one vertex
+    {0, a_i}, representing the edges x + {0, a_i}, per generator.  Requires
+    0 < a_1 < ... < a_s and m >= 2*a_s + 1, which keeps every edge orbit
+    free and the loop voltages +-a_i away from involutions.
     """
     m = _integer(m, "cyclic order")
     a = [_integer(x, "generator") for x in a_list]
@@ -252,7 +257,7 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     if m < 2 * a[-1] + 1:
         raise InvalidGenerators(f"need m >= 2*a_s+1 = {2*a[-1]+1}, got m={m}")
     group = AbelianGroup(m)
-    edges = _decompose(group, 2, [(0, x) for x in a], every_subset=False)
+    edges = _Family(group, 2, [(0, x) for x in a])
     return _token_base(group, np.arange(1, m, dtype=np.intp), edges, directed=False)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import itertools
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -476,6 +477,31 @@ def test_circulant_linegraph_base_matches_the_four_families(m):
         assert [(sym.unit, sym.permutation.tolist(), sym.translators.tolist())
                 for sym in vg.symmetries] == symmetries, a
         assert str(vg.base_matrix()) == str(oracle.base_matrix()), a
+
+
+def test_circulant_linegraph_base_at_a_large_order():
+    """Time and memory stay linear in m: moves start only from occupied
+    elements, and the edge family is found among its s*m subsets, not in a
+    K_m host or a table over all C(m, 2) subsets (gigabytes here)."""
+    m, a = 100003, [1, 2]
+    vg = circulant_linegraph_base(m, a)
+    oracle, symmetries = _four_family_base(m, a)
+    assert vg.labels == oracle.labels
+    assert _voltage_arcs(vg) == _voltage_arcs(oracle)
+    assert [(sym.unit, sym.permutation.tolist(), sym.translators.tolist())
+            for sym in vg.symmetries] == symmetries == []
+
+
+def test_circulant_linegraph_base_memory_is_linear_in_m():
+    """A table over all C(m, 2) subsets or the m(m - 1) arcs of a K_m host
+    would trace over 100 MB at m = 2003; the edge family needs about 1 MB."""
+    tracemalloc.start()
+    try:
+        circulant_linegraph_base(2003, [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("m", range(3, 13))
