@@ -132,6 +132,10 @@ class AbelianGroup:
         _require_same_group(el.group, self)
         return sum(c * s for c, s in zip(el.key, self._strides))
 
+    def _element_at(self, index: int) -> GroupElement:
+        """elements()[index], its key read from the coordinate table."""
+        return GroupElement(self, tuple(self._coords[:, index].tolist()))
+
     @cached_property
     def _coords(self) -> np.ndarray:
         """Read-only (rank, |G|) array; column a is elements[a]'s residue tuple."""
@@ -336,6 +340,9 @@ class GenericGroup:
         _require_same_group(el.group, self)
         return el.key
 
+    def _element_at(self, index: int) -> GroupElement:
+        return self._elements[index]
+
     def right_columns(self, idx) -> np.ndarray:
         """Array of shape (|G|,) + idx.shape: entry [a, ...] is
         index(elements[a] * elements[idx[...]]), read from the table."""
@@ -344,6 +351,10 @@ class GenericGroup:
     def inverse_indices(self) -> np.ndarray:
         """Read-only array of shape (|G|,): entry a is index(elements[a]^-1)."""
         return self._inverse
+
+    def products(self, a, b) -> np.ndarray:
+        """index(elements[a] * elements[b]), elementwise over broadcast index arrays."""
+        return self._table[a, b]
 
     def character_values(self, j):
         raise NonAbelianGroup("characters are defined for abelian groups only; "

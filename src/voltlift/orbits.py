@@ -9,11 +9,12 @@ so X -> h*X is an automorphism of the token graph, and a token move
 rep_u -> g*rep_v translated by h is the lift arc (u, h) -> (v, h*g).  Over
 an abelian group g*X = X*g, so the two conventions agree.
 
-Subsets are sorted rows of element indices, looked up by combination rank,
-so the same arrays serve abelian and table-defined groups.  A base keeps
-the token moves into a family of free orbits, all k-subsets or only some:
-L(Cay(Z_m; +-a)) is F_2(K_m) induced on the edges x + {0, a_i}, since two
-edges are adjacent when they share one end.  The builders hand voltages to
+Subsets are sorted rows of element indices, named by combination rank,
+so the same arrays serve abelian and table-defined groups.  A decomposition
+is one family of free orbits, kept as the sorted ranks of its subsets: all
+k-subsets, or only some: L(Cay(Z_m; +-a)) is F_2(K_m) induced on the edges
+x + {0, a_i}, since two edges are adjacent when they share one end.  A base
+keeps the token moves into the family.  The builders hand voltages to
 VoltageGraph as one integer array of element indices, read from the
 translator; an undirected builder hands over a Graph whose digon pairing
 match_voltage_pairing finds through the group's inverse table.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -41,23 +42,39 @@ from .voltage import UnitSymmetry, VoltageGraph, match_voltage_pairing
 
 
 class KSetDecomposition:
-    """Orbits of left translation on k-subsets, all of size |Gamma|.
+    """Free orbits of left translation on k-subsets, one per representative.
 
     The representatives are one read-only (orbits, k) intp array of sorted
-    element-index rows, one per orbit (the lexicographic minimum unless a
-    custom list was supplied).  The k-subset of combination rank r is
-    g * representatives[orbit[r]], where g is the element of index
-    translator[r].
+    element-index rows.  ``family`` holds the sorted combination ranks of
+    all their translates, and ``orbit`` and ``translator`` run along it: the
+    k-subset of rank family[j] is g * representatives[orbit[j]], where g is
+    the element of index translator[j].  Raises NotFreeAction for the first
+    representative whose orbit has fewer than |Gamma| subsets, and a
+    VoltliftError for the first that repeats the orbit of an earlier one.
     """
 
-    def __init__(self, group, k, representatives, orbit, translator):
-        self.group = group
-        self.k = k
-        self._reps = np.array(representatives, dtype=np.intp)
+    def __init__(self, group, k, representatives):
+        self.group, self.k, n = group, k, group.size
+        self._rank = _combination_ranker(n, k)
+        self._reps = np.array(representatives, dtype=np.intp).reshape(-1, k)
         self._reps.flags.writeable = False
-        self.orbit = orbit
-        self.translator = translator
-        self._rank = _combination_ranker(group.size, k)
+        # entry i*n + g ranks the sorted subset elements[g] * representatives[i]
+        ranks = self._rank(np.sort(group.right_columns(self._reps), axis=-1)).T.ravel()
+        order = np.argsort(ranks)
+        self.family, (self.orbit, self.translator) = ranks[order], np.divmod(order, n)
+        # a rank met twice lies in a smaller orbit or in two representatives'
+        # orbits; the later representative of each such pair is at fault
+        pairs = self.orbit[np.flatnonzero(np.diff(self.family) == 0)[:, None] + [0, 1]]
+        if pairs.size:
+            first, last = pairs.min(axis=1), pairs.max(axis=1)
+            i = int(last.min())
+            subset, earlier = tuple(self._reps[i].tolist()), first[(last == i) & (first < i)]
+            if earlier.size:
+                raise VoltliftError(f"{subset} repeats the orbit of representative "
+                                    f"{tuple(self._reps[earlier[0]].tolist())}")
+            size = 1 + np.count_nonzero(np.diff(np.sort(ranks[i * n:(i + 1) * n])))
+            raise NotFreeAction(f"orbit of {subset} has {size} < {n} elements; "
+                                "action is not free", subset=subset)
 
     @property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
@@ -69,9 +86,12 @@ class KSetDecomposition:
         return len(self._reps)
 
     def _lookup(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (orbit, translator) arrays of sorted k-subset rows."""
+        """The (orbit, translator) arrays of sorted k-subset rows, -1 and -1
+        for a subset outside the family."""
         ranks = self._rank(rows)
-        return self.orbit[ranks], self.translator[ranks]
+        at = np.minimum(np.searchsorted(self.family, ranks), self.family.size - 1)
+        hit = self.family[at] == ranks
+        return np.where(hit, self.orbit[at], -1), np.where(hit, self.translator[at], -1)
 
     def locate(self, subset) -> tuple[int, int]:
         """(i, g) with elements[g] * representatives[i] = subset, g an element
@@ -83,73 +103,52 @@ class KSetDecomposition:
         return tuple(int(x) for x in self._lookup(np.array(key, dtype=np.intp)))
 
 
-class _Family(KSetDecomposition):
-    """The free orbits of the given k-subsets only, which must be distinct:
-    ``family`` holds the sorted combination ranks of their translates, and
-    orbit and translator run along it, so nothing is stored per k-subset."""
-
-    def __init__(self, group, k, representatives):
-        super().__init__(group, k, representatives, None, None)
-        # entry i*n + g ranks the sorted subset elements[g] * representatives[i]
-        ranks = self._rank(np.sort(group.right_columns(self._reps), axis=-1)).T.ravel()
-        order = np.argsort(ranks)
-        self.family, (self.orbit, self.translator) = ranks[order], np.divmod(order, group.size)
-        assert (np.diff(self.family) > 0).all(), "the orbits are not free and distinct"
-
-    def _lookup(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ranks = self._rank(rows)
-        at = np.minimum(np.searchsorted(self.family, ranks), self.family.size - 1)
-        hit = self.family[at] == ranks
-        return np.where(hit, self.orbit[at], -1), np.where(hit, self.translator[at], -1)
+def _orbit_minima(group, k: int) -> np.ndarray:
+    """The lexicographic minimum of each left-translation orbit of k-subsets,
+    in rank order: the subsets X that contain element 0 and rank below their
+    other translates that contain 0, g * X with g = elements[0] * x^-1 for x
+    in X.  The candidates are tested a block at a time."""
+    n, rank = group.size, _combination_ranker(group.size, k)
+    # lexicographically, the subsets that contain 0 come first
+    candidates = islice(combinations(range(n), k), math.comb(n - 1, k - 1))
+    step = max(1, BLOCK_ENTRIES // (k * k))
+    minima = []
+    while (block := np.fromiter(islice(candidates, step), dtype=(np.intp, (k,)))).size:
+        # row [b, i] is the translate of block[b] that takes block[b, i] to 0,
+        # block[b] itself at i = 0
+        shifts = group.products(0, group.inverse_indices()[block])
+        ranks = rank(np.sort(group.products(shifts[..., None], block[:, None]), axis=-1))
+        minima.append(block[ranks.argmin(axis=1) == 0])
+    return np.concatenate(minima)
 
 
 def k_set_decomposition(group, k: int, representatives=None) -> KSetDecomposition:
     """Decompose all k-subsets of the group into free left-translation orbits.
 
-    A custom representative list (one subset per orbit, any order) numbers
-    the orbits in its order and bases the voltages on its subsets; the other
-    orbits take their lexicographic minima.  Raises NotFreeAction (reporting
-    the offending subset) as soon as some orbit is smaller than |Gamma|.
+    The representatives are the orbits' lexicographic minima in rank order,
+    or a custom list that names every orbit once, in any order: it numbers
+    the orbits in its order and bases the voltages on its subsets.  Raises
+    NotFreeAction (reporting the offending subset) when some orbit is
+    smaller than |Gamma|.
     """
     n = group.size
     k = _integer(k, "token count")
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
-    rank = _combination_ranker(n, k)
-    user = [] if representatives is None else [
-        tuple(sorted(_integer(i, "representative entry") for i in r)) for r in representatives]
+    if representatives is None:
+        return KSetDecomposition(group, k, _orbit_minima(group, k))
+    user = [tuple(sorted(_integer(i, "representative entry") for i in r))
+            if hasattr(r, "__iter__") else r for r in representatives]
     for r in user:
-        if len(r) != k or len(set(r)) != k or not all(0 <= i < n for i in r):
+        if not (isinstance(r, tuple) and len(r) == len(set(r)) == k
+                and all(0 <= i < n for i in r)):
             raise VoltliftError(f"{r} is not a valid {k}-subset of the group")
-    orbit = np.full(math.comb(n, k), -1, dtype=np.intp)
-    translator = np.empty_like(orbit)
-    reps: list[tuple[int, ...]] = []
-    # the user's subsets first, then in lexicographic (rank) order each subset
-    # not yet reached, which is its orbit's minimum
-    firsts = chain(((int(rank(np.array(r, dtype=np.intp))), r) for r in user),
-                   enumerate(combinations(range(n), k)))
-    for r, subset in firsts:
-        if orbit[r] >= 0:
-            if len(reps) < len(user):
-                raise VoltliftError(
-                    f"{subset} repeats the orbit of representative {reps[orbit[r]]}")
-            continue
-        # row g ranks the sorted subset elements[g] * subset
-        translates = rank(np.sort(group.right_columns(subset), axis=1))
-        # distinct translates by sort and diff; a plain np.unique imports numpy.ma
-        size = 1 + np.count_nonzero(np.diff(np.sort(translates)))
-        if size != n:
-            raise NotFreeAction(
-                f"orbit of {subset} has {size} < {n} elements; action is not free",
-                subset=subset,
-            )
-        orbit[translates] = len(reps)
-        translator[translates] = np.arange(n)
-        reps.append(subset)
-    assert len(reps) * n == math.comb(n, k)
-    if representatives is not None and len(user) != len(reps):
-        raise VoltliftError(f"expected {len(reps)} representatives, got {len(user)}")
-    return KSetDecomposition(group, k, reps, orbit, translator)
+    dec = KSetDecomposition(group, k, user)
+    if dec.family.size != math.comb(n, k):
+        # the count the default decomposition finds, or its NotFreeAction
+        expected = k_set_decomposition(group, k).num_orbits
+        raise VoltliftError(f"expected {expected} representatives, got {len(user)}")
+    return dec
 
 
 def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> list[UnitSymmetry]:
@@ -167,7 +166,7 @@ def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> l
     # family onto itself when it maps each representative into it; every unit
     # fixes S = Gamma \ {e} and the family of all k-subsets: test those empty
     s = connection[:0] if connection.size == m - 1 else connection
-    tested = reps[:0] if dec.num_orbits * m == math.comb(m, dec.k) else reps
+    tested = reps[:0] if dec.family.size == math.comb(m, dec.k) else reps
     in_s = np.zeros(m, dtype=bool)
     in_s[s] = True
 
@@ -192,7 +191,7 @@ def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> l
             generated[coset] = True
             coset = group.coordinate_products(u, coset)
         perm, trans = dec._lookup(np.sort(group.coordinate_products(u, reps), axis=1))
-        symmetries.append(UnitSymmetry(group.elements()[u].key, perm, trans))
+        symmetries.append(UnitSymmetry(group._element_at(u).key, perm, trans))
     return symmetries
 
 
@@ -200,12 +199,10 @@ def _token_base(group, gens: np.ndarray, dec: KSetDecomposition, directed: bool)
     """Base graph on the representatives of ``dec``, one arc rep -> beta with
     voltage g for every move along Cay(group, gens) from rep into the family,
     onto g * beta: its lift is the k-token graph induced on the family."""
-    # heads[i, j, s] is token j of representative i moved along generator s,
-    # read from a table-defined group's columns; the free moves come in
-    # (representative, token, generator) order
+    # heads[i, j, s] is token j of representative i moved along generator s;
+    # the free moves come in (representative, token, generator) order
     reps = dec._reps
-    heads = (group.products(reps[..., None], gens) if isinstance(group, AbelianGroup)
-             else group.right_columns(gens)[reps])
+    heads = group.products(reps[..., None], gens)
     rep, token, gen = np.nonzero((heads[..., None] != reps[:, None, None]).all(axis=-1))
     moved = np.where(np.arange(dec.k) == token[:, None], heads[rep, token, gen, None], reps[rep])
     target, volts = dec._lookup(np.sort(moved, axis=1))
@@ -257,7 +254,7 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     if m < 2 * a[-1] + 1:
         raise InvalidGenerators(f"need m >= 2*a_s+1 = {2*a[-1]+1}, got m={m}")
     group = AbelianGroup(m)
-    edges = _Family(group, 2, [(0, x) for x in a])
+    edges = KSetDecomposition(group, 2, [(0, x) for x in a])
     return _token_base(group, np.arange(1, m, dtype=np.intp), edges, directed=False)
 
 

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import KOutOfRange
+from .errors import DimensionTooLarge, KOutOfRange
 from .graphs import Digraph, Graph, _integer
 
 
@@ -27,7 +27,12 @@ def token_configs(n: int, k: int) -> list[tuple[int, ...]]:
 def _combination_ranker(n: int, k: int):
     """rank(rows) maps each sorted k-subset row c_0 < ... < c_{k-1} of range(n)
     to its lexicographic index, C(n,k) - 1 minus the sum_i C(n-1-c_i, k-i)
-    subsets after it; other rows get meaningless ranks."""
+    subsets after it; other rows get meaningless ranks.  Refuses with
+    DimensionTooLarge a C(n,k) whose ranks do not fit int64."""
+    count = math.comb(n, k)
+    if count >= 2**63:
+        raise DimensionTooLarge(f"C({n}, {k}) = {count} {k}-subsets: "
+                                "their ranks do not fit int64")
     # C(a, b) is the sum of C(j, b - 1) over j < a.  An entry with
     # a - b < n - k sums only such entries; the others are never read and
     # may wrap past int64
@@ -35,7 +40,7 @@ def _combination_ranker(n: int, k: int):
     binom[:, 0] = 1
     for b in range(1, k + 1):
         binom[1:, b] = np.cumsum(binom[:-1, b - 1])
-    return lambda rows: math.comb(n, k) - 1 - binom[n - 1 - rows, np.arange(k, 0, -1)].sum(-1)
+    return lambda rows: count - 1 - binom[n - 1 - rows, np.arange(k, 0, -1)].sum(-1)
 
 
 def _token_moves(arcs: np.ndarray, configs, n: int) -> np.ndarray:

@@ -186,7 +186,10 @@ class VoltageGraph:
                 )
         self.group = group
         self.digraph = digraph
-        self.voltages = tuple(map(group.elements().__getitem__, volts.tolist()))
+        index = volts.tolist()
+        # one element per distinct voltage, not one per group element
+        element = {i: group._element_at(i) for i in set(index)}
+        self.voltages = tuple(map(element.__getitem__, index))
         self.symmetries = tuple(self._checked_symmetry(sym, volts) for sym in symmetries)
 
     def _checked_symmetry(self, sym: UnitSymmetry, volts: np.ndarray) -> UnitSymmetry:

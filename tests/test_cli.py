@@ -488,6 +488,12 @@ def test_exit_code_3_on_numeric_limit(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "--in", str(big), "--method", "direct")
     assert code == 3
     assert "numeric failure" in err
+    # C(70, 35) > 2**63: refused before any subset table is allocated
+    code, out, err = run(capsys, "spectrum", "--token-cayley", "Z70", "--gens", "1",
+                         "--k", "35")
+    assert (code, out) == (3, "")
+    assert err == ("voltlift: numeric failure: C(70, 35) = 112186277816662845432 "
+                   "35-subsets: their ranks do not fit int64\n")
 
 
 def test_johnson_flag_alias(capsys, tmp_path):

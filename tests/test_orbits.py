@@ -15,10 +15,12 @@ import pytest
 
 from voltlift import (
     AbelianGroup,
+    DimensionTooLarge,
     Digraph,
     Graph,
     InvalidGenerators,
     InvalidPairing,
+    KSetDecomposition,
     NotCoprime,
     NotFreeAction,
     cayley_graph,
@@ -35,6 +37,7 @@ from voltlift import (
     VoltliftError,
 )
 from voltlift.graphs import _validate_connection_set
+from voltlift.tokens import _combination_ranker
 from voltlift.voltage import VoltageGraph, match_voltage_pairing
 
 from helpers import dihedral_group, entry
@@ -60,6 +63,72 @@ def test_z4_not_free():
     with pytest.raises(NotFreeAction) as err:
         k_set_decomposition(AbelianGroup(4), 2)
     assert err.value.subset == (0, 2)
+
+
+def _first_small_orbit(group, k):
+    """The lowest-ranked orbit minimum whose orbit is smaller than the
+    group, by enumeration."""
+    els = group.elements()
+    for subset in combinations(range(group.size), k):
+        orbit = {tuple(sorted(group.index_of(g * els[i]) for i in subset)) for g in els}
+        if min(orbit) == subset and len(orbit) < group.size:
+            return subset
+
+
+@pytest.mark.parametrize("group, k", [
+    (AbelianGroup(4), 2), (AbelianGroup(6), 2), (AbelianGroup(6), 3),
+    (AbelianGroup(2, 2, 2), 2), (AbelianGroup(8), 4), (AbelianGroup(2, 4), 2),
+    (dihedral_group(5), 2), (dihedral_group(5), 4), (dihedral_group(7), 2),
+    (dihedral_group(7), 4), (dihedral_group(9), 2), (dihedral_group(9), 3),
+    (dihedral_group(9), 4),
+], ids=lambda x: x.name if hasattr(x, "name") else f"k{x}")
+def test_not_free_reports_the_lowest_ranked_small_orbit(group, k):
+    with pytest.raises(NotFreeAction) as err:
+        k_set_decomposition(group, k)
+    assert err.value.subset == _first_small_orbit(group, k)
+
+
+def test_decomposition_family_runs_along_the_sorted_ranks():
+    group = AbelianGroup(7)
+    reps = [(0, 2, 4), (1, 2, 3)]
+    dec = KSetDecomposition(group, 3, reps)
+    subsets = list(combinations(range(7), 3))
+    els = group.elements()
+    assert dec.family.tolist() == sorted(dec.family.tolist())
+    assert len(dec.family) == dec.num_orbits * 7
+    for r, i, g in zip(dec.family.tolist(), dec.orbit.tolist(), dec.translator.tolist()):
+        assert subsets[r] == tuple(sorted(group.index_of(els[g] * els[x]) for x in reps[i]))
+        assert dec.locate(subsets[r]) == (i, g)
+    # outside the family
+    assert dec._lookup(np.array([0, 1, 3]))[0] == -1
+    with pytest.raises(VoltliftError, match=r"^\(1, 3, 5\) repeats the orbit of "
+                                            r"representative \(0, 2, 4\)$"):
+        KSetDecomposition(group, 3, reps + [(1, 3, 5)])
+    with pytest.raises(NotFreeAction) as err:
+        KSetDecomposition(AbelianGroup(6), 2, [(0, 1), (1, 4), (0, 2)])
+    assert err.value.subset == (1, 4)
+
+
+def test_decompositions_past_int64_ranks_are_refused():
+    with pytest.raises(DimensionTooLarge) as err:
+        k_set_decomposition(AbelianGroup(70), 35)
+    assert str(err.value) == ("C(70, 35) = 112186277816662845432 35-subsets: "
+                              "their ranks do not fit int64")
+    # C(66, 33) < 2**63 <= C(67, 33)
+    with pytest.raises(DimensionTooLarge):
+        _combination_ranker(67, 33)
+    rank = _combination_ranker(66, 33)
+    assert rank(np.arange(33)) == 0
+    assert rank(np.arange(33, 66)) == math.comb(66, 33) - 1
+
+
+def test_builders_make_no_element_per_group_element():
+    """Voltages and unit keys are read from index arrays: a base over
+    Z_100003 makes a dozen elements, not 100,003."""
+    vg = circulant_linegraph_base(100003, [1, 2, 5])
+    assert vg.group._elements is None
+    vg = token_base_graph(AbelianGroup(7, 7), Z7Z7_UNITS, 2)
+    assert vg.symmetries and vg.group._elements is None
 
 
 def test_lift_and_certificate_leave_numpy_ma_unimported():
@@ -223,6 +292,8 @@ def test_custom_representatives_are_checked_in_the_one_pass():
         ([(0, 1, 2), (0, 1), (0, 4), (0, 7)],
          "(0, 1, 2) is not a valid 2-subset of the group"),
         ([(0, 9), (0, 1), (0, 4), (0, 7)], "(0, 9) is not a valid 2-subset of the group"),
+        # a flat list names elements, not subsets
+        ([0, 1, 4, 7], "0 is not a valid 2-subset of the group"),
     ]
     for reps, message in cases:
         with pytest.raises(VoltliftError) as err:
@@ -649,11 +720,29 @@ def test_token_base_graph_matches_per_arc_loop(group, gens, k, kwargs):
     assert (None if vg.pairing is None else tuple(vg.pairing)) == pairing
 
 
-@pytest.mark.parametrize("group, k, reps", [
-    (AbelianGroup(7), 3, None),
+def _rebased(group, k):
+    """The lexicographic representatives in reverse order, the i-th moved
+    to its translate by element i mod |Gamma|."""
+    reps = k_set_decomposition(group, k)._reps[::-1]
+    translates = np.sort(group.right_columns(reps), axis=-1)
+    return [tuple(translates[i % group.size, i].tolist()) for i in range(len(reps))]
+
+
+# every abelian group of order <= 12 with each k coprime to the order, which
+# is when no element fixes a k-subset, and the free D5, D7 cases, k = 2..4
+ABELIAN_TO_12 = [(n,) for n in range(1, 13)] + [(2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6)]
+FREE_DECOMPOSITIONS = [
+    (AbelianGroup(*orders), k, None) for orders in ABELIAN_TO_12
+    for k in range(1, math.prod(orders) + 1) if math.gcd(k, math.prod(orders)) == 1
+] + [(dihedral_group(n), 3, None) for n in (5, 7)] + [
     (AbelianGroup(3, 3), 2, Z3Z3_TABLE_REPS),
-    (dihedral_group(7), 3, None),
-], ids=["z7-k3", "z3xz3-k2-rebased", "d7-k3"])
+    (AbelianGroup(11), 4, _rebased(AbelianGroup(11), 4)),
+    (dihedral_group(7), 3, _rebased(dihedral_group(7), 3)),
+]
+
+
+@pytest.mark.parametrize("group, k, reps", FREE_DECOMPOSITIONS, ids=[
+    f"{g.name.lower()}-k{k}" + ("-rebased" if reps else "") for g, k, reps in FREE_DECOMPOSITIONS])
 def test_locate_matches_dict_lookup(group, k, reps):
     dec = k_set_decomposition(group, k, reps)
     expected_reps, lookup = _dict_decomposition(group, k, reps)
