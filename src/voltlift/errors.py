@@ -51,7 +51,7 @@ class InvalidGenerators(VoltliftError):
 
 
 class DimensionTooLarge(VoltliftError):
-    """Matrix dimension exceeds the supported dense eigensolver cap."""
+    """A size exceeds a cap: the dense solvers' dimension, int64 subset ranks or MAX_SUBSETS."""
 
 
 class NoConvergence(VoltliftError):

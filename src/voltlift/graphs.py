@@ -2,8 +2,9 @@
 
 A :class:`Digraph` is an ordered vertex list with a multiset of arcs.  A
 :class:`Graph` is a :class:`Digraph` whose arcs are matched into digons
-(opposite arc pairs); loops are stored as two parallel self-arcs paired with
-each other.  Everything that reads arcs takes either.
+(opposite arc pairs); a loop is stored as two parallel self-arcs paired with
+each other, or as one self-arc paired with itself, a semi-edge.  Everything
+that reads arcs takes either.
 Vertex order is fixed at construction and determines matrix row order.
 """
 
@@ -180,7 +181,8 @@ class Graph(Digraph):
 
     It shares the labels, label index and arc array of the digraph it is
     built from, and holds the pairing as a read-only integer array: arc i
-    pairs with arc pairing[i]."""
+    pairs with arc pairing[i].  A loop arc may pair with itself: a semi-edge,
+    counted once as an edge."""
 
     def __init__(self, digraph: Digraph, pairing: Sequence[int] | np.ndarray):
         pairing = _integers(pairing, "pairing entry")
@@ -189,15 +191,17 @@ class Graph(Digraph):
         if pairing.shape != (count,):
             raise InvalidPairing("pairing length differs from arc count")
         own = np.arange(count)
+        semi = pairing == own
         # an out-of-range partner is replaced by the arc itself, which is unmatched
         partner = np.where((pairing >= 0) & (pairing < count), pairing, own)
-        unmatched = (partner == own) | (pairing[partner] != own)
+        unmatched = (pairing[partner] != own) | (semi & (arcs[:, 0] != arcs[:, 1]))
         unreversed = (arcs[partner] != arcs[:, ::-1]).any(axis=1) & ~unmatched
         bad = np.flatnonzero(unmatched | unreversed)
         if bad.size:
             i = int(bad[0])
             if unmatched[i]:
-                raise InvalidPairing(f"pairing is not an involutive perfect matching at arc {i}")
+                raise InvalidPairing(f"pairing is not an involutive perfect matching at arc {i}"
+                                     + (": only a loop pairs with itself" if semi[i] else ""))
             raise InvalidPairing(f"arcs {i} and {pairing[i]} are not mutually reversed")
         pairing.flags.writeable = False
         self.labels, self.label_index, self._arcs = digraph.labels, digraph.label_index, arcs
@@ -219,16 +223,16 @@ class Graph(Digraph):
         return tuple(self._pairing.tolist())
 
     def edge_array(self) -> np.ndarray:
-        """One (tail, head) row per digon pair, in first-arc order."""
-        return self._arcs[self._pairing > np.arange(self.arc_count)]
+        """One (tail, head) row per digon pair or semi-edge, in first-arc order."""
+        return self._arcs[self._pairing >= np.arange(self.arc_count)]
 
     def edges(self) -> list[tuple[int, int]]:
-        """One (tail, head) per digon pair, in first-arc order."""
+        """One (tail, head) per digon pair or semi-edge, in first-arc order."""
         return list(map(tuple, self.edge_array().tolist()))
 
     @property
     def edge_count(self) -> int:
-        return self.arc_count // 2
+        return int(np.count_nonzero(self._pairing >= np.arange(self.arc_count)))
 
     def degrees(self) -> list[int]:
         return self.out_degrees()
@@ -248,49 +252,35 @@ class Graph(Digraph):
         return f"Graph({self.n} vertices, {self.edge_count} edges)"
 
 
-def match_digon_pairing(arcs: Sequence[tuple[int, int]], volts=None, group=None) -> np.ndarray:
+def match_digon_pairing(arcs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Match arcs into digons: an intp array whose entry i is the partner of
     arc i, which Graph takes on its dtype alone; raises InvalidPairing if
     impossible.
 
-    With voltages (one element index of `group` per arc), an arc only pairs
-    with a reversed arc that carries the inverse voltage, read from the
-    group's inverse table.  The k-th arc of a key (tail, head[, voltage]), in
-    index order, pairs with the k-th arc of the reverse key, and a key that is
-    its own reverse pairs consecutive arcs: the greedy first-fit match in arc
-    order, found with one lexsort.  On failure the lowest-index arc left over
-    is named, with its voltage as an element key.
+    The k-th arc of a key (tail, head), in index order, pairs with the k-th
+    arc of the reverse key, and a loop key pairs consecutive arcs: the greedy
+    first-fit match in arc order, found with one sort of the keys packed into
+    integers.  On failure the lowest-index arc left over is named.
     """
     a = _integers(arcs, "arc entry").reshape(-1, 2)
-    count = len(a)
-    if not count:
+    if not len(a):
         return np.empty(0, dtype=np.intp)
-    keys, reverse = [a[:, 0], a[:, 1]], [a[:, 1], a[:, 0]]
-    if volts is not None:
-        volts = _integers(volts, "voltage index")
-        keys.append(volts)
-        reverse.append(group.inverse_indices()[volts])
-    # every key and reverse key gets the id of its distinct key tuple; ties
-    # keep position order, so the arcs' own keys come out in index order
-    both = np.concatenate([np.stack(keys), np.stack(reverse)], axis=1)
-    order = np.lexsort(both[::-1])
-    starts = np.r_[True, (np.diff(both[:, order], axis=1) != 0).any(axis=0)]
-    ids = np.empty(2 * count, dtype=np.intp)
-    ids[order] = np.cumsum(starts) - 1
-    key_id, reverse_id = ids[:count], ids[count:]
-    by_key = order[order < count]
-    sizes = np.bincount(key_id, minlength=ids.max() + 1)
-    first = np.cumsum(sizes) - sizes
-    rank = np.empty(count, dtype=np.intp)
-    rank[by_key] = np.arange(count) - first[key_id[by_key]]
-    want = np.where(key_id == reverse_id, rank ^ 1, rank)
-    left = np.flatnonzero(want >= sizes[reverse_id])
+    # the entries renumbered 0..n-1 pack each (tail, head) below n^2 in int64
+    values, dense = np.unique(a, return_inverse=True)
+    n, dense = len(values), dense.reshape(a.shape)
+    key, reverse = dense @ [n, 1], dense @ [1, n]
+    # the arcs by key, in index order within a key, and each one's rank there
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    rank = np.empty(len(a), dtype=np.intp)
+    rank[order] = np.arange(len(a)) - np.searchsorted(ordered, ordered)
+    first, end = np.searchsorted(ordered, reverse), np.searchsorted(ordered, reverse, "right")
+    want = np.where(key == reverse, rank ^ 1, rank)
+    left = np.flatnonzero(want >= end - first)
     if left.size:
         i = int(left[0])
-        key = tuple(a[i].tolist()) + (() if volts is None else (group.elements()[volts[i]].key,))
-        raise InvalidPairing(f"arc {i} {key} has no unmatched reverse"
-                             + ("" if volts is None else " with inverse voltage"))
-    return by_key[first[reverse_id] + want]
+        raise InvalidPairing(f"arc {i} {tuple(a[i].tolist())} has no unmatched reverse")
+    return order[first + want]
 
 
 _JSON_KINDS = {list: "list", dict: "object", int: "integer", bool: "boolean"}

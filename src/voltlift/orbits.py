@@ -16,8 +16,9 @@ k-subsets, or only some: L(Cay(Z_m; +-a)) is F_2(K_m) induced on the edges
 x + {0, a_i}, since two edges are adjacent when they share one end.  A base
 keeps the token moves into the family.  The builders hand voltages to
 VoltageGraph as one integer array of element indices, read from the
-translator; an undirected builder hands over a Graph whose digon pairing
-match_voltage_pairing finds through the group's inverse table.
+translator.  An undirected builder pairs each arc with the reverse token
+move, which it has also made; a move that is its own reverse is a loop
+paired with itself, a semi-edge.
 
 Over an abelian group the builders also record unit symmetries (see
 ``voltage``): a unit u with u*S = S is an automorphism of Cay(Gamma, S) and
@@ -35,10 +36,15 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import BLOCK_ENTRIES, AbelianGroup
-from .errors import InvalidGenerators, KOutOfRange, NotCoprime, NotFreeAction, VoltliftError
+from .errors import (DimensionTooLarge, InvalidGenerators, KOutOfRange, NotCoprime,
+                     NotFreeAction, VoltliftError)
 from .graphs import Digraph, Graph, _integer, _label_to_json, _validate_connection_set
 from .tokens import _combination_ranker
-from .voltage import UnitSymmetry, VoltageGraph, match_voltage_pairing
+from .voltage import UnitSymmetry, VoltageGraph
+
+# the most k-subsets k_set_decomposition takes: its family, orbit and
+# translator arrays hold 24 bytes per subset, 805 MB at this cap
+MAX_SUBSETS = 2**25
 
 
 class KSetDecomposition:
@@ -129,12 +135,18 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
     or a custom list that names every orbit once, in any order: it numbers
     the orbits in its order and bases the voltages on its subsets.  Raises
     NotFreeAction (reporting the offending subset) when some orbit is
-    smaller than |Gamma|.
+    smaller than |Gamma|, and DimensionTooLarge, before any subset is
+    tested, for more than MAX_SUBSETS k-subsets.
     """
     n = group.size
     k = _integer(k, "token count")
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
+    count = math.comb(n, k)
+    if count > MAX_SUBSETS:
+        _combination_ranker(n, k)  # ranks past int64 are refused as such
+        raise DimensionTooLarge(f"C({n}, {k}) = {count} {k}-subsets exceed the cap of "
+                                f"{MAX_SUBSETS} on a k-subset decomposition")
     if representatives is None:
         return KSetDecomposition(group, k, _orbit_minima(group, k))
     user = [tuple(sorted(_integer(i, "representative entry") for i in r))
@@ -144,7 +156,7 @@ def k_set_decomposition(group, k: int, representatives=None) -> KSetDecompositio
                 and all(0 <= i < n for i in r)):
             raise VoltliftError(f"{r} is not a valid {k}-subset of the group")
     dec = KSetDecomposition(group, k, user)
-    if dec.family.size != math.comb(n, k):
+    if dec.family.size != count:
         # the count the default decomposition finds, or its NotFreeAction
         expected = k_set_decomposition(group, k).num_orbits
         raise VoltliftError(f"expected {expected} representatives, got {len(user)}")
@@ -198,8 +210,9 @@ def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> l
 def _token_base(group, gens: np.ndarray, dec: KSetDecomposition, directed: bool) -> VoltageGraph:
     """Base graph on the representatives of ``dec``, one arc rep -> beta with
     voltage g for every move along Cay(group, gens) from rep into the family,
-    onto g * beta: its lift is the k-token graph induced on the family."""
-    # heads[i, j, s] is token j of representative i moved along generator s;
+    onto g * beta: its lift is the k-token graph induced on the family.  An
+    undirected base pairs each arc with its reverse move."""
+    # heads[i, t, s] is token t of representative i moved along generator s;
     # the free moves come in (representative, token, generator) order
     reps = dec._reps
     heads = group.products(reps[..., None], gens)
@@ -207,10 +220,19 @@ def _token_base(group, gens: np.ndarray, dec: KSetDecomposition, directed: bool)
     moved = np.where(np.arange(dec.k) == token[:, None], heads[rep, token, gen, None], reps[rep])
     target, volts = dec._lookup(np.sort(moved, axis=1))
     keep = target >= 0
-    rep, target, volts = rep[keep], target[keep], volts[keep]
+    rep, token, gen, target, volts = rep[keep], token[keep], gen[keep], target[keep], volts[keep]
     digraph = Digraph(dec.representatives, np.stack([rep, target], axis=1))
     if not directed:
-        digraph = Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts, group))
+        # slot[i, t, s] is the arc moving token t of rep_i along s; x = rep_i[t]
+        # moved along s onto g * rep_j comes back as y = g^-1 * x * s of rep_j along s^-1
+        slot = np.empty(heads.shape, dtype=np.intp)
+        slot[rep, token, gen] = np.arange(len(rep))
+        y = group.products(group.inverse_indices()[volts], heads[rep, token, gen])
+        position = (reps[target] == y[:, None]).argmax(axis=1)
+        where = np.empty(group.size, dtype=np.intp)
+        where[gens] = np.arange(len(gens))
+        reverse = where[group.inverse_indices()[gens]]
+        digraph = Graph(digraph, slot[target, position, reverse[gen]])
     return VoltageGraph(group, digraph, volts, symmetries=_unit_symmetries(group, gens, dec))
 
 
@@ -245,7 +267,7 @@ def circulant_linegraph_base(m: int, a_list: Sequence[int]) -> VoltageGraph:
     so this is the 2-token base of K_m on the edge family: one vertex
     {0, a_i}, representing the edges x + {0, a_i}, per generator.  Requires
     0 < a_1 < ... < a_s and m >= 2*a_s + 1, which keeps every edge orbit
-    free and the loop voltages +-a_i away from involutions.
+    free; a_s = m/2 would give the orbit of {0, m/2} only m/2 edges.
     """
     m = _integer(m, "cyclic order")
     a = [_integer(x, "generator") for x in a_list]

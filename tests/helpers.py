@@ -10,7 +10,8 @@ from collections import Counter
 
 import numpy as np
 
-from voltlift import AbelianGroup, Digraph, GenericGroup, Representation, VoltageGraph
+from voltlift import (AbelianGroup, Digraph, GenericGroup, InvalidPairing, Representation,
+                      VoltageGraph)
 
 GROUP_CHOICES = [
     (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (12,), (24,),
@@ -70,6 +71,34 @@ def random_voltage_graph(rng: random.Random) -> VoltageGraph:
             els = group.elements()
             edges = [(0, 0, els[1])]
     return VoltageGraph.undirected_from_edges(group, list(range(n)), edges)
+
+
+def greedy_pairing(arcs, volts=None, group=None, strict=True) -> list[int]:
+    """The bucket search that pairings are checked against: arcs in index
+    order, each matched with the first unmatched other arc of the reverse
+    key; voltages are element indices of `group`, compared as element keys.
+    An arc left without a partner raises InvalidPairing naming it, or stays
+    -1 when not strict."""
+    if volts is None:
+        keys = list(arcs)
+    else:
+        voltages = [group.elements()[w] for w in volts]
+        keys = [(tail, head, w.key) for (tail, head), w in zip(arcs, voltages)]
+    buckets = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    pairing = [-1] * len(arcs)
+    for i, (tail, head) in enumerate(arcs):
+        if pairing[i] != -1:
+            continue
+        want = (head, tail) if volts is None else (head, tail, voltages[i].inverse().key)
+        j = next((k for k in buckets.get(want, []) if pairing[k] == -1 and k != i), None)
+        if j is not None:
+            pairing[i], pairing[j] = j, i
+        elif strict:
+            raise InvalidPairing(f"arc {i} {keys[i]} has no unmatched reverse"
+                                 + ("" if volts is None else " with inverse voltage"))
+    return pairing
 
 
 def unit_orbits(orders, gens) -> list[list[int]]:

@@ -66,7 +66,7 @@ def test_tracer_wraps_every_name_and_uninstall_restores_it():
     recorded = {name for name, *_ in tracer.spans}
     for name in ("orbits.johnson_base", "orbits.token_base_graph",
                  "orbits.circulant_linegraph_base",
-                 "orbits.k_set_decomposition", "voltage.match_voltage_pairing",
+                 "orbits.k_set_decomposition",
                  "spectra.lift_spectrum", "voltage.character_matrix",
                  "voltage.base_matrix", "spectra.eigenvalues", "spectra.group"):
         assert name in recorded, name

@@ -494,6 +494,12 @@ def test_exit_code_3_on_numeric_limit(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert err == ("voltlift: numeric failure: C(70, 35) = 112186277816662845432 "
                    "35-subsets: their ranks do not fit int64\n")
+    # C(40, 20) fits int64 but is past the decomposition's subset cap
+    code, out, err = run(capsys, "spectrum", "--token-cayley", "Z40", "--gens", "1",
+                         "--k", "20")
+    assert (code, out) == (3, "")
+    assert err.startswith("voltlift: numeric failure: C(40, 20) = 137846528820 20-subsets "
+                          "exceed the cap")
 
 
 def test_johnson_flag_alias(capsys, tmp_path):

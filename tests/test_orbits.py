@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import itertools
+import time
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -19,28 +20,31 @@ from voltlift import (
     Digraph,
     Graph,
     InvalidGenerators,
-    InvalidPairing,
     KSetDecomposition,
+    UniversalCoefficients,
     NotCoprime,
     NotFreeAction,
     cayley_graph,
     circulant_linegraph_base,
     complete_graph,
+    direct_spectrum,
     johnson_base,
     johnson_spectrum,
     k_set_decomposition,
     lift_spectrum,
     line_graph,
+    multiset_equal,
     token_base_graph,
     token_graph,
     verify_natural_isomorphism,
     VoltliftError,
 )
 from voltlift.graphs import _validate_connection_set
+from voltlift.orbits import MAX_SUBSETS
 from voltlift.tokens import _combination_ranker
-from voltlift.voltage import VoltageGraph, match_voltage_pairing
+from voltlift.voltage import VoltageGraph
 
-from helpers import dihedral_group, entry
+from helpers import dihedral_group, entry, greedy_pairing
 
 
 def test_z5_two_set_decomposition():
@@ -107,6 +111,16 @@ def test_decomposition_family_runs_along_the_sorted_ranks():
     with pytest.raises(NotFreeAction) as err:
         KSetDecomposition(AbelianGroup(6), 2, [(0, 1), (1, 4), (0, 2)])
     assert err.value.subset == (1, 4)
+
+
+def test_decompositions_past_the_subset_cap_are_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(DimensionTooLarge) as err:
+        k_set_decomposition(AbelianGroup(40), 20)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == ("C(40, 20) = 137846528820 20-subsets exceed the cap of "
+                              f"{MAX_SUBSETS} on a k-subset decomposition")
+    assert math.comb(23, 7) <= MAX_SUBSETS < math.comb(40, 20)
 
 
 def test_decompositions_past_int64_ranks_are_refused():
@@ -231,10 +245,7 @@ def test_johnson_base_sizes_and_row_sums():
 
 
 @pytest.mark.parametrize("n, k", [
-    pytest.param(n, k, marks=[] if n % 2 else pytest.mark.xfail(
-        raises=InvalidPairing, strict=True,
-        reason="the involution n/2 labels a loop, which needs semi-edges"))
-    for n in range(2, 14) for k in range(1, n // 2 + 1) if math.gcd(n, k) == 1
+    (n, k) for n in range(2, 14) for k in range(1, n // 2 + 1) if math.gcd(n, k) == 1
 ], ids=lambda x: str(x))
 def test_johnson_base_lifts_to_the_closed_form(n, k):
     """Exactly the multiplicities of johnson_spectrum(n, k), values to 1e-8."""
@@ -310,13 +321,29 @@ def test_johnson_base_rejects_gcd():
         johnson_base(6, 2)
 
 
-def test_johnson_base_even_n_hits_semi_edge_exclusion():
-    # the involution generator n/2 yields a self-reverse loop arc, which the
-    # undirected machinery rejects rather than silently inventing semi-edges
-    from voltlift import InvalidPairing
+def test_johnson_base_even_n_builds_semi_edges():
+    """The involution generator n/2 moves a token of a representative onto a
+    translate of it by n/2: a loop that is its own reverse move, a semi-edge
+    counted once as an edge and as an arc of the base matrix."""
+    vg = johnson_base(8, 3)
+    pairing = np.array(vg.pairing)
+    semi_edges = np.flatnonzero(pairing == np.arange(len(pairing)))
+    assert semi_edges.tolist() == [37, 47, 82]
+    assert {vg.voltages[i].key for i in semi_edges} == {(4,)}
+    assert (vg.digraph.arc_count, vg.digraph.edge_count) == (105, 54)
+    assert multiset_equal(lift_spectrum(vg), johnson_spectrum(8, 3), 1e-8).equal
+    for n, k in [(8, 3), (10, 3), (12, 5)]:
+        assert verify_natural_isomorphism(johnson_base(n, k), token_graph(complete_graph(n), k)).ok
 
-    with pytest.raises(InvalidPairing):
-        johnson_base(8, 3)
+
+@pytest.mark.parametrize("n, k", [(8, 3), (10, 3)])
+@pytest.mark.parametrize("coeffs", [UniversalCoefficients.laplacian(),
+                                    UniversalCoefficients.signless_laplacian()],
+                         ids=["laplacian", "signless"])
+def test_semi_edge_johnson_base_matches_the_direct_oracle(n, k, coeffs):
+    lifted = lift_spectrum(johnson_base(n, k), coeffs)
+    direct = direct_spectrum(token_graph(complete_graph(n), k), coeffs)
+    assert multiset_equal(lifted, direct, 1e-8).equal
 
 
 def test_f1_base_is_one_vertex_cayley():
@@ -513,8 +540,7 @@ def _four_family_base(m, a):
             residues += family
     volts = np.array(residues, dtype=np.intp) % m
     digraph = Digraph([(0, ai) for ai in a], np.array(arcs, dtype=np.intp))
-    vg = VoltageGraph(group, Graph(digraph, match_voltage_pairing(digraph.arc_array(), volts,
-                                                                    group)), volts)
+    vg = VoltageGraph(group, Graph(digraph, greedy_pairing(digraph.arcs, volts, group)), volts)
     s = {x % m for x in a} | {-x % m for x in a}
     where = {x: j for j, x in enumerate(a)}
     generated, symmetries = {1, m - 1}, []
@@ -695,7 +721,7 @@ def _per_arc_token_base(group, gens, k, representatives=None, directed=False):
                 beta_idx, g_idx = lookup[tuple(sorted(occupied - {i} | {j}))]
                 arcs.append((rep_idx, beta_idx))
                 voltages.append(g_idx)
-    pairing = None if directed else tuple(match_voltage_pairing(arcs, voltages, group))
+    pairing = None if directed else tuple(greedy_pairing(arcs, voltages, group))
     return tuple(reps), tuple(arcs), tuple(els[g].key for g in voltages), pairing
 
 

@@ -36,7 +36,7 @@ from voltlift import (
     voltage_graph_from_json,
 )
 
-from helpers import dihedral_group, dihedral_irreps, entry, random_voltage_graph
+from helpers import dihedral_group, dihedral_irreps, entry, greedy_pairing, random_voltage_graph
 
 Z5 = AbelianGroup(5)
 
@@ -89,13 +89,15 @@ def test_c5_base_lifts_to_token_digraph():
 
 
 @pytest.mark.parametrize(
-    "k, gens",
-    [(5, [1, 6]), (5, [1, 6, 2, 5]), (3, [1, 6, 2, 5])],
-    ids=["k5-r1", "k5-r1-r2", "k3-r1-r2"],
+    "n, k, gens",
+    [(7, 5, [1, 6]), (7, 5, [1, 6, 2, 5]), (7, 3, [1, 6, 2, 5]), (7, 3, [1, 6, 7]),
+     (11, 3, [1, 10, 11])],
+    ids=["k5-r1", "k5-r1-r2", "k3-r1-r2", "k3-r1-s", "D11-k3-r1-s"],
 )
-def test_dihedral_token_base_matches_oracles(k, gens):
-    group = dihedral_group(7)
-    irreps = dihedral_irreps(group, 7)
+def test_dihedral_token_base_matches_oracles(n, k, gens):
+    """S = {r, r^-1, s} gives the reflection s loops that are semi-edges."""
+    group = dihedral_group(n)
+    irreps = dihedral_irreps(group, n)
     assert all(check_representation(group, rho).passed for rho in irreps)
     vg = token_base_graph(group, gens, k)
     target = token_graph(cayley_graph(group, gens), k)
@@ -426,11 +428,26 @@ def test_pairing_rejects_non_inverse_voltages():
 
 
 def test_involution_loop_rejected():
+    """Only a semi-edge with the identity voltage is refused over Z4."""
     group = AbelianGroup(4)
-    with pytest.raises(InvalidPairing):
-        VoltageGraph.undirected_from_edges(group, [0], [(0, 0, 2)])
-    with pytest.raises(InvalidPairing):
-        VoltageGraph.undirected_from_edges(group, [0], [(0, 0, 0)])
+    # a loop pair with the involution 2 lifts to the doubled matching {h, h + 2}
+    pair = VoltageGraph.undirected_from_edges(group, [0], [(0, 0, 2)])
+    assert pair.lift().edge_count == 4
+    assert pair.lift().edges() == [(0, 2), (1, 3), (2, 0), (3, 1)]
+    # a semi-edge with voltage 2 lifts to that matching once
+    loop = Digraph([0], [(0, 0)])
+    semi = VoltageGraph(group, Graph(loop, [0]), [2])
+    assert semi.digraph.edge_count == 1
+    assert semi.lift().edge_count == 2
+    assert semi.lift().edges() == [(0, 2), (1, 3)]
+    with pytest.raises(InvalidPairing) as err:
+        VoltageGraph(group, Graph(loop, [0]), [0])
+    assert str(err.value) == ("semi-edge 0 carries the identity voltage, "
+                              "which would lift to half-loops")
+    with pytest.raises(InvalidPairing) as err:
+        Graph(Digraph([0, 1], [(0, 1), (1, 0)]), [0, 1])
+    assert str(err.value) == ("pairing is not an involutive perfect matching at arc 0: "
+                              "only a loop pairs with itself")
     # an involution voltage on a plain edge is an ordinary digon
     vg = VoltageGraph.undirected_from_edges(group, [0, 1], [(0, 1, 2)])
     assert vg.lift().edge_count == 4
@@ -444,6 +461,17 @@ def test_voltage_json_round_trip():
         assert again.digraph.arcs == vg.digraph.arcs
         assert again.voltages == vg.voltages
         assert again.pairing == vg.pairing
+
+
+def test_semi_edge_base_json_round_trip():
+    vg = johnson_base(8, 3)
+    data = json.loads(json.dumps(vg.to_json()))
+    assert data["arcs"][37]["paired_with"] == 37
+    again = voltage_graph_from_json(data)
+    assert again.to_json() == vg.to_json()
+    lift, lifted_again = vg.lift(), again.lift()
+    assert lifted_again.labels == lift.labels
+    assert lifted_again.arcs == lift.arcs and lifted_again.pairing == lift.pairing
 
 
 @pytest.mark.parametrize("make, undirected", [
@@ -524,31 +552,6 @@ def test_base_matrix_render():
     assert text.splitlines()[0].startswith("1/z + z")
 
 
-def _greedy_pairing(arcs, volts=None, group=None):
-    """The bucket search that match_digon_pairing replaced: arcs in index
-    order, each matched with the first unmatched arc of the reverse key;
-    voltages are element indices of `group`, compared as element keys."""
-    if volts is None:
-        keys = list(arcs)
-    else:
-        voltages = [group.elements()[w] for w in volts]
-        keys = [(tail, head, w.key) for (tail, head), w in zip(arcs, voltages)]
-    buckets = {}
-    for i, key in enumerate(keys):
-        buckets.setdefault(key, []).append(i)
-    pairing = [-1] * len(arcs)
-    for i, (tail, head) in enumerate(arcs):
-        if pairing[i] != -1:
-            continue
-        want = (head, tail) if volts is None else (head, tail, voltages[i].inverse().key)
-        j = next((k for k in buckets.get(want, []) if pairing[k] == -1 and k != i), None)
-        if j is None:
-            raise InvalidPairing(f"arc {i} {keys[i]} has no unmatched reverse"
-                                 + ("" if volts is None else " with inverse voltage"))
-        pairing[i], pairing[j] = j, i
-    return pairing
-
-
 def _outcome(fn, *args):
     """fn(*args), an ndarray as a list, or the InvalidPairing message it raises."""
     try:
@@ -573,36 +576,31 @@ PAIRING_BUILDERS = {
     "Z3xZ3-k2": (lambda: token_base_graph(AbelianGroup(3, 3),
                                           [(1, 0), (2, 0), (0, 1), (0, 2)], 2), None),
     "D7-k3": (_d7_builder([1, 6, 2, 5], 3), None),
-    "J(8,3)": (lambda: johnson_base(8, 3),
-               "arc 37 (2, 2, (4,)) has no unmatched reverse with inverse voltage"),
-    "J(4,1)": (lambda: johnson_base(4, 1),
-               "arc 1 (0, 0, (2,)) has no unmatched reverse with inverse voltage"),
-    "D7-reflection": (_d7_builder([1, 6, 7], 3),
-                      "arc 39 (6, 6, 9) has no unmatched reverse with inverse voltage"),
+    # the involution voltage 4 and the reflection 9 = r^2 s label semi-edges,
+    # the first of them at these arcs
+    "J(8,3)": (lambda: johnson_base(8, 3), 37),
+    "J(4,1)": (lambda: johnson_base(4, 1), 1),
+    "D7-reflection": (_d7_builder([1, 6, 7], 3), 39),
 }
 
 
 @pytest.mark.parametrize("name", list(PAIRING_BUILDERS))
-def test_builder_pairing_matches_greedy_loop(name, monkeypatch):
-    from voltlift import orbits
-    from voltlift.voltage import match_voltage_pairing
-
-    calls = []
-
-    def checked(arcs, volts, group):
-        want = _outcome(_greedy_pairing, _as_tuples(arcs), volts.tolist(), group)
-        assert _outcome(match_voltage_pairing, arcs, volts, group) == want
-        calls.append(want)
-        return match_voltage_pairing(arcs, volts, group)
-
-    monkeypatch.setattr(orbits, "match_voltage_pairing", checked)
-    build, message = PAIRING_BUILDERS[name]
-    built = _outcome(build)
-    assert len(calls) == 1
-    if message is None:
-        assert list(built.pairing) == calls[0]
-    else:
-        assert built == calls[0] == f"InvalidPairing: {message}"
+def test_builder_pairing_matches_greedy_loop(name):
+    """The reverse-move pairing is the greedy voltage-aware match wherever
+    that pairs, and the arcs it leaves over are the semi-edges."""
+    build, first_semi_edge = PAIRING_BUILDERS[name]
+    built = build()
+    pairing = np.array(built.pairing)
+    volts = [w.index for w in built.voltages]
+    want = np.array(greedy_pairing(built.digraph.arcs, volts, built.group, strict=False))
+    paired = want >= 0
+    assert np.array_equal(pairing[paired], want[paired])
+    semi_edges = np.flatnonzero(pairing == np.arange(len(pairing)))
+    assert np.array_equal(semi_edges, np.flatnonzero(~paired))
+    assert semi_edges[:1].tolist() == ([] if first_semi_edge is None else [first_semi_edge])
+    tails, heads = built.digraph.arc_array()[semi_edges].T
+    inverses = built.group.inverse_indices()[np.array(volts)[semi_edges]]
+    assert (tails == heads).all() and np.array_equal(inverses, np.array(volts)[semi_edges])
 
 
 @pytest.mark.parametrize("name", ["J(7,3)", "L(C12;2,3)", "Z3xZ3-k2", "D7-k3"])
@@ -703,43 +701,26 @@ def test_voltage_graph_names_a_refused_numpy_voltage_as_a_list_would():
         assert str(err.value) == "Z5 element coordinate 1.0 is not an integer"
 
 
-def test_d7_reflection_pairing_message():
-    # the reflection 9 = r^2 s is its own inverse, so its loop has no partner
-    with pytest.raises(InvalidPairing) as err:
-        token_base_graph(dihedral_group(7), [1, 6, 7], 3)
-    assert str(err.value) == "arc 39 (6, 6, 9) has no unmatched reverse with inverse voltage"
-
-
 def test_random_voltage_graph_pairing_matches_greedy_loop():
     from voltlift.graphs import match_digon_pairing
-    from voltlift.voltage import match_voltage_pairing
 
-    undirected = 0
     for seed in range(80):
-        vg = random_voltage_graph(random.Random(seed))
-        arcs = vg.digraph.arcs
-        assert _outcome(match_digon_pairing, arcs) == _outcome(_greedy_pairing, arcs)
-        if vg.undirected:
-            undirected += 1
-            volts = [w.index for w in vg.voltages]
-            want = _greedy_pairing(arcs, volts, vg.group)
-            assert match_voltage_pairing(arcs, volts, vg.group).tolist() == want
-            assert match_voltage_pairing(vg.digraph.arc_array(), np.array(volts),
-                                         vg.group).tolist() == want
-    assert undirected > 20
+        arcs = random_voltage_graph(random.Random(seed)).digraph.arcs
+        assert _outcome(match_digon_pairing, arcs) == _outcome(greedy_pairing, arcs)
 
 
 @pytest.mark.parametrize("group", [AbelianGroup(4), AbelianGroup(2, 2), dihedral_group(3)],
                          ids=["Z4", "Z2xZ2", "D3"])
 def test_pairing_matches_greedy_loop_on_random_arcs(group):
     """Few vertices and many loops, parallel arcs and involutions: keys
-    repeat, reverse keys go missing and loop counts come out odd."""
+    repeat, reverse keys go missing and loop counts come out odd.  Where the
+    arcs pair, VoltageGraph takes the voltages exactly when paired arcs carry
+    mutually inverse ones, involutions on loop pairs included."""
     from voltlift.graphs import match_digon_pairing
-    from voltlift.voltage import match_voltage_pairing
 
     rng = random.Random(f"pairing/{group!r}")
     els = group.elements()
-    outcomes = set()
+    outcomes, accepted = set(), set()
     for _ in range(300):
         n = rng.randint(1, 3)
         half = [(rng.randrange(n), rng.randrange(n), rng.choice(els))
@@ -754,14 +735,16 @@ def test_pairing_matches_greedy_loop_on_random_arcs(group):
             del arcs[-1], volts[-1]
         if arcs and rng.random() < 0.3:
             volts[0] = rng.choice(els)
-        volts = [w.index for w in volts]
-        want = _outcome(_greedy_pairing, arcs, volts, group)
-        assert _outcome(match_voltage_pairing, arcs, volts, group) == want
-        assert _outcome(match_voltage_pairing, np.array(arcs, dtype=np.intp).reshape(-1, 2),
-                        np.array(volts, dtype=np.intp), group) == want
-        assert _outcome(match_digon_pairing, arcs) == _outcome(_greedy_pairing, arcs)
+        want = _outcome(greedy_pairing, arcs)
+        assert _outcome(match_digon_pairing, arcs) == want
+        assert _outcome(match_digon_pairing, np.array(arcs, dtype=np.intp).reshape(-1, 2)) == want
         outcomes.add(isinstance(want, str))
-    assert outcomes == {True, False}
+        if not isinstance(want, str):
+            inverse = all(volts[j] == volts[i].inverse() for i, j in enumerate(want))
+            built = _outcome(VoltageGraph, group, Graph(Digraph(range(n), arcs), want), volts)
+            assert isinstance(built, VoltageGraph) == inverse
+            accepted.add(inverse)
+    assert outcomes == accepted == {True, False}
 
 
 @pytest.mark.parametrize("arcs, message", [
@@ -775,7 +758,7 @@ def test_graph_json_pairing_errors_match_greedy_loop(arcs, message):
 
     data = {"vertices": [0, 1, 2], "arcs": [list(a) for a in arcs], "undirected": True}
     assert _outcome(graph_from_json, data) == f"InvalidPairing: {message}"
-    assert _outcome(_greedy_pairing, arcs) == f"InvalidPairing: {message}"
+    assert _outcome(greedy_pairing, arcs) == f"InvalidPairing: {message}"
 
 
 def test_plain_pairing_matches_greedy_loop():
@@ -784,25 +767,25 @@ def test_plain_pairing_matches_greedy_loop():
     z12, z34 = AbelianGroup(12), AbelianGroup(3, 4)
     for graph in [cayley_graph(z12, [1, 11, 6]), cayley_graph(z34, [(1, 0), (2, 0), (0, 2)]),
                   cayley_graph(dihedral_group(5), [1, 4, 5, 7])]:
-        assert list(graph.pairing) == _greedy_pairing(graph.arcs)
+        assert list(graph.pairing) == greedy_pairing(graph.arcs)
     arcs = [[0, 1], [1, 0], [0, 1], [1, 2], [1, 0], [2, 1],
             [0, 0], [0, 0], [1, 1], [1, 1], [0, 0], [0, 0]]
     graph = graph_from_json({"vertices": [0, 1, 2], "arcs": arcs, "undirected": True})
-    assert list(graph.pairing) == _greedy_pairing(_as_tuples(arcs))
+    assert list(graph.pairing) == greedy_pairing(_as_tuples(arcs))
     assert graph.pairing == (1, 0, 4, 5, 2, 3, 7, 6, 9, 8, 11, 10)
 
 
-def _voltage_checks_loop(group, digraph, voltages, pairing):
-    """The per-arc inverse and involution-loop checks that VoltageGraph
-    replaced; the message of the first failure, or None."""
+def _voltage_checks_loop(group, voltages, pairing):
+    """VoltageGraph's voltage rule arc by arc: paired arcs carry mutually
+    inverse voltages, and a semi-edge not the identity; the message of the
+    first failure, or None."""
     voltages = [group.element(v) for v in voltages]
-    loops = [tail == head for tail, head in digraph.arcs]
     for i, j in enumerate(pairing):
         if voltages[j] != voltages[i].inverse():
             return f"InvalidPairing: arcs {i} and {j} carry voltages that are not mutually inverse"
-        if loops[i] and voltages[i] == voltages[i].inverse():
-            return ("InvalidPairing: loop with involution voltage needs "
-                    "semi-edge semantics (unsupported)")
+        if i == j and voltages[i] == group.identity:
+            return (f"InvalidPairing: semi-edge {i} carries the identity voltage, "
+                    "which would lift to half-loops")
     return None
 
 
@@ -817,13 +800,17 @@ def _voltage_checks_loop(group, digraph, voltages, pairing):
      [1, 0, 3, 2]),
     (dihedral_group(4), [(0, 1), (1, 0), (1, 1), (1, 1)], [1, 3, 5, 5], [1, 0, 3, 2]),
     (dihedral_group(4), [(0, 1), (1, 0), (1, 1), (1, 1)], [1, 2, 1, 3], [1, 0, 3, 2]),
+    (AbelianGroup(4), [(0, 1), (1, 0), (0, 0)], [1, 3, 2], [1, 0, 2]),
+    (AbelianGroup(4), [(0, 1), (1, 0), (0, 0)], [1, 3, 0], [1, 0, 2]),
+    (AbelianGroup(4), [(0, 0), (0, 1), (1, 0)], [1, 1, 3], [0, 2, 1]),
+    (dihedral_group(4), [(1, 1), (0, 1), (1, 0)], [5, 1, 3], [0, 2, 1]),
 ], ids=["non-inverse-second-pair", "non-inverse-first", "involution-loop", "loop-non-inverse",
         "identity-loop-after-pair", "involution-loop-first", "Z2xZ2-loop", "D4-reflection-loop",
-        "D4-non-inverse"])
+        "D4-non-inverse", "involution-semi-edge", "identity-semi-edge", "semi-edge-non-involution",
+        "D4-reflection-semi-edge"])
 def test_voltage_graph_checks_match_loop(group, arcs, voltages, pairing):
-    from voltlift import Digraph
-
+    """Refused with the loop's first message, or built when it has none."""
     graph = Graph(Digraph([0, 1], arcs), pairing)
-    want = _voltage_checks_loop(group, graph, voltages, pairing)
-    assert want is not None
-    assert _outcome(VoltageGraph, group, graph, voltages) == want
+    got = _outcome(VoltageGraph, group, graph, voltages)
+    assert (None if isinstance(got, VoltageGraph) else got) == \
+        _voltage_checks_loop(group, voltages, pairing)
