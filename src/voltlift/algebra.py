@@ -9,16 +9,20 @@ group holds one read-only (n, n) index table, validated by array operations.
 Cyclic orders, table entries and element coordinates are integers (anything
 with __index__, numpy integers too); floats and strings are refused.
 
+Inside the package an element is its index in that order: ``indices(keys)``
+reads keys where input comes in and ``keys(indices)`` writes them where
+output goes out, and the group law acts on index arrays.
+
 A character of an abelian group is its index tuple j = (j1, ..., jr),
-normalized as the residue tuple of an element; ``character_values(j)``
-returns its values on every element.  A representation holds one read-only
-(|G|, d, d) array of matrices in element order.
+normalized as the residue tuple of an element; ``character_values(j, at)``
+returns its values at the element indices ``at``, at every element by
+default.  A representation holds one read-only (|G|, d, d) array of
+matrices in element order.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -33,11 +37,11 @@ BLOCK_ENTRIES = 2**15
 
 
 class GroupElement:
-    """An element of a finite group; immutable and hashable.
+    """A labelled element of a finite group; immutable and hashable.
 
     ``key`` is a residue tuple for abelian groups and a table index for
-    generic groups.  Elements multiply with ``*`` and invert with
-    ``.inverse()``; mixing parents raises :class:`MismatchedGroups`.
+    generic groups.  Elements do no arithmetic: the group law works on
+    element indices.
     """
 
     __slots__ = ("group", "key")
@@ -48,12 +52,6 @@ class GroupElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.op(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return self.group.inv(self)
 
     @property
     def index(self) -> int:
@@ -78,7 +76,49 @@ def _require_same_group(a, b):
         raise MismatchedGroups(f"elements of {a!r} and {b!r} cannot be combined")
 
 
-class AbelianGroup:
+class _Group:
+    """What both kinds of group share: ``indices`` reads keys, each by the
+    subclass's ``_key_index``; ``keys``, ``element`` and ``elements`` write."""
+
+    def element(self, key) -> GroupElement:
+        """The element of one key, as ``indices`` reads it."""
+        return GroupElement(self, self.keys(self.indices([key]))[0])
+
+    @property
+    def identity(self) -> GroupElement:
+        return GroupElement(self, self.keys([self._identity_index])[0])
+
+    def elements(self) -> tuple[GroupElement, ...]:
+        """All elements in enumeration order, made on first use."""
+        return self._elements
+
+    @cached_property
+    def _elements(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(self, key) for key in self.keys(np.arange(self.size)))
+
+    def indices(self, keys) -> np.ndarray:
+        """The intp array of element indices of keys or of this group's
+        elements.  A one-dimensional integer ndarray holds element indices,
+        the form the builders hand over, and is only range-checked."""
+        if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu" and keys.ndim == 1:
+            outside = keys[(keys < 0) | (keys >= self.size)]
+            if outside.size:
+                raise VoltliftError(f"element index {outside[0]} out of range for {self.name}")
+            return keys.astype(np.intp)
+        out = []
+        for key in keys:
+            if isinstance(key, GroupElement):
+                _require_same_group(key.group, self)
+                key = key.key
+            out.append(self._key_index(key))
+        return np.array(out, dtype=np.intp)
+
+    def inverse_indices(self) -> np.ndarray:
+        """Read-only array of shape (|G|,): entry a is index(elements[a]^-1)."""
+        return self._inverse
+
+
+class AbelianGroup(_Group):
     """Z_{n1} x ... x Z_{nr} with componentwise addition of residues."""
 
     def __init__(self, *orders: int):
@@ -94,47 +134,32 @@ class AbelianGroup:
         self.size = math.prod(orders)
         # strides for the mixed-radix index of a residue tuple
         self._strides = tuple(math.prod(orders[i + 1:]) for i in range(self.rank))
-        self._elements: tuple[GroupElement, ...] | None = None
 
     is_abelian = True
+    _identity_index = 0
 
     @property
     def name(self) -> str:
         return "x".join(f"Z{n}" for n in self.orders)
 
-    def element(self, coords) -> GroupElement:
-        """Coerce an integer (rank 1), a sequence of integer coordinates, or
-        an element; integers are anything with __index__."""
-        if isinstance(coords, GroupElement):
-            _require_same_group(coords.group, self)
-            return coords
-        items = coords if hasattr(coords, "__iter__") else (coords,)
+    def _key_index(self, key) -> int:
+        """The index of a key: a sequence of integer coordinates, or one
+        integer at rank 1, each reduced mod its order; integers are anything
+        with __index__ but bool."""
         what = f"{self.name} element coordinate"
-        coords = tuple(_integer(c, what) for c in items)
+        coords = [_integer(c, what) for c in (key if hasattr(key, "__iter__") else (key,))]
         if len(coords) != self.rank:
             raise VoltliftError(f"{self.name} element needs {self.rank} coordinates")
-        return GroupElement(self, tuple(c % n for c, n in zip(coords, self.orders)))
+        return sum(c % n * s for c, n, s in zip(coords, self.orders, self._strides))
 
-    @property
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.rank)
-
-    def elements(self) -> tuple[GroupElement, ...]:
-        """All elements in lexicographic coordinate order."""
-        if self._elements is None:
-            self._elements = tuple(
-                GroupElement(self, key)
-                for key in itertools.product(*(range(n) for n in self.orders))
-            )
-        return self._elements
+    def keys(self, indices) -> list[tuple[int, ...]]:
+        """The residue tuples of element indices: their mixed-radix digits."""
+        digits = np.unravel_index(np.asarray(indices, dtype=np.intp), self.orders)
+        return list(zip(*(d.tolist() for d in digits)))
 
     def index_of(self, el: GroupElement) -> int:
         _require_same_group(el.group, self)
         return sum(c * s for c, s in zip(el.key, self._strides))
-
-    def _element_at(self, index: int) -> GroupElement:
-        """elements()[index], its key read from the coordinate table."""
-        return GroupElement(self, tuple(self._coords[:, index].tolist()))
 
     @cached_property
     def _coords(self) -> np.ndarray:
@@ -160,10 +185,6 @@ class AbelianGroup:
             out += ((c.reshape((-1,) + (1,) * idx.ndim) + c[idx]) % n) * stride
         return out
 
-    def inverse_indices(self) -> np.ndarray:
-        """Read-only array of shape (|G|,): entry a is index(elements[a]^-1)."""
-        return self._inverse
-
     def _index(self, coords) -> np.ndarray:
         """Element indices of the residue tuples coords[:, ...], reduced mod n_k."""
         return sum((c % n) * stride for c, n, stride in zip(coords, self.orders, self._strides))
@@ -188,20 +209,22 @@ class AbelianGroup:
         return np.flatnonzero(np.all([np.gcd(c, n) == 1 for c, n in zip(coords, self.orders)],
                                      axis=0))
 
-    def character_values(self, j) -> np.ndarray:
-        """Values of the character j on all elements, in enumeration order.
+    def character_values(self, j, at=None) -> np.ndarray:
+        """Values of the character j at the element indices ``at``, or on all
+        elements in enumeration order.
 
-        chi_j(g) = exp(2*pi*i * sum_k j_k g_k / n_k); j is normalized as an
-        element's coordinates are.  With L = lcm(n_1, ..., n_r) the phase is
-        the exact integer p = sum_k j_k g_k (L / n_k) mod L, and the value
-        is the group's root exp(2*pi*i * p / L) of the correctly rounded
-        p / L: every element's phase at once, then one gather from the roots.
+        chi_j(g) = exp(2*pi*i * sum_k j_k g_k / n_k); j is a key, as
+        ``indices`` reads it.  With L = lcm(n_1, ..., n_r) the phase is the
+        exact integer p = sum_k j_k g_k (L / n_k) mod L, and the value is the
+        group's root exp(2*pi*i * p / L) of the correctly rounded p / L:
+        every phase at once, then one gather from the roots.
         """
-        j = self.element(j).key
+        j = np.unravel_index(self.indices([j])[0], self.orders)
+        coords = self._coords if at is None else np.unravel_index(at, self.orders)
         roots = self._roots
         period = len(roots)
         phases = sum(c * (jk * (period // n))
-                     for c, jk, n in zip(self._coords, j, self.orders)) % period
+                     for c, jk, n in zip(coords, j, self.orders)) % period
         return roots[phases]
 
     @cached_property
@@ -212,17 +235,6 @@ class AbelianGroup:
         return np.array([complex(1.0)]
                         + [cmath.exp(2j * math.pi * (p / period)) for p in range(1, period)],
                         dtype=complex)
-
-    def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        _require_same_group(a.group, self)
-        _require_same_group(b.group, self)
-        return GroupElement(
-            self, tuple((x + y) % n for x, y, n in zip(a.key, b.key, self.orders))
-        )
-
-    def inv(self, a: GroupElement) -> GroupElement:
-        _require_same_group(a.group, self)
-        return GroupElement(self, tuple((-x) % n for x, n in zip(a.key, self.orders)))
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, AbelianGroup)
@@ -260,7 +272,7 @@ def _light_generators(t: np.ndarray, e: int) -> Iterator[int]:
             reached |= hit
 
 
-class GenericGroup:
+class GenericGroup(_Group):
     """A finite group given by a row-major multiplication table of indices.
 
     The group holds one read-only (n, n) intp table, its inverse array and
@@ -308,7 +320,6 @@ class GenericGroup:
         self._identity_index = e
         self.size = n
         self._name = name or f"G{n}"
-        self._elements = tuple(GroupElement(self, i) for i in range(n))
         self._hash = hash(t.tobytes())
 
     @property
@@ -319,38 +330,26 @@ class GenericGroup:
     def is_abelian(self) -> bool:
         return np.array_equal(self._table, self._table.T)
 
-    def element(self, index) -> GroupElement:
-        """Coerce an integer table index (anything with __index__) or an element."""
-        if isinstance(index, GroupElement):
-            _require_same_group(index.group, self)
-            return index
-        index = _integer(index, f"{self.name} element coordinate")
+    def _key_index(self, key) -> int:
+        """A key's index: the key, a table index (anything with __index__ but
+        bool) in range."""
+        index = _integer(key, f"{self.name} element coordinate")
         if not 0 <= index < self.size:
             raise VoltliftError(f"element index {index} out of range for {self.name}")
-        return GroupElement(self, index)
+        return index
 
-    @property
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self._identity_index)
-
-    def elements(self) -> tuple[GroupElement, ...]:
-        return self._elements
+    def keys(self, indices) -> list[int]:
+        """The keys of element indices: the indices, as ints."""
+        return np.asarray(indices, dtype=np.intp).tolist()
 
     def index_of(self, el: GroupElement) -> int:
         _require_same_group(el.group, self)
         return el.key
 
-    def _element_at(self, index: int) -> GroupElement:
-        return self._elements[index]
-
     def right_columns(self, idx) -> np.ndarray:
         """Array of shape (|G|,) + idx.shape: entry [a, ...] is
         index(elements[a] * elements[idx[...]]), read from the table."""
         return self._table[:, np.asarray(idx, dtype=np.intp)]
-
-    def inverse_indices(self) -> np.ndarray:
-        """Read-only array of shape (|G|,): entry a is index(elements[a]^-1)."""
-        return self._inverse
 
     def products(self, a, b) -> np.ndarray:
         """index(elements[a] * elements[b]), elementwise over broadcast index arrays."""
@@ -359,15 +358,6 @@ class GenericGroup:
     def character_values(self, j):
         raise NonAbelianGroup("characters are defined for abelian groups only; "
                               "use irreducible representations")
-
-    def op(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        _require_same_group(a.group, self)
-        _require_same_group(b.group, self)
-        return GroupElement(self, self._table.item(a.key, b.key))
-
-    def inv(self, a: GroupElement) -> GroupElement:
-        _require_same_group(a.group, self)
-        return GroupElement(self, self._inverse.item(a.key))
 
     @classmethod
     def from_group(cls, group, name: str | None = None) -> "GenericGroup":
@@ -419,7 +409,22 @@ def enumerate_characters(group: AbelianGroup) -> list[tuple[int, ...]]:
     """
     if not isinstance(group, AbelianGroup):
         raise NonAbelianGroup("characters are defined for abelian groups only")
-    return list(itertools.product(*(range(n) for n in group.orders)))
+    return group.keys(np.arange(group.size))
+
+
+def _stacked(group, mats: dict) -> np.ndarray:
+    """One (|G|, d, d) complex array from a {element index: square matrix}
+    dict that names every element."""
+    missing = [i for i in range(group.size) if i not in mats]
+    if missing:
+        raise IncompleteRepresentation(f"representation misses {len(missing)} element(s), "
+                                       f"e.g. {GroupElement(group, group.keys(missing[:1])[0])!r}")
+    mats = [np.asarray(mats[i], dtype=complex) for i in range(group.size)]
+    if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+        raise VoltliftError("representation matrices must be square")
+    if len({m.shape for m in mats}) > 1:
+        raise VoltliftError("representation matrices have mixed dimensions")
+    return np.array(mats)
 
 
 class Representation:
@@ -431,34 +436,18 @@ class Representation:
     """
 
     def __init__(self, group, matrices: Mapping[GroupElement, np.ndarray]):
-        els = group.elements()
-        position = {el.key: i for i, el in enumerate(els)}
-        checked = [group]  # key groups already compared with `group`
-        slots = [None] * group.size
-        for el, m in matrices.items():
+        for el in matrices:
             if not isinstance(el, GroupElement):
                 raise VoltliftError(f"representation key {el!r} is not a group element")
-            if not any(el.group is g for g in checked):
-                _require_same_group(el.group, group)
-                checked.append(el.group)
-            slots[position[el.key]] = m
-        missing = [el for el, m in zip(els, slots) if m is None]
-        if missing:
-            raise IncompleteRepresentation(
-                f"representation misses {len(missing)} element(s), e.g. {missing[0]!r}"
-            )
-        mats = [np.asarray(m, dtype=complex) for m in slots]
-        if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
-            raise VoltliftError("representation matrices must be square")
-        if len({m.shape for m in mats}) > 1:
-            raise VoltliftError("representation matrices have mixed dimensions")
-        self._store(group, np.array(mats))
+        # each distinct group among the keys is compared with `group` once
+        for key_group in {id(el.group): el.group for el in matrices}.values():
+            _require_same_group(key_group, group)
+        at = group.indices([el.key for el in matrices]).tolist()
+        self._store(group, _stacked(group, dict(zip(at, matrices.values()))))
 
     def _store(self, group, matrices: np.ndarray):
         matrices.flags.writeable = False
-        self.group = group
-        self.matrices = matrices
-        self.dimension = int(matrices.shape[-1])
+        self.group, self.matrices, self.dimension = group, matrices, int(matrices.shape[-1])
 
     @classmethod
     def _from_array(cls, group, matrices: np.ndarray) -> "Representation":
@@ -474,9 +463,6 @@ class Representation:
     @classmethod
     def trivial(cls, group) -> "Representation":
         return cls._from_array(group, np.ones((group.size, 1, 1), dtype=complex))
-
-    def matrix(self, el: GroupElement) -> np.ndarray:
-        return self.matrices[self.group.index_of(el)]
 
 
 class RepresentationReport:
@@ -546,8 +532,8 @@ def representations_from_json(group, data) -> list[Representation]:
             d = math.isqrt(len(values))
             if d * d != len(values):
                 raise VoltliftError(f"{where} element {key} matrix is not square")
-            mats[group.elements()[int(key)]] = np.array(values, dtype=complex).reshape(d, d)
-        reps.append(Representation(group, mats))
+            mats[int(key)] = np.array(values, dtype=complex).reshape(d, d)
+        reps.append(Representation._from_array(group, _stacked(group, mats)))
     return reps
 
 

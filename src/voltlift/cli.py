@@ -11,6 +11,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from . import reference
 from .algebra import (
     AbelianGroup,
@@ -37,6 +39,7 @@ from .orbits import (
 )
 from .spectra import (
     Spectrum,
+    _check_direct_size,
     _checked_tol,
     _order,
     character_spectra,
@@ -93,10 +96,11 @@ def parse_group(text: str) -> AbelianGroup:
 
 
 def parse_generators(group: AbelianGroup, text: str, symmetrize: bool = True):
-    """Comma-separated generators; rank-2 factors of order <= 9 use
-    concatenated digits (10, 01), otherwise bracketed tuples like [1,0].
-    Undirected use symmetrizes the list with inverses."""
-    gens = []
+    """Comma-separated generators as an intp array of element indices; rank-2
+    factors of order <= 9 use concatenated digits (10, 01), otherwise
+    bracketed tuples like [1;0].  Undirected use appends, in order, each
+    inverse not yet in the list."""
+    coords_list = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -114,15 +118,16 @@ def parse_generators(group: AbelianGroup, text: str, symmetrize: bool = True):
                 coords = [-c for c in coords]
         else:
             raise CliError(f"cannot parse generator {chunk!r}")
-        gens.append(group.element(coords))
-    if not gens:
+        coords_list.append(coords)
+    if not coords_list:
         raise CliError("empty generator list")
+    gens = group.indices(coords_list).tolist()
     if symmetrize:
+        inverse = group.inverse_indices().tolist()
         for g in list(gens):
-            inv = g.inverse()
-            if inv not in gens:
-                gens.append(inv)
-    return gens
+            if inverse[g] not in gens:
+                gens.append(inverse[g])
+    return np.array(gens, dtype=np.intp)
 
 
 def parse_representatives(group: AbelianGroup, text: str):
@@ -136,9 +141,8 @@ def parse_representatives(group: AbelianGroup, text: str):
             if group.rank != 1 and len(member) != group.rank:
                 raise CliError(f"representative element {member!r} needs {group.rank} digits")
             digits = [member] if group.rank == 1 else member
-            coords = _numbers(digits, int, f"representative element {member!r}")
-            subset.append(group.element(coords).index)
-        subsets.append(tuple(sorted(subset)))
+            subset.append(_numbers(digits, int, f"representative element {member!r}"))
+        subsets.append(tuple(sorted(group.indices(subset).tolist())))
     return subsets
 
 
@@ -270,8 +274,10 @@ def cmd_spectrum(args) -> int:
             raise CliError("universal coefficients are not supported with --method irreps")
         spectrum = rep_spectrum(vg, irreps)
     else:
-        graph = source.lift() if isinstance(source, VoltageGraph) else source
-        spectrum = direct_spectrum(graph, coeffs)
+        if isinstance(source, VoltageGraph):
+            _check_direct_size(source.n * source.group.size)
+            source = source.lift()
+        spectrum = direct_spectrum(source, coeffs)
     text = spectrum.to_csv()
     if per_char:
         text = per_char + "\n" + text
@@ -311,6 +317,7 @@ def cmd_verify(args) -> int:
         _print(f"FAIL isomorphism: {result.detail}")
         return 1
 
+    _check_direct_size(vg.n * vg.group.size)
     oracle = direct_spectrum(vg.lift() if target is None else target())
     cmp = multiset_equal(lift_spectrum(vg), oracle, args.tol)
     if cmp.equal:

@@ -64,9 +64,11 @@ class UniversalCoefficients:
 
 
 def _integer(value, what: str) -> int:
-    """value as an int (anything with __index__), else a VoltliftError naming
-    it as `what`: floats and strings are refused, not truncated."""
+    """value as an int (anything with __index__ but bool), else a VoltliftError
+    naming it as `what`: floats, strings and booleans are refused."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         shown = value.item() if isinstance(value, np.generic) else value
@@ -403,14 +405,14 @@ def directed_cycle(n: int) -> Digraph:
 def _validate_connection_set(group, gens, directed: bool) -> np.ndarray:
     """The connection set as an intp array of element indices: non-empty, no
     repeats, no identity, and closed under inverses unless directed."""
-    idx = np.array([group.element(s).index for s in gens], dtype=np.intp)
+    idx = group.indices(gens)
     if not idx.size:
         raise VoltliftError("connection set must be non-empty")
     ordered = np.sort(idx)
     # repeats by sort and diff; a plain np.unique imports numpy.ma
     if (np.diff(ordered) == 0).any():
         raise VoltliftError("connection set has repeated generators")
-    if (idx == group.identity.index).any():
+    if (idx == group._identity_index).any():
         raise IdentityInS("connection set must not contain the identity")
     # without repeats, S is inverse-closed when its inverses sort to S
     if not directed and not np.array_equal(np.sort(group.inverse_indices()[idx]), ordered):
@@ -426,7 +428,7 @@ def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
     inverse-closed connection set.
     """
     gens = _validate_connection_set(group, gens, directed)
-    labels = [el.key for el in group.elements()]
+    labels = group.keys(np.arange(group.size))
     tails = np.repeat(np.arange(group.size), len(gens))
     digraph = Digraph(labels, np.stack([tails, group.right_columns(gens).ravel()], axis=1))
     if directed:

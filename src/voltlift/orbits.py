@@ -190,10 +190,10 @@ def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> l
     step = max(1, BLOCK_ENTRIES // max(s.size, tested.size, 1))
     fixes = np.concatenate([passes(candidates[i:i + step, None])
                             for i in range(0, candidates.size, step)])
-    one = group.element([1] * group.rank).index
+    one = group.indices([[1] * group.rank])[0]
     generated = np.zeros(m, dtype=bool)
     generated[[one, group.inverse_indices()[one]]] = True
-    symmetries = []
+    recorded = []
     for u in candidates[fixes].tolist():
         if generated[u]:
             continue
@@ -202,9 +202,9 @@ def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> l
         while not generated[coset[0]]:
             generated[coset] = True
             coset = group.coordinate_products(u, coset)
-        perm, trans = dec._lookup(np.sort(group.coordinate_products(u, reps), axis=1))
-        symmetries.append(UnitSymmetry(group._element_at(u).key, perm, trans))
-    return symmetries
+        recorded.append(u)
+    return [UnitSymmetry(unit, *dec._lookup(np.sort(group.coordinate_products(u, reps), axis=1)))
+            for u, unit in zip(recorded, group.keys(recorded))]
 
 
 def _token_base(group, gens: np.ndarray, dec: KSetDecomposition, directed: bool) -> VoltageGraph:
@@ -313,8 +313,7 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Digraph) -> Isomorphism
     certificate, or the first violating vertex/arc.
     """
     group = vg.group
-    els = group.elements()
-    m = len(els)
+    m = group.size
     n = target.n
 
     # row rep*m + g: the sorted indices of elements[g] * rep
@@ -336,7 +335,7 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Digraph) -> Isomorphism
             base_label = vg.digraph.labels[pos // m]
             return IsomorphismResult(
                 False,
-                detail=f"({base_label}, {els[pos % m].key}) maps to {images[pos]}, "
+                detail=f"({base_label}, {group.keys([pos % m])[0]}) maps to {images[pos]}, "
                        "not a target vertex",
             )
         return IsomorphismResult(False, detail=f"map hits target vertex {images[pos]} twice")

@@ -277,8 +277,8 @@ def _character_orbits(vg: VoltageGraph) -> tuple[list[int], list[bool]]:
     """
     group, m = vg.group, vg.group.size
     inverse = group.inverse_indices().tolist()
-    maps = [group.coordinate_products(group.element(sym.unit).index, np.arange(m)).tolist()
-            for sym in vg.symmetries]
+    units = group.indices([sym.unit for sym in vg.symmetries])
+    maps = group.coordinate_products(units[:, None], np.arange(m)).tolist()
     first = [-1] * m
     conjugated = [False] * m
     for i in range(m):
@@ -348,12 +348,17 @@ def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation]) -> Spectrum
         for rho in irreps]))
 
 
+def _check_direct_size(vertices: int) -> None:
+    """DimensionTooLarge for more vertices than the direct route solves."""
+    if vertices > MAX_DIMENSION:
+        raise DimensionTooLarge(f"{vertices} vertices exceed the {MAX_DIMENSION} cap")
+
+
 def direct_spectrum(graph: Digraph,
                     coeffs: UniversalCoefficients | None = None) -> Spectrum:
     """Brute-force spectrum of the universal matrix (adjacency by default)."""
     coeffs = coeffs or UniversalCoefficients.adjacency()
-    if graph.n > MAX_DIMENSION:
-        raise DimensionTooLarge(f"{graph.n} vertices exceed the {MAX_DIMENSION} cap")
+    _check_direct_size(graph.n)
     return Spectrum.group(eigenvalues(graph.universal_matrix(coeffs)))
 
 

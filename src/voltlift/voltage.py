@@ -13,7 +13,7 @@ every g there is a lift arc (u, g) -> (v, g*w), paired with the lift arc
 (v, g*w) -> (u, g) of a's partner.  So a semi-edge at u with voltage g
 lifts to the edges {(u, h), (u, h*g)}: a perfect matching of the fibre of u.
 
-Voltages are given as elements or coordinates, or as one integer ndarray of
+Voltages are given as keys or elements, or as one integer ndarray of
 element indices, the form the builders in ``orbits`` hand over; either way
 they are checked as one index array and stored as elements.  The pairing
 is the base ``Graph``'s own; the builders hand it over as an intp array,
@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import AbelianGroup, Representation, group_from_json
+from .algebra import AbelianGroup, GroupElement, Representation, group_from_json
 from .errors import InvalidPairing, LengthMismatch, MismatchedGroups, VoltliftError
 from .graphs import (
     Digraph,
@@ -65,9 +65,8 @@ def _entry_str(group, entry: dict[int, int]) -> str:
                           for g, c in sorted(entry.items()))
     names = ["z"] if group.rank == 1 else [f"z{i+1}" for i in range(group.rank)]
     parts = []
-    for g, coeff in entry.items():
-        sym = tuple(x if x <= n // 2 else x - n
-                    for x, n in zip(group._element_at(g).key, group.orders))
+    for key, coeff in zip(group.keys(list(entry)), entry.values()):
+        sym = tuple(x if x <= n // 2 else x - n for x, n in zip(key, group.orders))
         parts.append((sum(abs(e) for e in sym), sym, coeff))
     parts.sort(key=lambda p: p[:2])
     rendered = []
@@ -104,28 +103,28 @@ class BaseMatrix:
         return tuple(map(tuple, entries))
 
     def _scatter(self, mats: np.ndarray) -> np.ndarray:
-        """Block matrix with block (u, v) = sum count * mats[g], from one d x d
-        matrix per group element; d*|V| square.  One unbuffered scatter adds
-        the terms to 0 in table order, so each block sums its terms in
-        first-occurrence order, as a term-by-term loop does."""
+        """Block matrix with block (u, v) = sum count * mats[t] over the terms
+        t of entry (u, v), from one d x d matrix per term; d*|V| square.  One
+        unbuffered scatter adds the terms to 0 in table order, so each block
+        sums its terms in first-occurrence order, as a term-by-term loop does."""
         d, n = mats.shape[-1], self.n
-        rows, cols, volts, counts = self.terms
+        rows, cols, _, counts = self.terms
         out = np.zeros((n, d, n, d), dtype=complex)
         # out.transpose(0, 2, 1, 3)[u, v] is block (u, v), a view
-        np.add.at(out.transpose(0, 2, 1, 3), (rows, cols), counts[:, None, None] * mats[volts])
+        np.add.at(out.transpose(0, 2, 1, 3), (rows, cols), counts[:, None, None] * mats)
         return out.reshape(n * d, n * d)
 
     def evaluate(self, j) -> np.ndarray:
-        """Entrywise evaluation at the character with index tuple j; complex
-        |V| x |V| matrix."""
-        return self._scatter(self.group.character_values(j)[:, None, None])
+        """Entrywise evaluation at the character with index tuple j, read at
+        the terms' voltages only; complex |V| x |V| matrix."""
+        return self._scatter(self.group.character_values(j, self.terms[2])[:, None, None])
 
     def apply_representation(self, rho: Representation) -> np.ndarray:
         """Block matrix with block (u, v) = sum coeff * rho(g); d*|V| square."""
         if rho.group != self.group:
             raise MismatchedGroups("representation group differs from base matrix group")
         # an equal group object enumerates its elements in the same order
-        return self._scatter(rho.matrices)
+        return self._scatter(rho.matrices[self.terms[2]])
 
     def __str__(self) -> str:
         cells = [[_entry_str(self.group, entry) for entry in row] for row in self.entries]
@@ -154,7 +153,7 @@ class VoltageGraph:
         if isinstance(voltages, np.ndarray) and voltages.dtype.kind in "iu":
             volts = voltages  # element indices
         else:
-            volts = np.fromiter((group.element(v).index for v in voltages), dtype=np.intp)
+            volts = group.indices(voltages)
         if volts.shape != (digraph.arc_count,):
             raise VoltliftError("need exactly one voltage per arc")
         outside = volts[(volts < 0) | (volts >= group.size)]
@@ -163,7 +162,7 @@ class VoltageGraph:
         if isinstance(digraph, Graph):
             pairing = digraph._pairing
             not_inverse = volts[pairing] != group.inverse_indices()[volts]
-            identity_semi = (pairing == np.arange(len(pairing))) & (volts == group.identity.index)
+            identity_semi = (pairing == np.arange(len(pairing))) & (volts == group._identity_index)
             bad = np.flatnonzero(not_inverse | identity_semi)
             if bad.size:
                 i = int(bad[0])
@@ -176,7 +175,8 @@ class VoltageGraph:
         self.digraph = digraph
         index = volts.tolist()
         # one element per distinct voltage, not one per group element
-        element = {i: group._element_at(i) for i in set(index)}
+        distinct = list(set(index))
+        element = {i: GroupElement(group, key) for i, key in zip(distinct, group.keys(distinct))}
         self.voltages = tuple(map(element.__getitem__, index))
         self.symmetries = tuple(self._checked_symmetry(sym, volts) for sym in symmetries)
 
@@ -188,8 +188,8 @@ class VoltageGraph:
         group, n = self.group, self.n
         if not isinstance(group, AbelianGroup):
             raise VoltliftError("unit symmetries need an abelian group")
-        u = group.element(sym.unit)
-        unit, elements = u.key, group.coordinate_products(u.index, np.arange(group.size))
+        u = group.indices([sym.unit])
+        unit, elements = group.keys(u)[0], group.coordinate_products(u, np.arange(group.size))
         perm, trans = (np.array(a, dtype=np.intp) for a in sym[1:])
         perm.flags.writeable = trans.flags.writeable = False
         if np.bincount(elements, minlength=group.size).max() != 1:
@@ -217,11 +217,11 @@ class VoltageGraph:
                         - np.searchsorted(sorted_keys, mapped, "left"))
 
             a = int(np.flatnonzero(count(ordered) > count(arcs))[0])
-            labels, els = self.digraph.labels, group.elements()
+            labels, (w, image) = self.digraph.labels, group.keys([volts[a], images[a]])
             raise VoltliftError(
                 f"symmetry {unit} maps arc {a} ({labels[tails[a]]} -> {labels[heads[a]]}, "
-                f"voltage {els[volts[a]].key}) to {labels[perm[tails[a]]]} -> "
-                f"{labels[perm[heads[a]]]} with voltage {els[images[a]].key}, "
+                f"voltage {w}) to {labels[perm[tails[a]]]} -> "
+                f"{labels[perm[heads[a]]]} with voltage {image}, "
                 "more often than the base graph has that arc")
         return UnitSymmetry(unit, perm, trans)
 
@@ -244,12 +244,12 @@ class VoltageGraph:
 
     @classmethod
     def undirected_from_edges(cls, group, labels, edges) -> "VoltageGraph":
-        """Build from (u, v, voltage) triples; each becomes a Graph.from_edges digon."""
-        ends, voltages = [], []
-        for u, v, w in edges:
-            w = group.element(w)
-            ends.append((u, v))
-            voltages += [w, w.inverse()]
+        """Build from (u, v, voltage) triples; each becomes a Graph.from_edges
+        digon, whose arcs carry the voltage and its inverse."""
+        edges = list(edges)
+        ends = [(u, v) for u, v, _ in edges]
+        volts = group.indices([w for _, _, w in edges])
+        voltages = np.stack([volts, group.inverse_indices()[volts]], axis=1).ravel()
         return cls(group, Graph.from_edges(labels, ends), voltages)
 
     @classmethod
@@ -259,11 +259,9 @@ class VoltageGraph:
 
     def lift(self) -> Graph | Digraph:
         """The lift on V x Gamma (base-major vertex order)."""
-        els = self.group.elements()
-        m = len(els)
-        labels = [
-            (label, el.key) for label in self.digraph.labels for el in els
-        ]
+        m = self.group.size
+        keys = self.group.keys(np.arange(m))
+        labels = [(label, key) for label in self.digraph.labels for key in keys]
         base = self.digraph.arc_array()
         volts = np.fromiter((w.index for w in self.voltages), dtype=np.intp,
                             count=len(self.voltages))
@@ -306,7 +304,7 @@ class VoltageGraph:
         out = coeffs.c1 * b
         out += np.diag(np.asarray(self.digraph.out_degrees(), dtype=float)) * coeffs.c2
         out += np.eye(self.n) * coeffs.c3
-        if coeffs.c4 and not any(self.group.element(j).key):
+        if coeffs.c4 and self.group.indices([j])[0] == 0:
             out += coeffs.c4 * self.group.size * np.ones((self.n, self.n))
         return out
 
@@ -346,7 +344,7 @@ def voltage_graph_from_json(data: dict) -> VoltageGraph:
     group = group_from_json(_json_field(data, "group", (dict,), what))
     labels = tuple(_label_from_json(label)
                    for label in _json_field(data, "vertices", (list,), what))
-    arcs, voltages, pairing = [], [], []
+    arcs, keys, pairing = [], [], []
     for i, arc in enumerate(_json_field(data, "arcs", (list,), what)):
         where = f"{what} arcs[{i}]"
         arcs.append((_json_field(arc, "tail", (int,), where),
@@ -354,9 +352,9 @@ def voltage_graph_from_json(data: dict) -> VoltageGraph:
         voltage = _json_field(arc, "voltage", (list, int), where)
         coords = _json_indices(voltage if isinstance(voltage, list) else [voltage], where)
         if isinstance(group, AbelianGroup):
-            voltages.append(group.element(coords))
+            keys.append(coords)
         elif len(coords) == 1:
-            voltages.append(group.element(coords[0]))
+            keys.append(coords[0])
         else:
             raise VoltliftError(f"{where} voltage must be one element index")
         p = arc.get("paired_with")
@@ -369,7 +367,8 @@ def voltage_graph_from_json(data: dict) -> VoltageGraph:
         raise InvalidPairing(f"{what} is {'un' if undirected else ''}directed, but arcs[{i}] "
                              f"has {'no' if undirected else 'a'} paired_with partner")
     digraph = Digraph(labels, arcs)
-    return VoltageGraph(group, Graph(digraph, pairing) if undirected else digraph, voltages)
+    return VoltageGraph(group, Graph(digraph, pairing) if undirected else digraph,
+                        group.indices(keys))
 
 
 def lift_eigenvector(vg: VoltageGraph, x, j) -> np.ndarray:

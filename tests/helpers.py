@@ -19,6 +19,29 @@ GROUP_CHOICES = [
 ]
 
 
+def group_law(group):
+    """(multiply, invert) on element indices, from the law the group was
+    built with: residues added mod the cyclic orders in lexicographic
+    order, or the multiplication table a GenericGroup was given.  It reads
+    neither the group's products nor its inverse table, so a test can judge
+    them by it."""
+    if isinstance(group, AbelianGroup):
+        keys = list(itertools.product(*(range(n) for n in group.orders)))
+        index = {key: i for i, key in enumerate(keys)}
+
+        def multiply(a, b):
+            return index[tuple((x + y) % n for x, y, n in zip(keys[a], keys[b], group.orders))]
+
+        def invert(a):
+            return index[tuple(-x % n for x, n in zip(keys[a], group.orders))]
+
+        return multiply, invert
+    n, table = group.size, group.to_json()["table"]
+    identity = next(e for e in range(n) if table[e * n:(e + 1) * n] == list(range(n)))
+    inverse = [next(b for b in range(n) if table[a * n + b] == identity) for a in range(n)]
+    return (lambda a, b: table[a * n + b]), inverse.__getitem__
+
+
 def entry(group, *keys) -> dict[int, int]:
     """The base-matrix entry {voltage index: arc count} of one arc per key."""
     return dict(Counter(group.element(key).index for key in keys))
@@ -52,7 +75,7 @@ def random_voltage_graph(rng: random.Random) -> VoltageGraph:
                 arcs.append((i, perm[i]))
                 voltages.append(w)
         return VoltageGraph(group, Digraph(range(n), arcs), voltages)
-    non_involution = [g for g in els if g != g.inverse()]
+    non_involution = [g for g in els if g.key != tuple(-x % n for x, n in zip(g.key, group.orders))]
     edges = []
     for _ in range(rng.randint(1, 7)):
         u = rng.randrange(n)
@@ -82,8 +105,8 @@ def greedy_pairing(arcs, volts=None, group=None, strict=True) -> list[int]:
     if volts is None:
         keys = list(arcs)
     else:
-        voltages = [group.elements()[w] for w in volts]
-        keys = [(tail, head, w.key) for (tail, head), w in zip(arcs, voltages)]
+        els, invert = group.elements(), group_law(group)[1]
+        keys = [(tail, head, els[w].key) for (tail, head), w in zip(arcs, volts)]
     buckets = {}
     for i, key in enumerate(keys):
         buckets.setdefault(key, []).append(i)
@@ -91,7 +114,7 @@ def greedy_pairing(arcs, volts=None, group=None, strict=True) -> list[int]:
     for i, (tail, head) in enumerate(arcs):
         if pairing[i] != -1:
             continue
-        want = (head, tail) if volts is None else (head, tail, voltages[i].inverse().key)
+        want = (head, tail) if volts is None else (head, tail, els[invert(volts[i])].key)
         j = next((k for k in buckets.get(want, []) if pairing[k] == -1 and k != i), None)
         if j is not None:
             pairing[i], pairing[j] = j, i

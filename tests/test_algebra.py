@@ -27,7 +27,7 @@ from voltlift import (
 )
 from voltlift import algebra
 
-from helpers import dihedral_group, dihedral_irreps, s3_group_and_irreps
+from helpers import dihedral_group, dihedral_irreps, group_law, s3_group_and_irreps
 
 Z5 = AbelianGroup(5)
 Z7 = AbelianGroup(7)
@@ -41,11 +41,11 @@ def loops(group, voltages):
 
 
 def test_group_op_z5():
-    assert Z5.element(3) * Z5.element(4) == Z5.element(2)
+    assert Z5.products(*Z5.indices([3, 4])) == Z5.indices([(3 + 4) % 5])[0]
 
 
 def test_group_op_z3z3_inverse_pair():
-    assert Z33.element((2, 1)) * Z33.element((1, 2)) == Z33.identity
+    assert Z33.products(*Z33.indices([(2, 1), (1, 2)])) == Z33.identity.index
 
 
 def test_element_normalization_and_index():
@@ -59,27 +59,27 @@ def test_generic_group_matches_abelian_on_all_pairs():
     generic = GenericGroup.from_group(Z5)
     for a in range(5):
         for b in range(5):
-            left = generic.op(generic.element(a), generic.element(b)).key
-            right = Z5.op(Z5.element(a), Z5.element(b)).index
-            assert left == right
+            assert generic.products(a, b) == (a + b) % 5
     assert generic.is_abelian
 
 
 @pytest.mark.parametrize("group", [AbelianGroup(3, 4), AbelianGroup(7),
                                    s3_group_and_irreps()[0]], ids=["Z3xZ4", "Z7", "S3"])
 def test_right_columns_are_products(group):
-    els = group.elements()
-    idx = np.array([[0, 1, 2], [5 % len(els), 2, 2]])
+    multiply = group_law(group)[0]
+    idx = np.array([[0, 1, 2], [5 % group.size, 2, 2]])
     cols = group.right_columns(idx)
-    assert cols.shape == (len(els),) + idx.shape
-    for a, x in enumerate(els):
+    assert cols.shape == (group.size,) + idx.shape
+    for a in range(group.size):
         for pos, b in np.ndenumerate(idx):
-            assert cols[(a,) + pos] == group.index_of(x * els[b])
+            assert cols[(a,) + pos] == multiply(a, b)
 
 
 def test_mismatched_groups_raises():
     with pytest.raises(MismatchedGroups):
-        Z5.element(1) * Z7.element(1)
+        Z5.indices([Z7.element(1)])
+    with pytest.raises(MismatchedGroups):
+        Z5.element(Z7.element(1))
 
 
 def test_generic_group_rejects_non_latin():
@@ -311,7 +311,7 @@ def test_generic_group_rejects_a_different_hash_without_reading_tables(monkeypat
     compared = _count_table_comparisons(monkeypatch)
     assert s3 != z6 and z6 != s3 and not s3 == z6
     with pytest.raises(MismatchedGroups):
-        s3.element(1) * z6.element(1)
+        s3.indices([z6.element(1)])
     assert not compared
     # equal copies still compare their tables
     copy = GenericGroup(np.reshape(z6.to_json()["table"], (6, 6)).tolist())
@@ -324,7 +324,7 @@ def test_inverse_indices_are_element_inverses(group):
     inv = group.inverse_indices()
     # computed once per group and shared read-only
     assert inv.dtype == np.intp and not inv.flags.writeable and group.inverse_indices() is inv
-    assert inv.tolist() == [el.inverse().index for el in group.elements()]
+    assert inv.tolist() == list(map(group_law(group)[1], range(group.size)))
 
 
 def test_same_group_object_skips_equality(monkeypatch):
@@ -334,12 +334,12 @@ def test_same_group_object_skips_equality(monkeypatch):
                         lambda self, other: calls.append(1) or eq(self, other))
     group = AbelianGroup(3, 4)
     a, b = group.element((1, 2)), group.element((2, 3))
-    assert (a * b).index == group.element((0, 1)).index and a.inverse().index == 10
+    assert group.indices([a, b]).tolist() == [6, 11] and a.index == 6
     assert not calls
-    assert group.element((1, 2)) * AbelianGroup(3, 4).element((0, 1)) == group.element((1, 3))
+    assert group.indices([AbelianGroup(3, 4).element((0, 1))]).tolist() == [1]
     assert calls
     with pytest.raises(MismatchedGroups, match=r"AbelianGroup\(4,\) and AbelianGroup\(3, 4\)"):
-        a * AbelianGroup(4).element(1)
+        group.indices([AbelianGroup(4).element(1)])
 
 
 def test_enumerate_characters_counts():
@@ -380,13 +380,12 @@ def test_evaluate_row_entry_at_trivial():
 def test_evaluate_is_multiplicative():
     # chi(g h) = chi(g) chi(h) on every pair, for every character
     for group in (Z5, Z33, AbelianGroup(2, 4)):
-        els = group.elements()
+        multiply = group_law(group)[0]
         for j in enumerate_characters(group):
             chi = group.character_values(j)
-            for g in els:
-                for h in els:
-                    assert chi[(g * h).index] == pytest.approx(chi[g.index] * chi[h.index],
-                                                               abs=1e-12)
+            for g in range(group.size):
+                for h in range(group.size):
+                    assert chi[multiply(g, h)] == pytest.approx(chi[g] * chi[h], abs=1e-12)
 
 
 def test_character_orthogonality():
@@ -529,12 +528,46 @@ G3 = GenericGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     (Z5, 2.0, "Z5 element coordinate 2.0 is not an integer"),
     (Z5, "1", "Z5 element coordinate '1' is not an integer"),
     (Z5, None, "Z5 element coordinate None is not an integer"),
+    (Z5, True, "Z5 element coordinate True is not an integer"),
+    (G3, np.True_, "G3 element coordinate True is not an integer"),
 ], ids=["generic-float", "generic-str", "abelian-float-coordinate", "abelian-float",
-        "abelian-str", "abelian-none"])
+        "abelian-str", "abelian-none", "abelian-bool", "generic-numpy-bool"])
 def test_element_rejects_non_integer_coordinates(group, value, message):
     with pytest.raises(VoltliftError) as err:
         group.element(value)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("group, keys", [
+    (Z5, [(0,), (3,), (4,), (1,)]),
+    (Z33, [(0, 0), (2, 1), (1, 2), (2, 2)]),
+    (G3, [0, 2, 1, 2]),
+], ids=["rank-1", "rank-2", "generic"])
+def test_keys_of_indices_are_the_keys(group, keys):
+    idx = group.indices(keys)
+    assert idx.dtype == np.intp and idx.tolist() == [group.element(key).index for key in keys]
+    assert group.keys(idx) == keys and group.keys(idx[:0]) == []
+    assert group.keys(np.arange(group.size)) == [el.key for el in group.elements()]
+    # elements of the group and index arrays read as themselves
+    assert group.indices(group.elements()).tolist() == list(range(group.size))
+    assert group.indices(idx).tolist() == idx.tolist()
+
+
+def test_indices_reduce_coordinates_and_name_refused_keys():
+    assert Z5.indices([7, -1, np.int64(3)]).tolist() == [2, 4, 3]
+    assert Z33.indices([(5, -1), np.array([1, 5])]).tolist() == [8, 5]
+    for group, keys, message in [
+        (Z5, [1, 2.0], "Z5 element coordinate 2.0 is not an integer"),
+        (Z33, [(1, 0), 4], "Z3xZ3 element needs 2 coordinates"),
+        (Z33, [(1, 0, 2)], "Z3xZ3 element needs 2 coordinates"),
+        (G3, [1, 3], "element index 3 out of range for G3"),
+        (G3, [-1], "element index -1 out of range for G3"),
+        (G3, np.array([0, 3]), "element index 3 out of range for G3"),
+        (Z5, np.array([5, 1]), "element index 5 out of range for Z5"),
+    ]:
+        with pytest.raises(VoltliftError) as err:
+            group.indices(keys)
+        assert str(err.value) == message
 
 
 def test_element_accepts_numpy_integers():
@@ -612,11 +645,11 @@ def _old_check_representation(rho):
     eye = np.eye(rho.dimension)
     hom_err = 0.0
     uni_err = 0.0
-    for g in rho.group.elements():
-        mg = rho.matrix(g)
+    multiply, mats = group_law(rho.group)[0], rho.matrices
+    for g, mg in enumerate(mats):
         uni_err = max(uni_err, float(np.abs(mg @ mg.conj().T - eye).max()))
-        for h in rho.group.elements():
-            err = np.abs(rho.matrix(g * h) - mg @ rho.matrix(h)).max()
+        for h, mh in enumerate(mats):
+            err = np.abs(mats[multiply(g, h)] - mg @ mh).max()
             hom_err = max(hom_err, float(err))
     return hom_err, uni_err
 

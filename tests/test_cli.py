@@ -502,6 +502,23 @@ def test_exit_code_3_on_numeric_limit(capsys, tmp_path):
                           "exceed the cap")
 
 
+def test_direct_cap_is_refused_before_the_graph_is_built(capsys, monkeypatch):
+    """J(17,5) lifts to 6188 vertices, past the direct cap: both commands
+    refuse from the base's n*|G| without building the lift or the target."""
+    from voltlift import cli
+
+    def never(*args):
+        raise AssertionError("built a graph past the direct cap")
+
+    monkeypatch.setattr(voltlift.VoltageGraph, "lift", never)
+    monkeypatch.setattr(cli, "token_graph", never)
+    for argv in (["spectrum", "--johnson", "17", "5", "--method", "direct"],
+                 ["verify", "spectrum-equivalence", "--johnson", "17", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "voltlift: numeric failure: 6188 vertices exceed the 4096 cap\n"
+
+
 def test_johnson_flag_alias(capsys, tmp_path):
     out = tmp_path / "b.json"
     assert run(capsys, "generate", "base", "--johnson", "7", "2",

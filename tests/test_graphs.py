@@ -29,7 +29,7 @@ from voltlift import (
 
 from voltlift.graphs import match_digon_pairing
 
-from helpers import dihedral_group
+from helpers import dihedral_group, group_law
 
 
 def test_complete_graph_edge_counts():
@@ -137,10 +137,10 @@ def test_cayley_vertex_transitivity():
     arcs = set()
     for t, h in g.arcs:
         arcs.add((t, h))
-    els = group.elements()
+    multiply = group_law(group)[0]
     for _ in range(5):
-        h = els[rng.randrange(9)]
-        relabel = {i: group.index_of(h * els[i]) for i in range(9)}
+        h = rng.randrange(9)
+        relabel = {i: multiply(h, i) for i in range(9)}
         assert {(relabel[t], relabel[u]) for t, u in arcs} == arcs
 
 
@@ -367,6 +367,7 @@ NON_INTEGERS = {
     "complete-float": (lambda: complete_graph(3.0), "vertex count 3.0 is not an integer"),
     "cycle-string": (lambda: cycle_graph("5"), "vertex count '5' is not an integer"),
     "directed-cycle-float": (lambda: directed_cycle(4.5), "vertex count 4.5 is not an integer"),
+    "complete-bool": (lambda: complete_graph(True), "vertex count True is not an integer"),
 }
 
 

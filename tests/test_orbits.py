@@ -44,7 +44,7 @@ from voltlift.orbits import MAX_SUBSETS
 from voltlift.tokens import _combination_ranker
 from voltlift.voltage import VoltageGraph
 
-from helpers import dihedral_group, entry, greedy_pairing
+from helpers import dihedral_group, entry, greedy_pairing, group_law
 
 
 def test_z5_two_set_decomposition():
@@ -72,9 +72,9 @@ def test_z4_not_free():
 def _first_small_orbit(group, k):
     """The lowest-ranked orbit minimum whose orbit is smaller than the
     group, by enumeration."""
-    els = group.elements()
+    multiply = group_law(group)[0]
     for subset in combinations(range(group.size), k):
-        orbit = {tuple(sorted(group.index_of(g * els[i]) for i in subset)) for g in els}
+        orbit = {tuple(sorted(multiply(g, i) for i in subset)) for g in range(group.size)}
         if min(orbit) == subset and len(orbit) < group.size:
             return subset
 
@@ -97,11 +97,10 @@ def test_decomposition_family_runs_along_the_sorted_ranks():
     reps = [(0, 2, 4), (1, 2, 3)]
     dec = KSetDecomposition(group, 3, reps)
     subsets = list(combinations(range(7), 3))
-    els = group.elements()
     assert dec.family.tolist() == sorted(dec.family.tolist())
     assert len(dec.family) == dec.num_orbits * 7
     for r, i, g in zip(dec.family.tolist(), dec.orbit.tolist(), dec.translator.tolist()):
-        assert subsets[r] == tuple(sorted(group.index_of(els[g] * els[x]) for x in reps[i]))
+        assert subsets[r] == tuple(sorted((g + x) % 7 for x in reps[i]))
         assert dec.locate(subsets[r]) == (i, g)
     # outside the family
     assert dec._lookup(np.array([0, 1, 3]))[0] == -1
@@ -138,11 +137,14 @@ def test_decompositions_past_int64_ranks_are_refused():
 
 def test_builders_make_no_element_per_group_element():
     """Voltages and unit keys are read from index arrays: a base over
-    Z_100003 makes a dozen elements, not 100,003."""
+    Z_100003 makes a dozen elements, not 100,003, and so do its printed
+    base matrix and a character matrix.  The group's tuple of all elements
+    is made on first use only."""
     vg = circulant_linegraph_base(100003, [1, 2, 5])
-    assert vg.group._elements is None
+    assert str(vg.base_matrix()) and vg.character_matrix(7).shape == (3, 3)
+    assert "_elements" not in vg.group.__dict__
     vg = token_base_graph(AbelianGroup(7, 7), Z7Z7_UNITS, 2)
-    assert vg.symmetries and vg.group._elements is None
+    assert vg.symmetries and "_elements" not in vg.group.__dict__
 
 
 def test_lift_and_certificate_leave_numpy_ma_unimported():
@@ -168,14 +170,10 @@ def test_orbits_partition_everything():
     group = AbelianGroup(7)
     dec = k_set_decomposition(group, 3)
     assert dec.num_orbits == math.comb(7, 3) // 7
-    els = group.elements()
     seen = {}
     for subset in combinations(range(7), 3):
         rep_idx, g = dec.locate(subset)
-        rebuilt = tuple(sorted(
-            group.index_of(els[i] * els[g])
-            for i in dec.representatives[rep_idx]
-        ))
+        rebuilt = tuple(sorted((i + g) % 7 for i in dec.representatives[rep_idx]))
         assert rebuilt == subset
         seen.setdefault(rep_idx, set()).add(subset)
     assert all(len(v) == 7 for v in seen.values())
@@ -186,13 +184,10 @@ def test_custom_representatives_relocate_voltages():
     default = k_set_decomposition(group, 2)
     reordered = k_set_decomposition(group, 2, representatives=[(0, 3), (0, 1), (0, 4), (0, 7)])
     assert reordered.representatives == ((0, 3), (0, 1), (0, 4), (0, 7))
-    els = group.elements()
+    multiply = group_law(group)[0]
     for subset in combinations(range(9), 2):
         rep_idx, g = reordered.locate(subset)
-        rebuilt = tuple(sorted(
-            group.index_of(els[i] * els[g])
-            for i in reordered.representatives[rep_idx]
-        ))
+        rebuilt = tuple(sorted(multiply(i, g) for i in reordered.representatives[rep_idx]))
         assert rebuilt == subset
     assert default.num_orbits == reordered.num_orbits
 
@@ -473,8 +468,11 @@ Z7_TRIPLES = k_set_decomposition(AbelianGroup(7), 3).representatives
     (lambda: k_set_decomposition(AbelianGroup(7), "3"), "token count '3' is not an integer"),
     (lambda: johnson_base(7, 3.0), "token count 3.0 is not an integer"),
     (lambda: johnson_base(7.0, 3), "vertex count 7.0 is not an integer"),
+    (lambda: token_base_graph(AbelianGroup(7), [1, 6], True), "token count True is not an integer"),
+    (lambda: johnson_base(7, True), "token count True is not an integer"),
 ], ids=["representative-float", "generator-float", "order-float", "k-set-k-float",
-        "k-set-k-string", "johnson-k-float", "johnson-n-float"])
+        "k-set-k-string", "johnson-k-float", "johnson-n-float", "token-base-k-bool",
+        "johnson-k-bool"])
 def test_orbit_builders_refuse_non_integers(build, message):
     with pytest.raises(VoltliftError) as err:
         build()
@@ -681,14 +679,14 @@ def _dict_decomposition(group, k, representatives=None):
     """The (representatives, {sorted subset: (rep index, translator index)})
     of the dict-keyed decomposition that the rank arrays replaced."""
     n = group.size
-    els = group.elements()
+    multiply, invert = group_law(group)
     reps, lookup = [], {}
     for subset in combinations(range(n), k):
         if subset in lookup:
             continue
         orbit = {}
-        for g_idx, g in enumerate(els):
-            orbit.setdefault(tuple(sorted(group.index_of(g * els[i]) for i in subset)), g_idx)
+        for g_idx in range(n):
+            orbit.setdefault(tuple(sorted(multiply(g_idx, i) for i in subset)), g_idx)
         assert len(orbit) == n
         for translated, g_idx in orbit.items():
             lookup[translated] = (len(reps), g_idx)
@@ -700,7 +698,7 @@ def _dict_decomposition(group, k, representatives=None):
     rebased = {}
     for subset, (old_idx, g_idx) in lookup.items():
         new_idx, g0 = remap[old_idx]
-        rebased[subset] = (new_idx, group.index_of(els[g_idx] * els[g0].inverse()))
+        rebased[subset] = (new_idx, multiply(g_idx, invert(g0)))
     return user, rebased
 
 
@@ -709,13 +707,13 @@ def _per_arc_token_base(group, gens, k, representatives=None, directed=False):
     and dict lookups that the token-move engine replaced."""
     gens = _validate_connection_set(group, gens, directed)
     reps, lookup = _dict_decomposition(group, k, representatives)
-    els = group.elements()
+    els, multiply = group.elements(), group_law(group)[0]
     arcs, voltages = [], []
     for rep_idx, rep in enumerate(reps):
         occupied = set(rep)
         for i in rep:
             for s in gens:
-                j = group.index_of(els[i] * els[s])
+                j = multiply(i, s)
                 if j in occupied:
                     continue
                 beta_idx, g_idx = lookup[tuple(sorted(occupied - {i} | {j}))]

@@ -69,7 +69,8 @@ def test_vertex_counts():
      "token count 2.0 is not an integer"),
     (lambda: token_configs(5, 2.5), "token count 2.5 is not an integer"),
     (lambda: token_configs(5.0, 2), "vertex count 5.0 is not an integer"),
-], ids=["token-graph-k-float", "configs-k-float", "configs-n-float"])
+    (lambda: token_configs(5, True), "token count True is not an integer"),
+], ids=["token-graph-k-float", "configs-k-float", "configs-n-float", "configs-k-bool"])
 def test_sizes_must_be_integers(build, message):
     with pytest.raises(VoltliftError) as err:
         build()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -36,7 +37,8 @@ from voltlift import (
     voltage_graph_from_json,
 )
 
-from helpers import dihedral_group, dihedral_irreps, entry, greedy_pairing, random_voltage_graph
+from helpers import (dihedral_group, dihedral_irreps, entry, greedy_pairing, group_law,
+                     random_voltage_graph)
 
 Z5 = AbelianGroup(5)
 
@@ -108,17 +110,17 @@ def test_dihedral_token_base_matches_oracles(n, k, gens):
 
 def test_dihedral_custom_representatives_translate_on_the_left():
     group = dihedral_group(7)
-    els = group.elements()
+    multiply = group_law(group)[0]
     default = k_set_decomposition(group, 3).representatives
     # move every orbit's representative by a different non-identity element
     custom = [
-        tuple(sorted(group.index_of(els[(3 * i + 8) % 14] * els[j]) for j in rep))
+        tuple(sorted(multiply((3 * i + 8) % 14, j) for j in rep))
         for i, rep in enumerate(default)
     ]
     dec = k_set_decomposition(group, 3, representatives=custom)
     for subset in combinations(range(14), 3):
         i, g = dec.locate(subset)
-        assert tuple(sorted(group.index_of(els[g] * els[j]) for j in custom[i])) == subset
+        assert tuple(sorted(multiply(g, j) for j in custom[i])) == subset
     gens = [1, 6, 2, 5]
     vg = token_base_graph(group, gens, 3, representatives=custom)
     assert verify_natural_isomorphism(vg, token_graph(cayley_graph(group, gens), 3)).ok
@@ -127,19 +129,19 @@ def test_dihedral_custom_representatives_translate_on_the_left():
 def _elementwise_lift(vg):
     """(labels, arcs, pairing) of the lift, one group product per lift arc."""
     group = vg.group
-    els = group.elements()
+    els, multiply = group.elements(), group_law(group)[0]
     m = len(els)
     labels = [(label, el.key) for label in vg.digraph.labels for el in els]
     arcs = []
     for (u, v), w in zip(vg.digraph.arcs, vg.voltages):
-        for gi, g in enumerate(els):
-            arcs.append((u * m + gi, v * m + group.index_of(g * w)))
+        for g in range(m):
+            arcs.append((u * m + g, v * m + multiply(g, w.index)))
     if not vg.undirected:
         return labels, arcs, None
     pairing = []
     for a, w in enumerate(vg.voltages):
-        for g in els:
-            pairing.append(vg.pairing[a] * m + group.index_of(g * w))
+        for g in range(m):
+            pairing.append(vg.pairing[a] * m + multiply(g, w.index))
     return labels, arcs, pairing
 
 
@@ -215,11 +217,10 @@ def test_undirected_base_matrix_transpose_symmetry():
         if not vg.undirected:
             continue
         b = vg.base_matrix()
-        els = vg.group.elements()
-        inverse = [g.inverse().index for g in els]
+        inverse = group_law(vg.group)[1]
         for i in range(vg.n):
             for j in range(vg.n):
-                assert b.entries[i][j] == {inverse[g]: c for g, c in b.entries[j][i].items()}
+                assert b.entries[i][j] == {inverse(g): c for g, c in b.entries[j][i].items()}
 
 
 def test_evaluate_matrix_trivial_character():
@@ -233,6 +234,26 @@ def test_evaluate_matrix_hermitian():
     for j in enumerate_characters(AbelianGroup(7)):
         m = b.evaluate(j)
         assert np.abs(m - m.conj().T).max() < 1e-12
+
+
+def test_character_matrix_reads_characters_at_the_voltages_only():
+    """A character matrix gathers the character at the term table's voltages,
+    not at all |G| elements: over Z_1000003 one call allocates far less than
+    one complex value per element, once the group's table of roots exists."""
+    m = 1000003
+    vg = VoltageGraph.directed_from_arcs(AbelianGroup(m), [0, 1],
+                                         [(0, 1, 1), (1, 0, -1), (0, 0, 5), (0, 0, 5)])
+    first = vg.character_matrix(12345)  # builds the group's roots once
+    tracemalloc.start()
+    try:
+        again = vg.character_matrix(12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * 16 // 100
+    assert again.tobytes() == first.tobytes()
+    z = np.exp(2j * np.pi * 12345 * np.array([1, -1, 5]) / m)
+    assert np.abs(again - [[2 * z[2], z[0]], [z[1], 0]]).max() < 1e-9
 
 
 def test_c5_matrix_at_unity():
@@ -270,13 +291,12 @@ def test_apply_representation_block_shape():
 def _apply_representation_loop(base, rho):
     """The per-entry, per-term, per-block loop that apply_representation
     replaced; the reference for its exact bytes."""
-    els = base.group.elements()
     d = rho.dimension
     out = np.zeros((d * base.n, d * base.n), dtype=complex)
     for i, row in enumerate(base.entries):
         for j, entry in enumerate(row):
             for g, coeff in entry.items():
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coeff * rho.matrix(els[g])
+                out[i * d : (i + 1) * d, j * d : (j + 1) * d] += coeff * rho.matrices[g]
     return out
 
 
@@ -719,7 +739,7 @@ def test_pairing_matches_greedy_loop_on_random_arcs(group):
     from voltlift.graphs import match_digon_pairing
 
     rng = random.Random(f"pairing/{group!r}")
-    els = group.elements()
+    els, invert = group.elements(), group_law(group)[1]
     outcomes, accepted = set(), set()
     for _ in range(300):
         n = rng.randint(1, 3)
@@ -727,7 +747,7 @@ def test_pairing_matches_greedy_loop_on_random_arcs(group):
                 for _ in range(rng.randint(0, 6))]
         # mostly whole digons, shuffled, with the odd arc dropped or changed
         arcs = [(u, v) for u, v, _ in half] + [(v, u) for u, v, _ in half]
-        volts = [w for *_, w in half] + [w.inverse() for *_, w in half]
+        volts = [w for *_, w in half] + [els[invert(w.index)] for *_, w in half]
         order = list(range(len(arcs)))
         rng.shuffle(order)
         arcs, volts = [arcs[i] for i in order], [volts[i] for i in order]
@@ -740,7 +760,7 @@ def test_pairing_matches_greedy_loop_on_random_arcs(group):
         assert _outcome(match_digon_pairing, np.array(arcs, dtype=np.intp).reshape(-1, 2)) == want
         outcomes.add(isinstance(want, str))
         if not isinstance(want, str):
-            inverse = all(volts[j] == volts[i].inverse() for i, j in enumerate(want))
+            inverse = all(volts[j].index == invert(volts[i].index) for i, j in enumerate(want))
             built = _outcome(VoltageGraph, group, Graph(Digraph(range(n), arcs), want), volts)
             assert isinstance(built, VoltageGraph) == inverse
             accepted.add(inverse)
@@ -779,11 +799,11 @@ def _voltage_checks_loop(group, voltages, pairing):
     """VoltageGraph's voltage rule arc by arc: paired arcs carry mutually
     inverse voltages, and a semi-edge not the identity; the message of the
     first failure, or None."""
-    voltages = [group.element(v) for v in voltages]
+    voltages, invert = [group.element(v).index for v in voltages], group_law(group)[1]
     for i, j in enumerate(pairing):
-        if voltages[j] != voltages[i].inverse():
+        if voltages[j] != invert(voltages[i]):
             return f"InvalidPairing: arcs {i} and {j} carry voltages that are not mutually inverse"
-        if i == j and voltages[i] == group.identity:
+        if i == j and voltages[i] == group.identity.index:
             return (f"InvalidPairing: semi-edge {i} carries the identity voltage, "
                     "which would lift to half-loops")
     return None
