@@ -22,7 +22,6 @@ matrices in element order.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -215,26 +214,17 @@ class AbelianGroup(_Group):
 
         chi_j(g) = exp(2*pi*i * sum_k j_k g_k / n_k); j is a key, as
         ``indices`` reads it.  With L = lcm(n_1, ..., n_r) the phase is the
-        exact integer p = sum_k j_k g_k (L / n_k) mod L, and the value is the
-        group's root exp(2*pi*i * p / L) of the correctly rounded p / L:
-        every phase at once, then one gather from the roots.
+        exact integer p = sum_k j_k g_k (L / n_k) mod L, and the value is
+        exp(2*pi*i * (p / L)) of the correctly rounded p / L, so equal phases
+        give equal values and p = 0 gives exactly 1.  Only the values at
+        ``at`` are computed.
         """
         j = np.unravel_index(self.indices([j])[0], self.orders)
         coords = self._coords if at is None else np.unravel_index(at, self.orders)
-        roots = self._roots
-        period = len(roots)
+        period = math.lcm(*self.orders)
         phases = sum(c * (jk * (period // n))
                      for c, jk, n in zip(coords, j, self.orders)) % period
-        return roots[phases]
-
-    @cached_property
-    def _roots(self) -> np.ndarray:
-        """exp(2*pi*i * p / L) for p in range(L), L = lcm of the orders, with
-        exactly 1 at p = 0."""
-        period = math.lcm(*self.orders)
-        return np.array([complex(1.0)]
-                        + [cmath.exp(2j * math.pi * (p / period)) for p in range(1, period)],
-                        dtype=complex)
+        return np.exp(2j * np.pi * (phases / period))
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, AbelianGroup)
@@ -355,7 +345,7 @@ class GenericGroup(_Group):
         """index(elements[a] * elements[b]), elementwise over broadcast index arrays."""
         return self._table[a, b]
 
-    def character_values(self, j):
+    def character_values(self, j, at=None):
         raise NonAbelianGroup("characters are defined for abelian groups only; "
                               "use irreducible representations")
 

@@ -14,12 +14,7 @@ import sys
 import numpy as np
 
 from . import reference
-from .algebra import (
-    AbelianGroup,
-    Representation,
-    enumerate_characters,
-    representations_from_json,
-)
+from .algebra import AbelianGroup, representations_from_json
 from .errors import DimensionTooLarge, NoConvergence, VoltliftError
 from .graphs import (
     Graph,
@@ -42,6 +37,7 @@ from .spectra import (
     _check_direct_size,
     _checked_tol,
     _order,
+    _union,
     character_spectra,
     direct_spectrum,
     johnson_spectrum,
@@ -252,24 +248,20 @@ def cmd_spectrum(args) -> int:
         raise CliError("--per-character needs --method characters")
     if args.irreps and args.method != "irreps":
         raise CliError("--irreps needs --method irreps")
+    if args.method == "irreps" and not args.irreps:
+        raise CliError("--method irreps needs --irreps FILE")
     source, _ = _load_source(args)
     coeffs = parse_coeffs(args)
     per_char = None
     if args.method == "characters":
         vg = _voltage_graph(source, "--method characters")
         spectra = character_spectra(vg, coeffs)
-        spectrum = lift_spectrum(vg, spectra=spectra)
+        spectrum = _union(spectra)
         if args.per_character:
-            per_char = per_character_csv(vg, spectra=spectra)
+            per_char = per_character_csv(vg, spectra)
     elif args.method == "irreps":
         vg = _voltage_graph(source, "--method irreps")
-        if args.irreps:
-            irreps = representations_from_json(vg.group, _read_json(args.irreps))
-        elif isinstance(vg.group, AbelianGroup):
-            irreps = [Representation.from_character(vg.group, j)
-                      for j in enumerate_characters(vg.group)]
-        else:
-            raise CliError("--method irreps needs --irreps FILE for this group")
+        irreps = representations_from_json(vg.group, _read_json(args.irreps))
         if coeffs is not None:
             raise CliError("universal coefficients are not supported with --method irreps")
         spectrum = rep_spectrum(vg, irreps)
@@ -332,7 +324,7 @@ def _values_match(got, expected, tol) -> bool:
 
 
 def _check_rows(vg: VoltageGraph, table, spectra=None) -> bool:
-    rows = per_character_rows(vg, spectra=spectra)
+    rows = per_character_rows(vg, spectra)
     ok = len(rows) == len(table["rows"])
     if not ok:
         _print(f"  {len(rows)} computed rows, {len(table['rows'])} expected  FAIL")
@@ -358,7 +350,7 @@ def cmd_reproduce(args) -> int:
         _print(f"{table}: per-character rows of the {len(vg.labels)}-vertex base over Z{n}")
         spectra = character_spectra(vg)
         ok = _check_rows(vg, ref, spectra)
-        spectrum = lift_spectrum(vg, spectra=spectra)
+        spectrum = _union(spectra)
         cmp = multiset_equal(spectrum, Spectrum.from_pairs(ref["spectrum"]), ref["tol"])
         _print(f"  combined spectrum {spectrum}  {'PASS' if cmp.equal else 'FAIL'}")
         failed = not (ok and cmp.equal)

@@ -321,16 +321,16 @@ def character_spectra(vg: VoltageGraph,
     return list(zip(characters, spectra))
 
 
-def lift_spectrum(vg: VoltageGraph,
-                  coeffs: UniversalCoefficients | None = None,
-                  spectra: CharacterSpectra | None = None
-                  ) -> Spectrum:
-    """Spectrum of the lift as the union of base-matrix spectra over all
-    characters; |V(base)| * |Gamma| eigenvalues in total.  ``spectra`` is
-    ``character_spectra(vg, coeffs)`` when the caller already has it."""
-    if spectra is None:
-        spectra = character_spectra(vg, coeffs)
+def _union(spectra: CharacterSpectra) -> Spectrum:
+    """All character spectra grouped as one multiset: the lift spectrum."""
     return Spectrum.group(np.concatenate([vals for _, vals in spectra]))
+
+
+def lift_spectrum(vg: VoltageGraph,
+                  coeffs: UniversalCoefficients | None = None) -> Spectrum:
+    """Spectrum of the lift as the union of base-matrix spectra over all
+    characters; |V(base)| * |Gamma| eigenvalues in total."""
+    return _union(character_spectra(vg, coeffs))
 
 
 def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation]) -> Spectrum:
@@ -462,20 +462,19 @@ def multiset_equal(a, b, tol: float) -> MultisetComparison:
     return MultisetComparison(dist <= tol, dist)
 
 
-def per_character_rows(vg: VoltageGraph,
-                       coeffs: UniversalCoefficients | None = None,
-                       spectra: CharacterSpectra | None = None
+def per_character_rows(vg: VoltageGraph, spectra: CharacterSpectra | None = None
                        ) -> list[tuple[tuple[tuple[int, ...], ...], list[complex]]]:
     """Table rows grouping each character with its inverse (conjugate).
 
     Each row is (character indices sharing the row, eigenvalues of the first
     character's matrix sorted real-descending).  Directed voltage graphs get
     one row per character: there the chi-bar row holds the conjugates of the
-    chi row, in general a different multiset.  ``spectra`` is as in
-    :func:`lift_spectrum`.
+    chi row, in general a different multiset.  ``spectra`` is
+    ``character_spectra(vg, coeffs)`` for the matrix wanted, the adjacency
+    matrix's by default.
     """
     if spectra is None:
-        spectra = character_spectra(vg, coeffs)
+        spectra = character_spectra(vg)
     conjugate = vg.group.inverse_indices()
     rows = []
     for i, (j, vals) in enumerate(spectra):
@@ -489,10 +488,8 @@ def per_character_rows(vg: VoltageGraph,
     return rows
 
 
-def per_character_csv(vg: VoltageGraph,
-                      coeffs: UniversalCoefficients | None = None,
-                      spectra: CharacterSpectra | None = None) -> str:
-    rows = per_character_rows(vg, coeffs, spectra)
+def per_character_csv(vg: VoltageGraph, spectra: CharacterSpectra | None = None) -> str:
+    rows = per_character_rows(vg, spectra)
     width = vg.n
     lines = ["characters," + ",".join(f"lambda_{i+1}" for i in range(width))]
     compact = isinstance(vg.group, AbelianGroup) and all(n <= 9 for n in vg.group.orders)

@@ -1,9 +1,11 @@
 """Group arithmetic, characters, base-matrix entries, representations."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -603,21 +605,27 @@ def test_groups_accept_numpy_integer_orders_and_entries():
     assert GenericGroup(table) == G3 and GenericGroup(list(table)).to_json() == G3.to_json()
 
 
+@functools.lru_cache(maxsize=None)
+def _old_roots(period):
+    """The table of roots exp(2*pi*i * p / period) that _unit_roots computed."""
+    return np.array([complex(1.0)]
+                    + [cmath.exp(2j * math.pi * (p / period)) for p in range(1, period)],
+                    dtype=complex)
+
+
 def _old_character_values(group, index):
-    """Character(group, index).values() of the removed Character class, with
-    the group's table of roots computed as _unit_roots computed it."""
+    """Character(group, index).values() of the removed Character class, read
+    from the old table of roots."""
     index = group.element(index).key
     period = math.lcm(*group.orders)
-    roots = np.array([complex(1.0)]
-                     + [cmath.exp(2j * math.pi * (p / period)) for p in range(1, period)],
-                     dtype=complex)
+    roots = _old_roots(period)
     coords = np.unravel_index(np.arange(group.size), group.orders)
     phases = sum(c * (j * (period // n))
                  for c, j, n in zip(coords, index, group.orders)) % period
     return roots[phases]
 
 
-@pytest.mark.parametrize("orders", [(1,), (101,), (4, 6), (2, 2, 2, 2), (6, 10, 15)])
+@pytest.mark.parametrize("orders", [(1,), (101,), (4, 6), (2, 2, 2, 2), (6, 10, 15), (2003,)])
 def test_character_values_bytes_equal_the_old_character_values(orders):
     group = AbelianGroup(*orders)
     characters = enumerate_characters(group)
@@ -630,6 +638,19 @@ def test_character_values_bytes_equal_the_old_character_values(orders):
     j = characters[-1]
     shifted = tuple(jk + 2 * n for jk, n in zip(j, orders))
     assert group.character_values(shifted).tobytes() == group.character_values(j).tobytes()
+
+
+def test_character_values_at_a_few_elements_trace_no_group_sized_table():
+    group = AbelianGroup(1000003)
+    tracemalloc.start()
+    try:
+        values = group.character_values(5, np.array([1, 2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    old = [cmath.exp(2j * math.pi * (p / group.size)) for p in (5, 10)]
+    assert values.tobytes() == np.array(old).tobytes()
 
 
 def test_characters_need_an_abelian_group():

@@ -101,6 +101,29 @@ def test_spectrum_per_character_solves_each_character_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_spectrum_per_character_laplacian_prints_laplacian_values(capsys, monkeypatch):
+    from voltlift import spectra
+
+    calls = []
+    solve = spectra.eigenvalues
+    monkeypatch.setattr(spectra, "eigenvalues", lambda m: calls.append(1) or solve(m))
+    code, out, _ = run(capsys, "spectrum", "--johnson", "7", "3", "--laplacian",
+                       "--per-character")
+    assert code == 0 and len(calls) == 2
+    laplacian = voltlift.UniversalCoefficients.laplacian()
+    vg = voltlift.johnson_base(7, 3)
+    solved = spectra.character_spectra(vg, laplacian)
+    assert out == (voltlift.per_character_csv(vg, solved) + "\n"
+                   + voltlift.lift_spectrum(vg, laplacian).to_csv())
+    # L = 12 I - A on the 12-regular J(7,3): 12 - 12 ends the trivial row,
+    # and the adjacency eigenvalues 12, 5, 0, -3 become 0, 7, 12, 15
+    lines = out.splitlines()
+    assert lines[1].startswith("0,15,15,12,12,") and abs(float(lines[1].split(",")[-1])) < 1e-12
+    assert lines[-4:-1] == ["15,0,14", "12,0,14", "7,0,6"]
+    value, im, count = lines[-1].split(",")
+    assert abs(float(value)) < 1e-12 and (im, count) == ("0", "1")
+
+
 @pytest.mark.parametrize("method", ["direct", "irreps"])
 def test_spectrum_per_character_needs_the_character_method(capsys, method):
     code, out, err = run(capsys, "spectrum", "--johnson-base", "7", "3",
@@ -203,11 +226,23 @@ def test_verify_directed_token_cayley(capsys, target):
     assert out.startswith(f"PASS {target}")
 
 
-def test_spectrum_irreps_method(capsys):
+def test_spectrum_irreps_method_reads_the_characters_from_a_file(capsys, tmp_path):
+    z5 = voltlift.AbelianGroup(5)
+    characters = [voltlift.Representation.from_character(z5, j)
+                  for j in voltlift.enumerate_characters(z5)]
+    irreps = tmp_path / "characters.json"
+    irreps.write_text(json.dumps(voltlift.representations_to_json(characters)))
     code, out, _ = run(capsys, "spectrum", "--johnson-base", "5", "2",
-                       "--method", "irreps")
+                       "--method", "irreps", "--irreps", str(irreps))
     assert code == 0
     assert out.splitlines()[1:] == ["6,0,1", "1,0,4", "-2,0,5"]
+
+
+def test_spectrum_irreps_method_needs_an_irreps_file(capsys):
+    code, out, err = run(capsys, "spectrum", "--johnson", "5", "2", "--method", "irreps")
+    assert code == 2
+    assert out == ""
+    assert err == "voltlift: error: --method irreps needs --irreps FILE\n"
 
 
 @pytest.mark.parametrize("source, vertices", CONSTRUCTIVE_SOURCES, ids=SOURCE_IDS)

@@ -15,6 +15,7 @@ from voltlift import (
     Graph,
     InvalidPairing,
     LengthMismatch,
+    NonAbelianGroup,
     Representation,
     UnitSymmetry,
     VoltageGraph,
@@ -239,11 +240,11 @@ def test_evaluate_matrix_hermitian():
 def test_character_matrix_reads_characters_at_the_voltages_only():
     """A character matrix gathers the character at the term table's voltages,
     not at all |G| elements: over Z_1000003 one call allocates far less than
-    one complex value per element, once the group's table of roots exists."""
+    one complex value per element."""
     m = 1000003
     vg = VoltageGraph.directed_from_arcs(AbelianGroup(m), [0, 1],
                                          [(0, 1, 1), (1, 0, -1), (0, 0, 5), (0, 0, 5)])
-    first = vg.character_matrix(12345)  # builds the group's roots once
+    first = vg.character_matrix(12345)  # builds the base matrix once
     tracemalloc.start()
     try:
         again = vg.character_matrix(12345)
@@ -254,6 +255,13 @@ def test_character_matrix_reads_characters_at_the_voltages_only():
     assert again.tobytes() == first.tobytes()
     z = np.exp(2j * np.pi * 12345 * np.array([1, -1, 5]) / m)
     assert np.abs(again - [[2 * z[2], z[0]], [z[1], 0]]).max() < 1e-9
+
+
+def test_character_matrix_over_a_generic_group_raises_non_abelian():
+    vg = token_base_graph(dihedral_group(5), [1, 4], 3)
+    for call in (lambda: vg.character_matrix(0), lambda: lift_eigenvector(vg, [1.0] * vg.n, 0)):
+        with pytest.raises(NonAbelianGroup, match="abelian groups only"):
+            call()
 
 
 def test_c5_matrix_at_unity():
