@@ -31,8 +31,13 @@ import numpy as np
 from .errors import IncompleteRepresentation, MismatchedGroups, NonAbelianGroup, VoltliftError
 from .graphs import _integer, _json_field, _json_indices
 
-# entries per block of the blocked array checks here and in spectra
+# entries per block of the blocked array checks here, in orbits and in spectra
 BLOCK_ENTRIES = 2**15
+
+
+def _block_width(n: int) -> int:
+    """Rows or columns per block, so that a block holds about BLOCK_ENTRIES."""
+    return max(1, BLOCK_ENTRIES // max(n, 1))
 
 
 class GroupElement:
@@ -174,15 +179,6 @@ class AbelianGroup(_Group):
         inverse = self._index(-self._coords)
         inverse.flags.writeable = False
         return inverse
-
-    def right_columns(self, idx) -> np.ndarray:
-        """Array of shape (|G|,) + idx.shape: entry [a, ...] is
-        index(elements[a] * elements[idx[...]]), added one cyclic factor at a time."""
-        idx = np.asarray(idx, dtype=np.intp)
-        out = np.zeros((self.size,) + idx.shape, dtype=np.intp)
-        for c, n, stride in zip(self._coords, self.orders, self._strides):
-            out += ((c.reshape((-1,) + (1,) * idx.ndim) + c[idx]) % n) * stride
-        return out
 
     def _index(self, coords) -> np.ndarray:
         """Element indices of the residue tuples coords[:, ...], reduced mod n_k."""
@@ -336,11 +332,6 @@ class GenericGroup(_Group):
         _require_same_group(el.group, self)
         return el.key
 
-    def right_columns(self, idx) -> np.ndarray:
-        """Array of shape (|G|,) + idx.shape: entry [a, ...] is
-        index(elements[a] * elements[idx[...]]), read from the table."""
-        return self._table[:, np.asarray(idx, dtype=np.intp)]
-
     def products(self, a, b) -> np.ndarray:
         """index(elements[a] * elements[b]), elementwise over broadcast index arrays."""
         return self._table[a, b]
@@ -351,8 +342,8 @@ class GenericGroup(_Group):
 
     @classmethod
     def from_group(cls, group, name: str | None = None) -> "GenericGroup":
-        """Tabulate any group object exposing size and right_columns()."""
-        return cls(group.right_columns(np.arange(group.size)), name=name or group.name)
+        """Tabulate any group object exposing size and products()."""
+        return cls(group.products(*np.ogrid[:group.size, :group.size]), name=name or group.name)
 
     def __eq__(self, other) -> bool:
         # unequal cached hashes reject a different table without reading it
@@ -485,11 +476,11 @@ def check_representation(group, rho: Representation, tol: float = 1e-10) -> Repr
     uni_err = float(np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(d)).max())
     # rho(g h) against rho(g) rho(h) for every g and a block of h at a time;
     # products[g, c] is index(g * h) for the block's c-th h
-    step = max(1, BLOCK_ENTRIES // (n * d * d))
+    step = _block_width(n * d * d)
     hom_errs = []
     for start in range(0, n, step):
         hs = np.arange(start, min(start + step, n))
-        products = rho.group.right_columns(hs)
+        products = rho.group.products(np.arange(n)[:, None], hs)
         hom_errs.append(np.abs(mats[products] - mats[:, None] @ mats[hs]).max())
     return RepresentationReport(float(np.max(hom_errs)), uni_err, tol)
 

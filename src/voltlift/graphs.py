@@ -62,6 +62,17 @@ class UniversalCoefficients:
     def seidel(cls) -> "UniversalCoefficients":
         return cls(-2.0, 0.0, -1.0, 1.0)
 
+    def combine(self, a: np.ndarray, degrees, ones) -> np.ndarray:
+        """c1*a + c2*diag(degrees) + c3*I + c4*ones*J, built in place in the
+        square array a and returned; every entry is rounded in the order of
+        the sum as written, so it equals the sum but for the sign of a zero."""
+        shift = ones * self.c4
+        diagonal = self.c1 * a.diagonal() + self.c2 * degrees + self.c3 + shift
+        a *= self.c1
+        a += shift
+        np.fill_diagonal(a, diagonal)
+        return a
+
 
 def _integer(value, what: str) -> int:
     """value as an int (anything with __index__ but bool), else a VoltliftError
@@ -117,11 +128,11 @@ class Digraph:
 
     def __init__(self, labels: Sequence, arcs: Sequence[tuple[int, int]] | np.ndarray):
         labels = tuple(labels)
-        if len(set(labels)) != len(labels):
+        self.label_index = {label: i for i, label in enumerate(labels)}
+        if len(self.label_index) != len(labels):
             raise VoltliftError("vertex labels must be unique")
         self._arcs = _arc_rows(arcs, len(labels))
         self.labels = labels
-        self.label_index = {label: i for i, label in enumerate(labels)}
 
     @property
     def n(self) -> int:
@@ -152,17 +163,9 @@ class Digraph:
         return counts.reshape(n, n).astype(float, copy=False)
 
     def universal_matrix(self, coeffs: UniversalCoefficients) -> np.ndarray:
-        """c1*A + c2*D + c3*I + c4*J, with D the out-degree diagonal.
-
-        Built in place in the adjacency array; every entry is rounded in the
-        order of the sum as written, so the result equals it exactly.
-        """
-        u = self.adjacency_matrix()
-        diagonal = coeffs.c1 * u.diagonal() + coeffs.c2 * u.sum(axis=1) + coeffs.c3 + coeffs.c4
-        u *= coeffs.c1
-        u += coeffs.c4
-        np.fill_diagonal(u, diagonal)
-        return u
+        """c1*A + c2*D + c3*I + c4*J, D the out-degree diagonal, built in A."""
+        a = self.adjacency_matrix()
+        return coeffs.combine(a, a.sum(axis=1), 1)
 
     def to_json(self) -> dict:
         return {
@@ -420,20 +423,28 @@ def _validate_connection_set(group, gens, directed: bool) -> np.ndarray:
     return idx
 
 
+def _inverse_positions(group, gens: np.ndarray) -> np.ndarray:
+    """Entry j is the position of s_j^-1 in the inverse-closed connection set
+    ``gens`` of element indices."""
+    order = np.argsort(gens)
+    return order[np.searchsorted(gens[order], group.inverse_indices()[gens])]
+
+
 def cayley_graph(group, gens, directed: bool = False) -> Graph | Digraph:
     """Cayley graph of `group` with connection set `gens` (arc g -> g*s).
 
     Vertices follow the group's canonical enumeration; labels are element
     keys.  Arc g*|S| + j is g -> g*s_j.  The undirected variant requires an
-    inverse-closed connection set.
+    inverse-closed connection set and pairs that arc with the one of s_j^-1.
     """
     gens = _validate_connection_set(group, gens, directed)
-    labels = group.keys(np.arange(group.size))
-    tails = np.repeat(np.arange(group.size), len(gens))
-    digraph = Digraph(labels, np.stack([tails, group.right_columns(gens).ravel()], axis=1))
+    elements = np.arange(group.size)
+    heads = group.products(elements[:, None], gens)
+    tails = np.repeat(elements, len(gens))
+    digraph = Digraph(group.keys(elements), np.stack([tails, heads.ravel()], axis=1))
     if directed:
         return digraph
-    return Graph(digraph, match_digon_pairing(digraph.arc_array()))
+    return Graph(digraph, (heads * len(gens) + _inverse_positions(group, gens)).ravel())
 
 
 def line_graph(graph: Graph) -> Graph:

@@ -35,12 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import BLOCK_ENTRIES, AbelianGroup
+from .algebra import AbelianGroup, _block_width
 from .errors import (DimensionTooLarge, InvalidGenerators, KOutOfRange, NotCoprime,
                      NotFreeAction, VoltliftError)
-from .graphs import Digraph, Graph, _integer, _label_to_json, _validate_connection_set
+from .graphs import (Digraph, Graph, _integer, _inverse_positions, _label_to_json,
+                     _validate_connection_set)
 from .tokens import _combination_ranker
-from .voltage import UnitSymmetry, VoltageGraph
+from .voltage import UnitSymmetry, VoltageGraph, _counts
 
 # the most k-subsets k_set_decomposition takes: its family, orbit and
 # translator arrays hold 24 bytes per subset, 805 MB at this cap
@@ -65,7 +66,8 @@ class KSetDecomposition:
         self._reps = np.array(representatives, dtype=np.intp).reshape(-1, k)
         self._reps.flags.writeable = False
         # entry i*n + g ranks the sorted subset elements[g] * representatives[i]
-        ranks = self._rank(np.sort(group.right_columns(self._reps), axis=-1)).T.ravel()
+        ranks = self._rank(np.sort(group.products(np.arange(n)[:, None], self._reps[:, None]),
+                                   axis=-1)).ravel()
         order = np.argsort(ranks)
         self.family, (self.orbit, self.translator) = ranks[order], np.divmod(order, n)
         # a rank met twice lies in a smaller orbit or in two representatives'
@@ -117,7 +119,7 @@ def _orbit_minima(group, k: int) -> np.ndarray:
     n, rank = group.size, _combination_ranker(group.size, k)
     # lexicographically, the subsets that contain 0 come first
     candidates = islice(combinations(range(n), k), math.comb(n - 1, k - 1))
-    step = max(1, BLOCK_ENTRIES // (k * k))
+    step = _block_width(k * k)
     minima = []
     while (block := np.fromiter(islice(candidates, step), dtype=(np.intp, (k,)))).size:
         # row [b, i] is the translate of block[b] that takes block[b, i] to 0,
@@ -187,7 +189,7 @@ def _unit_symmetries(group, connection: np.ndarray, dec: KSetDecomposition) -> l
         return in_s[group.coordinate_products(u, s)].all(axis=1) & in_family.all(axis=1)
 
     candidates = group.units()
-    step = max(1, BLOCK_ENTRIES // max(s.size, tested.size, 1))
+    step = _block_width(max(s.size, tested.size))
     fixes = np.concatenate([passes(candidates[i:i + step, None])
                             for i in range(0, candidates.size, step)])
     one = group.indices([[1] * group.rank])[0]
@@ -229,10 +231,7 @@ def _token_base(group, gens: np.ndarray, dec: KSetDecomposition, directed: bool)
         slot[rep, token, gen] = np.arange(len(rep))
         y = group.products(group.inverse_indices()[volts], heads[rep, token, gen])
         position = (reps[target] == y[:, None]).argmax(axis=1)
-        where = np.empty(group.size, dtype=np.intp)
-        where[gens] = np.arange(len(gens))
-        reverse = where[group.inverse_indices()[gens]]
-        digraph = Graph(digraph, slot[target, position, reverse[gen]])
+        digraph = Graph(digraph, slot[target, position, _inverse_positions(group, gens)[gen]])
     return VoltageGraph(group, digraph, volts, symmetries=_unit_symmetries(group, gens, dec))
 
 
@@ -318,7 +317,7 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Digraph) -> Isomorphism
 
     # row rep*m + g: the sorted indices of elements[g] * rep
     reps = np.array(vg.digraph.labels, dtype=np.intp)
-    translates = np.sort(group.right_columns(reps), axis=-1).swapaxes(0, 1)
+    translates = np.sort(group.products(np.arange(m)[:, None], reps[:, None]), axis=-1)
     images = list(map(tuple, translates.reshape(len(reps) * m, reps.shape[-1]).tolist()))
     if len(images) != n:
         return IsomorphismResult(False, detail=f"lift has {len(images)} vertices, target {n}")
@@ -346,23 +345,22 @@ def verify_natural_isomorphism(vg: VoltageGraph, target: Digraph) -> Isomorphism
     target_arcs = target.arc_array()
     mapped = mapped_arcs[:, 0].astype(np.int64) * n + mapped_arcs[:, 1]
     direct = target_arcs[:, 0].astype(np.int64) * n + target_arcs[:, 1]
-    if not np.array_equal(np.sort(mapped), np.sort(direct)):
+    ordered = {"mapped lift": np.sort(mapped), "target": np.sort(direct)}
+    if not np.array_equal(*ordered.values()):
         # report the first arc, in arc order, whose multiplicity differs
-        keys, which = np.unique(np.concatenate([mapped, direct]), return_inverse=True)
-        arcs_of = {"mapped lift": which[:len(mapped)], "target": which[len(mapped):]}
-        count = {side: np.bincount(w, minlength=len(keys)) for side, w in arcs_of.items()}
-        differ = count["mapped lift"] != count["target"]
-        for side, other in (("mapped lift", "target"), ("target", "mapped lift")):
-            bad = np.flatnonzero(differ[arcs_of[side]])
+        for side, other, keys in (("mapped lift", "target", mapped),
+                                  ("target", "mapped lift", direct)):
+            count, other_count = _counts(ordered[side], keys), _counts(ordered[other], keys)
+            bad = np.flatnonzero(count != other_count)
             if bad.size:
-                key = arcs_of[side][bad[0]]
-                t, h = divmod(int(keys[key]), n)
+                i = bad[0]
+                t, h = divmod(int(keys[i]), n)
                 return IsomorphismResult(
                     False,
                     detail=(
                         f"arc {target.labels[t]} -> {target.labels[h]} has "
-                        f"multiplicity {count[side][key]} in the {side} but "
-                        f"{count[other][key]} in the {other}"
+                        f"multiplicity {count[i]} in the {side} but "
+                        f"{other_count[i]} in the {other}"
                     ),
                 )
     return IsomorphismResult(True, vertex_map=tuple(zip(lift.labels, images)))

@@ -47,9 +47,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    BLOCK_ENTRIES,
     AbelianGroup,
     Representation,
+    _block_width,
     enumerate_characters,
     irreps_completeness_defect,
 )
@@ -161,12 +161,19 @@ class Spectrum:
     def max_real(self) -> float:
         return float(self._values.real.max())
 
+    def _printed(self) -> list[tuple[complex, int]]:
+        """The pairs as printed: a part within grouping_tol of 0 is 0."""
+        values = self._values.copy()
+        for part in (values.real, values.imag):
+            part[np.abs(part) <= self.grouping_tol] = 0.0
+        return list(zip(values.tolist(), self._counts.tolist()))
+
     def to_csv(self) -> str:
-        rows = (f"{_fmt(v.real)},{_fmt(v.imag)},{m}" for v, m in self.pairs)
+        rows = (f"{_fmt(v.real)},{_fmt(v.imag)},{m}" for v, m in self._printed())
         return "\n".join(["re,im,multiplicity", *rows]) + "\n"
 
     def __str__(self) -> str:
-        cells = (_fmt_value(v) + ("" if m == 1 else f"^[{m}]") for v, m in self.pairs)
+        cells = (_fmt_value(v) + ("" if m == 1 else f"^[{m}]") for v, m in self._printed())
         return "{" + ", ".join(cells) + "}"
 
     def __repr__(self) -> str:
@@ -182,11 +189,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _fmt_value(v: complex, digits: int = 6) -> str:
+def _fmt_value(v: complex) -> str:
     if abs(v.imag) < 1e-9:
-        return f"{v.real:.{digits}g}"
+        return f"{v.real:.6g}"
     sign = "+" if v.imag >= 0 else "-"
-    return f"{v.real:.{digits}g}{sign}{abs(v.imag):.{digits}g}i"
+    return f"{v.real:.6g}{sign}{abs(v.imag):.6g}i"
 
 
 def _check_square(matrix) -> np.ndarray:
@@ -200,11 +207,6 @@ def _check_square(matrix) -> np.ndarray:
             f"dimension {matrix.shape[0]} exceeds the {MAX_DIMENSION} cap"
         )
     return matrix
-
-
-def _block_width(n: int) -> int:
-    """Rows or columns per block, so that a block holds about BLOCK_ENTRIES."""
-    return max(1, BLOCK_ENTRIES // max(n, 1))
 
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
@@ -233,19 +235,24 @@ def _max_residual(matrix: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> flo
     ], initial=0.0))
 
 
+def _solve(matrix, hermitian_solver, general_solver):
+    """(checked matrix, the Hermitian or else the general solver's result on
+    it); a LinAlgError is raised as NoConvergence."""
+    matrix = _check_square(matrix)
+    solver = hermitian_solver if _is_hermitian(matrix) else general_solver
+    try:
+        return matrix, solver(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues with algebraic multiplicity; real for Hermitian input.
 
     Real input takes the real solvers (``eigvalsh`` if symmetric, else
     ``eigvals``), complex input the complex ones.
     """
-    matrix = _check_square(matrix)
-    try:
-        if _is_hermitian(matrix):
-            return np.linalg.eigvalsh(matrix)
-        return np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    return _solve(matrix, np.linalg.eigvalsh, np.linalg.eigvals)[1]
 
 
 def eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -253,14 +260,7 @@ def eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
 
     The solver follows the input dtype as in :func:`eigenvalues`.
     """
-    matrix = _check_square(matrix)
-    try:
-        if _is_hermitian(matrix):
-            vals, vecs = np.linalg.eigh(matrix)
-        else:
-            vals, vecs = np.linalg.eig(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    matrix, (vals, vecs) = _solve(matrix, np.linalg.eigh, np.linalg.eig)
     residual = _max_residual(matrix, vals, vecs)
     if residual > RESIDUAL_TOL:
         raise NoConvergence(f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL}")

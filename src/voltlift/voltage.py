@@ -212,11 +212,7 @@ class VoltageGraph:
         if not np.array_equal(ordered, arcs):
             # the multisets have equal sizes, so some image occurs more often
             # among the images than among the arcs
-            def count(sorted_keys):
-                return (np.searchsorted(sorted_keys, mapped, "right")
-                        - np.searchsorted(sorted_keys, mapped, "left"))
-
-            a = int(np.flatnonzero(count(ordered) > count(arcs))[0])
+            a = int(np.flatnonzero(_counts(ordered, mapped) > _counts(arcs, mapped))[0])
             labels, (w, image) = self.digraph.labels, group.keys([volts[a], images[a]])
             raise VoltliftError(
                 f"symmetry {unit} maps arc {a} ({labels[tails[a]]} -> {labels[heads[a]]}, "
@@ -266,7 +262,7 @@ class VoltageGraph:
         volts = np.fromiter((w.index for w in self.voltages), dtype=np.intp,
                             count=len(self.voltages))
         # row a, column g: index(g * w_a); lift arc a*m + g is (u, g) -> (v, g*w_a)
-        shifted = self.group.right_columns(volts).T
+        shifted = self.group.products(np.arange(m), volts[:, None])
         tails = base[:, :1] * m + np.arange(m)
         heads = base[:, 1:] * m + shifted
         digraph = Digraph(labels, np.stack([tails.ravel(), heads.ravel()], axis=1))
@@ -301,12 +297,8 @@ class VoltageGraph:
         b = self.base_matrix().evaluate(j)
         if coeffs is None:
             return b
-        out = coeffs.c1 * b
-        out += np.diag(np.asarray(self.digraph.out_degrees(), dtype=float)) * coeffs.c2
-        out += np.eye(self.n) * coeffs.c3
-        if coeffs.c4 and self.group.indices([j])[0] == 0:
-            out += coeffs.c4 * self.group.size * np.ones((self.n, self.n))
-        return out
+        ones = self.group.size * (self.group.indices([j])[0] == 0)
+        return coeffs.combine(b, np.asarray(self.digraph.out_degrees(), dtype=float), ones)
 
     def to_json(self) -> dict:
         pairing = self.pairing or [None] * self.digraph.arc_count
@@ -330,6 +322,11 @@ class VoltageGraph:
             f"VoltageGraph({kind}, {self.n} vertices, "
             f"{self.digraph.arc_count} arcs over {self.group.name})"
         )
+
+
+def _counts(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """How often each of ``keys`` occurs in the sorted array ``sorted_keys``."""
+    return np.searchsorted(sorted_keys, keys, "right") - np.searchsorted(sorted_keys, keys)
 
 
 # an alias of match_digon_pairing(arcs) that no builder calls: the benchmark's

@@ -67,14 +67,18 @@ def test_generic_group_matches_abelian_on_all_pairs():
 
 @pytest.mark.parametrize("group", [AbelianGroup(3, 4), AbelianGroup(7),
                                    s3_group_and_irreps()[0]], ids=["Z3xZ4", "Z7", "S3"])
-def test_right_columns_are_products(group):
+def test_products_broadcast_index_arrays(group):
     multiply = group_law(group)[0]
     idx = np.array([[0, 1, 2], [5 % group.size, 2, 2]])
-    cols = group.right_columns(idx)
-    assert cols.shape == (group.size,) + idx.shape
-    for a in range(group.size):
-        for pos, b in np.ndenumerate(idx):
-            assert cols[(a,) + pos] == multiply(a, b)
+    # every element against a 2-D array, each orientation, and a scalar
+    cases = [(np.arange(group.size)[:, None, None], idx, (group.size,) + idx.shape),
+             (idx[..., None], np.arange(group.size), idx.shape + (group.size,)),
+             (1, idx, idx.shape)]
+    for a, b, shape in cases:
+        products, (x, y) = group.products(a, b), np.broadcast_arrays(a, b)
+        assert products.shape == shape
+        for pos, product in np.ndenumerate(products):
+            assert product == multiply(int(x[pos]), int(y[pos]))
 
 
 def test_mismatched_groups_raises():
@@ -205,7 +209,7 @@ def _random_table(rng, n):
     if kind == 3:  # a loop: identity, often one-sided inverses or no associativity
         return _relabel(rng, _random_loop(rng, n))
     group = rng.choice([AbelianGroup(n)] + ([dihedral_group(n // 2)] if n % 2 == 0 else []))
-    table = _relabel(rng, group.right_columns(np.arange(n)).tolist())
+    table = _relabel(rng, group.products(np.arange(n)[:, None], np.arange(n)).tolist())
     if kind == 5:  # one entry changed
         table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
     return table
@@ -267,7 +271,8 @@ def test_associativity_is_exact_above_order_64():
 def test_light_generators_of_a_group(group):
     """Each generator at least doubles the subgroup reached, and together
     they reach every element by right multiplication from the identity."""
-    t = group.right_columns(np.arange(group.size))
+    elements = np.arange(group.size)
+    t = group.products(elements[:, None], elements)
     gens = list(algebra._light_generators(t, group.identity.index))
     assert len(gens) <= math.log2(group.size)
     reached = {group.identity.index}

@@ -29,7 +29,7 @@ from voltlift import (
 
 from voltlift.graphs import match_digon_pairing
 
-from helpers import dihedral_group, group_law
+from helpers import dihedral_group, group_law, s3_group_and_irreps
 
 
 def test_complete_graph_edge_counts():
@@ -127,6 +127,19 @@ def test_connection_set_accepts_inverse_pairs_in_any_order():
     d7 = dihedral_group(7)
     assert cayley_graph(d7, [6, 7, 1, 9]).edge_count == 28
     assert cayley_graph(AbelianGroup(3, 3), [(0, 2), (1, 0), (0, 1), (2, 0)]).edge_count == 18
+
+
+@pytest.mark.parametrize("group, gens", [
+    (AbelianGroup(8), [1, 7, 4]),
+    (AbelianGroup(3, 3), [(0, 1), (1, 0), (0, 2), (2, 0)]),
+    (dihedral_group(7), [1, 6, 7]),
+    (s3_group_and_irreps()[0], [1, 2, 3]),
+], ids=["Z8-involution", "Z3xZ3", "D7-reflection", "S3"])
+def test_cayley_pairing_is_the_digon_matching(group, gens):
+    """Arc g*|S| + j pairs with the arc of s_j^-1 out of g*s_j; with no
+    parallel arcs that is the one digon matching of the arcs."""
+    g = cayley_graph(group, gens)
+    assert g.pairing == tuple(match_digon_pairing(g.arc_array()).tolist())
 
 
 def test_cayley_vertex_transitivity():

@@ -748,8 +748,8 @@ def _rebased(group, k):
     """The lexicographic representatives in reverse order, the i-th moved
     to its translate by element i mod |Gamma|."""
     reps = k_set_decomposition(group, k)._reps[::-1]
-    translates = np.sort(group.right_columns(reps), axis=-1)
-    return [tuple(translates[i % group.size, i].tolist()) for i in range(len(reps))]
+    translates = np.sort(group.products(np.arange(group.size)[:, None], reps[:, None]), axis=-1)
+    return [tuple(translates[i, i % group.size].tolist()) for i in range(len(reps))]
 
 
 # every abelian group of order <= 12 with each k coprime to the order, which

@@ -323,6 +323,22 @@ def test_spectrum_csv_format():
     assert s.to_csv() == "re,im,multiplicity\n2,0,2\n-1,0,1\n"
 
 
+def test_spectrum_prints_parts_within_its_tol_as_zero():
+    """A real or imaginary part of magnitude at most grouping_tol prints as
+    0; the stored pairs keep it, and at tol 0 only an exact 0 is 0."""
+    routes = [lift_spectrum(johnson_base(7, 3)), direct_spectrum(token_graph(complete_graph(7), 3)),
+              johnson_spectrum(7, 3)]
+    assert {str(s) for s in routes} == {"{12, 5^[6], 0^[14], -3^[14]}"}
+    assert {s.to_csv() for s in routes} == {"re,im,multiplicity\n12,0,1\n5,0,6\n0,0,14\n-3,0,14\n"}
+    assert routes[0].pairs[2][0] != 0
+    values = [2.0, 1e-7 + 3e-7j, -1e-6 + 0.5j, 1.5e-6 - 0.0j, -0.0]
+    s = Spectrum.group(values)
+    assert str(s) == "{2, 1.5e-06, 0^[2], 0+0.5i}"
+    assert s.to_csv() == "re,im,multiplicity\n2,0,1\n1.5e-06,0,1\n0,0,2\n0,0.5,1\n"
+    assert Spectrum(s.pairs, 0).to_csv() == ("re,im,multiplicity\n2,0,1\n1.5e-06,0,1\n"
+                                             "5e-08,1.5e-07,2\n-1e-06,0.5,1\n")
+
+
 def test_johnson_spectrum_closed_form():
     assert pairs(johnson_spectrum(7, 3)) == [(12, 1), (5, 6), (0, 14), (-3, 14)]
     assert pairs(johnson_spectrum(5, 2)) == [(6, 1), (1, 4), (-2, 5)]

@@ -18,6 +18,7 @@ from voltlift import (
     NonAbelianGroup,
     Representation,
     UnitSymmetry,
+    UniversalCoefficients,
     VoltageGraph,
     cayley_graph,
     check_representation,
@@ -262,6 +263,32 @@ def test_character_matrix_over_a_generic_group_raises_non_abelian():
     for call in (lambda: vg.character_matrix(0), lambda: lift_eigenvector(vg, [1.0] * vg.n, 0)):
         with pytest.raises(NonAbelianGroup, match="abelian groups only"):
             call()
+
+
+UNIVERSAL_PRESETS = [
+    UniversalCoefficients.adjacency(),
+    UniversalCoefficients.laplacian(),
+    UniversalCoefficients.signless_laplacian(),
+    UniversalCoefficients.seidel(),
+    UniversalCoefficients(0.3, -0.7, 1.1, 0.1),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+def test_character_matrix_is_the_universal_sum_as_written(seed):
+    """character_matrix(j, coeffs) is c1*B + c2*D + c3*I + c4*|G|*[j = 0]*J,
+    each term an array added left to right, to the byte: B the base matrix at
+    j and D the base out-degree diagonal."""
+    vg = johnson_base(7, 3) if seed is None else random_voltage_graph(random.Random(seed))
+    n, m = vg.n, vg.group.size
+    degrees = np.diag(np.asarray(vg.digraph.out_degrees(), dtype=float))
+    for index in sorted({0, 1 % m, m - 1}):
+        j = vg.group.keys([index])[0]
+        b = vg.character_matrix(j)
+        for c in UNIVERSAL_PRESETS:
+            expected = (c.c1 * b + c.c2 * degrees + c.c3 * np.eye(n)
+                        + c.c4 * m * (index == 0) * np.ones((n, n)))
+            assert vg.character_matrix(j, c).tobytes() == expected.tobytes()
 
 
 def test_c5_matrix_at_unity():
