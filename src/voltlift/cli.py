@@ -34,9 +34,9 @@ from .orbits import (
 )
 from .spectra import (
     Spectrum,
+    _cells,
     _check_direct_size,
     _checked_tol,
-    _order,
     _union,
     character_spectra,
     direct_spectrum,
@@ -333,7 +333,7 @@ def _check_rows(vg: VoltageGraph, table, spectra=None) -> bool:
         match = flat == exp_indices and _values_match(values, exp_values, table["tol"])
         ok = ok and match
         label = "|".join(str(i) for i in flat)
-        shown = ", ".join(f"{v.real:.6g}" for v in values)
+        shown = ", ".join(_cells(values))
         _print(f"  chars {label}: computed [{shown}]  "
                f"expected {list(exp_values)}  {'PASS' if match else 'FAIL'}")
     return ok
@@ -360,7 +360,7 @@ def cmd_reproduce(args) -> int:
         vg = token_base_graph(group, gens, 2)
         ref = reference.TABLE_T5
         _print("t5: 3x3 character grid of the 2-token base over Z3xZ3")
-        cells = {j: vals[_order(vals)] for j, vals in character_spectra(vg)}
+        cells = {j: vals for indices, vals in per_character_rows(vg) for j in indices}
         failed = cells.keys() != ref["grid"].keys()
         for rs, expected in sorted(ref["grid"].items()):
             got = cells.get(rs, [])

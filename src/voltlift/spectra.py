@@ -163,10 +163,7 @@ class Spectrum:
 
     def _printed(self) -> list[tuple[complex, int]]:
         """The pairs as printed: a part within grouping_tol of 0 is 0."""
-        values = self._values.copy()
-        for part in (values.real, values.imag):
-            part[np.abs(part) <= self.grouping_tol] = 0.0
-        return list(zip(values.tolist(), self._counts.tolist()))
+        return list(zip(_rounded(self._values, self.grouping_tol).tolist(), self._counts.tolist()))
 
     def to_csv(self) -> str:
         rows = (f"{_fmt(v.real)},{_fmt(v.imag)},{m}" for v, m in self._printed())
@@ -183,17 +180,20 @@ class Spectrum:
         return self._values.size
 
 
+def _rounded(values, tol: float) -> np.ndarray:
+    """values as complex, each part of magnitude <= tol set to 0: how every eigenvalue prints."""
+    values = np.array(values, dtype=complex)
+    for part in (values.real, values.imag):
+        part[np.abs(part) <= tol] = 0.0
+    return values
+
+
 def _fmt(x: float) -> str:
-    if x == 0:
-        x = 0.0
     return f"{x:.12g}"
 
 
 def _fmt_value(v: complex) -> str:
-    if abs(v.imag) < 1e-9:
-        return f"{v.real:.6g}"
-    sign = "+" if v.imag >= 0 else "-"
-    return f"{v.real:.6g}{sign}{abs(v.imag):.6g}i"
+    return f"{v.real:.6g}" if v.imag == 0 else f"{v.real:.6g}{v.imag:+.6g}i"
 
 
 def _check_square(matrix) -> np.ndarray:
@@ -471,7 +471,8 @@ def per_character_rows(vg: VoltageGraph, spectra: CharacterSpectra | None = None
     one row per character: there the chi-bar row holds the conjugates of the
     chi row, in general a different multiset.  ``spectra`` is
     ``character_spectra(vg, coeffs)`` for the matrix wanted, the adjacency
-    matrix's by default.
+    matrix's by default.  The eigenvalues stay raw; only printing sets
+    their near-zero parts to 0.
     """
     if spectra is None:
         spectra = character_spectra(vg)
@@ -488,21 +489,20 @@ def per_character_rows(vg: VoltageGraph, spectra: CharacterSpectra | None = None
     return rows
 
 
+def _cells(values) -> list[str]:
+    """Per-character table cells of eigenvalues, rounded as the combined
+    table at DEFAULT_GROUPING_TOL; a non-zero imaginary part prints with j."""
+    return [_fmt(v.real) if v.imag == 0 else f"{_fmt(v.real)}{v.imag:+.12g}j"
+            for v in _rounded(values, DEFAULT_GROUPING_TOL).tolist()]
+
+
 def per_character_csv(vg: VoltageGraph, spectra: CharacterSpectra | None = None) -> str:
-    rows = per_character_rows(vg, spectra)
-    width = vg.n
-    lines = ["characters," + ",".join(f"lambda_{i+1}" for i in range(width))]
+    """The rows of :func:`per_character_rows` as CSV.  The rows stay raw:
+    only the printing sets a part within DEFAULT_GROUPING_TOL of 0 to 0."""
+    lines = ["characters," + ",".join(f"lambda_{i+1}" for i in range(vg.n))]
     compact = isinstance(vg.group, AbelianGroup) and all(n <= 9 for n in vg.group.orders)
-    for indices, vals in rows:
-        if compact:
-            label = "|".join("".join(str(j) for j in idx) for idx in indices)
-        else:
-            label = "|".join("-".join(str(j) for j in idx) for idx in indices)
-        cells = []
-        for v in vals:
-            if abs(v.imag) < 1e-12:
-                cells.append(_fmt(v.real))
-            else:
-                cells.append(f"{_fmt(v.real)}{'+' if v.imag >= 0 else '-'}{_fmt(abs(v.imag))}j")
-        lines.append(label + "," + ",".join(cells))
+    sep = "" if compact else "-"
+    for indices, vals in per_character_rows(vg, spectra):
+        label = "|".join(sep.join(str(j) for j in idx) for idx in indices)
+        lines.append(label + "," + ",".join(_cells(vals)))
     return "\n".join(lines) + "\n"

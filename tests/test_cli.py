@@ -290,6 +290,28 @@ def test_reproduce_t5_reports_documented_discrepancy(capsys):
     assert "cell (1, 1): computed [2.00, 0.56, -1.00, -3.56]" in out
 
 
+def test_reproduce_rows_print_zero_eigenvalues_as_zero(capsys):
+    """The t3 row lines round near-zero parts as the combined spectrum
+    below them does; t5 keeps its 2-decimal cells and its verdicts."""
+    code, out, _ = run(capsys, "reproduce", "t3")
+    assert code == 0
+    assert "  chars 0: computed [12, 0, 0, -3, -3]  expected" in out
+    assert "  chars 1|6: computed [5, 0, 0, -3, -3]  expected" in out
+    assert "  combined spectrum {12, 5^[6], 0^[14], -3^[14]}  PASS" in out
+    code, out, _ = run(capsys, "reproduce", "t5")
+    assert code == 1
+    cells = [line.split("  [")[0] for line in out.splitlines() if line.startswith("  cell")]
+    edge = "computed [3.79, 1.35, -1.00, -3.14]  expected [3.78, 1.54, -1.0, -3.13]  FAIL"
+    axis = "computed [2.00, 0.56, -1.00, -3.56]  expected [2.0, 0.56, -1.0, -3.56]  PASS"
+    assert cells == [
+        "  cell (0, 0): computed [7.12, 2.00, -1.12, -4.00]  "
+        "expected [7.12, 1.34, -1.0, -3.13]  FAIL",
+        f"  cell (0, 1): {edge}", f"  cell (0, 2): {edge}", f"  cell (1, 0): {edge}",
+        f"  cell (1, 1): {axis}", f"  cell (1, 2): {axis}", f"  cell (2, 0): {edge}",
+        f"  cell (2, 1): {axis}", f"  cell (2, 2): {axis}",
+    ]
+
+
 def test_reproduce_c5_reports_documented_discrepancy(capsys):
     code, out, _ = run(capsys, "reproduce", "c5-digraph")
     assert code == 1

@@ -339,6 +339,42 @@ def test_spectrum_prints_parts_within_its_tol_as_zero():
                                              "5e-08,1.5e-07,2\n-1e-06,0.5,1\n")
 
 
+def test_spectrum_str_shows_the_imaginary_parts_its_csv_writes():
+    """str and to_csv print through one rule: an imaginary part shows in
+    both exactly when it exceeds grouping_tol, however small it is."""
+    s = Spectrum.group([1 + 1e-12j, 1 - 1e-12j], 0)
+    assert str(s) == "{1-1e-12i, 1+1e-12i}"
+    assert s.to_csv() == "re,im,multiplicity\n1,-1e-12,1\n1,1e-12,1\n"
+    s = Spectrum.group([1 + 1e-12j, 1 - 1e-12j], 1e-6)
+    assert str(s) == "{1^[2]}"
+    assert s.to_csv() == "re,im,multiplicity\n1,0,2\n"
+
+
+def _parsed_cells(csv):
+    return [complex(cell) for line in csv.splitlines()[1:] for cell in line.split(",")[1:]]
+
+
+def test_per_character_tables_print_parts_within_the_default_tol_as_zero():
+    """Per-character tables round as the combined table printed after them
+    does, at DEFAULT_GROUPING_TOL; the rows they print stay raw."""
+    vg = johnson_base(7, 3)
+    adjacency = spectra.per_character_csv(vg)
+    laplacian = spectra.per_character_csv(
+        vg, spectra.character_spectra(vg, UniversalCoefficients.laplacian()))
+    for csv in (adjacency, laplacian):
+        assert not [v for v in _parsed_cells(csv)
+                    if 0 < abs(v.real) <= 1e-6 or 0 < abs(v.imag) <= 1e-6]
+    assert adjacency.splitlines()[1:3] == ["0,12,0,0,-3,-3", "1|6,5,0,0,-3,-3"]
+    assert laplacian.splitlines()[1] == "0,15,15,12,12,0"
+    # the rows hold the solver's values, noise around 0 included
+    solved = spectra.character_spectra(vg)[0][1]
+    assert per_character_rows(vg)[0][1] == sorted(solved.astype(complex).tolist(),
+                                                  key=lambda v: -v.real)
+    directed = token_base_graph(AbelianGroup(4), [1], 1, directed=True)
+    assert spectra.per_character_csv(directed) == (
+        "characters,lambda_1\n0,1\n1,0+1j\n2,-1\n3,0-1j\n")
+
+
 def test_johnson_spectrum_closed_form():
     assert pairs(johnson_spectrum(7, 3)) == [(12, 1), (5, 6), (0, 14), (-3, 14)]
     assert pairs(johnson_spectrum(5, 2)) == [(6, 1), (1, 4), (-2, 5)]
