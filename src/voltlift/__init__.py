@@ -15,9 +15,8 @@ from .algebra import (
     check_representation,
     enumerate_characters,
     group_from_json,
+    irreps,
     irreps_completeness_defect,
-    representations_from_json,
-    representations_to_json,
 )
 from .errors import (
     DimensionTooLarge,

@@ -28,11 +28,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IncompleteRepresentation, MismatchedGroups, NonAbelianGroup, VoltliftError
+from .errors import (DimensionTooLarge, IncompleteRepresentation, MismatchedGroups,
+                     NoConvergence, NonAbelianGroup, VoltliftError)
 from .graphs import _integer, _json_field, _json_indices
 
 # entries per block of the blocked array checks here, in orbits and in spectra
 BLOCK_ENTRIES = 2**15
+# the largest matrix the dense solvers take, here and in spectra
+MAX_DIMENSION = 4096
+# the seeds irreps tries in turn, and its eigenvalue cluster gap
+IRREPS_SEEDS, IRREPS_CLUSTER_GAP = range(8), 1e-9
 
 
 def _block_width(n: int) -> int:
@@ -338,7 +343,7 @@ class GenericGroup(_Group):
 
     def character_values(self, j, at=None):
         raise NonAbelianGroup("characters are defined for abelian groups only; "
-                              "use irreducible representations")
+                              "irreps(group) gives the irreducible representations")
 
     @classmethod
     def from_group(cls, group, name: str | None = None) -> "GenericGroup":
@@ -393,21 +398,6 @@ def enumerate_characters(group: AbelianGroup) -> list[tuple[int, ...]]:
     return group.keys(np.arange(group.size))
 
 
-def _stacked(group, mats: dict) -> np.ndarray:
-    """One (|G|, d, d) complex array from a {element index: square matrix}
-    dict that names every element."""
-    missing = [i for i in range(group.size) if i not in mats]
-    if missing:
-        raise IncompleteRepresentation(f"representation misses {len(missing)} element(s), "
-                                       f"e.g. {GroupElement(group, group.keys(missing[:1])[0])!r}")
-    mats = [np.asarray(mats[i], dtype=complex) for i in range(group.size)]
-    if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
-        raise VoltliftError("representation matrices must be square")
-    if len({m.shape for m in mats}) > 1:
-        raise VoltliftError("representation matrices have mixed dimensions")
-    return np.array(mats)
-
-
 class Representation:
     """A map from group elements to complex d x d matrices.
 
@@ -423,8 +413,17 @@ class Representation:
         # each distinct group among the keys is compared with `group` once
         for key_group in {id(el.group): el.group for el in matrices}.values():
             _require_same_group(key_group, group)
-        at = group.indices([el.key for el in matrices]).tolist()
-        self._store(group, _stacked(group, dict(zip(at, matrices.values()))))
+        mats = dict(zip(group.indices([el.key for el in matrices]).tolist(), matrices.values()))
+        missing = [i for i in range(group.size) if i not in mats]
+        if missing:
+            raise IncompleteRepresentation(f"representation misses {len(missing)} element(s), "
+                                           f"e.g. {group.elements()[missing[0]]!r}")
+        mats = [np.asarray(mats[i], dtype=complex) for i in range(group.size)]
+        if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+            raise VoltliftError("representation matrices must be square")
+        if len({m.shape for m in mats}) > 1:
+            raise VoltliftError("representation matrices have mixed dimensions")
+        self._store(group, np.array(mats))
 
     def _store(self, group, matrices: np.ndarray):
         matrices.flags.writeable = False
@@ -490,37 +489,47 @@ def irreps_completeness_defect(group, reps: Iterable[Representation]) -> int:
     return sum(r.dimension**2 for r in reps) - group.size
 
 
-def representations_from_json(group, data) -> list[Representation]:
-    """Parse a JSON list of {element index -> flattened [re, im, ...] matrix};
-    malformed input raises a VoltliftError that names the entry."""
-    if not isinstance(data, list):
-        raise VoltliftError(f"irreps JSON must be a list, got {type(data).__name__}")
-    reps = []
-    for r, entry in enumerate(data):
-        where = f"irreps JSON[{r}]"
-        if not isinstance(entry, dict):
-            raise VoltliftError(f"{where} must be an object, got {type(entry).__name__}")
-        mats = {}
-        for key in entry:
-            if not (key.isascii() and key.isdigit() and int(key) < group.size):
-                raise VoltliftError(f"{where} key {key!r} is not an element index "
-                                    f"0..{group.size - 1}")
-            flat = _json_field(entry, key, (list,), where)
-            if len(flat) % 2 or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                                    for x in flat):
-                raise VoltliftError(f"{where} element {key} must be [re, im] number pairs")
-            values = [complex(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
-            d = math.isqrt(len(values))
-            if d * d != len(values):
-                raise VoltliftError(f"{where} element {key} matrix is not square")
-            mats[int(key)] = np.array(values, dtype=complex).reshape(d, d)
-        reps.append(Representation._from_array(group, _stacked(group, mats)))
-    return reps
+def _restricted(v: np.ndarray, table: np.ndarray, spec: str) -> np.ndarray:
+    """einsum(spec, conj(V), R(h) V) for every h, a block of h at a time;
+    R(h) V is the row gather V[x*h] = V[table[:, h]]."""
+    step = _block_width(v.size)
+    return np.concatenate([np.einsum(spec, v.conj(), v[table[:, h:h + step]])
+                           for h in range(0, len(table), step)])
 
 
-def representations_to_json(reps: Iterable[Representation]) -> list:
-    return [
-        {str(i): [x for v in m.reshape(-1) for x in (float(v.real), float(v.imag))]
-         for i, m in enumerate(rep.matrices)}
-        for rep in reps
-    ]
+def irreps(group) -> list[Representation]:
+    """The irreducible unitary representations of group, one per character,
+    from its multiplication table (Dixon, Math. Comp. 24 (1970)).
+
+    A = sum_g c_g L(g) over the left regular representation, with random
+    c(g^-1) = conj c(g) from a seed of IRREPS_SEEDS, is Hermitian and
+    commutes with the right regular representation R(h) e_x = e_(x h^-1).
+    Each eigenspace V of A, a cluster of eigenvalues at most
+    IRREPS_CLUSTER_GAP apart, carries rho(h) = V^H R(h) V; its character is
+    computed first, and rho is kept when that has norm 1 and is orthogonal
+    to every kept one.  The list is accepted when irreps_completeness_defect
+    is 0, else the next seed is tried; NoConvergence when none is left.  An
+    order past MAX_DIMENSION raises DimensionTooLarge before any allocation.
+    """
+    n = group.size
+    if n > MAX_DIMENSION:
+        raise DimensionTooLarge(f"group order {n} exceeds the {MAX_DIMENSION} cap")
+    elements = np.arange(n)
+    table = group.products(elements[:, None], elements)
+    for seed in IRREPS_SEEDS:
+        x = [1, 1j] @ np.random.default_rng(seed).standard_normal((2, n))
+        a = np.zeros((n, n), dtype=complex)
+        # a[g*h, h] = c_g; eigenvalues of order 1, each cluster ~1e-15 wide
+        a[table, elements] = (x + x[group.inverse_indices()].conj())[:, None] / (2 * math.sqrt(n))
+        values, vectors = np.linalg.eigh(a)
+        reps, characters = [], np.empty((0, n), dtype=complex)
+        for v in np.split(vectors, np.flatnonzero(np.diff(values) > IRREPS_CLUSTER_GAP) + 1, 1):
+            chi = _restricted(v, table, "xi,xhi->h")
+            # norm 1, so irreducible, and orthogonal to every kept character
+            if abs(np.vdot(chi, chi) - n) < n / 2 and (abs(characters.conj() @ chi) < n / 2).all():
+                characters = np.vstack([characters, chi])
+                matrices = _restricted(v, table, "xi,xhj->hij")
+                reps.append(Representation._from_array(group, matrices))
+                if irreps_completeness_defect(group, reps) == 0:
+                    return reps
+    raise NoConvergence(f"no seed of IRREPS_SEEDS gives all irreps of {group.name}")

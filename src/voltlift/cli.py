@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import reference
-from .algebra import AbelianGroup, representations_from_json
+from .algebra import AbelianGroup
 from .errors import DimensionTooLarge, NoConvergence, VoltliftError
 from .graphs import (
     Graph,
@@ -45,7 +45,6 @@ from .spectra import (
     multiset_equal,
     per_character_csv,
     per_character_rows,
-    rep_spectrum,
 )
 from .tokens import token_digraph, token_graph
 from .voltage import VoltageGraph, voltage_graph_from_json
@@ -246,34 +245,23 @@ def cmd_generate(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.per_character and args.method != "characters":
         raise CliError("--per-character needs --method characters")
-    if args.irreps and args.method != "irreps":
-        raise CliError("--irreps needs --method irreps")
-    if args.method == "irreps" and not args.irreps:
-        raise CliError("--method irreps needs --irreps FILE")
     source, _ = _load_source(args)
     coeffs = parse_coeffs(args)
-    per_char = None
+    text = ""
     if args.method == "characters":
         vg = _voltage_graph(source, "--method characters")
-        spectra = character_spectra(vg, coeffs)
-        spectrum = _union(spectra)
         if args.per_character:
-            per_char = per_character_csv(vg, spectra)
-    elif args.method == "irreps":
-        vg = _voltage_graph(source, "--method irreps")
-        irreps = representations_from_json(vg.group, _read_json(args.irreps))
-        if coeffs is not None:
-            raise CliError("universal coefficients are not supported with --method irreps")
-        spectrum = rep_spectrum(vg, irreps)
+            spectra = character_spectra(vg, coeffs)
+            spectrum = _union(spectra)
+            text = per_character_csv(vg, spectra) + "\n"
+        else:
+            spectrum = lift_spectrum(vg, coeffs)
     else:
         if isinstance(source, VoltageGraph):
             _check_direct_size(source.n * source.group.size)
             source = source.lift()
         spectrum = direct_spectrum(source, coeffs)
-    text = spectrum.to_csv()
-    if per_char:
-        text = per_char + "\n" + text
-    _write(text, args.out)
+    _write(text + spectrum.to_csv(), args.out)
     return 0
 
 
@@ -459,9 +447,7 @@ def build_parser() -> _Parser:
     kinds.add_parser("base", parents=[source, out], help="a voltage graph base")
 
     spect = sub.add_parser("spectrum", parents=[source], help="compute a spectrum as CSV")
-    spect.add_argument("--method", choices=["characters", "direct", "irreps"],
-                       default="characters")
-    spect.add_argument("--irreps", metavar="FILE")
+    spect.add_argument("--method", choices=["characters", "direct"], default="characters")
     matrix = spect.add_mutually_exclusive_group()
     matrix.add_argument("--laplacian", action="store_true")
     matrix.add_argument("--signless", action="store_true")

@@ -59,7 +59,7 @@ class NoConvergence(VoltliftError):
 
 
 class NonAbelianGroup(VoltliftError):
-    """Character-based spectra need an abelian group; use rep_spectrum."""
+    """Characters, and what is built from them, need an abelian group."""
 
 
 class IncompleteIrreps(VoltliftError):

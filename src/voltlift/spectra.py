@@ -31,8 +31,8 @@ image the conjugated ones.  With no units, as for a graph read from JSON,
 an orbit is a conjugate pair {chi, chi-bar}.  A self-conjugate character
 (2 j_k = 0 mod n_k in every factor) takes only the values +-1, so the real
 part of its matrix is solved with the real solvers; the units map it to
-self-conjugate characters only.  Per-irrep eigenproblems are solved one
-after another, in irrep list order.
+self-conjugate characters only.  Per-irrep eigenproblems, over ``irreps`` of
+a group given by its table, are solved one after another, in list order.
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
+    MAX_DIMENSION,
     AbelianGroup,
     Representation,
     _block_width,
     enumerate_characters,
+    irreps,
     irreps_completeness_defect,
 )
 from .errors import (
@@ -58,14 +60,12 @@ from .errors import (
     IncompleteIrreps,
     KOutOfRange,
     NoConvergence,
-    NonAbelianGroup,
     NotRegularSpectrum,
     VoltliftError,
 )
 from .graphs import Digraph, UniversalCoefficients, _integer
 from .voltage import VoltageGraph
 
-MAX_DIMENSION = 4096
 HERMITIAN_TOL = 1e-12
 DEFAULT_GROUPING_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
@@ -170,7 +170,8 @@ class Spectrum:
         return "\n".join(["re,im,multiplicity", *rows]) + "\n"
 
     def __str__(self) -> str:
-        cells = (_fmt_value(v) + ("" if m == 1 else f"^[{m}]") for v, m in self._printed())
+        cells = (c + ("" if m == 1 else f"^[{m}]")
+                 for c, m in zip(_cells(self._values, self.grouping_tol), self._counts.tolist()))
         return "{" + ", ".join(cells) + "}"
 
     def __repr__(self) -> str:
@@ -192,8 +193,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _fmt_value(v: complex) -> str:
-    return f"{v.real:.6g}" if v.imag == 0 else f"{v.real:.6g}{v.imag:+.6g}i"
+def _cells(values, tol: float = DEFAULT_GROUPING_TOL) -> list[str]:
+    """Eigenvalues as printed, as complex() reads them back: 12 digits, j for
+    the imaginary unit, and 0 for a part within tol (the combined table's)."""
+    return [_fmt(v.real) if v.imag == 0 else f"{_fmt(v.real)}{v.imag:+.12g}j"
+            for v in _rounded(values, tol).tolist()]
 
 
 def _check_square(matrix) -> np.ndarray:
@@ -305,8 +309,6 @@ def character_spectra(vg: VoltageGraph,
     inverse image gets the conjugates.  Self-conjugate characters are
     solved on the real part of their matrix.
     """
-    if not isinstance(vg.group, AbelianGroup):
-        raise NonAbelianGroup("character spectra need an abelian group; use rep_spectrum")
     characters = enumerate_characters(vg.group)
     first, conjugated = _character_orbits(vg)
     inverse = vg.group.inverse_indices()
@@ -328,24 +330,34 @@ def _union(spectra: CharacterSpectra) -> Spectrum:
 
 def lift_spectrum(vg: VoltageGraph,
                   coeffs: UniversalCoefficients | None = None) -> Spectrum:
-    """Spectrum of the lift as the union of base-matrix spectra over all
-    characters; |V(base)| * |Gamma| eigenvalues in total."""
+    """Spectrum of the lift, |V(base)| * |Gamma| eigenvalues: the union of
+    base-matrix spectra over the characters, or ``irreps`` of a table group."""
+    if not isinstance(vg.group, AbelianGroup):
+        return rep_spectrum(vg, irreps(vg.group), coeffs)
     return _union(character_spectra(vg, coeffs))
 
 
-def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation]) -> Spectrum:
+def rep_spectrum(vg: VoltageGraph, irreps: Sequence[Representation],
+                 coeffs: UniversalCoefficients | None = None) -> Spectrum:
     """Union over irreps rho of d_rho copies of spec(rho applied to the base
-    matrix); with a complete irrep list this is the lift spectrum.  A list
-    whose squared dimensions do not sum to |group| raises IncompleteIrreps
-    before any solve."""
+    matrix, or to the universal matrix coeffs names: its degree term repeats
+    each base degree d_rho times, and its all-ones term is |Gamma| on the
+    trivial irrep, 0 on the others); with a complete irrep list this is the
+    lift spectrum.  An incomplete list raises IncompleteIrreps before any solve."""
     defect = irreps_completeness_defect(vg.group, irreps)
     if defect != 0:
         raise IncompleteIrreps(
             f"sum of squared irrep dimensions differs from |group| by {defect}")
     base = vg.base_matrix()
-    return Spectrum.group(np.concatenate([
-        np.tile(eigenvalues(base.apply_representation(rho)), rho.dimension)
-        for rho in irreps]))
+    values = []
+    for rho in irreps:
+        matrix = base.apply_representation(rho)
+        if coeffs is not None:
+            degrees = np.repeat(vg.digraph.out_degrees(), rho.dimension).astype(float)
+            trivial = rho.dimension == 1 and np.allclose(rho.matrices, 1)
+            matrix = coeffs.combine(matrix, degrees, vg.group.size * trivial)
+        values.append(np.tile(eigenvalues(matrix), rho.dimension))
+    return Spectrum.group(np.concatenate(values))
 
 
 def _check_direct_size(vertices: int) -> None:
@@ -487,13 +499,6 @@ def per_character_rows(vg: VoltageGraph, spectra: CharacterSpectra | None = None
             indices += (spectra[partner][0],)
         rows.append((indices, vals[_order(vals)].astype(complex).tolist()))
     return rows
-
-
-def _cells(values) -> list[str]:
-    """Per-character table cells of eigenvalues, rounded as the combined
-    table at DEFAULT_GROUPING_TOL; a non-zero imaginary part prints with j."""
-    return [_fmt(v.real) if v.imag == 0 else f"{_fmt(v.real)}{v.imag:+.12g}j"
-            for v in _rounded(values, DEFAULT_GROUPING_TOL).tolist()]
 
 
 def per_character_csv(vg: VoltageGraph, spectra: CharacterSpectra | None = None) -> str:

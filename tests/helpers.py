@@ -156,6 +156,44 @@ def dihedral_group(n: int) -> GenericGroup:
                         name=f"D{n}")
 
 
+def semidirect_z7_z3() -> GenericGroup:
+    """Z7 x| Z3 = <a, b | a^7 = b^3 = 1, b a b^-1 = a^2>; index i + 7j is a^i b^j."""
+    def mul(x, y):  # a^i b^j * a^k b^l = a^(i + 2^j k) b^(j + l)
+        j, i = divmod(x, 7)
+        l, k = divmod(y, 7)
+        return (i + k * 2**j) % 7 + 7 * ((j + l) % 3)
+
+    return GenericGroup([[mul(x, y) for y in range(21)] for x in range(21)], name="Z7:Z3")
+
+
+def quaternion_group() -> GenericGroup:
+    """Q8 from its units 1, i, j, k as 2 x 2 complex matrices; index 2m + s
+    is (-1)^s times the m-th unit, so 2, 3 are +-i and 4, 5 are +-j."""
+    i, j = np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]])
+    units = [sign * unit for unit in (np.eye(2), i, j, i @ j) for sign in (1, -1)]
+
+    def index(m):
+        return next(t for t, unit in enumerate(units) if np.allclose(unit, m))
+
+    return GenericGroup([[index(x @ y) for y in units] for x in units], name="Q8")
+
+
+def permutation_group(gens, name: str) -> GenericGroup:
+    """The group the permutation tuples gens generate, composed as
+    (p*q)(x) = p(q(x)), its elements in lexicographic order."""
+    elements, reached = {tuple(range(len(gens[0])))}, [tuple(range(len(gens[0])))]
+    for p in reached:
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in elements:
+                elements.add(q)
+                reached.append(q)
+    order = sorted(elements)
+    index = {p: i for i, p in enumerate(order)}
+    return GenericGroup([[index[tuple(p[x] for x in q)] for q in order] for p in order],
+                        name=name)
+
+
 def dihedral_irreps(group, n: int) -> list:
     """Trivial, sign and the (n-1)/2 two-dimensional irreps of D_n, n odd."""
     els = group.elements()

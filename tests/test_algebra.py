@@ -13,9 +13,11 @@ import pytest
 
 from voltlift import (
     AbelianGroup,
+    DimensionTooLarge,
     GenericGroup,
     IncompleteRepresentation,
     MismatchedGroups,
+    NoConvergence,
     NonAbelianGroup,
     Representation,
     VoltageGraph,
@@ -25,11 +27,11 @@ from voltlift import (
     enumerate_characters,
     group_from_json,
     irreps_completeness_defect,
-    representations_from_json,
 )
 from voltlift import algebra
 
-from helpers import dihedral_group, dihedral_irreps, group_law, s3_group_and_irreps
+from helpers import (dihedral_group, dihedral_irreps, group_law, permutation_group,
+                     quaternion_group, s3_group_and_irreps, semidirect_z7_z3)
 
 Z5 = AbelianGroup(5)
 Z7 = AbelianGroup(7)
@@ -473,43 +475,87 @@ def test_check_representation_over_an_equal_copy(monkeypatch):
             (own.homomorphism_error, own.unitarity_error, own.passed)
 
 
-def _trivial_irrep_json(**replace):
-    entry = {str(i): [1.0, 0.0] for i in range(6)}
-    entry.update(replace)
-    return [entry]
+# each group and the sorted dimensions of its irreducible representations
+IRREP_CASES = {
+    "Q8": (quaternion_group, [1, 1, 1, 1, 2]),
+    "S3": (lambda: s3_group_and_irreps()[0], [1, 1, 2]),
+    "D7": (lambda: dihedral_group(7), [1, 1, 2, 2, 2]),
+    "D11": (lambda: dihedral_group(11), [1, 1, 2, 2, 2, 2, 2]),
+    "Z7:Z3": (semidirect_z7_z3, [1, 1, 1, 3, 3]),
+    "S4": (lambda: permutation_group([(1, 2, 3, 0), (1, 0, 2, 3)], "S4"), [1, 1, 2, 3, 3]),
+    "A5": (lambda: permutation_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], "A5"),
+           [1, 3, 3, 4, 5]),
+    "S5": (lambda: permutation_group([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], "S5"),
+           [1, 1, 4, 4, 5, 5, 6]),
+    "Z3xZ3-table": (lambda: GenericGroup.from_group(Z33), [1] * 9),
+}
 
 
-@pytest.mark.parametrize("data, message", [
-    (_trivial_irrep_json(**{"6": [1, 0]}), "irreps JSON[0] key '6' is not an element index 0..5"),
-    ({"0": [1, 0]}, "irreps JSON must be a list, got dict"),
-    ([[1, 0]], "irreps JSON[0] must be an object, got list"),
-    (_trivial_irrep_json(**{"1": 5}), "irreps JSON[0] field '1' is a int, expected list"),
-    (_trivial_irrep_json(**{"2": ["a", 0]}),
-     "irreps JSON[0] element 2 must be [re, im] number pairs"),
-    (_trivial_irrep_json(**{"2": [True, 0]}),
-     "irreps JSON[0] element 2 must be [re, im] number pairs"),
-    (_trivial_irrep_json(**{"3": [1, 0, 0]}),
-     "irreps JSON[0] element 3 must be [re, im] number pairs"),
-    (_trivial_irrep_json(**{"4": [1, 0, 0, 0]}), "irreps JSON[0] element 4 matrix is not square"),
-    (_trivial_irrep_json(**{"x": [1, 0]}), "irreps JSON[0] key 'x' is not an element index 0..5"),
-], ids=["key-out-of-range", "top-level-object", "entry-is-list", "matrix-not-list",
-        "entry-not-number", "entry-bool", "odd-length", "not-square", "key-not-int"])
-def test_representations_from_json_rejects_malformed_input(data, message):
-    group, _, _ = s3_group_and_irreps()
-    with pytest.raises(VoltliftError) as err:
-        representations_from_json(group, data)
-    assert str(err.value) == message
+@pytest.mark.parametrize("case", IRREP_CASES.values(), ids=IRREP_CASES.keys())
+def test_irreps_are_a_complete_list_of_unitary_irreducibles(case):
+    make, dimensions = case
+    group = make()
+    reps = algebra.irreps(group)
+    assert sorted(rho.dimension for rho in reps) == dimensions
+    assert irreps_completeness_defect(group, reps) == 0
+    assert all(rho.group is group for rho in reps)
+    assert all(check_representation(group, rho, 1e-10).passed for rho in reps)
+    # distinct irreducible characters are orthonormal
+    characters = np.array([np.trace(rho.matrices, axis1=1, axis2=2) for rho in reps])
+    assert np.abs(characters.conj() @ characters.T / group.size - np.eye(len(reps))).max() < 1e-10
 
 
-def test_representations_from_json_rejects_negative_keys():
-    group, _, _ = s3_group_and_irreps()
-    # all six keys are present once "-1" stands for element 5
-    data = _trivial_irrep_json()
-    data[0]["-1"] = data[0].pop("5")
-    with pytest.raises(VoltliftError, match="key '-1' is not an element index"):
-        representations_from_json(group, data)
-    (rho,) = representations_from_json(group, _trivial_irrep_json())
-    assert check_representation(group, rho).passed
+def test_irreps_skips_a_cluster_that_carries_a_reducible_representation(monkeypatch):
+    """Two eigenspaces of different 2-dimensional irreps of D7, merged into
+    the first cluster, carry a reducible representation: its character has
+    norm 2, so it is skipped, and the other eigenspaces of those irreps
+    complete the list from the first seed."""
+    group = dihedral_group(7)
+    table = group.products(np.arange(14)[:, None], np.arange(14))
+    eigh, calls = np.linalg.eigh, []
+
+    def merged_eigh(a):
+        calls.append(a)
+        values, vectors = eigh(a)
+        cuts = np.flatnonzero(np.diff(values) > 1e-9) + 1
+        spaces, clusters = np.split(vectors, cuts, axis=1), np.split(values, cuts)
+        traces = [tuple(np.einsum("xi,xhi->h", v.conj(), v[table]).real.round(9)) for v in spaces]
+        i = next(i for i, v in enumerate(spaces) if v.shape[1] == 2)
+        j = next(j for j, v in enumerate(spaces) if v.shape[1] == 2 and traces[j] != traces[i])
+        rest = [k for k in range(len(spaces)) if k not in (i, j)]
+        # both eigenspaces at one eigenvalue below all others
+        return (np.concatenate([np.full(4, values[0] - 1), *(clusters[k] for k in rest)]),
+                np.hstack([spaces[i], spaces[j], *(spaces[k] for k in rest)]))
+
+    monkeypatch.setattr(np.linalg, "eigh", merged_eigh)
+    reps = algebra.irreps(group)
+    assert len(calls) == 1
+    assert sorted(rho.dimension for rho in reps) == [1, 1, 2, 2, 2]
+    assert all(check_representation(group, rho).passed for rho in reps)
+
+
+def test_irreps_refuses_an_order_past_the_dense_cap_before_allocating():
+    group = AbelianGroup(algebra.MAX_DIMENSION + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionTooLarge, match="group order 4097 exceeds the 4096 cap"):
+            algebra.irreps(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_irreps_tries_every_seed_before_giving_up(monkeypatch):
+    """With one cluster of all eigenvalues, no seed gives an irreducible
+    beyond the trivial one, so every seed is tried and none is accepted."""
+    monkeypatch.setattr(algebra, "IRREPS_CLUSTER_GAP", math.inf)
+    seeds = []
+    rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or rng(seed))
+    with pytest.raises(NoConvergence, match="no seed of IRREPS_SEEDS gives all irreps of S3"):
+        algebra.irreps(s3_group_and_irreps()[0])
+    assert seeds == list(algebra.IRREPS_SEEDS)
 
 
 # lcm(orders) < |G| in each group, so the integer phase is not the index sum

@@ -124,7 +124,7 @@ def test_spectrum_per_character_laplacian_prints_laplacian_values(capsys, monkey
     assert abs(float(value)) < 1e-12 and (im, count) == ("0", "1")
 
 
-@pytest.mark.parametrize("method", ["direct", "irreps"])
+@pytest.mark.parametrize("method", ["direct"])
 def test_spectrum_per_character_needs_the_character_method(capsys, method):
     code, out, err = run(capsys, "spectrum", "--johnson-base", "7", "3",
                          "--method", method, "--per-character")
@@ -226,23 +226,14 @@ def test_verify_directed_token_cayley(capsys, target):
     assert out.startswith(f"PASS {target}")
 
 
-def test_spectrum_irreps_method_reads_the_characters_from_a_file(capsys, tmp_path):
-    z5 = voltlift.AbelianGroup(5)
-    characters = [voltlift.Representation.from_character(z5, j)
-                  for j in voltlift.enumerate_characters(z5)]
-    irreps = tmp_path / "characters.json"
-    irreps.write_text(json.dumps(voltlift.representations_to_json(characters)))
-    code, out, _ = run(capsys, "spectrum", "--johnson-base", "5", "2",
-                       "--method", "irreps", "--irreps", str(irreps))
-    assert code == 0
-    assert out.splitlines()[1:] == ["6,0,1", "1,0,4", "-2,0,5"]
-
-
-def test_spectrum_irreps_method_needs_an_irreps_file(capsys):
-    code, out, err = run(capsys, "spectrum", "--johnson", "5", "2", "--method", "irreps")
-    assert code == 2
-    assert out == ""
-    assert err == "voltlift: error: --method irreps needs --irreps FILE\n"
+def test_spectrum_refuses_the_removed_irreps_options(capsys):
+    """Irreps are computed from the group table: no method or file names them."""
+    for argv, message in [(["--method", "irreps"], "argument --method: invalid choice: 'irreps'"),
+                          (["--irreps", "irreps.json"],
+                           "unrecognized arguments: --irreps irreps.json")]:
+        code, out, err = run(capsys, "spectrum", "--johnson", "5", "2", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"voltlift: error: {message}")
 
 
 @pytest.mark.parametrize("source, vertices", CONSTRUCTIVE_SOURCES, ids=SOURCE_IDS)
@@ -318,24 +309,24 @@ def test_reproduce_c5_reports_documented_discrepancy(capsys):
     assert "documented discrepancy" in out
 
 
-def test_spectrum_irreps_from_json_file(capsys, tmp_path):
-    import sys
-    sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+def test_spectrum_of_a_nonabelian_base_file(capsys, tmp_path):
+    """The default method computes the irreps of a table-defined group."""
     from helpers import s3_group_and_irreps
 
-    from voltlift import VoltageGraph, representations_to_json
-
-    group, _, irreps = s3_group_and_irreps()
-    vg = VoltageGraph.directed_from_arcs(group, ["v"], [(0, 0, 1), (0, 0, 2)])
+    group, _, _ = s3_group_and_irreps()
+    vg = voltlift.VoltageGraph.directed_from_arcs(group, ["v"], [(0, 0, 1), (0, 0, 2)])
     vg_path = tmp_path / "vg.json"
     vg_path.write_text(json.dumps(vg.to_json()))
-    irreps_path = tmp_path / "irreps.json"
-    irreps_path.write_text(json.dumps(representations_to_json(irreps)))
-    code, out, _ = run(capsys, "spectrum", "--in", str(vg_path),
-                       "--method", "irreps", "--irreps", str(irreps_path))
+    code, out, _ = run(capsys, "spectrum", "--in", str(vg_path))
     assert code == 0
-    rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert [(round(float(re), 8), int(m)) for re, im, m in rows] == [(2.0, 2), (-1.0, 4)]
+    assert out.splitlines()[1:] == ["2,0,2", "-1,0,4"]
+    # L = 2I - A on the 2-regular lift
+    code, out, _ = run(capsys, "spectrum", "--in", str(vg_path), "--laplacian")
+    assert code == 0
+    assert out.splitlines()[1:] == ["3,0,4", "0,0,2"]
+    code, out, _ = run(capsys, "verify", "spectrum-equivalence", "--in", str(vg_path))
+    assert code == 0
+    assert out.startswith("PASS spectrum-equivalence")
 
 
 def test_exit_code_2_on_bad_params(capsys):
@@ -365,8 +356,8 @@ LEAF_FLAGS = {
                        "--adjacency-csv"},
     "generate lift": SOURCE_FLAGS | {"--out", "--dot", "--adjacency-csv"},
     "generate base": SOURCE_FLAGS | {"--out", "--dot"},
-    "spectrum": SOURCE_FLAGS | {"--method", "--irreps", "--laplacian", "--signless",
-                                "--universal", "--per-character", "--out"},
+    "spectrum": SOURCE_FLAGS | {"--method", "--laplacian", "--signless", "--universal",
+                                "--per-character", "--out"},
     "verify isomorphism": SOURCE_FLAGS | {"--certificate"},
     "verify spectrum-equivalence": SOURCE_FLAGS | {"--tol"},
     "verify johnson-closed-form": {"--n", "--k", "--tol"},
@@ -378,7 +369,7 @@ def test_each_command_accepts_only_the_flags_it_reads():
     leaves = dict(_leaf_flags(build_parser()))
     assert leaves == LEAF_FLAGS
     # one (command, flag) pair per flag, the alias not counted
-    assert sum(len(flags - {"--johnson"}) for flags in leaves.values()) == 70
+    assert sum(len(flags - {"--johnson"}) for flags in leaves.values()) == 69
 
 
 @pytest.mark.parametrize("source", [s for s, _ in CONSTRUCTIVE_SOURCES]
@@ -422,18 +413,12 @@ MALFORMED_GRAPHS = {
     "GROUP_ENTRY_BEYOND_INTP": {"group": {"size": 1, "table": [2**70]}, "vertices": [0],
                                 "arcs": []},
     "OBJECT_LABEL": {"vertices": [{"a": 1}], "arcs": []},
-    # a voltage graph over S3 and irreps files that are valid JSON but not irreps
+    # a voltage graph over S3
     "S3_GRAPH": {"group": {"size": 6, "table": [0, 1, 2, 3, 4, 5, 1, 2, 0, 5, 3, 4,
                                                 2, 0, 1, 4, 5, 3, 3, 4, 5, 0, 1, 2,
                                                 4, 5, 3, 2, 0, 1, 5, 3, 4, 1, 2, 0]},
                  "vertices": [0], "arcs": [{"tail": 0, "head": 0, "voltage": [1]},
                                            {"tail": 0, "head": 0, "voltage": [2]}]},
-    "IRREPS_KEY_OUT_OF_RANGE": [{"6": [1, 0]}],
-    "IRREPS_KEY_NEGATIVE": [{"-1": [1, 0]}],
-    "IRREPS_KEY_NOT_INT": [{"x": [1, 0]}],
-    "IRREPS_ENTRY_NOT_NUMBER": [{"0": ["a", 0]}],
-    "IRREPS_ENTRY_IS_LIST": [[1, 0]],
-    "IRREPS_NOT_LIST": {"0": [1, 0]},
 }
 
 MALFORMED = {
@@ -477,7 +462,9 @@ MALFORMED = {
                     "--k", "2"],
     "k-beside-johnson": ["spectrum", "--johnson", "7", "3", "--k", "5"],
     "irreps-with-characters": ["spectrum", "--johnson", "5", "2", "--method", "characters",
-                               "--irreps", "IRREPS_NOT_LIST"],
+                               "--irreps", "S3_GRAPH"],
+    # per-character rows need characters, which a non-abelian group lacks
+    "per-character-nonabelian": ["spectrum", "--in", "S3_GRAPH", "--per-character"],
     "laplacian-and-signless": ["spectrum", "--johnson", "5", "2", "--laplacian", "--signless"],
     "directed-token-of-complete": ["generate", "token", "--complete", "4", "--k", "2",
                                    "--directed"],
@@ -486,9 +473,6 @@ MALFORMED = {
                                 "--johnson", "7", "3"],
     "abbreviated-flag": ["spectrum", "--johnson", "5", "2", "--lap"],
     "cayley-without-group": ["generate", "cayley", "--gens", "1"],
-    **{f"irreps-json-{name[7:].lower().replace('_', '-')}":
-       ["spectrum", "--in", "S3_GRAPH", "--method", "irreps", "--irreps", name]
-       for name in MALFORMED_GRAPHS if name.startswith("IRREPS_")},
 }
 
 

@@ -50,7 +50,8 @@ from voltlift import spectra
 from voltlift.orbits import circulant_linegraph_base
 from voltlift.spectra import HERMITIAN_TOL
 
-from helpers import random_voltage_graph, s3_group_and_irreps, unit_orbits
+from helpers import (dihedral_group, dihedral_irreps, quaternion_group, random_voltage_graph,
+                     s3_group_and_irreps, semidirect_z7_z3, unit_orbits)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -333,7 +334,7 @@ def test_spectrum_prints_parts_within_its_tol_as_zero():
     assert routes[0].pairs[2][0] != 0
     values = [2.0, 1e-7 + 3e-7j, -1e-6 + 0.5j, 1.5e-6 - 0.0j, -0.0]
     s = Spectrum.group(values)
-    assert str(s) == "{2, 1.5e-06, 0^[2], 0+0.5i}"
+    assert str(s) == "{2, 1.5e-06, 0^[2], 0+0.5j}"
     assert s.to_csv() == "re,im,multiplicity\n2,0,1\n1.5e-06,0,1\n0,0,2\n0,0.5,1\n"
     assert Spectrum(s.pairs, 0).to_csv() == ("re,im,multiplicity\n2,0,1\n1.5e-06,0,1\n"
                                              "5e-08,1.5e-07,2\n-1e-06,0.5,1\n")
@@ -343,11 +344,22 @@ def test_spectrum_str_shows_the_imaginary_parts_its_csv_writes():
     """str and to_csv print through one rule: an imaginary part shows in
     both exactly when it exceeds grouping_tol, however small it is."""
     s = Spectrum.group([1 + 1e-12j, 1 - 1e-12j], 0)
-    assert str(s) == "{1-1e-12i, 1+1e-12i}"
+    assert str(s) == "{1-1e-12j, 1+1e-12j}"
     assert s.to_csv() == "re,im,multiplicity\n1,-1e-12,1\n1,1e-12,1\n"
     s = Spectrum.group([1 + 1e-12j, 1 - 1e-12j], 1e-6)
     assert str(s) == "{1^[2]}"
     assert s.to_csv() == "re,im,multiplicity\n1,0,2\n"
+
+
+def test_spectrum_str_prints_twelve_digits_that_complex_reads_back():
+    """str prints the per-character cells' 12 significant digits and j, so
+    complex() reads a printed value back."""
+    values = [0.5 + 1.5388418218j, 0.5 - 1.5388418218j, 1 / 3, -2.0]
+    s = Spectrum.group(values, 0)
+    assert str(s) == "{0.5-1.5388418218j, 0.5+1.5388418218j, 0.333333333333, -2}"
+    cells = str(s)[1:-1].split(", ")
+    assert cells == spectra._cells(s.expand(), 0)
+    assert np.abs(np.array([complex(c) for c in cells]) - s.expand()).max() < 1e-12
 
 
 def _parsed_cells(csv):
@@ -619,20 +631,62 @@ def test_lift_spectrum_equals_direct_on_random_instances():
         assert cmp.equal, f"{vg}: distance {cmp.max_distance}"
 
 
-def test_lift_spectrum_rejects_generic_groups():
-    group, _, _ = s3_group_and_irreps()
+def test_lift_spectrum_serves_generic_groups():
+    """A base over a table-defined group needs no hand-built irreps: the
+    lift spectrum equals rep_spectrum with the hand-built S3 irreps."""
+    group, _, hand_built = s3_group_and_irreps()
     vg = VoltageGraph.directed_from_arcs(group, ["v"], [(0, 0, 1), (0, 0, 2)])
-    with pytest.raises(NonAbelianGroup):
-        lift_spectrum(vg)
+    computed = lift_spectrum(vg)
+    assert multiset_equal(computed, rep_spectrum(vg, hand_built), 1e-12).equal
+    assert multiset_equal(computed, [2, 2, -1, -1, -1, -1], 1e-8).equal
+    with pytest.raises(NonAbelianGroup, match="characters are defined for abelian groups only"):
+        spectra.character_spectra(vg)
+
+
+# (group, connection set, k): the Cayley hosts of the token graphs judged below
+GENERIC_TOKEN_CASES = {
+    "D7-r-s-k3": (lambda: dihedral_group(7), [1, 6, 7], 3),
+    "D11-r-s-k3": (lambda: dihedral_group(11), [1, 10, 11], 3),
+    "Z7:Z3-a-b-k2": (semidirect_z7_z3, [1, 6, 7, 14], 2),
+    "Q8-i-j-k3": (quaternion_group, [2, 3, 4, 5], 3),
+}
+
+
+# the Seidel matrix's all-ones term reads the trivial irrep among the computed ones
+@pytest.mark.parametrize("coeffs", [None, UniversalCoefficients.laplacian(),
+                                    UniversalCoefficients.seidel()],
+                         ids=["adjacency", "laplacian", "seidel"])
+@pytest.mark.parametrize("case", GENERIC_TOKEN_CASES.values(), ids=GENERIC_TOKEN_CASES.keys())
+def test_lift_spectrum_of_a_generic_group_equals_direct(case, coeffs):
+    make, gens, k = case
+    group = make()
+    target = token_graph(cayley_graph(group, gens), k)
+    cmp = multiset_equal(lift_spectrum(token_base_graph(group, gens, k), coeffs),
+                         direct_spectrum(target, coeffs), 1e-8)
+    assert cmp.equal, cmp.max_distance
+
+
+@pytest.mark.parametrize("laplacian", [False, True], ids=["adjacency", "laplacian"])
+@pytest.mark.parametrize("n", [7, 11])
+def test_lift_spectrum_of_a_dihedral_group_equals_hand_built_irreps(n, laplacian):
+    group = dihedral_group(n)
+    coeffs = UniversalCoefficients.laplacian() if laplacian else None
+    vg = token_base_graph(group, [1, n - 1, n], 3)
+    cmp = multiset_equal(lift_spectrum(vg, coeffs),
+                         rep_spectrum(vg, dihedral_irreps(group, n), coeffs), 1e-12)
+    assert cmp.equal, cmp.max_distance
 
 
 def test_rep_spectrum_with_characters_matches_lift_spectrum():
     vg = johnson_base(5, 2)
     irreps = [Representation.from_character(vg.group, j)
               for j in enumerate_characters(vg.group)]
-    a = rep_spectrum(vg, irreps)
-    b = lift_spectrum(vg)
-    assert multiset_equal(a, b, 1e-10).equal
+    # the Seidel and the last set carry an all-ones term, |Z5| on the trivial character
+    for coeffs in [None, UniversalCoefficients.laplacian(), UniversalCoefficients.seidel(),
+                   UniversalCoefficients(0.3, -0.7, 1.1, 0.1)]:
+        a = rep_spectrum(vg, irreps, coeffs)
+        b = lift_spectrum(vg, coeffs)
+        assert multiset_equal(a, b, 1e-10).equal, coeffs
 
 
 def test_rep_spectrum_missing_character_raises():
