@@ -87,15 +87,7 @@ def _require_same_group(a, b):
 
 class _Group:
     """What both kinds of group share: ``indices`` reads keys, each by the
-    subclass's ``_key_index``; ``keys``, ``element`` and ``elements`` write."""
-
-    def element(self, key) -> GroupElement:
-        """The element of one key, as ``indices`` reads it."""
-        return GroupElement(self, self.keys(self.indices([key]))[0])
-
-    @property
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self.keys([self._identity_index])[0])
+    subclass's ``_key_index``; ``keys`` and ``elements`` write."""
 
     def elements(self) -> tuple[GroupElement, ...]:
         """All elements in enumeration order, made on first use."""

@@ -90,33 +90,32 @@ def parse_group(text: str) -> AbelianGroup:
     return AbelianGroup(*orders)
 
 
+def _element(group: AbelianGroup, text: str, what: str) -> list:
+    """The coordinates of one element literal: [a;b;...] at any rank, a plain
+    integer at rank 1, or one signed digit string with a digit per
+    coordinate at higher rank (-12 is (-1, -2))."""
+    if text.startswith("["):
+        return _numbers(text.strip("[]").split(";"), int, f"{what} {text!r}")
+    if group.rank == 1:
+        return _numbers([text], int, f"{what} {text!r}")
+    if not re.fullmatch(r"-?\d+", text):
+        raise CliError(f"cannot parse {what} {text!r}")
+    digits = text.lstrip("-")
+    if len(digits) != group.rank:
+        raise CliError(f"{what} {text!r} needs {group.rank} digits")
+    sign = -1 if text.startswith("-") else 1
+    return [sign * int(d) for d in digits]
+
+
 def parse_generators(group: AbelianGroup, text: str, symmetrize: bool = True):
-    """Comma-separated generators as an intp array of element indices; rank-2
-    factors of order <= 9 use concatenated digits (10, 01), otherwise
-    bracketed tuples like [1;0].  Undirected use appends, in order, each
-    inverse not yet in the list."""
-    coords_list = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk.startswith("["):
-            coords = _numbers(chunk.strip("[]").split(";"), int, f"generator {chunk!r}")
-        elif group.rank == 1:
-            coords = _numbers([chunk], int, f"generator {chunk!r}")
-        elif all(n <= 9 for n in group.orders) and re.fullmatch(r"-?\d+", chunk):
-            digits = chunk.lstrip("-")
-            if len(digits) != group.rank:
-                raise CliError(f"generator {chunk!r} needs {group.rank} digits")
-            coords = [int(d) for d in digits]
-            if chunk.startswith("-"):
-                coords = [-c for c in coords]
-        else:
-            raise CliError(f"cannot parse generator {chunk!r}")
-        coords_list.append(coords)
-    if not coords_list:
+    """Comma-separated element literals (see ``_element``) as an intp array
+    of element indices.  Undirected use appends, in order, each inverse not
+    yet in the list."""
+    coords = [_element(group, chunk.strip(), "generator")
+              for chunk in text.split(",") if chunk.strip()]
+    if not coords:
         raise CliError("empty generator list")
-    gens = group.indices(coords_list).tolist()
+    gens = group.indices(coords).tolist()
     if symmetrize:
         inverse = group.inverse_indices().tolist()
         for g in list(gens):
@@ -126,17 +125,20 @@ def parse_generators(group: AbelianGroup, text: str, symmetrize: bool = True):
 
 
 def parse_representatives(group: AbelianGroup, text: str):
-    """Subset list like 00,10/00,01/... or 012/013/... for cyclic groups."""
+    """Subsets separated by /, each a comma- or space-separated list of
+    element literals (see ``_element``) or one literal: 00,10/00,01/... or
+    [1;10]/...; at rank 1 a run of digits lists one element per digit
+    (012/013/...)."""
     subsets = []
     for chunk in text.split("/"):
         chunk = chunk.strip()
-        members = re.split(r"[,\s]+", chunk) if ("," in chunk or " " in chunk) else list(chunk)
-        subset = []
-        for member in members:
-            if group.rank != 1 and len(member) != group.rank:
-                raise CliError(f"representative element {member!r} needs {group.rank} digits")
-            digits = [member] if group.rank == 1 else member
-            subset.append(_numbers(digits, int, f"representative element {member!r}"))
+        if "," in chunk or " " in chunk:
+            members = re.findall(r"\[[^\]]*\]|[^,\s]+", chunk)
+        elif group.rank == 1 and chunk.isdecimal():
+            members = list(chunk)
+        else:
+            members = [chunk] if chunk else []
+        subset = [_element(group, member, "representative element") for member in members]
         subsets.append(tuple(sorted(group.indices(subset).tolist())))
     return subsets
 

@@ -142,13 +142,9 @@ class Digraph:
     def arc_count(self) -> int:
         return len(self._arcs)
 
-    @property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        """The arcs as (tail, head) tuples, built from the array on each call."""
-        return tuple(map(tuple, self._arcs.tolist()))
-
-    def out_degrees(self) -> list[int]:
-        return np.bincount(self._arcs[:, 0], minlength=self.n).tolist()
+    def out_degrees(self) -> np.ndarray:
+        """The out-degree of each vertex, as an intp array in vertex order."""
+        return np.bincount(self._arcs[:, 0], minlength=self.n)
 
     def arc_array(self) -> np.ndarray:
         """The arcs as the stored read-only (arc_count, 2) array of (tail, head) rows."""
@@ -223,24 +219,17 @@ class Graph(Digraph):
         return cls(Digraph(labels, arcs), np.arange(len(arcs)) ^ 1)
 
     @property
-    def pairing(self) -> tuple[int, ...]:
-        """The pairing as a tuple, built from the array on each call."""
-        return tuple(self._pairing.tolist())
+    def pairing(self) -> np.ndarray:
+        """The stored read-only intp array: arc i pairs with arc pairing[i]."""
+        return self._pairing
 
     def edge_array(self) -> np.ndarray:
         """One (tail, head) row per digon pair or semi-edge, in first-arc order."""
         return self._arcs[self._pairing >= np.arange(self.arc_count)]
 
-    def edges(self) -> list[tuple[int, int]]:
-        """One (tail, head) per digon pair or semi-edge, in first-arc order."""
-        return list(map(tuple, self.edge_array().tolist()))
-
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self._pairing >= np.arange(self.arc_count)))
-
-    def degrees(self) -> list[int]:
-        return self.out_degrees()
 
     def has_loops(self) -> bool:
         return bool((self._arcs[:, 0] == self._arcs[:, 1]).any())
@@ -451,7 +440,7 @@ def line_graph(graph: Graph) -> Graph:
     """Line graph: a vertex per edge, adjacency iff exactly one shared endpoint."""
     if graph.has_loops():
         raise LoopsUnsupported("line graphs of loopy graphs are undefined here")
-    edge_ends = [tuple(sorted(e)) for e in graph.edges()]
+    edge_ends = [tuple(sorted(e)) for e in graph.edge_array().tolist()]
     labels = list(edge_ends)
     seen = Counter(edge_ends)
     if any(c > 1 for c in seen.values()):

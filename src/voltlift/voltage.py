@@ -160,7 +160,7 @@ class VoltageGraph:
         if outside.size:
             raise VoltliftError(f"voltage index {outside[0]} out of range 0..{group.size - 1}")
         if isinstance(digraph, Graph):
-            pairing = digraph._pairing
+            pairing = digraph.pairing
             not_inverse = volts[pairing] != group.inverse_indices()[volts]
             identity_semi = (pairing == np.arange(len(pairing))) & (volts == group._identity_index)
             bad = np.flatnonzero(not_inverse | identity_semi)
@@ -226,8 +226,8 @@ class VoltageGraph:
         return isinstance(self.digraph, Graph)
 
     @property
-    def pairing(self) -> tuple[int, ...] | None:
-        """The base graph's pairing; None when directed."""
+    def pairing(self) -> np.ndarray | None:
+        """The base graph's read-only pairing array; None when directed."""
         return self.digraph.pairing if self.undirected else None
 
     @property
@@ -269,7 +269,7 @@ class VoltageGraph:
         if not self.undirected:
             return digraph
         # (u, g) -> (v, g*w) pairs with (v, g*w) -> (u, g) on the partner arc
-        partners = self.digraph._pairing[:, None] * m + shifted
+        partners = self.digraph.pairing[:, None] * m + shifted
         return Graph(digraph, partners.ravel())
 
     def base_matrix(self) -> BaseMatrix:
@@ -298,10 +298,10 @@ class VoltageGraph:
         if coeffs is None:
             return b
         ones = self.group.size * (self.group.indices([j])[0] == 0)
-        return coeffs.combine(b, np.asarray(self.digraph.out_degrees(), dtype=float), ones)
+        return coeffs.combine(b, self.digraph.out_degrees().astype(float), ones)
 
     def to_json(self) -> dict:
-        pairing = self.pairing or [None] * self.digraph.arc_count
+        pairing = self.pairing.tolist() if self.undirected else [None] * self.digraph.arc_count
         arcs = zip(self.digraph.arc_array().tolist(), self.voltages, pairing)
         return {
             "group": self.group.to_json(),

@@ -44,7 +44,7 @@ def group_law(group):
 
 def entry(group, *keys) -> dict[int, int]:
     """The base-matrix entry {voltage index: arc count} of one arc per key."""
-    return dict(Counter(group.element(key).index for key in keys))
+    return dict(Counter(group.indices(keys).tolist()))
 
 
 def random_voltage_graph(rng: random.Random) -> VoltageGraph:
@@ -103,7 +103,7 @@ def greedy_pairing(arcs, volts=None, group=None, strict=True) -> list[int]:
     An arc left without a partner raises InvalidPairing naming it, or stays
     -1 when not strict."""
     if volts is None:
-        keys = list(arcs)
+        keys = [tuple(arc) for arc in arcs]
     else:
         els, invert = group.elements(), group_law(group)[1]
         keys = [(tail, head, els[w].key) for (tail, head), w in zip(arcs, volts)]
@@ -241,13 +241,14 @@ def s3_group_and_irreps():
         inv = sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j])
         return -1.0 if inv % 2 else 1.0
 
-    trivial = Representation(group, {group.element(i): np.eye(1) for i in range(6)})
+    els = group.elements()
+    trivial = Representation(group, {els[i]: np.eye(1) for i in range(6)})
     sign = Representation(
         group,
-        {group.element(i): np.array([[parity(perms[i])]]) for i in range(6)},
+        {els[i]: np.array([[parity(perms[i])]]) for i in range(6)},
     )
     standard = Representation(
         group,
-        {group.element(i): two_dim[perms[i]].astype(complex) for i in range(6)},
+        {els[i]: two_dim[perms[i]].astype(complex) for i in range(6)},
     )
     return group, perms, [trivial, sign, standard]

@@ -49,14 +49,14 @@ def test_group_op_z5():
 
 
 def test_group_op_z3z3_inverse_pair():
-    assert Z33.products(*Z33.indices([(2, 1), (1, 2)])) == Z33.identity.index
+    assert Z33.products(*Z33.indices([(2, 1), (1, 2)])) == Z33.indices([(0, 0)])[0]
 
 
 def test_element_normalization_and_index():
-    el = Z33.element((5, -1))
+    assert Z33.indices([(5, -1)]).tolist() == [8]
+    el = Z33.elements()[8]
     assert el.key == (2, 2)
     assert el.index == 8
-    assert Z33.elements()[8] == el
 
 
 def test_generic_group_matches_abelian_on_all_pairs():
@@ -85,9 +85,7 @@ def test_products_broadcast_index_arrays(group):
 
 def test_mismatched_groups_raises():
     with pytest.raises(MismatchedGroups):
-        Z5.indices([Z7.element(1)])
-    with pytest.raises(MismatchedGroups):
-        Z5.element(Z7.element(1))
+        Z5.indices([Z7.elements()[1]])
 
 
 def test_generic_group_rejects_non_latin():
@@ -159,7 +157,7 @@ def _new_validation(table):
         group = GenericGroup(table)
     except VoltliftError as err:
         return str(err)
-    return group.identity.key, group.inverse_indices().tolist()
+    return group._identity_index, group.inverse_indices().tolist()
 
 
 def _random_loop(rng, n):
@@ -275,9 +273,9 @@ def test_light_generators_of_a_group(group):
     they reach every element by right multiplication from the identity."""
     elements = np.arange(group.size)
     t = group.products(elements[:, None], elements)
-    gens = list(algebra._light_generators(t, group.identity.index))
+    gens = list(algebra._light_generators(t, group._identity_index))
     assert len(gens) <= math.log2(group.size)
-    reached = {group.identity.index}
+    reached = {group._identity_index}
     frontier = list(reached)
     while frontier:
         frontier = [p for p in {int(t[x, g]) for x in frontier for g in gens} - reached]
@@ -320,7 +318,7 @@ def test_generic_group_rejects_a_different_hash_without_reading_tables(monkeypat
     compared = _count_table_comparisons(monkeypatch)
     assert s3 != z6 and z6 != s3 and not s3 == z6
     with pytest.raises(MismatchedGroups):
-        s3.indices([z6.element(1)])
+        s3.indices([z6.elements()[1]])
     assert not compared
     # equal copies still compare their tables
     copy = GenericGroup(np.reshape(z6.to_json()["table"], (6, 6)).tolist())
@@ -342,13 +340,13 @@ def test_same_group_object_skips_equality(monkeypatch):
     monkeypatch.setattr(AbelianGroup, "__eq__",
                         lambda self, other: calls.append(1) or eq(self, other))
     group = AbelianGroup(3, 4)
-    a, b = group.element((1, 2)), group.element((2, 3))
-    assert group.indices([a, b]).tolist() == [6, 11] and a.index == 6
+    a, b = group.elements()[6], group.elements()[11]
+    assert group.indices([a, b]).tolist() == [6, 11] and a.key == (1, 2)
     assert not calls
-    assert group.indices([AbelianGroup(3, 4).element((0, 1))]).tolist() == [1]
+    assert group.indices([AbelianGroup(3, 4).elements()[1]]).tolist() == [1]
     assert calls
     with pytest.raises(MismatchedGroups, match=r"AbelianGroup\(4,\) and AbelianGroup\(3, 4\)"):
-        group.indices([AbelianGroup(4).element(1)])
+        group.indices([AbelianGroup(4).elements()[1]])
 
 
 def test_enumerate_characters_counts():
@@ -587,7 +585,7 @@ G3 = GenericGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         "abelian-str", "abelian-none", "abelian-bool", "generic-numpy-bool"])
 def test_element_rejects_non_integer_coordinates(group, value, message):
     with pytest.raises(VoltliftError) as err:
-        group.element(value)
+        group.indices([value])
     assert str(err.value) == message
 
 
@@ -598,7 +596,8 @@ def test_element_rejects_non_integer_coordinates(group, value, message):
 ], ids=["rank-1", "rank-2", "generic"])
 def test_keys_of_indices_are_the_keys(group, keys):
     idx = group.indices(keys)
-    assert idx.dtype == np.intp and idx.tolist() == [group.element(key).index for key in keys]
+    in_order = [el.key for el in group.elements()]
+    assert idx.dtype == np.intp and idx.tolist() == [in_order.index(key) for key in keys]
     assert group.keys(idx) == keys and group.keys(idx[:0]) == []
     assert group.keys(np.arange(group.size)) == [el.key for el in group.elements()]
     # elements of the group and index arrays read as themselves
@@ -624,13 +623,13 @@ def test_indices_reduce_coordinates_and_name_refused_keys():
 
 
 def test_element_accepts_numpy_integers():
-    el = Z5.element(np.int64(3))
-    assert el == Z5.element(3) and type(el.key[0]) is int
-    assert Z33.element(np.array([1, 5])) == Z33.element((1, 2))
-    assert Z33.element((np.int32(4), np.uint8(2))).key == (1, 2)
-    assert G3.element(np.int64(2)).key == 2 and type(G3.element(np.int64(2)).key) is int
+    key = Z5.keys(Z5.indices([np.int64(3)]))[0]
+    assert key == (3,) and type(key[0]) is int
+    assert Z33.indices([np.array([1, 5]), (np.int32(4), np.uint8(2)), (1, 2)]).tolist() == [5] * 3
+    key = G3.keys(G3.indices([np.int64(2)]))[0]
+    assert key == 2 and type(key) is int
     with pytest.raises(VoltliftError, match="needs 2 coordinates"):
-        Z33.element(np.int64(1))
+        Z33.indices([np.int64(1)])
     gens = cayley_graph(Z5, np.array([1, 4]))
     assert np.array_equal(gens.adjacency_matrix(), cayley_graph(Z5, [1, 4]).adjacency_matrix())
     assert Z5.character_values(np.int64(2)).tobytes() == Z5.character_values((2,)).tobytes()
@@ -667,7 +666,7 @@ def _old_roots(period):
 def _old_character_values(group, index):
     """Character(group, index).values() of the removed Character class, read
     from the old table of roots."""
-    index = group.element(index).key
+    index = group.keys(group.indices([index]))[0]
     period = math.lcm(*group.orders)
     roots = _old_roots(period)
     coords = np.unravel_index(np.arange(group.size), group.orders)
@@ -731,7 +730,8 @@ def _check_cases():
     irreps = dihedral_irreps(d7, 7)
     standard = dict(zip(d7.elements(), irreps[2].matrices))
     perturbed = dict(standard)
-    perturbed[d7.element(3)] = perturbed[d7.element(3)] * np.exp(0.1j)
+    element = d7.elements()[3]
+    perturbed[element] = perturbed[element] * np.exp(0.1j)
     scaled = {g: 1.5 * m for g, m in standard.items()}
     z46 = AbelianGroup(4, 6)
     cases = {f"D7-irrep-{i}": (d7, rho) for i, rho in enumerate(irreps)}

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import voltlift
-from voltlift.cli import build_parser, main
+from voltlift import AbelianGroup
+from voltlift.cli import CliError, build_parser, main, parse_generators, parse_representatives
 
 # constructive sources and the vertex count of the graph each lifts to
 CONSTRUCTIVE_SOURCES = [
@@ -224,6 +225,41 @@ def test_verify_directed_token_cayley(capsys, target):
                        "--k", "3", "--directed")
     assert code == 0
     assert out.startswith(f"PASS {target}")
+
+
+# a coordinate past 9 at rank 2, and a 1-subset at rank 2
+@pytest.mark.parametrize("source", [
+    ["--token-cayley", "Z2xZ11", "--gens", "[1;0],[0;1]", "--k", "1", "--representatives",
+     "[1;10]"],
+    ["--token-cayley", "Z3xZ3", "--gens", "10,01", "--k", "1", "--representatives", "12"],
+], ids=["bracket-past-9", "single-element"])
+@pytest.mark.parametrize("target", ["isomorphism", "spectrum-equivalence"])
+def test_verify_reads_bracket_and_single_element_representatives(capsys, target, source):
+    code, out, err = run(capsys, "verify", target, *source)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"PASS {target}")
+
+
+def test_generators_and_representatives_read_one_element_grammar():
+    """[a;b], signed digits and plain integers at rank 1 read alike in both
+    lists; at rank 1 a run of digits is one element per digit."""
+    z33, z2z11, z13 = AbelianGroup(3, 3), AbelianGroup(2, 11), AbelianGroup(13)
+    assert parse_generators(z33, "12,[1;2],-21,[4;-1]", symmetrize=False).tolist() == [5] * 4
+    assert parse_generators(z2z11, "01,[1;10]").tolist() == [1, 21, 10, 12]
+    assert parse_generators(z13, "-1, [3]").tolist() == [12, 3, 1, 10]
+    assert parse_representatives(z33, "12") == [(5,)]
+    assert parse_representatives(z33, "00,12/[0;1] [1;0]/-11") == [(0, 5), (1, 3), (8,)]
+    assert parse_representatives(z2z11, "[1;10]/[0;3],01/[1; 10], [0; 3]") == \
+        [(21,), (1, 3), (3, 21)]
+    assert parse_representatives(z13, "012/[12]/-1/1,12") == [(0, 1, 2), (12,), (12,), (1, 12)]
+    for group, text, message in [
+        (z33, "123", "representative element '123' needs 2 digits"),
+        (z33, "1a", "cannot parse representative element '1a'"),
+        (z13, "0a", "cannot parse representative element '0a': invalid literal"),
+    ]:
+        with pytest.raises(CliError) as err:
+            parse_representatives(group, text)
+        assert str(err.value).startswith(message)
 
 
 def test_spectrum_refuses_the_removed_irreps_options(capsys):

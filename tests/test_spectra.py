@@ -441,8 +441,8 @@ def test_line_graph_transform_oracle_equivalence():
     for group, gens in [(AbelianGroup(8), [1, 2, 3, 5, 6, 7]),
                         (AbelianGroup(9), [1, 8]),
                         (AbelianGroup(3, 3), [(1, 0), (2, 0), (0, 1), (0, 2)])]:
-        g = cayley_graph(group, [group.element(s) for s in gens])
-        k = g.degrees()[0]
+        g = cayley_graph(group, gens)
+        k = int(g.out_degrees()[0])
         transformed = line_graph_spectrum_transform(
             direct_spectrum(g), k, g.n, g.edge_count
         )

@@ -73,9 +73,9 @@ def test_lift_is_a_digraph_and_the_pairing_one_array(make, undirected):
         == undirected
     assert not hasattr(vg, "_pairing")
     if undirected:
-        stored = vg.digraph._pairing
+        stored = vg.pairing
         assert stored.dtype == np.intp and not stored.flags.writeable
-        assert vg.pairing == vg.digraph.pairing == tuple(stored.tolist())
+        assert stored is vg.digraph.pairing
     else:
         assert vg.pairing is None
 
@@ -87,8 +87,8 @@ def test_c5_base_lifts_to_token_digraph():
     image = {}
     for i, (label, key) in enumerate(lifted.labels):
         image[i] = tuple(sorted((x + key[0]) % 5 for x in label))
-    mapped = sorted((image[t], image[h]) for t, h in lifted.arcs)
-    direct = sorted((target.labels[t], target.labels[h]) for t, h in target.arcs)
+    mapped = sorted((image[t], image[h]) for t, h in lifted.arc_array().tolist())
+    direct = sorted((target.labels[t], target.labels[h]) for t, h in target.arc_array().tolist())
     assert mapped == direct
 
 
@@ -135,15 +135,15 @@ def _elementwise_lift(vg):
     m = len(els)
     labels = [(label, el.key) for label in vg.digraph.labels for el in els]
     arcs = []
-    for (u, v), w in zip(vg.digraph.arcs, vg.voltages):
+    for (u, v), w in zip(vg.digraph.arc_array().tolist(), vg.voltages):
         for g in range(m):
             arcs.append((u * m + g, v * m + multiply(g, w.index)))
     if not vg.undirected:
         return labels, arcs, None
     pairing = []
-    for a, w in enumerate(vg.voltages):
+    for partner, w in zip(vg.pairing.tolist(), vg.voltages):
         for g in range(m):
-            pairing.append(vg.pairing[a] * m + multiply(g, w.index))
+            pairing.append(partner * m + multiply(g, w.index))
     return labels, arcs, pairing
 
 
@@ -162,8 +162,8 @@ def test_lift_matches_elementwise_reference(make):
     labels, arcs, pairing = _elementwise_lift(vg)
     lifted = vg.lift()
     assert list(lifted.labels) == labels
-    assert list(lifted.arcs) == arcs
-    assert (list(lifted.pairing) if vg.undirected else None) == pairing
+    assert list(map(tuple, lifted.arc_array().tolist())) == arcs
+    assert (lifted.pairing.tolist() if vg.undirected else None) == pairing
 
 
 def test_trivial_group_lift_is_base():
@@ -171,7 +171,7 @@ def test_trivial_group_lift_is_base():
     vg = VoltageGraph.directed_from_arcs(group, ["a", "b"], [(0, 1, 0), (1, 0, 0)])
     lifted = vg.lift()
     assert lifted.n == 2
-    assert sorted(lifted.arcs) == [(0, 1), (1, 0)]
+    assert sorted(lifted.arc_array().tolist()) == [[0, 1], [1, 0]]
 
 
 def test_lift_counts():
@@ -201,7 +201,7 @@ def test_c5_base_matrix():
 
 def test_toroidal_mesh_base_matrix_entry():
     group = AbelianGroup(3, 3)
-    gens = [group.element(c) for c in [(1, 0), (2, 0), (0, 1), (0, 2)]]
+    gens = [(1, 0), (2, 0), (0, 1), (0, 2)]
     # row order matching the published table: alpha, beta, gamma, delta
     reps = [(0, 3), (0, 1), (0, 4), (0, 7)]
     b = token_base_graph(group, gens, 2, representatives=reps).base_matrix()
@@ -353,9 +353,10 @@ def _apply_cases():
     # matrices (not a homomorphism) whose sums in entry (0, 1), 2*(2,1) + 2*(0,1)
     # + (1,0), round differently in any other order: (2e16 - 2e16) + 1 = 1
     sensitive = {g: np.full((2, 2), 0.25 + 0.5j * g.index) for g in z33.elements()}
-    sensitive[z33.element((2, 1))] = np.array([[1e16, 1e16j], [0, 1e16]])
-    sensitive[z33.element((0, 1))] = np.array([[-1e16, -1e16j], [0, -1e16]])
-    sensitive[z33.element((1, 0))] = np.array([[1, 1j], [1j, 1]])
+    el = {g.key: g for g in z33.elements()}
+    sensitive[el[(2, 1)]] = np.array([[1e16, 1e16j], [0, 1e16]])
+    sensitive[el[(0, 1)]] = np.array([[-1e16, -1e16j], [0, -1e16]])
+    sensitive[el[(1, 0)]] = np.array([[1, 1j], [1j, 1]])
     return {
         "D7-irreps": (token_base_graph(d7, [1, 6, 2, 5], 3), dihedral_irreps(d7, 7)),
         # irreps over an equal group object that is not the base's own
@@ -389,7 +390,7 @@ def _entries_loop(vg):
     """The dict-building loop that the term arrays replaced: entry (u, v)
     maps each voltage index to its arc count, in first-occurrence order."""
     entries = [[{} for _ in range(vg.n)] for _ in range(vg.n)]
-    for (u, v), w in zip(vg.digraph.arcs, vg.voltages):
+    for (u, v), w in zip(vg.digraph.arc_array().tolist(), vg.voltages):
         entries[u][v][w.index] = entries[u][v].get(w.index, 0) + 1
     return entries
 
@@ -476,9 +477,9 @@ def test_pairing_rejects_non_inverse_voltages():
     # a Graph base is undirected: it is never read as a directed one
     d = Graph(Digraph([0, 1], [(0, 1), (1, 0)]), [1, 0])
     with pytest.raises(InvalidPairing) as err:
-        VoltageGraph(AbelianGroup(5), d, [Z5.element(1), Z5.element(1)])
+        VoltageGraph(AbelianGroup(5), d, [1, 1])
     assert str(err.value) == "arcs 0 and 1 carry voltages that are not mutually inverse"
-    vg = VoltageGraph(AbelianGroup(5), d, [Z5.element(1), Z5.element(4)])
+    vg = VoltageGraph(AbelianGroup(5), d, [1, 4])
     assert vg.undirected
 
 
@@ -488,13 +489,13 @@ def test_involution_loop_rejected():
     # a loop pair with the involution 2 lifts to the doubled matching {h, h + 2}
     pair = VoltageGraph.undirected_from_edges(group, [0], [(0, 0, 2)])
     assert pair.lift().edge_count == 4
-    assert pair.lift().edges() == [(0, 2), (1, 3), (2, 0), (3, 1)]
+    assert pair.lift().edge_array().tolist() == [[0, 2], [1, 3], [2, 0], [3, 1]]
     # a semi-edge with voltage 2 lifts to that matching once
     loop = Digraph([0], [(0, 0)])
     semi = VoltageGraph(group, Graph(loop, [0]), [2])
     assert semi.digraph.edge_count == 1
     assert semi.lift().edge_count == 2
-    assert semi.lift().edges() == [(0, 2), (1, 3)]
+    assert semi.lift().edge_array().tolist() == [[0, 2], [1, 3]]
     with pytest.raises(InvalidPairing) as err:
         VoltageGraph(group, Graph(loop, [0]), [0])
     assert str(err.value) == ("semi-edge 0 carries the identity voltage, "
@@ -513,9 +514,9 @@ def test_voltage_json_round_trip():
         data = json.loads(json.dumps(vg.to_json()))
         again = voltage_graph_from_json(data)
         assert again.group == vg.group
-        assert again.digraph.arcs == vg.digraph.arcs
+        assert np.array_equal(again.digraph.arc_array(), vg.digraph.arc_array())
         assert again.voltages == vg.voltages
-        assert again.pairing == vg.pairing
+        assert np.array_equal(again.pairing, vg.pairing)
 
 
 def test_semi_edge_base_json_round_trip():
@@ -526,7 +527,8 @@ def test_semi_edge_base_json_round_trip():
     assert again.to_json() == vg.to_json()
     lift, lifted_again = vg.lift(), again.lift()
     assert lifted_again.labels == lift.labels
-    assert lifted_again.arcs == lift.arcs and lifted_again.pairing == lift.pairing
+    assert np.array_equal(lifted_again.arc_array(), lift.arc_array())
+    assert np.array_equal(lifted_again.pairing, lift.pairing)
 
 
 @pytest.mark.parametrize("make, undirected", [
@@ -545,14 +547,14 @@ def test_voltage_json_round_trip_keeps_undirected(make, undirected):
     again = voltage_graph_from_json(data)
     for graph in (vg, again):
         assert graph.undirected == isinstance(graph.digraph, Graph) == undirected
-    assert again.pairing == vg.pairing
+    assert np.array_equal(again.pairing, vg.pairing)
     assert again.to_json() == vg.to_json()
 
 
 def test_voltage_json_without_the_field_is_undirected_when_an_arc_is_paired():
     data = VoltageGraph.undirected_from_edges(Z5, [0, 1], [(0, 1, 2)]).to_json()
     del data["undirected"]
-    assert voltage_graph_from_json(data).pairing == (1, 0)
+    assert voltage_graph_from_json(data).pairing.tolist() == [1, 0]
     for arc in data["arcs"]:
         arc["paired_with"] = None
     assert not voltage_graph_from_json(data).undirected
@@ -616,10 +618,6 @@ def _outcome(fn, *args):
     return result.tolist() if isinstance(result, np.ndarray) else result
 
 
-def _as_tuples(arcs):
-    return [tuple(row) for row in np.asarray(arcs).tolist()]
-
-
 def _d7_builder(gens, k):
     return lambda: token_base_graph(dihedral_group(7), gens, k)
 
@@ -645,9 +643,10 @@ def test_builder_pairing_matches_greedy_loop(name):
     that pairs, and the arcs it leaves over are the semi-edges."""
     build, first_semi_edge = PAIRING_BUILDERS[name]
     built = build()
-    pairing = np.array(built.pairing)
+    pairing = built.pairing
     volts = [w.index for w in built.voltages]
-    want = np.array(greedy_pairing(built.digraph.arcs, volts, built.group, strict=False))
+    want = np.array(greedy_pairing(built.digraph.arc_array().tolist(), volts, built.group,
+                                   strict=False))
     paired = want >= 0
     assert np.array_equal(pairing[paired], want[paired])
     semi_edges = np.flatnonzero(pairing == np.arange(len(pairing)))
@@ -667,7 +666,7 @@ def test_voltage_graph_from_index_array_equals_element_list(name):
     for array in (volts, volts.astype(np.int32), volts.astype(np.uint8)):
         from_indices = VoltageGraph(group, digraph, array)
         assert from_indices.voltages == from_elements.voltages == built.voltages
-        assert from_indices.pairing == from_elements.pairing == built.pairing
+        assert from_indices.pairing is from_elements.pairing is built.pairing
         assert from_indices.to_json() == from_elements.to_json() == built.to_json()
 
 
@@ -760,7 +759,7 @@ def test_random_voltage_graph_pairing_matches_greedy_loop():
     from voltlift.graphs import match_digon_pairing
 
     for seed in range(80):
-        arcs = random_voltage_graph(random.Random(seed)).digraph.arcs
+        arcs = random_voltage_graph(random.Random(seed)).digraph.arc_array().tolist()
         assert _outcome(match_digon_pairing, arcs) == _outcome(greedy_pairing, arcs)
 
 
@@ -822,23 +821,23 @@ def test_plain_pairing_matches_greedy_loop():
     z12, z34 = AbelianGroup(12), AbelianGroup(3, 4)
     for graph in [cayley_graph(z12, [1, 11, 6]), cayley_graph(z34, [(1, 0), (2, 0), (0, 2)]),
                   cayley_graph(dihedral_group(5), [1, 4, 5, 7])]:
-        assert list(graph.pairing) == greedy_pairing(graph.arcs)
+        assert graph.pairing.tolist() == greedy_pairing(graph.arc_array().tolist())
     arcs = [[0, 1], [1, 0], [0, 1], [1, 2], [1, 0], [2, 1],
             [0, 0], [0, 0], [1, 1], [1, 1], [0, 0], [0, 0]]
     graph = graph_from_json({"vertices": [0, 1, 2], "arcs": arcs, "undirected": True})
-    assert list(graph.pairing) == greedy_pairing(_as_tuples(arcs))
-    assert graph.pairing == (1, 0, 4, 5, 2, 3, 7, 6, 9, 8, 11, 10)
+    assert graph.pairing.tolist() == greedy_pairing(arcs)
+    assert graph.pairing.tolist() == [1, 0, 4, 5, 2, 3, 7, 6, 9, 8, 11, 10]
 
 
 def _voltage_checks_loop(group, voltages, pairing):
     """VoltageGraph's voltage rule arc by arc: paired arcs carry mutually
     inverse voltages, and a semi-edge not the identity; the message of the
     first failure, or None."""
-    voltages, invert = [group.element(v).index for v in voltages], group_law(group)[1]
+    voltages, invert = group.indices(voltages).tolist(), group_law(group)[1]
     for i, j in enumerate(pairing):
         if voltages[j] != invert(voltages[i]):
             return f"InvalidPairing: arcs {i} and {j} carry voltages that are not mutually inverse"
-        if i == j and voltages[i] == group.identity.index:
+        if i == j and voltages[i] == group._identity_index:
             return (f"InvalidPairing: semi-edge {i} carries the identity voltage, "
                     "which would lift to half-loops")
     return None
